@@ -48,7 +48,6 @@ from .landscape import (
     UnitBallKernel,
     divergence_diagnostic,
     exterior_mass,
-    j_value,
     normalize,
     nonintegrable_demo,
     spectral,
@@ -75,7 +74,6 @@ from .sim import (
     JumpNormTable,
     PathSample,
     SimConfig,
-    estimate_survival,
     first_passage,
     run_paths,
     sample_jump_norm,

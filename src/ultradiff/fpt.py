@@ -8,27 +8,29 @@ Three linked objects:
   ``g(t) = int_0^t g(t - tau) f(tau) dtau + f(t)`` (a second-kind Volterra
   equation; g vanishes for negative arguments), solved by forward
   time-stepping with trapezoidal quadrature, O(m^2) overall;
-* the Laplace transform ``G(s)`` of g, evaluated as a double sphere series.
+* the Laplace transform ``G(s)`` of g, evaluated as the same sphere series
+  with phi(lambda) = 1/(s + lambda) in place of e^{-lambda t}.
   Since ``F(s) = G(s) / (1 + G(s))`` for the transform F of f, recurrence
   (return probability one) is equivalent to G blowing up as s -> 0+; the
   diagnostic walks a descending s-ladder and reports a verdict, never a
   proof — finite evaluation cannot certify divergence.
 
 The Volterra stepper is inherently sequential in t; Laplace evaluations at
-distinct s are independent and safe to parallelize.
+distinct s are independent, but a small s grows the spectral cache in
+place, so threads sharing a cache need its window grown first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NonPositiveS, SeriesDiverged, StepTooCoarse
-from .heat import HeatState, _machine_tail_len, u_profile
-from .landscape import LandscapeParams, SpectralCache
-from .padic import sphere_volume
+from .errors import NonPositiveS, StepTooCoarse
+from .heat import HeatState, inflow, sphere_series
+from .landscape import LandscapeParams, SpectralCache, sphere_masses_above
 
 
 def _trapezoid(y: np.ndarray, dx: float) -> float:
@@ -39,52 +41,12 @@ def _trapezoid(y: np.ndarray, dx: float) -> float:
 
 def g_of_t(state: HeatState, t: float) -> float:
     """Re-entry flux at time t; zero at t = 0 since u starts supported on Z_p^n."""
-    params = state.landscape
-    total = 0.0
-    zeros = 0
-    i = 1
-    while zeros < 2:
-        w = params.value_at(i) * sphere_volume(state.space, i)
-        total += w * u_profile(state, i, t)
-        zeros = zeros + 1 if w == 0.0 else 0
-        i += 1
-    return total
+    return float(inflow(state, 0, t)[0])
 
 
 def g_grid(state: HeatState, ts: np.ndarray) -> np.ndarray:
-    """Vectorized g over a time grid (same series as :func:`g_of_t`).
-
-    Precomputes the decay rates 1 - Jhat(p^{-j}) once and assembles every
-    u(p^i, .) from suffix sums of a single sphere-by-time exponential table.
-    """
-    params = state.landscape
-    space = state.space
-    ts = np.asarray(ts, dtype=float)
-    pn = float(space.p) ** space.n
-    vol1 = space.unit_sphere_volume
-    # outer weights J(p^i) vol(S_i) die double-exponentially
-    weights = []
-    i = 1
-    zeros = 0
-    while zeros < 2:
-        w = params.value_at(i) * sphere_volume(space, i)
-        weights.append(w)
-        zeros = zeros + 1 if w == 0.0 else 0
-        i += 1
-    i_max = len(weights)
-    L = _machine_tail_len(space)
-    j_max = i_max + L + 1
-    lam = np.array([state.cache.one_minus(-j) for j in range(j_max + 1)])
-    sphere_w = vol1 * pn ** (-np.arange(j_max + 1, dtype=float))
-    table = sphere_w[:, None] * np.exp(-np.outer(lam, ts))  # (j, t)
-    suffix = np.cumsum(table[::-1], axis=0)[::-1]  # suffix[j] = sum_{j'>=j}
-    out = np.zeros_like(ts)
-    for i, w in enumerate(weights, start=1):
-        if w == 0.0:
-            continue
-        u_i = suffix[i] - pn ** (-i) * np.exp(-state.cache.one_minus(1 - i) * ts)
-        out += w * u_i
-    return out
+    """g over a time grid: the series of :func:`g_of_t`, one engine call."""
+    return inflow(state, 0, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -205,40 +167,18 @@ def laplace_G(
         raise NonPositiveS(f"Laplace evaluation needs s > 0, got {s}")
     space = params.space
     pn = float(space.p) ** space.n
-    vol1 = space.unit_sphere_volume
-    total = 0.0
-    outer = 0
-    inner_max = 0
-    tail_bound = 0.0
-    i = 1
-    zeros = 0
-    while zeros < 2:
-        w = params.value_at(i) * sphere_volume(space, i)
-        if w == 0.0:
-            zeros += 1
-            i += 1
-            continue
-        zeros = 0
-        inner = 0.0
-        j = i
-        while True:
-            inner += vol1 * pn ** (-j) * 1.0 / (s + cache.one_minus(-j))
-            # remaining terms are at most sum_{j'>j} vol(S_{-j'})/s = p^{-n(j'+1)}/s
-            rem = pn ** (-(j + 1)) / s
-            if rem < 1e-15 * inner:
-                break
-            j += 1
-            if j - i > 100_000:
-                raise SeriesDiverged("Laplace inner series failed its tail bound")
-        inner_max = max(inner_max, j - i + 1)
-        tail_bound = max(tail_bound, rem * w)
-        inner -= pn ** (-i) / (s + cache.one_minus(1 - i))
-        total += w * inner
-        outer += 1
-        i += 1
+    w = sphere_masses_above(params, 0)
+    i = np.arange(1, w.size + 1)
+    # Past n_terms spheres the inner series has at most p^{-n(i+n_terms)}/s
+    # left, below 1e-15 of its first term vol(S_{-i}) / (s + 2).
+    n_terms = math.ceil(
+        math.log((s + 2.0) / (1e-15 * s * space.unit_sphere_volume)) / math.log(pn)
+    )
+    a, corr = sphere_series(cache, i, lambda lam: 1.0 / (s + lam), n_terms)
+    scale = pn ** -i.astype(float)
     return LaplaceEval(
-        s=s, value=total, outer_terms=outer, inner_terms_max=inner_max,
-        tail_bound=tail_bound,
+        s=s, value=float(w @ (scale * (a - corr))), outer_terms=int(w.size),
+        inner_terms_max=n_terms, tail_bound=float(np.max(w * scale)) * pn**-n_terms / s,
     )
 
 

@@ -15,8 +15,13 @@ Z_p^n is radial, constant on Z_p^n, and coincides with Ztilde on every
 sphere of norm >= p (both are the transition probability into the
 corresponding unit coset), which this module exploits and the tests check.
 
-Everything here is a pure function of an immutable (landscape, spectral
-cache) pair, so concurrent grid evaluation is safe.
+Every quantity here is one sphere series sum_j vol(S_{-j}) phi(lambda_j),
+with lambda_j = 1 - Jhat(p^{-j}) read from the spectral cache, evaluated by
+:func:`sphere_series`; the quantities differ only in phi and in how the
+series is scaled and corrected. The results are pure functions of the
+landscape, but a series that reaches past the cache window grows the cache
+in place, so concurrent evaluation on one state needs the window grown
+first.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .landscape import (
     SpectralCache,
     jmass_ball,
     spectral_bound_constants,
+    sphere_masses_above,
 )
 from .padic import (
     DEFAULT_DEPTH_CAP,
@@ -83,7 +89,7 @@ class RadialProfile:
 
 @dataclass
 class HeatState:
-    """Immutable bundle of a landscape and its spectral cache."""
+    """A landscape and its spectral cache (which grows on demand)."""
 
     landscape: LandscapeParams
     cache: SpectralCache = None  # type: ignore[assignment]
@@ -96,21 +102,94 @@ class HeatState:
     def space(self) -> SpaceParams:
         return self.landscape.space
 
-    def exp_factor(self, k: int, t: float) -> float:
-        """e^{(Jhat(p^k) - 1) t}."""
-        return math.exp(-self.cache.one_minus(k) * t)
+
+def sphere_series(
+    cache: SpectralCache, i_exps, phi, n_terms: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sphere series behind every heat, flux and Laplace quantity.
+
+    For each norm exponent i returns
+
+        A[i] = sum_{0 <= j < n_terms} vol(S_{-j}) phi(lambda_{-j-i})
+
+    and the correction phi(lambda_{1-i}), where lambda_k = 1 - Jhat(p^k).
+    phi maps the contiguous slice of lambda the series needs to values of
+    shape (K,) or (K, T) (one time, or a grid of them). The banded sum runs
+    one diagonal j at a time, smallest terms first, so each entry is the
+    same sequence of roundings whatever other rows share the call (a BLAS
+    matrix product is not: its blocking depends on the batch shape).
+    """
+    i = np.asarray(i_exps, dtype=np.int64)
+    space = cache.kernel.space
+    top, bottom = int(i.max()), int(i.min())
+    vals = phi(cache.window(-top - n_terms + 1, 1 - bottom))
+    # acc[r] accumulates A at norm exponent top - r, one diagonal j at a time
+    width = top - bottom + 1
+    acc = np.zeros((width,) + vals.shape[1:], dtype=vals.dtype)
+    vol = space.unit_sphere_volume * (float(space.p) ** space.n) ** -np.arange(
+        n_terms, dtype=float
+    )
+    for j in range(n_terms - 1, -1, -1):
+        start = n_terms - 1 - j
+        acc += vol[j] * vals[start : start + width]
+    return acc[top - i], vals[n_terms + top - i]
 
 
-def _bracket(state: HeatState, i: int, t: float) -> float:
-    """The sphere series in Ztilde(p^i, t) before the |x|^{-n} prefactor."""
-    space = state.space
-    pn = float(space.p) ** space.n
-    vol1 = space.unit_sphere_volume
-    L = _machine_tail_len(space)
-    acc = 0.0
-    for j in range(L, -1, -1):  # small terms first
-        acc += vol1 * pn ** (-j) * state.exp_factor(-j - i, t)
-    return acc - state.exp_factor(1 - i, t)
+def _series(state: HeatState, i_exps, phi):
+    """sphere_series at the machine-tail length every heat quantity uses."""
+    return sphere_series(state.cache, i_exps, phi, _machine_tail_len(state.space) + 1)
+
+
+def _decay(ts):
+    """phi = e^{-lambda t} over the times ts, as a (K, T) table."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if np.any(ts < 0):
+        raise ValueError("time must be nonnegative")
+
+    def phi(lam):
+        x = np.multiply.outer(-lam, ts)
+        return np.exp(x, out=x)
+
+    return phi
+
+
+def _clamp(v: np.ndarray) -> np.ndarray:
+    """Series roundoff within 1e-12 below zero is clamped to zero."""
+    return np.where((v < 0.0) & (v >= -1e-12), 0.0, v)
+
+
+def _norm_index(i: NormExponent) -> int:
+    return 0 if isinstance(i, _ZeroNorm) else i
+
+
+def _bracket(state: HeatState, i_exps, ts) -> tuple[np.ndarray, np.ndarray]:
+    """(A, A - correction) of the heat series; rows i, columns t."""
+    a, corr = _series(state, i_exps, _decay(ts))
+    return a, a - corr
+
+
+def _on_spheres(state: HeatState, i: np.ndarray, bracket: np.ndarray) -> np.ndarray:
+    """p^{-ni} times the bracket, clamped: Ztilde(p^i, t), and u(p^i, t) for i >= 1."""
+    pn = float(state.space.p) ** state.space.n
+    return _clamp((pn ** -i.astype(float))[:, None] * bracket)
+
+
+def _ztilde_values(state: HeatState, i_exps, ts) -> np.ndarray:
+    """Ztilde(p^i, t); rows i, columns t."""
+    i = np.asarray(i_exps, dtype=np.int64)
+    return _on_spheres(state, i, _bracket(state, i, ts)[1])
+
+
+def _sphere_masses(state: HeatState, i_exps, t: float) -> np.ndarray:
+    """Ztilde(p^i, t) vol(S_i) per i, computed without the cancelling p^{+-ni}."""
+    return _clamp(state.space.unit_sphere_volume * _bracket(state, i_exps, t)[1][:, 0])
+
+
+def _u_values(state: HeatState, i_exps, ts) -> np.ndarray:
+    """u(p^i, t); rows i, columns t. Every i <= 0 means Z_p^n, where u = S."""
+    i = np.maximum(np.asarray(i_exps, dtype=np.int64), 0)
+    a, bracket = _bracket(state, i, ts)
+    return np.where((i == 0)[:, None], a, _on_spheres(state, i, bracket))
 
 
 def ztilde(state: HeatState, x_exp: NormExponent, t: float) -> float:
@@ -121,19 +200,7 @@ def ztilde(state: HeatState, x_exp: NormExponent, t: float) -> float:
     """
     if isinstance(x_exp, _ZeroNorm):
         raise ZeroPoint("Ztilde is defined for x != 0 only")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    space = state.space
-    val = float(space.p) ** (-space.n * x_exp) * _bracket(state, x_exp, t)
-    if -1e-12 <= val < 0.0:
-        return 0.0
-    return val
-
-
-def ztilde_sphere_mass(state: HeatState, i: int, t: float) -> float:
-    """Ztilde(p^i, t) * vol(S_i), computed without the cancelling p^{+-ni}."""
-    val = state.space.unit_sphere_volume * _bracket(state, i, t)
-    return 0.0 if -1e-12 <= val < 0.0 else val
+    return float(_ztilde_values(state, [x_exp], t)[0, 0])
 
 
 def u_profile(state: HeatState, i: NormExponent, t: float) -> float:
@@ -142,33 +209,19 @@ def u_profile(state: HeatState, i: NormExponent, t: float) -> float:
     Constant on Z_p^n (any i <= 0 or the ZERO_NORM tag); for i >= 1 it is
     the sphere series  sum_{j>=i} vol(S_{-j}) E(p^{-j},t) - p^{-ni} E(p^{1-i},t).
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    space = state.space
-    pn = float(space.p) ** space.n
-    vol1 = space.unit_sphere_volume
-    L = _machine_tail_len(space)
-    if isinstance(i, _ZeroNorm) or i <= 0:
-        acc = 0.0
-        for j in range(L, -1, -1):
-            acc += vol1 * pn ** (-j) * state.exp_factor(-j, t)
-        return acc
-    acc = 0.0
-    for j in range(i + L, i - 1, -1):
-        acc += vol1 * pn ** (-j) * state.exp_factor(-j, t)
-    acc -= pn ** (-i) * state.exp_factor(1 - i, t)
-    return 0.0 if -1e-12 <= acc < 0.0 else acc
+    return float(_u_values(state, [_norm_index(i)], t)[0, 0])
 
 
 def u_radial_profile(
     state: HeatState, x_exps: Sequence[int], t: float
 ) -> RadialProfile:
     """Tabulate the solution profile over the given norm exponents."""
+    u = _u_values(state, [0, *x_exps], t)[:, 0]
     return RadialProfile(
         space=state.space,
         t=t,
-        values={i: u_profile(state, i, t) for i in x_exps},
-        inside=u_profile(state, ZERO_NORM, t),
+        values={i: float(v) for i, v in zip(x_exps, u[1:])},
+        inside=float(u[0]),
     )
 
 
@@ -176,10 +229,11 @@ def ztilde_radial_profile(
     state: HeatState, x_exps: Sequence[int], t: float
 ) -> RadialProfile:
     """Tabulate the kernel density over the given norm exponents (x != 0)."""
+    z = _ztilde_values(state, x_exps, t)[:, 0]
     return RadialProfile(
         space=state.space,
         t=t,
-        values={i: ztilde(state, i, t) for i in x_exps},
+        values={i: float(v) for i, v in zip(x_exps, z)},
     )
 
 
@@ -194,20 +248,18 @@ def survival(state: HeatState, t: float) -> float:
 
 def du_dt(state: HeatState, i: NormExponent, t: float) -> float:
     """Time derivative of u_profile: each sphere term picks up (Jhat - 1)."""
-    space = state.space
-    pn = float(space.p) ** space.n
-    vol1 = space.unit_sphere_volume
-    L = _machine_tail_len(space)
-    if isinstance(i, _ZeroNorm) or i <= 0:
-        return -math.fsum(
-            vol1 * pn ** (-j) * state.cache.one_minus(-j) * state.exp_factor(-j, t)
-            for j in range(0, L + 1)
-        )
-    head = -math.fsum(
-        vol1 * pn ** (-j) * state.cache.one_minus(-j) * state.exp_factor(-j, t)
-        for j in range(i, i + L + 1)
-    )
-    return head + pn ** (-i) * state.cache.one_minus(1 - i) * state.exp_factor(1 - i, t)
+    i = _norm_index(i)
+    a, corr = _series(state, [max(i, 0)], lambda lam: lam * np.exp(-lam * t))
+    if i <= 0:
+        return -float(a[0])
+    return float((float(state.space.p) ** state.space.n) ** -i * (corr[0] - a[0]))
+
+
+def inflow(state: HeatState, r: int, ts) -> np.ndarray:
+    """sum_{m > r} J(p^m) vol(S_m) u(p^m, t) over the times ts, for r >= 0:
+    the rate at which mass outside the ball B_r jumps into it."""
+    w = sphere_masses_above(state.landscape, r)
+    return w @ _u_values(state, np.arange(r + 1, r + 1 + w.size), ts)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +299,7 @@ def conservation_audit(
     """Sum Ztilde over spheres and add the atom; widens the window if needed."""
     lo, hi = window
     while True:
-        mass = math.fsum(ztilde_sphere_mass(state, i, t) for i in range(lo, hi + 1))
+        mass = math.fsum(_sphere_masses(state, np.arange(lo, hi + 1), t))
         audit = ConservationAudit(
             t=t, density_mass=mass, atom=math.exp(-t), window=(lo, hi)
         )
@@ -261,20 +313,6 @@ def conservation_audit(
 # ---------------------------------------------------------------------------
 
 
-def _exterior_flux(state: HeatState, t: float) -> float:
-    """sum_{m>=1} J(p^m) vol(S_m) u(p^m, t): flux from outside into Z_p^n."""
-    params = state.landscape
-    total = 0.0
-    m = 1
-    zeros = 0
-    while zeros < 2:
-        w = params.value_at(m) * sphere_volume(state.space, m)
-        total += w * u_profile(state, m, t)
-        zeros = zeros + 1 if w == 0.0 else 0
-        m += 1
-    return total
-
-
 def j_convolve_u(state: HeatState, i: NormExponent, t: float) -> float:
     """(J * u(., t))(x) for |x| = p^i, via ultrametric ball geometry.
 
@@ -286,28 +324,20 @@ def j_convolve_u(state: HeatState, i: NormExponent, t: float) -> float:
     """
     params = state.landscape
     space = state.space
-    if isinstance(i, _ZeroNorm) or i <= 0:
-        return u_profile(state, ZERO_NORM, t) * jmass_ball(params, 0) + _exterior_flux(
-            state, t
-        )
-    u_i = u_profile(state, i, t)
+    i = max(_norm_index(i), 0)
+    u = _u_values(state, np.arange(i + 1), t)[:, 0]  # u[0] is the inside value
     # spheres of y with norm above p^i
-    outer = 0.0
-    m = i + 1
-    zeros = 0
-    while zeros < 2:
-        w = params.value_at(m) * sphere_volume(space, m)
-        outer += w * u_profile(state, m, t)
-        zeros = zeros + 1 if w == 0.0 else 0
-        m += 1
+    outer = float(inflow(state, i, t)[0])
+    if i == 0:
+        return u[0] * jmass_ball(params, 0) + outer
     # strictly smaller norms leave the displaced norm at p^i
-    inner = u_i * jmass_ball(params, i - 1)
+    inner = u[i] * jmass_ball(params, i - 1)
     # same norm: integrate u over B_i(x) = B_i minus the ball B_{i-1}(x) in S_i
-    ball_u = u_profile(state, ZERO_NORM, t) + math.fsum(
-        u_profile(state, m, t) * sphere_volume(space, m) for m in range(1, i + 1)
+    ball_u = u[0] + math.fsum(
+        u[m] * sphere_volume(space, m) for m in range(1, i + 1)
     )
     same = params.value_at(i) * (
-        ball_u - u_i * float(space.p) ** ((i - 1) * space.n)
+        ball_u - u[i] * float(space.p) ** ((i - 1) * space.n)
     )
     return outer + inner + same
 
@@ -354,9 +384,8 @@ def transition_prob(
         # every point of the displaced ball sits on the sphere of norm p^d
         return ztilde(state, d, t) * float(space.p) ** (radius_exp * space.n)
     if radius_exp >= 1:
-        return survival(state, t) + math.fsum(
-            ztilde_sphere_mass(state, j, t) for j in range(1, radius_exp + 1)
-        )
+        masses = _sphere_masses(state, np.arange(1, radius_exp + 1), t)
+        return survival(state, t) + math.fsum(masses)
     # sub-ball of Z_p^n around the origin: atom plus the small-norm spheres
     return math.exp(-t) + _small_ball_density_mass(state, radius_exp, t)
 
@@ -373,20 +402,18 @@ def _small_ball_density_mass(state: HeatState, r: int, t: float) -> float:
     ratio = float(params.space.p) ** -(params.gamma + params.space.n)
     ratio = min(max(ratio, 0.0), 0.999)
     terms = []
-    j = r
     decreasing = 0
     prev = math.inf
-    while True:
-        m = ztilde_sphere_mass(state, j, t)
-        terms.append(m)
-        total = math.fsum(terms)
-        decreasing = decreasing + 1 if m <= prev else 0
-        if decreasing >= 3 and m * ratio / (1.0 - ratio) < 1e-13 * max(total, 1e-300):
-            return total
-        prev = m
-        j -= 1
-        if r - j > 100_000:
-            raise SeriesDiverged("small-ball mass series failed to settle")
+    for top in range(r, r - 100_000, -64):
+        chunk = _sphere_masses(state, np.arange(top, top - 64, -1), t)
+        for m in chunk:
+            terms.append(float(m))
+            total = math.fsum(terms)
+            decreasing = decreasing + 1 if m <= prev else 0
+            if decreasing >= 3 and m * ratio / (1.0 - ratio) < 1e-13 * max(total, 1e-300):
+                return total
+            prev = m
+    raise SeriesDiverged("small-ball mass series failed to settle")
 
 
 def coset_norm_exponents(space: SpaceParams, depth: int) -> np.ndarray:
@@ -422,11 +449,7 @@ def q_by_norm(state: HeatState, t: float, depth: int) -> np.ndarray:
     coset of norm p^j (probability Ztilde(p^j, t), the density being
     constant on unit balls at that distance).
     """
-    q = np.empty(depth + 1)
-    q[0] = survival(state, t)
-    for j in range(1, depth + 1):
-        q[j] = ztilde(state, j, t)
-    return q
+    return _u_values(state, np.arange(depth + 1), t)[:, 0]
 
 
 def transition_matrix(state: HeatState, t: float, depth: int) -> np.ndarray:
@@ -511,12 +534,12 @@ def decay_bound_check(
         raise ValueError(f"decay bound applies to norm exponents > l = {l}")
     b1, b2 = spectral_bound_constants(params)
     p, n = float(params.space.p), params.space.n
-    pn = p**n
-    vol1 = params.space.unit_sphere_volume
     c0 = b1 * p ** (-n - params.gamma) + b2 * p ** (-params.gamma - (l + 1) * n)
-    L = _machine_tail_len(params.space)
+    deficits = {
+        t: _series(state, x_exps, lambda lam: -np.expm1(-lam * t))[0] for t in ts
+    }
     points, uni, claim, decay = [], [], [], []
-    for i in x_exps:
+    for row, i in enumerate(x_exps):
         for t in ts:
             # The first bound is tight to within roundoff when 1 - Jhat is
             # tiny, so the margins are assembled from manifestly nonnegative
@@ -525,12 +548,7 @@ def decay_bound_check(
             #   sum_j vol(S_{-j}) (1 - E_j)    the deficit of the sphere sum.
             d = state.cache.one_minus(1 - i)
             core = d * t + math.expm1(-d * t)
-            deficit = math.fsum(
-                vol1
-                * pn ** (-j)
-                * -math.expm1(-state.cache.one_minus(-j - i) * t)
-                for j in range(0, L + 1)
-            )
+            deficit = float(deficits[t][row])
             xm_n = p ** (-i * n)
             claim_margin = xm_n * (core + deficit)
             points.append((i, t))

@@ -2,16 +2,19 @@
 
 The kernel family is ``J(|x|_p) = c |x|_p^gamma exp(-C1 |x|_p)`` with the
 constant c fixed by ``int J(|x|_p) d^n x = 1``; integrability requires
-gamma > -n. All spectral information enters through the radial transform
-``Jhat(|xi|_p)``, computed via the sphere-sum identity
+gamma > -n. Every series over the kernel is built from one log-space term,
+the J-mass of a sphere ``log J(p^m) + log vol(S_m)`` (:func:`log_sphere_mass`):
+the mass normalization, the tail masses, the jump-norm table and the radial
+transform, computed via the sphere-sum identity
 
-    1 - Jhat(p^k) = p^{-kn} J(p^{1-k})
-                    + (1 - p^{-n}) * sum_{m >= 1-k} p^{nm} J(p^m),
+    1 - Jhat(p^k) = p^{-kn} J(p^{1-k}) + sum_{m >= 1-k} J(p^m) vol(S_m),
 
-which follows from evaluating the character integral sphere by sphere.
-Everything downstream (heat kernels, survival, Laplace transforms) consumes
-``1 - Jhat`` directly, so that quantity is what gets cached; it is
-nonnegative and at most 2 for any normalized kernel.
+which follows from evaluating the character integral sphere by sphere; the
+lone first term is the mass of S_{1-k} over p^n - 1. In log space no term
+forms J = inf times vol = 0 or overflows p^{nm}. Everything downstream
+(heat kernels, survival, Laplace transforms) consumes ``1 - Jhat``
+directly, so that quantity is what gets cached; it is nonnegative and at
+most 2 for any normalized kernel.
 
 For gamma in (-n, 0) the reciprocal ``1/(1 - Jhat(p^{-j}))`` grows double
 exponentially in j, which is the mechanism behind recurrence; the
@@ -21,7 +24,7 @@ divergence diagnostics below therefore work in log space throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -32,7 +35,6 @@ from .padic import SpaceParams, log_sphere_volume, sphere_volume
 #: Default exponent window for prebuilt spectral caches.
 DEFAULT_SPECTRAL_WINDOW = (-40, 40)
 
-_REL_TOL_INTERNAL = 1e-14
 _MAX_SERIES_TERMS = 10_000
 
 
@@ -42,6 +44,8 @@ class RadialKernel(Protocol):
     space: SpaceParams
 
     def value_at(self, j: int) -> float: ...
+
+    def log_value_at(self, j): ...
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,9 @@ class UnitBallKernel:
 
     def value_at(self, j: int) -> float:
         return 1.0 if j <= 0 else 0.0
+
+    def log_value_at(self, j):
+        return np.where(np.asarray(j) <= 0, 0.0, -np.inf)
 
 
 @dataclass(frozen=True)
@@ -76,28 +83,79 @@ class LandscapeParams:
             return math.inf
         return math.exp(log_val) if log_val > -745.0 else 0.0
 
-    def log_value_at(self, j: int) -> float:
-        p = float(self.space.p)
-        decay = self.c1 * p**j  # inf for astronomically large j is fine
+    def log_value_at(self, j):
+        """log J(p^j) for an integer or an integer array j."""
+        with np.errstate(over="ignore"):
+            decay = self.c1 * np.power(float(self.space.p), j)  # inf is fine
         return math.log(self.norm_const) + j * self.gamma * self.space.log_p - decay
 
 
-def _raw_term(space: SpaceParams, gamma: float, c1: float, j: int) -> float:
-    """One term p^{j(gamma+n)} e^{-C1 p^j} (1-p^{-n}) of the mass series."""
-    p, n = float(space.p), space.n
-    expo = j * (gamma + n) * space.log_p - c1 * p**j
-    if expo < -745.0:
-        return 0.0
-    return math.exp(expo) * space.unit_sphere_volume
+# ---------------------------------------------------------------------------
+# Sphere masses, all from one log-space term
+# ---------------------------------------------------------------------------
+
+
+def log_sphere_mass(kernel: RadialKernel, m):
+    """log(J(p^m) vol(S_m)), the J-mass of the sphere of norm p^m, for an
+    integer or an integer array m."""
+    return kernel.log_value_at(m) + log_sphere_volume(kernel.space, m)
+
+
+def log_sphere_masses_from(kernel: RadialKernel, m_lo: int) -> np.ndarray:
+    """log_sphere_mass for m = m_lo, m_lo + 1, ... up to and including the
+    first term 80 e-folds below the largest one so far.
+
+    Past its peak the sphere mass collapses double-exponentially, so the
+    terms after that one are negligible against every sum they enter.
+    """
+    parts, best, m, size = [], -math.inf, m_lo, 16
+    while True:
+        lt = log_sphere_mass(kernel, np.arange(m, m + size))
+        run = np.maximum.accumulate(np.maximum(lt, best))
+        stop = np.flatnonzero((lt < run - 80.0) | (lt == -math.inf))
+        if stop.size:
+            parts.append(lt[: stop[0] + 1])
+            return np.concatenate(parts)
+        parts.append(lt)
+        best, m, size = run[-1], m + size, 2 * size
+        if m - m_lo > _MAX_SERIES_TERMS:
+            raise SeriesDiverged(f"sphere masses from p^{m_lo} failed to settle")
+
+
+def sphere_masses_above(kernel: RadialKernel, r: int) -> np.ndarray:
+    """J(p^m) vol(S_m) for m = r+1, r+2, ...: the J-mass outside B_r by sphere."""
+    return np.exp(log_sphere_masses_from(kernel, r + 1))
+
+
+def sphere_masses_below(
+    kernel: RadialKernel, m_hi: int, ratio: float, rel_tol: float, head: float = 0.0
+) -> np.ndarray:
+    """J(p^m) vol(S_m) for m = m_hi, m_hi - 1, ... (in that order).
+
+    Below the mode the sphere masses fall at least geometrically with the
+    given ratio, so the descent stops at the first term whose tail bound
+    t r / (1 - r) is below rel_tol times the running sum (head included).
+    """
+    parts, total, m, size = [], head, m_hi, 64
+    while True:
+        t = np.exp(log_sphere_mass(kernel, np.arange(m, m - size, -1)))
+        run = total + np.cumsum(t)
+        done = np.flatnonzero(t * ratio / (1.0 - ratio) < rel_tol * run)
+        if done.size:
+            parts.append(t[: done[0] + 1])
+            return np.concatenate(parts)
+        parts.append(t)
+        total, m, size = run[-1], m - size, 2 * size
+        if m_hi - m > 100_000:
+            raise SeriesDiverged(f"sphere masses below p^{m_hi} failed to settle")
 
 
 def unnormalized_mass(space: SpaceParams, gamma: float, c1: float) -> float:
     """The series sum_j p^{j gamma} e^{-C1 p^j} vol(S_j), truncated adaptively.
 
-    Upper tail: terms collapse double-exponentially, so once the term ratio
-    bound p^{gamma+n} e^{-C1 p^j (p-1)} drops below 1/2 the remainder is at
-    most twice the last term. Lower tail: bounding e^{-C1 p^j} by 1 leaves a
-    geometric series with ratio p^{-(gamma+n)}.
+    Upper tail: terms collapse double-exponentially past the mode. Lower
+    tail: bounding e^{-C1 p^j} by 1 leaves a geometric series with ratio
+    p^{-(gamma+n)}, summed until its remainder is below 1e-15 of the total.
     """
     if c1 <= 0:
         raise NonPositiveRate(f"decay rate c1 must be > 0, got {c1}")
@@ -105,34 +163,11 @@ def unnormalized_mass(space: SpaceParams, gamma: float, c1: float) -> float:
         raise GammaOutOfRange(
             f"gamma must exceed -n = {-space.n} for an integrable kernel, got {gamma}"
         )
-    p = float(space.p)
-    terms = []
-    # ascend from j = 0
-    j = 0
-    while True:
-        t = _raw_term(space, gamma, c1, j)
-        terms.append(t)
-        running = math.fsum(terms)
-        ratio = p ** (gamma + space.n) * math.exp(-c1 * p**j * (p - 1.0))
-        if ratio < 0.5 and t * ratio / (1.0 - ratio) < 1e-15 * running:
-            break
-        j += 1
-        if j > _MAX_SERIES_TERMS:
-            raise SeriesDiverged("upper tail of the mass series failed to settle")
-    # descend from j = -1
-    r = p ** -(gamma + space.n)  # geometric ratio of the lower tail
-    j = -1
-    while True:
-        t = _raw_term(space, gamma, c1, j)
-        terms.append(t)
-        running = math.fsum(terms)
-        tail_bound = t * r / (1.0 - r)
-        if tail_bound < 1e-15 * running:
-            break
-        j -= 1
-        if j < -_MAX_SERIES_TERMS:
-            raise SeriesDiverged("lower tail of the mass series failed to settle")
-    return math.fsum(terms)
+    raw = LandscapeParams(space=space, gamma=gamma, c1=c1, norm_const=1.0)
+    upper = sphere_masses_above(raw, -1)
+    r = float(space.p) ** -(gamma + space.n)
+    lower = sphere_masses_below(raw, -1, r, 1e-15, head=math.fsum(upper))
+    return math.fsum(np.concatenate((upper, lower)))
 
 
 def normalize(space: SpaceParams, gamma: float, c1: float) -> LandscapeParams:
@@ -141,51 +176,27 @@ def normalize(space: SpaceParams, gamma: float, c1: float) -> LandscapeParams:
     return LandscapeParams(space=space, gamma=gamma, c1=c1, norm_const=1.0 / mass)
 
 
-def j_value(params: LandscapeParams, j: int) -> float:
-    """Kernel value J(p^j) = c p^{j gamma} e^{-C1 p^j}."""
-    return params.value_at(j)
-
-
 # ---------------------------------------------------------------------------
 # Radial Fourier transform
 # ---------------------------------------------------------------------------
 
 
+def _spectral_log_terms(kernel: RadialKernel, k: int) -> np.ndarray:
+    """Log terms of the sphere-sum series of 1 - Jhat(p^k): the J-mass of
+    S_{1-k} over p^n - 1 (that is p^{-kn} J(p^{1-k})), then the J-mass of
+    every sphere S_m with m >= 1-k."""
+    logs = log_sphere_masses_from(kernel, 1 - k)
+    first = logs[0] - math.log(float(kernel.space.p) ** kernel.space.n - 1.0)
+    return np.concatenate(([first], logs))
+
+
 def spectral_one_minus(kernel: RadialKernel, k: int) -> float:
     """1 - Jhat(p^k) via the sphere-sum series; nonnegative by construction.
 
-    The series terms p^{nl} J(p^{1+l-k}) die double-exponentially for the
-    landscape family and terminate exactly for compactly supported test
-    profiles; truncation stops after the terms are both decreasing and
-    below 1e-14 of the running sum (or exactly zero twice).
+    The terms die double-exponentially for the landscape family and
+    terminate exactly for compactly supported test profiles.
     """
-    space = kernel.space
-    pn = float(space.p) ** space.n
-    first = pn ** (-k) * kernel.value_at(1 - k)
-    series = 0.0
-    prev = math.inf
-    small_count = 0
-    l = 0
-    while True:
-        v = kernel.value_at(1 + l - k)
-        term = 0.0 if v == 0.0 else pn**l * v
-        series += term
-        scale = first + space.unit_sphere_volume * pn ** (1 - k) * series
-        if term == 0.0:
-            small_count += 1
-        elif l >= 4 and term <= prev and term < _REL_TOL_INTERNAL * max(scale, 1e-300):
-            small_count += 1
-        else:
-            small_count = 0
-        if small_count >= 2:
-            break
-        prev = term if term > 0.0 else prev
-        l += 1
-        if l > _MAX_SERIES_TERMS:
-            raise SeriesDiverged(
-                f"spectral series at k={k} failed its tail bound after {l} terms"
-            )
-    return first + space.unit_sphere_volume * pn ** (1 - k) * series
+    return math.fsum(np.exp(_spectral_log_terms(kernel, k)))
 
 
 def spectral(kernel: RadialKernel, k: int) -> float:
@@ -249,18 +260,25 @@ def spectral_by_quadrature(
 
 @dataclass
 class SpectralCache:
-    """Values of 1 - Jhat(p^k) on an exponent window, extended on demand.
+    """Values of 1 - Jhat(p^k) for k in [k_min, k_max], held as one array
+    (``values[k - k_min]``) and grown on demand.
 
-    Reads are pure lookups after construction; on-demand extension only
-    inserts idempotent values, so sharing across threads is harmless.
+    Each value is computed from k alone, so the array does not depend on
+    the order in which windows grew. Growing rebinds ``values``, ``k_min``
+    and ``k_max``, which is not safe from several threads at once: grow
+    the window a computation needs before sharing the cache.
     """
 
     kernel: RadialKernel
     k_min: int
     k_max: int
-    values: dict[int, float] = field(default_factory=dict)
+    values: np.ndarray = None  # type: ignore[assignment]
     left_tail_reaches_one: bool = False
     right_tail_decayed: bool = False
+
+    def __post_init__(self):
+        if self.values is None:
+            self.values = self._compute(self.k_min, self.k_max)
 
     @classmethod
     def build(
@@ -269,23 +287,30 @@ class SpectralCache:
         window: tuple[int, int] = DEFAULT_SPECTRAL_WINDOW,
     ) -> "SpectralCache":
         cache = cls(kernel=kernel, k_min=window[0], k_max=window[1])
-        for k in range(window[0], window[1] + 1):
-            cache.one_minus(k)
         cache.left_tail_reaches_one = cache.one_minus(window[0]) < 1e-6
         cache.right_tail_decayed = abs(cache.jhat(window[1])) < 1e-3
         return cache
 
+    def _compute(self, lo: int, hi: int) -> np.ndarray:
+        v = np.array([spectral_one_minus(self.kernel, k) for k in range(lo, hi + 1)])
+        bad = np.flatnonzero(~((v >= -1e-10) & (v <= 2.0 + 1e-10)))
+        if bad.size:
+            k = lo + int(bad[0])
+            raise SeriesDiverged(f"1 - Jhat(p^{k}) = {v[bad[0]]} outside [0, 2]")
+        return np.clip(v, 0.0, 2.0)
+
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """1 - Jhat(p^k) for k = lo..hi, growing the cached window to cover it."""
+        if lo < self.k_min:
+            self.values = np.concatenate((self._compute(lo, self.k_min - 1), self.values))
+            self.k_min = lo
+        if hi > self.k_max:
+            self.values = np.concatenate((self.values, self._compute(self.k_max + 1, hi)))
+            self.k_max = hi
+        return self.values[lo - self.k_min : hi - self.k_min + 1]
+
     def one_minus(self, k: int) -> float:
-        v = self.values.get(k)
-        if v is None:
-            v = spectral_one_minus(self.kernel, k)
-            if not (-1e-10 <= v <= 2.0 + 1e-10):
-                raise SeriesDiverged(f"1 - Jhat(p^{k}) = {v} outside [0, 2]")
-            v = min(max(v, 0.0), 2.0)
-            self.values[k] = v
-            self.k_min = min(self.k_min, k)
-            self.k_max = max(self.k_max, k)
-        return v
+        return float(self.window(k, k)[0])
 
     def jhat(self, k: int) -> float:
         return 1.0 - self.one_minus(k)
@@ -298,17 +323,7 @@ class SpectralCache:
 
 def jmass_tail(params: LandscapeParams, r: int) -> float:
     """J-mass outside the ball of radius p^r: sum_{m > r} J(p^m) vol(S_m)."""
-    total = 0.0
-    zeros = 0
-    m = r + 1
-    while zeros < 2:
-        t = params.value_at(m) * sphere_volume(params.space, m)
-        total += t
-        zeros = zeros + 1 if t < 1e-300 * max(total, 1.0) else 0
-        m += 1
-        if m - r > _MAX_SERIES_TERMS:
-            raise SeriesDiverged("exterior mass series failed to settle")
-    return total
+    return math.fsum(sphere_masses_above(params, r))
 
 
 def exterior_mass(params: LandscapeParams) -> float:
@@ -417,27 +432,13 @@ def spectral_bound_check(
 
 
 def log_one_minus_jhat(params: LandscapeParams, k: int) -> float:
-    """log(1 - Jhat(p^k)) evaluated entirely in log space.
+    """log(1 - Jhat(p^k)): the terms of :func:`spectral_one_minus`, summed
+    by logaddexp.
 
     Needed for k << 0, where 1 - Jhat underflows double precision (it
-    decays like e^{-C1 p^{1-k}}). Accumulates the series by logaddexp.
+    decays like e^{-C1 p^{1-k}}).
     """
-    space = params.space
-    n, lp = space.n, space.log_p
-    logs = [-k * n * lp + params.log_value_at(1 - k)]
-    log_pref = math.log(space.unit_sphere_volume) + n * (1 - k) * lp
-    best = -math.inf
-    l = 0
-    while True:
-        lt = log_pref + n * l * lp + params.log_value_at(1 + l - k)
-        logs.append(lt)
-        best = max(best, lt)
-        if l >= 4 and lt < best - 80.0:
-            break
-        l += 1
-        if l > 4000:
-            raise SeriesDiverged("log-space spectral series failed to settle")
-    return float(np.logaddexp.reduce(np.array(logs)))
+    return float(np.logaddexp.reduce(_spectral_log_terms(params, k)))
 
 
 @dataclass(frozen=True)

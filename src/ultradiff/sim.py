@@ -33,15 +33,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DepthOverflow, SeriesDiverged
-from .landscape import LandscapeParams
-from .padic import (
-    DEFAULT_DEPTH_CAP,
-    CosetPoint,
-    SpaceParams,
-    sphere_volume,
-    split_stream,
+from .errors import ConfigError, DepthOverflow
+from .landscape import (
+    LandscapeParams,
+    jmass_tail,
+    log_sphere_mass,
+    sphere_masses_below,
 )
+from .padic import DEFAULT_DEPTH_CAP, CosetPoint, SpaceParams, split_stream
 
 #: Largest tolerated jump-norm mass beyond the table's upper edge.
 TRUNCATION_TOLERANCE = 1e-12
@@ -66,34 +65,14 @@ class JumpNormTable:
     @classmethod
     def build(cls, landscape: LandscapeParams, j_max: int) -> "JumpNormTable":
         space = landscape.space
-        w_of = lambda j: landscape.value_at(j) * sphere_volume(space, j)
         # mass beyond the cap: terms collapse double-exponentially
-        defect_high = 0.0
-        j = j_max + 1
-        zeros = 0
-        while zeros < 2:
-            t = w_of(j)
-            defect_high += t
-            zeros = zeros + 1 if t == 0.0 else 0
-            j += 1
-            if j - j_max > 10_000:
-                raise SeriesDiverged("jump-norm upper tail failed to settle")
+        defect_high = jmass_tail(landscape, j_max)
         # extend downward until the geometric lower tail is negligible
-        ratio = float(space.p) ** -(landscape.gamma + space.n)
-        ratio = min(ratio, 0.999999)
-        weights = [w_of(j_max)]
-        j = j_max - 1
-        while True:
-            t = w_of(j)
-            weights.append(t)
-            if t * ratio / (1.0 - ratio) < 1e-16 * math.fsum(weights):
-                break
-            j -= 1
-            if j_max - j > 100_000:
-                raise SeriesDiverged("jump-norm lower tail failed to settle")
-        j_min = j
-        js = np.arange(j_min, j_max + 1, dtype=np.int64)
-        probs = np.array(weights[::-1])
+        ratio = min(float(space.p) ** -(landscape.gamma + space.n), 0.999999)
+        top = math.exp(log_sphere_mass(landscape, j_max))
+        lower = sphere_masses_below(landscape, j_max - 1, ratio, 1e-16, head=top)
+        js = np.arange(j_max - lower.size, j_max + 1, dtype=np.int64)
+        probs = np.concatenate((lower[::-1], [top]))
         defect_low = max(0.0, 1.0 - defect_high - float(probs.sum()))
         probs /= probs.sum()
         return cls(
@@ -423,12 +402,6 @@ def survival_estimates(batch: PathBatch) -> list[SurvivalEstimate]:
             )
         )
     return out
-
-
-def estimate_survival(
-    config: SimConfig, times: Sequence[float], workers: int = 1
-) -> list[SurvivalEstimate]:
-    return survival_estimates(run_paths(config, times, workers=workers))
 
 
 def fpt_cdf_estimate(batch: PathBatch, upto: float) -> tuple[float, float]:

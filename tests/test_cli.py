@@ -180,7 +180,7 @@ def test_verify_passes(config_path, tmp_path):
 def test_verify_detects_corrupted_cache(config_path):
     cfg = load_run_config(config_path)
     cache = SpectralCache.build(cfg.landscape)
-    cache.values[0] *= 1.5  # tamper with one spectral value
+    cache.values[-cache.k_min] *= 1.5  # tamper with the k = 0 spectral value
     checks = run_verify_checks(cfg, cache=cache)
     failed = [c["name"] for c in checks if not c["passed"]]
     assert failed, "corrupted cache must trip at least one invariant"

@@ -1,0 +1,82 @@
+"""The artifact comparison script: identical runs pass, and a 1e-12
+relative change of a single number (the tolerance is 1e-13) or a changed
+text field fails."""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from ultradiff.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "compare_artifacts.py"
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("artifacts")
+    for command in ("landscape", "kernel"):
+        code = main(
+            [command, "--config", str(ROOT / "configs" / "desk.json"),
+             "--out", str(out / command)]
+        )
+        assert code == 0
+    return out
+
+
+def compare(old: Path, new: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), str(old), str(new)],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_identical_trees_pass(run_dir, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    proc = compare(run_dir, copy)
+    assert proc.returncode == 0, proc.stdout
+    assert "0 violations" in proc.stdout
+    assert "kernel/ztilde.csv" in proc.stdout
+
+
+def _perturb_csv(path: Path) -> None:
+    lines = path.read_text().splitlines()
+    cells = lines[41].split(",")  # k = 0 on the default window
+    cells[2] = format(float(cells[2]) * (1.0 + 1e-12), ".17g")
+    lines[41] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _perturb_json(path: Path) -> None:
+    doc = json.loads(path.read_text())
+    doc["gap_at_one"] *= 1.0 + 1e-12
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _perturb_text(path: Path) -> None:
+    doc = json.loads(path.read_text())
+    doc["divergence"]["verdict"] = "inconclusive"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize(
+    "name,perturb",
+    [
+        ("spectral.csv", _perturb_csv),
+        ("diagnostics.json", _perturb_json),
+        ("diagnostics.json", _perturb_text),
+    ],
+)
+def test_one_perturbed_value_fails(run_dir, tmp_path, name, perturb):
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    perturb(copy / "landscape" / name)
+    proc = compare(run_dir, copy)
+    assert proc.returncode == 1
+    violations = [l for l in proc.stdout.splitlines() if l.startswith("VIOLATION")]
+    assert len(violations) == 1 and name in violations[0]

@@ -20,7 +20,6 @@ from ultradiff.landscape import (
     UnitBallKernel,
     divergence_diagnostic,
     exterior_mass,
-    j_value,
     jmass_ball,
     log_one_minus_jhat,
     nonintegrable_demo,
@@ -53,7 +52,7 @@ def mass_terms(space, gamma, c1, j_lo=-300, j_hi=60):
 def test_normalization_integrates_to_one(desk_params):
     space = desk_params.space
     total = sum(
-        j_value(desk_params, j) * sphere_volume(space, j) for j in range(-200, 60)
+        desk_params.value_at(j) * sphere_volume(space, j) for j in range(-200, 60)
     )
     assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -93,13 +92,13 @@ def test_mass_decreases_in_c1(desk_space):
 
 def test_j_value_at_unit_norm(desk_params):
     # |x| = 1: J(1) = c e^{-1}
-    assert j_value(desk_params, 0) == pytest.approx(
+    assert desk_params.value_at(0) == pytest.approx(
         desk_params.norm_const * math.exp(-1.0), rel=1e-14
     )
 
 
 def test_j_value_decays_beyond_mode(desk_params):
-    vals = [j_value(desk_params, j) for j in range(1, 12)]
+    vals = [desk_params.value_at(j) for j in range(1, 12)]
     assert all(a > b or a == b == 0.0 for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-100
 
@@ -107,7 +106,7 @@ def test_j_value_decays_beyond_mode(desk_params):
 def test_j_value_nonnegative(desk_params):
     rng = np.random.default_rng(5)
     for j in rng.integers(-40, 41, size=1000):
-        assert j_value(desk_params, int(j)) >= 0.0
+        assert desk_params.value_at(int(j)) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +162,24 @@ def test_spectral_tends_to_one_at_small_frequencies(desk_params):
     assert all(a <= b for a, b in zip(oms, oms[1:]))  # 1 - Jhat shrinking leftwards
 
 
+def test_spectral_far_right_does_not_overflow(desk_params):
+    # the series reaches ~k spheres below the unit ball; p^{nk} itself is
+    # beyond double range for p = 2 at these k
+    for k in (1100, 2000):
+        assert spectral_one_minus(desk_params, k) == pytest.approx(1.0, abs=1e-12)
+        assert log_one_minus_jhat(desk_params, k) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cache_independent_of_growth_order(desk_params):
+    grown = SpectralCache.build(desk_params, window=(-5, 5))
+    grown.window(0, 30)
+    grown.window(-30, 0)
+    direct = SpectralCache.build(desk_params, window=(-30, 30))
+    assert isinstance(grown.values, np.ndarray)
+    assert (grown.k_min, grown.k_max) == (-30, 30)
+    assert np.array_equal(grown.values, direct.values)
+
+
 # ---------------------------------------------------------------------------
 # the gap at |xi| = 1
 # ---------------------------------------------------------------------------
@@ -190,7 +207,7 @@ def test_exterior_mass_shrinks_as_rate_grows(desk_space):
     # and the gap approaches the lone J(p) term as the integral term dies
     params16 = normalize(desk_space, -0.5, 16.0)
     gap = spectral_gap_at_one(params16)
-    assert gap - j_value(params16, 1) == pytest.approx(masses[2], rel=1e-12)
+    assert gap - params16.value_at(1) == pytest.approx(masses[2], rel=1e-12)
 
 
 def test_jmass_ball_complements_exterior(desk_params):

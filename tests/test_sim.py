@@ -55,6 +55,18 @@ def test_table_nonmoving_mass(desk_params):
     assert abs(table.probs.sum() - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 1), (3, 2), (5, 2)])
+def test_table_builds_near_the_integrability_edge(p, n):
+    # gamma = -0.95 n, C1 = 5: the lower tail is long, and deep in it
+    # J(p^j) overflows while vol(S_j) underflows; the log-space sphere mass
+    # never forms their product
+    params = normalize(SpaceParams(p, n), gamma=-0.95 * n, c1=5.0)
+    table = JumpNormTable.build(params, j_max=3)
+    assert table.defect_high < 1e-12
+    assert np.all(np.isfinite(table.probs))
+    assert table.probs.sum() == pytest.approx(1.0, abs=1e-14)
+
+
 def test_table_rejects_coarse_truncation(desk_params):
     with pytest.raises(ConfigError):
         SimConfig(
