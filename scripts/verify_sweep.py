@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Run the verify battery over the 54-point parameter grid.
+
+    python3 scripts/verify_sweep.py [--paths 2000] [--seed 20240810]
+
+The grid is p in {2, 3, 5}, n in {1, 2}, gamma in {-0.95 n, -0.5 n, 0.5}
+and C1 in {0.2, 1, 5}. Every other setting comes from configs/desk.json,
+except the Monte Carlo path count and j_max, the smallest one whose jump
+mass beyond p^j_max is below the simulator's truncation tolerance. Prints
+one line per point with its failing checks (observed vs threshold) and
+exits 1 if any point fails or does not load. Takes a minute or two; not
+part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from ultradiff.cli import load_run_config, run_verify_checks
+from ultradiff.errors import UltradiffError
+from ultradiff.landscape import jmass_tail, normalize
+from ultradiff.padic import SpaceParams
+from ultradiff.sim import TRUNCATION_TOLERANCE
+
+DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
+
+
+def grid():
+    for p in (2, 3, 5):
+        for n in (1, 2):
+            for gamma in (-0.95 * n, -0.5 * n, 0.5):
+                for c1 in (0.2, 1.0, 5.0):
+                    yield p, n, gamma, c1
+
+
+def smallest_j_max(p: int, n: int, gamma: float, c1: float) -> int:
+    params = normalize(SpaceParams(p=p, n=n), gamma, c1)
+    j = 1
+    while jmass_tail(params, j) >= TRUNCATION_TOLERANCE:
+        j += 1
+    return j
+
+
+def run(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--paths", type=int, default=2000)
+    ap.add_argument("--seed", type=int, default=20240810)
+    args = ap.parse_args(argv)
+
+    desk = json.loads(DESK.read_text())
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "point.json"
+        for p, n, gamma, c1 in grid():
+            label = f"p={p} n={n} gamma={gamma:+.2f} C1={c1:g}"
+            j_max = smallest_j_max(p, n, gamma, c1)
+            cfg = dict(desk, landscape={"p": p, "n": n, "gamma": gamma, "c1": c1})
+            cfg["sim"] = dict(desk["sim"], j_max=j_max, seed=args.seed)
+            cfg["verify"] = {"paths": args.paths}
+            path.write_text(json.dumps(cfg))
+            try:
+                checks = run_verify_checks(load_run_config(path))
+            except UltradiffError as e:
+                bad += 1
+                print(f"{label} j_max={j_max}: error: {e}", flush=True)
+                continue
+            failed = [c for c in checks if not c["passed"]]
+            bad += bool(failed)
+            verdict = ", ".join(
+                f"{c['name']} {c['observed']:.3g} > {c['threshold']:.3g}"
+                + (f" ({c['detail']})" if c["detail"] else "")
+                for c in failed
+            )
+            print(f"{label} j_max={j_max}: {verdict or 'ok'}", flush=True)
+    print(f"{bad} of 54 points fail")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())

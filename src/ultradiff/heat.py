@@ -18,10 +18,11 @@ corresponding unit coset), which this module exploits and the tests check.
 Every quantity here is one sphere series sum_j vol(S_{-j}) phi(lambda_j),
 with lambda_j = 1 - Jhat(p^{-j}) read from the spectral cache, evaluated by
 :func:`sphere_series`; the quantities differ only in phi and in how the
-series is scaled and corrected. The results are pure functions of the
-landscape, but a series that reaches past the cache window grows the cache
-in place, so concurrent evaluation on one state needs the window grown
-first.
+series is scaled and corrected; the heat series at norm exponent r is
+P(X_t in B_r) itself (:func:`transition_prob`). The results are pure
+functions of the landscape, but a series that reaches past the cache window
+grows the cache in place, so concurrent evaluation on one state needs the
+window grown first.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import GammaOutOfRange, SeriesDiverged, UnsupportedBall, ZeroPoint
 from .landscape import (
     LandscapeParams,
     SpectralCache,
+    ball_jmass_bound,
     jmass_ball,
     spectral_bound_constants,
     sphere_masses_above,
@@ -49,6 +51,10 @@ from .padic import (
     _ZeroNorm,
     sphere_volume,
 )
+
+
+#: Largest density mass either side of the conservation window may hold.
+AUDIT_TAIL = 1e-16
 
 
 def _machine_tail_len(space: SpaceParams) -> int:
@@ -273,12 +279,15 @@ class ConservationAudit:
 
     total = atom + density_mass should be 1; the density alone carries
     1 - e^{-t} (the atom is the zero-jump probability at the origin).
+    density_mass sums the spheres S_lo .. S_hi of ``window``, and
+    ``tail_bound`` bounds the density mass outside it.
     """
 
     t: float
     density_mass: float
     atom: float
     window: tuple[int, int]
+    tail_bound: float
 
     @property
     def total(self) -> float:
@@ -289,23 +298,40 @@ class ConservationAudit:
         return abs(self.total - 1.0)
 
 
-def conservation_audit(
-    state: HeatState,
-    t: float,
-    window: tuple[int, int] = (-40, 40),
-    target: float = 1e-8,
-    widen: bool = True,
-) -> ConservationAudit:
-    """Sum Ztilde over spheres and add the atom; widens the window if needed."""
-    lo, hi = window
-    while True:
-        mass = math.fsum(_sphere_masses(state, np.arange(lo, hi + 1), t))
-        audit = ConservationAudit(
-            t=t, density_mass=mass, atom=math.exp(-t), window=(lo, hi)
-        )
-        if not widen or audit.defect <= target or lo <= -160:
-            return audit
-        lo -= 40  # the low-norm tail is the geometric one
+def conservation_audit(state: HeatState, t: float) -> ConservationAudit:
+    """Sum Ztilde over spheres and add the atom, on a window certified by
+    two bounds from the landscape, each at most AUDIT_TAIL:
+
+    * above S_hi: a path outside B_hi has made a jump of norm > p^hi
+      (ultrametric inequality), so that mass is at most
+      1 - exp(-t jmass_tail(hi));
+    * below S_lo: a path in B_{lo-1} minus 0 has jumped, and its last jump
+      landed in a translate of B_{lo-1}, so that mass is at most
+      (1 - e^{-t}) M(lo - 1) (:func:`ball_jmass_bound`).
+
+    Raises SeriesDiverged when no lo within 100 000 spheres qualifies.
+    """
+    params = state.landscape
+    # jmass_tail(h) for h = 0, 1, ..., ending in 0 past the last listed sphere
+    tails = np.append(np.cumsum(sphere_masses_above(params, 0)[::-1])[::-1], 0.0)
+    above = -np.expm1(-t * tails)
+    hi = int(np.flatnonzero(above <= AUDIT_TAIL)[0])
+    top, size = hi - 1, 64
+    while top > hi - 100_000:
+        q = np.arange(top, top - size, -1)
+        below = -math.expm1(-t) * ball_jmass_bound(params, q)
+        ok = np.flatnonzero(below <= AUDIT_TAIL)
+        if ok.size:
+            lo = int(q[ok[0]]) + 1
+            return ConservationAudit(
+                t=t,
+                density_mass=math.fsum(_sphere_masses(state, np.arange(lo, hi + 1), t)),
+                atom=math.exp(-t),
+                window=(lo, hi),
+                tail_bound=float(above[hi] + below[ok[0]]),
+            )
+        top, size = top - size, 2 * size
+    raise SeriesDiverged(f"conservation window at t={t} not certified in 1e5 spheres")
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +390,11 @@ def transition_prob(
 
     Balls with radius_exp >= 1 are unions of unit cosets; radius_exp <= 0
     means a sub-ball of a single coset (centered at the canonical
-    representative of `center`). The atom e^{-t} at the displacement origin
-    is included whenever the displaced ball contains it, which is what makes
-    p_t(x, Q_p^n) = 1 and the survival identity hold.
+    representative of `center`). A displaced ball off the origin lies in
+    one sphere, where the density is constant. For the ball B_r around it,
+    1_{B_r} transforms to p^{rn} 1_{B_{-r}}, so by Plancherel
+    P(X_t in B_r) = sum_{j>=0} vol(S_{-j}) e^{-lambda_{-j-r} t} for every
+    integer r: one :func:`sphere_series` row, atom e^{-t} included.
     """
     if x.space != center.space:
         raise ValueError("x and ball center live over different spaces")
@@ -383,37 +411,7 @@ def transition_prob(
     if not delta.is_zero() and d > radius_exp:
         # every point of the displaced ball sits on the sphere of norm p^d
         return ztilde(state, d, t) * float(space.p) ** (radius_exp * space.n)
-    if radius_exp >= 1:
-        masses = _sphere_masses(state, np.arange(1, radius_exp + 1), t)
-        return survival(state, t) + math.fsum(masses)
-    # sub-ball of Z_p^n around the origin: atom plus the small-norm spheres
-    return math.exp(-t) + _small_ball_density_mass(state, radius_exp, t)
-
-
-def _small_ball_density_mass(state: HeatState, r: int, t: float) -> float:
-    """sum_{j <= r} Ztilde(p^j, t) vol(S_j), truncated adaptively.
-
-    For gamma < 0 the density blows up like |x|^gamma at the origin, so the
-    sphere masses decay only geometrically with ratio about p^{-(gamma+n)};
-    the loop therefore stops on an explicit remaining-tail bound instead of
-    a fixed machine-precision length.
-    """
-    params = state.landscape
-    ratio = float(params.space.p) ** -(params.gamma + params.space.n)
-    ratio = min(max(ratio, 0.0), 0.999)
-    terms = []
-    decreasing = 0
-    prev = math.inf
-    for top in range(r, r - 100_000, -64):
-        chunk = _sphere_masses(state, np.arange(top, top - 64, -1), t)
-        for m in chunk:
-            terms.append(float(m))
-            total = math.fsum(terms)
-            decreasing = decreasing + 1 if m <= prev else 0
-            if decreasing >= 3 and m * ratio / (1.0 - ratio) < 1e-13 * max(total, 1e-300):
-                return total
-            prev = m
-    raise SeriesDiverged("small-ball mass series failed to settle")
+    return float(_series(state, [radius_exp], _decay(t))[0][0, 0])
 
 
 def coset_norm_exponents(space: SpaceParams, depth: int) -> np.ndarray:
@@ -423,14 +421,11 @@ def coset_norm_exponents(space: SpaceParams, depth: int) -> np.ndarray:
     exponent of a nonzero coordinate residue A is depth - v_p(A).
     """
     pm = space.p**depth
-    per_coord = np.zeros(pm, dtype=np.int64)
-    for a in range(1, pm):
-        v = 0
-        b = a
-        while b % space.p == 0:
-            b //= space.p
-            v += 1
-        per_coord[a] = depth - v
+    a = np.arange(pm)
+    per_coord = np.full(pm, depth, dtype=np.int64)
+    for k in range(1, depth):  # p^k divides a != 0 for v_p(a) of these k
+        per_coord -= a % space.p**k == 0
+    per_coord[0] = 0
     if space.n == 1:
         return per_coord
     total = space.p ** (depth * space.n)

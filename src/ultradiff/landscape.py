@@ -127,20 +127,34 @@ def sphere_masses_above(kernel: RadialKernel, r: int) -> np.ndarray:
     return np.exp(log_sphere_masses_from(kernel, r + 1))
 
 
+def _mass_and_tail_below(params: LandscapeParams, m):
+    """(mass(S_m), a bound on the J-mass below S_m) for an integer array m.
+
+    No ratio mass(S_{k-1}) / mass(S_k) with k <= m exceeds
+    rho_m = p^{-(gamma+n)} e^{C1 (p-1) p^{m-1}}, so the bound is
+    mass(S_m) rho_m / (1 - rho_m), or inf where rho_m >= 1.
+    """
+    p, n = float(params.space.p), params.space.n
+    log_rho = params.c1 * (p - 1.0) * p ** (m - 1.0) - (params.gamma + n) * math.log(p)
+    rho, lt = np.exp(np.minimum(log_rho, 0.0)), log_sphere_mass(params, m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.exp(lt), np.exp(lt - np.log1p(-rho)) * rho
+
+
 def sphere_masses_below(
-    kernel: RadialKernel, m_hi: int, ratio: float, rel_tol: float, head: float = 0.0
+    params: LandscapeParams, m_hi: int, rel_tol: float, head: float = 0.0
 ) -> np.ndarray:
     """J(p^m) vol(S_m) for m = m_hi, m_hi - 1, ... (in that order).
 
-    Below the mode the sphere masses fall at least geometrically with the
-    given ratio, so the descent stops at the first term whose tail bound
-    t r / (1 - r) is below rel_tol times the running sum (head included).
+    The descent stops at the first term whose geometric tail bound
+    (:func:`_mass_and_tail_below`) is below rel_tol times the running sum,
+    head included.
     """
     parts, total, m, size = [], head, m_hi, 64
     while True:
-        t = np.exp(log_sphere_mass(kernel, np.arange(m, m - size, -1)))
+        t, tail = _mass_and_tail_below(params, np.arange(m, m - size, -1))
         run = total + np.cumsum(t)
-        done = np.flatnonzero(t * ratio / (1.0 - ratio) < rel_tol * run)
+        done = np.flatnonzero(tail < rel_tol * run)
         if done.size:
             parts.append(t[: done[0] + 1])
             return np.concatenate(parts)
@@ -154,8 +168,8 @@ def unnormalized_mass(space: SpaceParams, gamma: float, c1: float) -> float:
     """The series sum_j p^{j gamma} e^{-C1 p^j} vol(S_j), truncated adaptively.
 
     Upper tail: terms collapse double-exponentially past the mode. Lower
-    tail: bounding e^{-C1 p^j} by 1 leaves a geometric series with ratio
-    p^{-(gamma+n)}, summed until its remainder is below 1e-15 of the total.
+    tail: summed until its geometric remainder bound is below 1e-15 of the
+    total.
     """
     if c1 <= 0:
         raise NonPositiveRate(f"decay rate c1 must be > 0, got {c1}")
@@ -165,8 +179,7 @@ def unnormalized_mass(space: SpaceParams, gamma: float, c1: float) -> float:
         )
     raw = LandscapeParams(space=space, gamma=gamma, c1=c1, norm_const=1.0)
     upper = sphere_masses_above(raw, -1)
-    r = float(space.p) ** -(gamma + space.n)
-    lower = sphere_masses_below(raw, -1, r, 1e-15, head=math.fsum(upper))
+    lower = sphere_masses_below(raw, -1, 1e-15, head=math.fsum(upper))
     return math.fsum(np.concatenate((upper, lower)))
 
 
@@ -202,11 +215,7 @@ def spectral_one_minus(kernel: RadialKernel, k: int) -> float:
 def spectral(kernel: RadialKernel, k: int) -> float:
     """Jhat(p^k) in [-1, 1]; values drifting past the boundary by more than
     1e-10 indicate a broken series and raise instead of being clamped."""
-    jhat = 1.0 - spectral_one_minus(kernel, k)
-    if jhat > 1.0:
-        if jhat - 1.0 > 1e-10:
-            raise SeriesDiverged(f"Jhat(p^{k}) = {jhat} exceeds 1 beyond tolerance")
-        return 1.0
+    jhat = 1.0 - spectral_one_minus(kernel, k)  # <= 1: 1 - Jhat is a sum of exps
     if jhat < -1.0:
         if -1.0 - jhat > 1e-10:
             raise SeriesDiverged(f"Jhat(p^{k}) = {jhat} below -1 beyond tolerance")
@@ -334,6 +343,25 @@ def exterior_mass(params: LandscapeParams) -> float:
 def jmass_ball(params: LandscapeParams, r: int) -> float:
     """J-mass of the ball of radius p^r (uses normalization: 1 - tail)."""
     return 1.0 - jmass_tail(params, r)
+
+
+def ball_jmass_bound(params: LandscapeParams, q) -> np.ndarray:
+    """M(q): a bound on the J-mass of every ball of radius p^q, for an
+    integer or an integer array q.
+
+    The ball around 0 is B_q, of mass at most mass(S_q) plus the bound of
+    :func:`_mass_and_tail_below`. Any other ball lies in one sphere S_m with
+    m > q, so its mass is at most p^{qn} sup_{m > q} J(p^m); over real s,
+    J(p^s) falls everywhere for gamma <= 0 and peaks at s = log_p(gamma/C1)
+    otherwise. J is normalized, so 1 bounds both.
+    """
+    q = np.asarray(q)
+    ball = sum(_mass_and_tail_below(params, q))
+    s = q + 1.0
+    if params.gamma > 0:
+        s = np.maximum(s, math.log(params.gamma / params.c1) / params.space.log_p)
+    off = np.exp(q * params.space.n * params.space.log_p + params.log_value_at(s))
+    return np.minimum(np.maximum(ball, off), 1.0)
 
 
 def spectral_gap_at_one(params: LandscapeParams) -> float:

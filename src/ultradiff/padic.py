@@ -138,13 +138,6 @@ def log_sphere_volume(space: SpaceParams, j: int) -> float:
     return j * space.n * space.log_p + math.log1p(-float(space.p) ** (-space.n))
 
 
-def ball_volume_frac(space: SpaceParams, r: int) -> Fraction:
-    """Exact ball volume p^{rn} (|r*n| <= 30)."""
-    if abs(r * space.n) > EXACT_EXPONENT_LIMIT:
-        raise ValueError("exponent too large for exact arithmetic")
-    return Fraction(space.p) ** (r * space.n)
-
-
 # ---------------------------------------------------------------------------
 # Character integrals over spheres
 # ---------------------------------------------------------------------------
@@ -375,43 +368,22 @@ class CosetPoint:
 def coset_add(a: CosetPoint, b: CosetPoint) -> CosetPoint:
     """Digitwise base-p addition with carries toward position -1.
 
-    Carries leaving position -1 land in Z_p^n and are dropped: this is the
-    quotient-group law. The result is never deeper than the deeper operand,
-    so the depth cap can only be exceeded at construction time.
+    In the residue encoding of :meth:`CosetPoint.to_residues` this is
+    integer addition modulo p^depth: carries leaving position -1 land in
+    Z_p^n and are dropped, which is the quotient-group law. The result is
+    never deeper than the deeper operand, so the depth cap can only be
+    exceeded at construction time.
     """
     if a.space != b.space:
         raise ValueError("cosets live over different spaces")
-    p = a.space.p
-    arrays = []
-    for da, db in zip(a.digits, b.digits):
-        depth = max(len(da), len(db))
-        xa = list(da) + [0] * (depth - len(da))
-        xb = list(db) + [0] * (depth - len(db))
-        out = [0] * depth
-        carry = 0
-        for k in range(depth - 1, -1, -1):  # deepest digit first
-            s = xa[k] + xb[k] + carry
-            out[k] = s % p
-            carry = s // p
-        arrays.append(tuple(out))  # final carry is in Z_p^n: dropped
-    return CosetPoint(a.space, tuple(arrays))
+    depth = max(a.depth, b.depth)
+    sums = [x + y for x, y in zip(a.to_residues(depth), b.to_residues(depth))]
+    return CosetPoint.from_residues(a.space, sums, depth)
 
 
 def coset_neg(a: CosetPoint) -> CosetPoint:
-    """Group inverse: the coset of -x."""
-    p = a.space.p
-    arrays = []
-    for digs in a.digits:
-        depth = len(digs)
-        if depth == 0:
-            arrays.append(())
-            continue
-        val = 0
-        for k, dig in enumerate(digs):
-            val += dig * p ** (depth - 1 - k)
-        neg = (p**depth - val) % p**depth
-        arrays.append(tuple((neg // p ** (depth - 1 - k)) % p for k in range(depth)))
-    return CosetPoint(a.space, tuple(arrays))
+    """Group inverse: the coset of -x, residue negation modulo p^depth."""
+    return CosetPoint.from_residues(a.space, [-r for r in a.to_residues()], a.depth)
 
 
 def sample_uniform_sphere_coset(

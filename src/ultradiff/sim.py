@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DepthOverflow
+from .errors import ConfigError
 from .landscape import (
     LandscapeParams,
     jmass_tail,
@@ -64,13 +64,11 @@ class JumpNormTable:
 
     @classmethod
     def build(cls, landscape: LandscapeParams, j_max: int) -> "JumpNormTable":
-        space = landscape.space
         # mass beyond the cap: terms collapse double-exponentially
         defect_high = jmass_tail(landscape, j_max)
         # extend downward until the geometric lower tail is negligible
-        ratio = min(float(space.p) ** -(landscape.gamma + space.n), 0.999999)
         top = math.exp(log_sphere_mass(landscape, j_max))
-        lower = sphere_masses_below(landscape, j_max - 1, ratio, 1e-16, head=top)
+        lower = sphere_masses_below(landscape, j_max - 1, 1e-16, head=top)
         js = np.arange(j_max - lower.size, j_max + 1, dtype=np.int64)
         probs = np.concatenate((lower[::-1], [top]))
         defect_low = max(0.0, 1.0 - defect_high - float(probs.sum()))
@@ -191,21 +189,9 @@ def _draw_path_raw(
     )
 
 
-def _mover_coset(
-    space: SpaceParams, j: int, col: np.ndarray, rest, depth_cap: int
-) -> CosetPoint:
-    arrays = []
-    for c in range(space.n):
-        digs = [int(rest[c, k]) for k in range(j - 1)] if rest is not None else []
-        digs.append(int(col[c]))  # position -j
-        arrays.append(tuple(digs))
-    if j > depth_cap:  # unreachable when j_max <= depth_cap was validated
-        raise DepthOverflow(f"jump norm exponent {j} exceeds depth cap {depth_cap}")
-    return CosetPoint(space, tuple(arrays))
-
-
 def _mover_residues(space: SpaceParams, j: int, col, rest, depth: int) -> tuple[int, ...]:
-    """Same digits as :func:`_mover_coset`, encoded as residues mod p^depth."""
+    """A moving jump's digits (leading column at position -j, the block
+    above it at -1 .. -(j-1)) encoded as residues mod p^depth."""
     p = space.p
     out = []
     for c in range(space.n):
@@ -232,7 +218,9 @@ def simulate_path(config: SimConfig, path_index: int) -> PathSample:
     for j in jexps:
         if j >= 1:
             jm, col, rest = next(mover_iter)
-            pos = pos + _mover_coset(space, jm, col, rest, config.depth_cap)
+            pos = pos + CosetPoint.from_residues(
+                space, _mover_residues(space, jm, col, rest, jm), jm
+            )
         positions.append(pos)
     return PathSample(
         jump_times=tuple(float(t) for t in times),
@@ -303,10 +291,6 @@ def _run_block(
     exited = np.zeros(n_paths, dtype=bool)
     n_jumps = np.zeros(n_paths, dtype=np.int64)
     modulus = space.p**depth
-    if modulus > 2**62:
-        raise ConfigError(
-            "sim.j_max: residue fast path needs p^j_max < 2^62; lower j_max"
-        )
     for k in range(n_paths):
         rng = split_stream(config.seed, start + k)
         times, jexps, movers = _draw_path_raw(rng, config.table, config.horizon, space)

@@ -177,6 +177,19 @@ def test_verify_passes(config_path, tmp_path):
     assert len(report["checks"]) >= 10
 
 
+def test_verify_mc_check_exact_at_tiny_exit_rate(tmp_path):
+    # C1 = 5: of 2000 paths about 0.056 are expected outside Z_p at t = 0.5,
+    # so most runs see none, where the plug-in stderr is 0
+    def mutate(cfg):
+        cfg["landscape"]["c1"] = 5.0
+        cfg["sim"]["j_max"] = 2
+        cfg["verify"]["paths"] = 2000
+
+    checks = run_verify_checks(load_run_config(write_config(tmp_path, mutate)))
+    mc = next(c for c in checks if c["name"] == "mc_survival_within_3_sigma")
+    assert mc["passed"], mc
+
+
 def test_verify_detects_corrupted_cache(config_path):
     cfg = load_run_config(config_path)
     cache = SpectralCache.build(cfg.landscape)

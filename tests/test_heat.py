@@ -100,6 +100,26 @@ def test_conservation_other_space(state_p3n2):
         assert conservation_audit(state_p3n2, t).defect <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "p, n, gamma, c1",
+    [
+        (p, n, gamma, c1)
+        for p in (2, 3, 5)
+        for n in (1, 2)
+        for gamma in (-0.95 * n, -0.5 * n, 0.5)
+        for c1 in (0.2, 1.0, 5.0)
+    ],
+)
+def test_conservation_window_certified_across_grid(p, n, gamma, c1):
+    # near gamma = -n the density mass below S_lo decays like p^{(gamma+n) lo},
+    # so the certified window reaches lo ~ -1000 at p = 2
+    state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
+    for t in (0.1, 1.0, 20.0):
+        audit = conservation_audit(state, t)
+        assert audit.defect <= 1e-8, (t, audit.window)
+        assert audit.tail_bound <= 1e-15, (t, audit.window)
+
+
 # ---------------------------------------------------------------------------
 # u profile
 # ---------------------------------------------------------------------------
@@ -322,6 +342,22 @@ def test_transition_prob_translation_invariance(desk_state):
     assert transition_prob(desk_state, x, c, 0, t) == pytest.approx(
         transition_prob(desk_state, zero, delta, 0, t), rel=1e-14
     )
+
+
+@pytest.mark.parametrize("p, gamma, c1", [(3, -0.3, 0.5), (5, -0.7, 0.3)])
+def test_transition_prob_deep_ball(p, gamma, c1):
+    # B_r inside Z_p carries S(t) minus the density on the spheres r < j <= 0
+    state = HeatState(normalize(SpaceParams(p=p, n=1), gamma, c1))
+    zero = CosetPoint.zero(state.space)
+    for r in (-10, -40):
+        for t in (0.1, 1.0):
+            shell = math.fsum(
+                ztilde(state, j, t) * sphere_volume(state.space, j)
+                for j in range(r + 1, 1)
+            )
+            assert transition_prob(state, zero, zero, r, t) == pytest.approx(
+                survival(state, t) - shell, abs=1e-13
+            )
 
 
 def test_transition_prob_depth_guard(desk_state):

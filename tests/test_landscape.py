@@ -18,10 +18,12 @@ from ultradiff.landscape import (
     DEFAULT_SPECTRAL_WINDOW,
     SpectralCache,
     UnitBallKernel,
+    ball_jmass_bound,
     divergence_diagnostic,
     exterior_mass,
     jmass_ball,
     log_one_minus_jhat,
+    log_sphere_mass,
     nonintegrable_demo,
     normalize,
     spectral,
@@ -214,6 +216,22 @@ def test_jmass_ball_complements_exterior(desk_params):
     assert jmass_ball(desk_params, 0) == pytest.approx(
         1.0 - exterior_mass(desk_params), rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "p, n, gamma, c1",
+    [(2, 1, -0.95, 0.2), (3, 2, -1.0, 5.0), (2, 2, 0.5, 0.2), (5, 1, 0.5, 5.0)],
+)
+def test_ball_jmass_bound_covers_every_ball(p, n, gamma, c1):
+    # balls of radius p^q: B_q itself, and p^{qn} J(p^m) for one off 0 in S_m
+    params = normalize(SpaceParams(p=p, n=n), gamma, c1)
+    qs = np.arange(-60, 6)
+    for q, bound in zip(qs, ball_jmass_bound(params, qs)):
+        ball = math.fsum(np.exp(log_sphere_mass(params, np.arange(q - 5000, q + 1))))
+        off = max(params.value_at(m) for m in range(q + 1, 40)) * float(p) ** (q * n)
+        assert max(ball, off) * (1.0 - 1e-12) <= bound <= 1.0, q
+        if q <= -20:
+            assert bound <= 100.0 * max(ball, off), q
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ultradiff.cli import binomial_tail_z
 from ultradiff.errors import ConfigError
 from ultradiff.heat import survival, u_profile
 from ultradiff.landscape import exterior_mass, normalize
@@ -174,23 +175,24 @@ def test_first_passage_never_left():
 
 
 def test_batch_matches_scalar_path_api(desk_sim):
-    batch = run_paths(
-        SimConfig(
-            landscape=desk_sim.landscape,
+    # p = 3, j_max = 40: residues mod p^j_max exceed 2^62 (Python ints)
+    p3 = normalize(SpaceParams(p=3, n=1), -0.5, 1.0)
+    for landscape, j_max in ((desk_sim.landscape, desk_sim.j_max), (p3, 40)):
+        sim = SimConfig(
+            landscape=landscape,
             horizon=desk_sim.horizon,
             max_paths=200,
             seed=desk_sim.seed,
-            j_max=desk_sim.j_max,
-        ),
-        query_times=(1.0,),
-    )
-    for idx in range(200):
-        fp = first_passage(simulate_path(desk_sim, idx))
-        if fp.tau is None:
-            assert math.isnan(batch.tau[idx])
-        else:
-            assert batch.tau[idx] == pytest.approx(fp.tau, abs=0.0)
-        assert bool(batch.exited[idx]) == fp.exited
+            j_max=j_max,
+        )
+        batch = run_paths(sim, query_times=(1.0,))
+        for idx in range(200):
+            fp = first_passage(simulate_path(sim, idx))
+            if fp.tau is None:
+                assert math.isnan(batch.tau[idx])
+            else:
+                assert batch.tau[idx] == pytest.approx(fp.tau, abs=0.0)
+            assert bool(batch.exited[idx]) == fp.exited
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +204,21 @@ def test_mc_survival_within_3_sigma(desk_batch, desk_state):
     for est in survival_estimates(desk_batch):
         s_true = survival(desk_state, est.t)
         assert abs(est.estimate - s_true) <= 3.0 * est.stderr, est.t
+
+
+def test_binomial_tail_z_at_small_counts():
+    # 2000 paths with 0.056 expected outside: one stray path is no evidence,
+    # twenty are; a plug-in z divides by a zero stderr when none leaves
+    q = 0.056 / 2000
+    assert binomial_tail_z(0, 2000, q) == 0.0
+    assert binomial_tail_z(1, 2000, q) < 3.0
+    assert binomial_tail_z(20, 2000, q) > 3.0
+    assert binomial_tail_z(1, 2000, 0.0) == math.inf
+    for k, n, prob in ((1, 2000, q), (1100, 2000, 0.5), (3, 50, 0.2), (40, 50, 0.2)):
+        tail = min(stats.binom.cdf(k, n, prob), stats.binom.sf(k - 1, n, prob), 0.5)
+        assert binomial_tail_z(k, n, prob) == pytest.approx(
+            -stats.norm.ppf(tail), rel=1e-9, abs=1e-12
+        )
 
 
 def test_survival_estimate_near_time_zero(desk_params):
