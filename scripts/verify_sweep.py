@@ -7,9 +7,12 @@ The grid is p in {2, 3, 5}, n in {1, 2}, gamma in {-0.95 n, -0.5 n, 0.5}
 and C1 in {0.2, 1, 5}. Every other setting comes from configs/desk.json,
 except the Monte Carlo path count and j_max, the smallest one whose jump
 mass beyond p^j_max is below the simulator's truncation tolerance. Prints
-one line per point with its failing checks (observed vs threshold) and
-exits 1 if any point fails or does not load. Takes a minute or two; not
-part of the test suite.
+one line per point: its failing checks (observed vs threshold), then the
+truncation evidence of the two windowed checks (the Chapman-Kolmogorov
+chain depth and escape bound, the conservation window and its tail bound).
+Exits 1 if any point fails or does not load. Every point is expected to
+pass, so the last line should read "0 of 54 points fail". Takes a minute
+or two; not part of the test suite.
 """
 
 from __future__ import annotations
@@ -75,7 +78,13 @@ def run(argv=None) -> int:
                 + (f" ({c['detail']})" if c["detail"] else "")
                 for c in failed
             )
-            print(f"{label} j_max={j_max}: {verdict or 'ok'}", flush=True)
+            evidence = "; ".join(
+                f"{c['name']} {c['detail']}"
+                for c in checks
+                if c["name"] in ("chapman_kolmogorov", "conservation")
+            )
+            print(f"{label} j_max={j_max}: {verdict or 'ok'} [{evidence}]",
+                  flush=True)
     print(f"{bad} of 54 points fail")
     return 1 if bad else 0
 

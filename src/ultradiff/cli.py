@@ -41,6 +41,7 @@ from .heat import (
     conservation_audit,
     decay_bound_check,
     du_dt,
+    escape_depth,
     pde_residual,
     survival,
     u_profile,
@@ -74,6 +75,7 @@ from .sim import SimConfig, fpt_cdf_estimate, run_paths, survival_estimates
 
 SCHEMA_VERSION = 1
 OUT_ENV_VAR = "ULTRADIFF_OUT"
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _fmt(x: float) -> str:
@@ -145,6 +147,10 @@ class RunConfig:
         }
 
 
+def _is_a(v, typ) -> bool:
+    return isinstance(v, typ) and not isinstance(v, bool)
+
+
 def _get(block: dict, path: str, typ, default=None, required=True):
     head, _, key = path.rpartition(".")
     if key not in block:
@@ -154,7 +160,7 @@ def _get(block: dict, path: str, typ, default=None, required=True):
     val = block[key]
     if typ is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
-    if not isinstance(val, typ) or isinstance(val, bool):
+    if not _is_a(val, typ):
         raise ConfigError(f"{path}: expected {typ.__name__}, got {val!r}")
     return val
 
@@ -215,10 +221,8 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
     if abs(steps - round(steps)) > 1e-9:
         raise ConfigError(f"fpt.T: must be an integer multiple of h, got T={fpt_T}, h={h}")
     ladder = fptb.get("s_ladder")
-    if (
-        not isinstance(ladder, list)
-        or not ladder
-        or any(not isinstance(s, (int, float)) or s <= 0 for s in ladder)
+    if not isinstance(ladder, list) or not ladder or any(
+        not _is_a(s, (int, float)) or s <= 0 for s in ladder
     ):
         raise ConfigError("fpt.s_ladder: must be a nonempty list of positive numbers")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
@@ -238,22 +242,30 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
     times = kern.get("times", [0.1, 0.5, 1.0, 2.0, 5.0])
     x_exps = kern.get("x_exps", list(range(-5, 11)))
     if not isinstance(times, list) or any(
-        not isinstance(t, (int, float)) or t < 0 for t in times
+        not _is_a(t, (int, float)) or t < 0 for t in times
     ):
         raise ConfigError("kernel.times: must be a list of nonnegative numbers")
-    if not isinstance(x_exps, list) or any(not isinstance(i, int) for i in x_exps):
-        raise ConfigError("kernel.x_exps: must be a list of integers")
+    # Ztilde and the decay bounds scale by p^{-n i}, which must stay a double
+    if not isinstance(x_exps, list) or any(
+        not _is_a(i, int) or abs(i) * n * params.space.log_p >= _LOG_FLOAT_MAX
+        for i in x_exps
+    ):
+        raise ConfigError("kernel.x_exps: must be integers i with p^(n|i|) finite")
     kernel = KernelBlock(
         times=tuple(float(t) for t in times), x_exps=tuple(x_exps)
     )
 
     verb = raw.get("verify", {})
+    if not isinstance(verb, dict):
+        raise ConfigError("verify: must be a block")
     verify_paths = _get(verb, "verify.paths", int, default=20000, required=False)
     if verify_paths < 100:
         raise ConfigError(f"verify.paths: must be >= 100, got {verify_paths}")
 
     out_block = raw.get("output", {})
-    out_dir = out_block.get("dir") if isinstance(out_block, dict) else None
+    if not isinstance(out_block, dict):
+        raise ConfigError("output: must be a block")
+    out_dir = _get(out_block, "output.dir", str, required=False)
 
     return RunConfig(
         landscape=params,
@@ -566,17 +578,18 @@ def run_verify_checks(
     )
     add("indicator_self_dual", err, 1e-12)
 
-    # conservation incl. the zero-jump atom
-    worst = max(conservation_audit(state, t).defect for t in (0.1, 0.5, 1.0, 5.0, 20.0))
-    add("conservation", worst, 1e-8)
+    # conservation incl. the zero-jump atom, on certified windows
+    audits = [conservation_audit(state, t) for t in (0.1, 0.5, 1.0, 5.0, 20.0)]
+    w = max(audits, key=lambda a: a.tail_bound)
+    evidence = f"tail_bound={w.tail_bound:.3g} window={list(w.window)} t={w.t:g}"
+    add("conservation", max(a.defect for a in audits), 1e-8, evidence)
 
-    # Chapman-Kolmogorov on the truncated coset chain
-    depth = max(2, int(math.floor(math.log(256.0) / (space.n * space.log_p))))
-    ck = max(
-        chapman_kolmogorov_defect(state, t, s, depth)
-        for t, s in ((0.5, 0.5), (1.0, 2.0))
-    )
-    add("chapman_kolmogorov", ck, 1e-6, f"depth={depth}")
+    # Chapman-Kolmogorov on the lumped norm chain
+    pairs = ((0.5, 0.5), (1.0, 2.0))
+    ck = max(chapman_kolmogorov_defect(state, t, s) for t, s in pairs)
+    depths, escapes = zip(*(escape_depth(params, t + s) for t, s in pairs))
+    evidence = f"depth<={max(depths)} escape<={max(escapes):.3g}"
+    add("chapman_kolmogorov", ck, 1e-6, evidence)
 
     # evolution-equation residual and the time-derivative series
     pts = [(i, t) for i in (ZERO_NORM, 1, 2, 3) for t in (0.1, 0.5, 1.0, 2.0, 5.0)]

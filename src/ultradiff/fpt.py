@@ -71,16 +71,14 @@ class VolterraGrid:
         return (len(self.g) - 1) * self.h
 
     def residual(self) -> np.ndarray:
-        """g - (g (*) f + f) recomputed with the same quadrature."""
-        m = len(self.g)
-        res = np.empty(m)
-        res[0] = self.g[0] - self.f[0]
-        for k in range(1, m):
-            conv = 0.5 * self.g[k] * self.f[0] + 0.5 * self.g[0] * self.f[k]
-            if k > 1:
-                conv += float(np.dot(self.g[k - 1 : 0 : -1], self.f[1:k]))
-            res[k] = self.g[k] - self.h * conv - self.f[k]
-        return res
+        """g - (g (*) f + f) recomputed with the same quadrature: the
+        trapezoid sum at t_k is sum_{i<=k} g_{k-i} f_i (one zero-padded FFT
+        convolution) less half of its two end terms."""
+        g, f = self.g, self.f
+        size = 1 << (2 * len(g) - 1).bit_length()
+        conv = np.fft.irfft(np.fft.rfft(g, size) * np.fft.rfft(f, size), size)
+        trap = conv[: len(g)] - 0.5 * (g * f[0] + g[0] * f)
+        return g - self.h * trap - f
 
     def f_for_export(self) -> np.ndarray:
         """f with quadrature overshoot below zero (within 1e-8) clamped."""

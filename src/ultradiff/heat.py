@@ -19,10 +19,12 @@ Every quantity here is one sphere series sum_j vol(S_{-j}) phi(lambda_j),
 with lambda_j = 1 - Jhat(p^{-j}) read from the spectral cache, evaluated by
 :func:`sphere_series`; the quantities differ only in phi and in how the
 series is scaled and corrected; the heat series at norm exponent r is
-P(X_t in B_r) itself (:func:`transition_prob`). The results are pure
-functions of the landscape, but a series that reaches past the cache window
-grows the cache in place, so concurrent evaluation on one state needs the
-window grown first.
+P(X_t in B_r) itself (:func:`transition_prob`). The coset chain lumps onto
+coset norms (:func:`norm_chain`), where Chapman-Kolmogorov is checked at the
+depth that also caps the conservation window (:func:`escape_depth`). The
+results are pure functions of the landscape, but a series that reaches past
+the cache window grows the cache in place, so concurrent evaluation on one
+state needs the window grown first.
 """
 
 from __future__ import annotations
@@ -298,13 +300,23 @@ class ConservationAudit:
         return abs(self.total - 1.0)
 
 
+def escape_depth(params: LandscapeParams, t: float) -> tuple[int, float]:
+    """The smallest r >= 0 with 1 - exp(-t jmass_tail(r)) <= AUDIT_TAIL, and
+    that bound on the mass that has left B_r by time t: a path leaves B_r
+    only by a jump of norm > p^r (ultrametric inequality)."""
+    # jmass_tail(h) for h = 0, 1, ..., ending in 0 past the last listed sphere
+    tails = np.append(np.cumsum(sphere_masses_above(params, 0)[::-1])[::-1], 0.0)
+    escape = -np.expm1(-t * tails)
+    r = int(np.flatnonzero(escape <= AUDIT_TAIL)[0])
+    return r, float(escape[r])
+
+
 def conservation_audit(state: HeatState, t: float) -> ConservationAudit:
     """Sum Ztilde over spheres and add the atom, on a window certified by
     two bounds from the landscape, each at most AUDIT_TAIL:
 
-    * above S_hi: a path outside B_hi has made a jump of norm > p^hi
-      (ultrametric inequality), so that mass is at most
-      1 - exp(-t jmass_tail(hi));
+    * above S_hi: hi is the :func:`escape_depth` of t, so the mass outside
+      B_hi is at most 1 - exp(-t jmass_tail(hi));
     * below S_lo: a path in B_{lo-1} minus 0 has jumped, and its last jump
       landed in a translate of B_{lo-1}, so that mass is at most
       (1 - e^{-t}) M(lo - 1) (:func:`ball_jmass_bound`).
@@ -312,10 +324,7 @@ def conservation_audit(state: HeatState, t: float) -> ConservationAudit:
     Raises SeriesDiverged when no lo within 100 000 spheres qualifies.
     """
     params = state.landscape
-    # jmass_tail(h) for h = 0, 1, ..., ending in 0 past the last listed sphere
-    tails = np.append(np.cumsum(sphere_masses_above(params, 0)[::-1])[::-1], 0.0)
-    above = -np.expm1(-t * tails)
-    hi = int(np.flatnonzero(above <= AUDIT_TAIL)[0])
+    hi, above = escape_depth(params, t)
     top, size = hi - 1, 64
     while top > hi - 100_000:
         q = np.arange(top, top - size, -1)
@@ -328,7 +337,7 @@ def conservation_audit(state: HeatState, t: float) -> ConservationAudit:
                 density_mass=math.fsum(_sphere_masses(state, np.arange(lo, hi + 1), t)),
                 atom=math.exp(-t),
                 window=(lo, hi),
-                tail_bound=float(above[hi] + below[ok[0]]),
+                tail_bound=float(above + below[ok[0]]),
             )
         top, size = top - size, 2 * size
     raise SeriesDiverged(f"conservation window at t={t} not certified in 1e5 spheres")
@@ -375,7 +384,7 @@ def pde_residual(state: HeatState, i: NormExponent, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Transition probabilities and the quotient-chain matrix
+# Transition probabilities and the lumped norm chain
 # ---------------------------------------------------------------------------
 
 
@@ -414,29 +423,6 @@ def transition_prob(
     return float(_series(state, [radius_exp], _decay(t))[0][0, 0])
 
 
-def coset_norm_exponents(space: SpaceParams, depth: int) -> np.ndarray:
-    """Norm exponent of every coset residue at the given depth (0 = identity).
-
-    Residue index encodes the n coordinates in base p^depth; the norm
-    exponent of a nonzero coordinate residue A is depth - v_p(A).
-    """
-    pm = space.p**depth
-    a = np.arange(pm)
-    per_coord = np.full(pm, depth, dtype=np.int64)
-    for k in range(1, depth):  # p^k divides a != 0 for v_p(a) of these k
-        per_coord -= a % space.p**k == 0
-    per_coord[0] = 0
-    if space.n == 1:
-        return per_coord
-    total = space.p ** (depth * space.n)
-    idx = np.arange(total)
-    out = np.zeros(total, dtype=np.int64)
-    for _ in range(space.n):
-        out = np.maximum(out, per_coord[idx % pm])
-        idx //= pm
-    return out
-
-
 def q_by_norm(state: HeatState, t: float, depth: int) -> np.ndarray:
     """Transition probability into a single unit coset, by coset norm.
 
@@ -447,40 +433,32 @@ def q_by_norm(state: HeatState, t: float, depth: int) -> np.ndarray:
     return _u_values(state, np.arange(depth + 1), t)[:, 0]
 
 
-def transition_matrix(state: HeatState, t: float, depth: int) -> np.ndarray:
-    """Quotient-chain transition matrix on cosets of norm <= p^depth.
-
-    P[a, b] = p_t(a-coset, b-coset + Z_p^n) depends only on the coset
-    difference, so the matrix is the group convolution operator truncated
-    to the window; the neglected tail mass decays double-exponentially in
-    depth.
+def norm_chain(state: HeatState, t: float, depth: int) -> np.ndarray:
+    """The coset chain on B_depth / Z_p^n lumped onto coset norm exponents:
+    P[a, b] = P(from a coset x of norm p^a, in a coset of norm p^b at t),
+    the same for every such x since the jump law is radial. With
+    q = :func:`q_by_norm` and vol(S_b) cosets of norm p^b (1 for b = 0):
+    P[a, 0] = q[a]; P[a, b] = vol(S_b) q[max(a, b)] for b != a; and P[a, a]
+    sums q over x itself, the spheres of B_{a-1}(x) and S_a minus
+    B_{a-1}(x), which has p^{n(a-1)} (p^n - 2) cosets. Rows fall short of 1
+    by the mass that has left B_depth.
     """
-    space = state.space
-    pm = space.p**depth
-    total = space.p ** (depth * space.n)
-    norms = coset_norm_exponents(space, depth)
     q = q_by_norm(state, t, depth)
-    idx = np.arange(total)
-    coords = []
-    rest = idx.copy()
-    for _ in range(space.n):
-        coords.append(rest % pm)
-        rest //= pm
-    diff_index = np.zeros((total, total), dtype=np.int64)
-    mult = 1
-    for c in coords:
-        diff_index += ((c[None, :] - c[:, None]) % pm) * mult
-        mult *= pm
-    return q[norms[diff_index]]
+    pn = float(state.space.p) ** state.space.n
+    b = np.arange(depth + 1)
+    count = np.where(b == 0, 1.0, pn**b - pn ** (b - 1.0))
+    chain = count * q[np.maximum.outer(b, b)]
+    a = b[1:]
+    chain[a, a] = np.cumsum(count * q)[:-1] + pn ** (a - 1.0) * (pn - 2.0) * q[a]
+    return chain
 
 
-def chapman_kolmogorov_defect(
-    state: HeatState, t: float, s: float, depth: int
-) -> float:
-    """max |P(t+s) - P(t) P(s)| over the truncated coset chain."""
-    pt = transition_matrix(state, t, depth)
-    ps = transition_matrix(state, s, depth)
-    pts = transition_matrix(state, t + s, depth)
+def chapman_kolmogorov_defect(state: HeatState, t: float, s: float) -> float:
+    """max |P(t+s) - P(t) P(s)| over the :func:`norm_chain` at the
+    :func:`escape_depth` of t + s: P(t) P(s) misses only paths that left
+    B_depth by time t, at most AUDIT_TAIL of the mass."""
+    depth, _ = escape_depth(state.landscape, t + s)
+    pt, ps, pts = (norm_chain(state, u, depth) for u in (t, s, t + s))
     return float(np.max(np.abs(pts - pt @ ps)))
 
 

@@ -286,6 +286,10 @@ class SpectralCache:
     right_tail_decayed: bool = False
 
     def __post_init__(self):
+        # every sum starts at the first m past the mode whose mass underflows
+        self._top = log_sphere_masses_from(self.kernel, 0).size - 1
+        while math.exp(log_sphere_mass(self.kernel, self._top)) > 0.0:
+            self._top += 1
         if self.values is None:
             self.values = self._compute(self.k_min, self.k_max)
 
@@ -301,7 +305,13 @@ class SpectralCache:
         return cache
 
     def _compute(self, lo: int, hi: int) -> np.ndarray:
-        v = np.array([spectral_one_minus(self.kernel, k) for k in range(lo, hi + 1)])
+        """The series of :func:`spectral_one_minus` for k = lo..hi as one reverse
+        cumulative sum of sphere masses, smallest first (0 from S_top up)."""
+        space = self.kernel.space
+        m = np.arange(min(1 - hi, self._top), max(1 - lo, self._top) + 1)
+        mass = np.exp(log_sphere_mass(self.kernel, m))
+        series = np.cumsum(mass[::-1])[::-1] + mass / (float(space.p) ** space.n - 1.0)
+        v = series[1 - np.arange(lo, hi + 1) - m[0]]
         bad = np.flatnonzero(~((v >= -1e-10) & (v <= 2.0 + 1e-10)))
         if bad.size:
             k = lo + int(bad[0])

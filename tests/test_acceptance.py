@@ -140,7 +140,7 @@ def test_criterion_05_evolution_residual(desk_state):
 
 def test_criterion_06_semigroup(desk_state):
     worst = max(
-        chapman_kolmogorov_defect(desk_state, t, s, depth=8)
+        chapman_kolmogorov_defect(desk_state, t, s)
         for t, s in ((0.5, 0.5), (1.0, 2.0))
     )
     report(6, worst <= 1e-6, f"Chapman-Kolmogorov defect {worst:.2e} <= 1e-6")

@@ -77,6 +77,36 @@ def test_gamma_boundary_cli_exit_code(tmp_path, capsys):
         (lambda c: c["fpt"].update(T=4.0101), "fpt.T"),
         (lambda c: c["fpt"].update(s_ladder=[0.1, 0.2]), "fpt.s_ladder"),
         (lambda c: c["kernel"].update(times=[-1.0]), "kernel.times"),
+        # explicit ids keep the ids above free of duplicate-name suffixes
+        pytest.param(lambda c: c.update(verify="paths"), "verify", id="verify-block"),
+        pytest.param(
+            lambda c: c.update(output={"dir": 7}), "output.dir", id="output.dir-type"
+        ),
+        pytest.param(
+            lambda c: c["kernel"].update(times=[0.5, True]),
+            "kernel.times",
+            id="kernel.times-bool",
+        ),
+        pytest.param(
+            lambda c: c["kernel"].update(x_exps=[1, False]),
+            "kernel.x_exps",
+            id="kernel.x_exps-bool",
+        ),
+        pytest.param(
+            lambda c: c["fpt"].update(s_ladder=[True, 0.1]),
+            "fpt.s_ladder",
+            id="fpt.s_ladder-bool",
+        ),
+        pytest.param(
+            lambda c: c["kernel"].update(x_exps=[1, 1100]),
+            "kernel.x_exps",
+            id="kernel.x_exps-overflow",
+        ),
+        pytest.param(
+            lambda c: c["kernel"].update(x_exps=[-1100, 1]),
+            "kernel.x_exps",
+            id="kernel.x_exps-underflow",
+        ),
     ],
 )
 def test_field_level_messages(tmp_path, mutate, field):

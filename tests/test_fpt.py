@@ -19,6 +19,7 @@ from ultradiff.fpt import (
     recurrence_diagnostic,
     return_probability,
     solve_volterra,
+    VolterraGrid,
 )
 from ultradiff.heat import u_profile
 from ultradiff.landscape import SpectralCache, exterior_mass, normalize
@@ -80,6 +81,29 @@ def test_synthetic_renewal_pair_closed_form():
     exact = a * np.exp(-(a + b) * ts)
     err = float(np.max(np.abs(grid.f - exact)))
     assert err <= 5.0 * h * h  # second-order scheme, mild constant
+
+
+def quadrature_residual(grid):
+    """The residual step by step, as the stepper applies its quadrature:
+    g_k - h (g_k f_0 / 2 + sum_{0<i<k} g_{k-i} f_i + g_0 f_k / 2) - f_k."""
+    g, f = grid.g, grid.f
+    res = np.empty(len(g))
+    res[0] = g[0] - f[0]
+    for k in range(1, len(g)):
+        conv = 0.5 * g[k] * f[0] + 0.5 * g[0] * f[k]
+        conv += float(np.dot(g[k - 1 : 0 : -1], f[1:k]))
+        res[k] = g[k] - grid.h * conv - f[k]
+    return res
+
+
+def test_residual_matches_quadrature_loop():
+    # a grid whose f is not the solution, so the residual is far from 0
+    h = 0.01
+    ts, g = synthetic_grid(0.5, 1.0, h, 10.0)
+    grid = VolterraGrid(h=h, g=g, f=np.cos(ts) * g)
+    oracle = quadrature_residual(grid)
+    assert np.max(np.abs(oracle)) > 0.01
+    assert np.max(np.abs(grid.residual() - oracle)) <= 1e-14
 
 
 @pytest.mark.parametrize("h", [0.04, 0.02, 0.01])

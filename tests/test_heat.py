@@ -1,6 +1,6 @@
 """Heat-kernel series against decay bounds, conservation, a dense
-matrix-exponential oracle on the truncated coset chain, and the
-Chapman-Kolmogorov property.
+matrix-exponential oracle on the truncated coset chain, the lumping of that
+chain onto coset norms, and the Chapman-Kolmogorov property.
 """
 
 import math
@@ -14,14 +14,13 @@ from ultradiff.heat import (
     HeatState,
     chapman_kolmogorov_defect,
     conservation_audit,
-    coset_norm_exponents,
     decay_bound_check,
     du_dt,
     j_convolve_u,
+    norm_chain,
     pde_residual,
     q_by_norm,
     survival,
-    transition_matrix,
     transition_prob,
     u_profile,
     u_radial_profile,
@@ -31,31 +30,79 @@ from ultradiff.heat import (
 from ultradiff.landscape import exterior_mass, normalize
 from ultradiff.padic import CosetPoint, SpaceParams, ZERO_NORM, sphere_volume
 
+# the 54-point parameter grid of scripts/verify_sweep.py
+GRID = [
+    (p, n, gamma, c1)
+    for p in (2, 3, 5)
+    for n in (1, 2)
+    for gamma in (-0.95 * n, -0.5 * n, 0.5)
+    for c1 in (0.2, 1.0, 5.0)
+]
+
+
+# ---------------------------------------------------------------------------
+# The coset chain on residues mod p^depth: the oracle for the norm chain
+# ---------------------------------------------------------------------------
+
+
+def coset_norm_exponents(space, depth):
+    """Norm exponent of every coset residue at the given depth (0 = identity).
+
+    Residue index encodes the n coordinates in base p^depth; the norm
+    exponent of a nonzero coordinate residue A is depth - v_p(A).
+    """
+    pm = space.p**depth
+    a = np.arange(pm)
+    per_coord = np.full(pm, depth, dtype=np.int64)
+    for k in range(1, depth):  # p^k divides a != 0 for v_p(a) of these k
+        per_coord -= a % space.p**k == 0
+    per_coord[0] = 0
+    if space.n == 1:
+        return per_coord
+    total = space.p ** (depth * space.n)
+    idx = np.arange(total)
+    out = np.zeros(total, dtype=np.int64)
+    for _ in range(space.n):
+        out = np.maximum(out, per_coord[idx % pm])
+        idx //= pm
+    return out
+
+
+def coset_differences(space, depth):
+    """Residue index of y - x for every pair (x, y) of cosets in B_depth."""
+    pm = space.p**depth
+    total = space.p ** (depth * space.n)
+    rest = np.arange(total)
+    diff = np.zeros((total, total), dtype=np.int64)
+    mult = 1
+    for _ in range(space.n):
+        c = rest % pm
+        rest = rest // pm
+        diff += ((c[None, :] - c[:, None]) % pm) * mult
+        mult *= pm
+    return diff
+
+
+def transition_matrix(state, t, depth):
+    """The coset chain's transition matrix on B_depth / Z_p^n: the
+    probability q_by_norm of the norm of y - x, per pair (x, y)."""
+    norms = coset_norm_exponents(state.space, depth)
+    q = q_by_norm(state, t, depth)
+    return q[norms[coset_differences(state.space, depth)]]
+
 
 def quotient_generator(state, depth):
     """Dense generator of the coset chain on residues mod p^depth (n = 1
     or 2), assembled purely from the jump law: rate 1, increment law
     J(p^j) per target coset. Independent of every spectral series."""
     space = state.space
-    pm = space.p**depth
     total = space.p ** (depth * space.n)
     norms = coset_norm_exponents(space, depth)
     kappa = np.empty(total)
     kappa[0] = 1.0 - exterior_mass(state.landscape)
     for a in range(1, total):
         kappa[a] = state.landscape.value_at(int(norms[a]))
-    idx = np.arange(total)
-    coords = []
-    rest = idx.copy()
-    for _ in range(space.n):
-        coords.append(rest % pm)
-        rest //= pm
-    diff = np.zeros((total, total), dtype=np.int64)
-    mult = 1
-    for c in coords:
-        diff += ((c[None, :] - c[:, None]) % pm) * mult
-        mult *= pm
-    p_jump = kappa[diff]
+    p_jump = kappa[coset_differences(space, depth)]
     return p_jump - np.eye(total)
 
 
@@ -100,16 +147,7 @@ def test_conservation_other_space(state_p3n2):
         assert conservation_audit(state_p3n2, t).defect <= 1e-8
 
 
-@pytest.mark.parametrize(
-    "p, n, gamma, c1",
-    [
-        (p, n, gamma, c1)
-        for p in (2, 3, 5)
-        for n in (1, 2)
-        for gamma in (-0.95 * n, -0.5 * n, 0.5)
-        for c1 in (0.2, 1.0, 5.0)
-    ],
-)
+@pytest.mark.parametrize("p, n, gamma, c1", GRID)
 def test_conservation_window_certified_across_grid(p, n, gamma, c1):
     # near gamma = -n the density mass below S_lo decays like p^{(gamma+n) lo},
     # so the certified window reaches lo ~ -1000 at p = 2
@@ -373,16 +411,44 @@ def test_transition_prob_depth_guard(desk_state):
 
 @pytest.mark.parametrize("t,s", [(0.5, 0.5), (1.0, 2.0)])
 def test_chapman_kolmogorov(desk_state, t, s):
-    assert chapman_kolmogorov_defect(desk_state, t, s, depth=8) <= 1e-6
+    assert chapman_kolmogorov_defect(desk_state, t, s) <= 1e-6
 
 
 def test_chapman_kolmogorov_p3n2(state_p3n2):
-    assert chapman_kolmogorov_defect(state_p3n2, 0.5, 0.5, depth=2) <= 1e-6
+    assert chapman_kolmogorov_defect(state_p3n2, 0.5, 0.5) <= 1e-6
+
+
+def test_chapman_kolmogorov_across_grid():
+    # at C1 = 0.2, n = 2 the mass escaping B_d is negligible only from d = 7
+    # (p = 2) and d = 4 (p = 3): 16 384 and 6 561 states of the coset chain
+    for p, n, gamma, c1 in GRID:
+        state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
+        for t, s in ((0.5, 0.5), (1.0, 2.0)):
+            defect = chapman_kolmogorov_defect(state, t, s)
+            assert defect <= 1e-6, (p, n, gamma, c1, t, s, defect)
+
+
+@pytest.mark.parametrize(
+    "p, n, gamma, c1, depth",
+    [(2, 1, -0.5, 1.0, 4), (3, 2, -0.5, 1.0, 3), (2, 2, 0.5, 0.2, 4)],
+)
+def test_norm_chain_lumps_the_coset_chain(p, n, gamma, c1, depth):
+    # every row of the coset matrix, summed (exactly rounded) over the
+    # cosets of each norm, is the norm chain's row for the norm of its start
+    state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
+    norms = coset_norm_exponents(state.space, depth)
+    for t in (0.5, 2.0):
+        cosets = transition_matrix(state, t, depth)
+        lumped = np.array(
+            [[math.fsum(row[norms == b]) for b in range(depth + 1)] for row in cosets]
+        )
+        chain = norm_chain(state, t, depth)
+        assert np.max(np.abs(lumped - chain[norms])) <= 1e-15
 
 
 def test_transition_matrix_rows_sum_to_total_mass(desk_state):
     t = 1.0
-    mat = transition_matrix(desk_state, t, depth=8)
+    mat = norm_chain(desk_state, t, depth=8)
     # rows sum to 1 minus the mass outside the depth window (tiny here)
     assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-10)
     assert mat[0, 0] == pytest.approx(survival(desk_state, t), rel=1e-12)
