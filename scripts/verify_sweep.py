@@ -11,8 +11,9 @@ one line per point: its failing checks (observed vs threshold), then the
 truncation evidence of the two windowed checks (the Chapman-Kolmogorov
 chain depth and escape bound, the conservation window and its tail bound).
 Exits 1 if any point fails or does not load. Every point is expected to
-pass, so the last line should read "0 of 54 points fail". Takes a minute
-or two; not part of the test suite.
+pass, so the last line should read "0 of 54 points fail". Takes about
+half a minute at 2000 paths. The test suite runs the same grid, the same
+configs and checks at 100 paths (tests/test_cli.py::test_verify_across_grid).
 """
 
 from __future__ import annotations
@@ -32,12 +33,14 @@ from ultradiff.sim import TRUNCATION_TOLERANCE
 DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 
 
-def grid():
-    for p in (2, 3, 5):
-        for n in (1, 2):
-            for gamma in (-0.95 * n, -0.5 * n, 0.5):
-                for c1 in (0.2, 1.0, 5.0):
-                    yield p, n, gamma, c1
+#: The 54 (p, n, gamma, C1) points; the test suite sweeps the same list.
+GRID = [
+    (p, n, gamma, c1)
+    for p in (2, 3, 5)
+    for n in (1, 2)
+    for gamma in (-0.95 * n, -0.5 * n, 0.5)
+    for c1 in (0.2, 1.0, 5.0)
+]
 
 
 def smallest_j_max(p: int, n: int, gamma: float, c1: float) -> int:
@@ -48,22 +51,30 @@ def smallest_j_max(p: int, n: int, gamma: float, c1: float) -> int:
     return j
 
 
+def point_config(
+    p: int, n: int, gamma: float, c1: float, paths: int, seed: int
+) -> dict:
+    """configs/desk.json moved to one grid point, with the smallest j_max."""
+    desk = json.loads(DESK.read_text())
+    cfg = dict(desk, landscape={"p": p, "n": n, "gamma": gamma, "c1": c1})
+    cfg["sim"] = dict(desk["sim"], j_max=smallest_j_max(p, n, gamma, c1), seed=seed)
+    cfg["verify"] = {"paths": paths}
+    return cfg
+
+
 def run(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--paths", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=20240810)
     args = ap.parse_args(argv)
 
-    desk = json.loads(DESK.read_text())
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "point.json"
-        for p, n, gamma, c1 in grid():
+        for p, n, gamma, c1 in GRID:
             label = f"p={p} n={n} gamma={gamma:+.2f} C1={c1:g}"
-            j_max = smallest_j_max(p, n, gamma, c1)
-            cfg = dict(desk, landscape={"p": p, "n": n, "gamma": gamma, "c1": c1})
-            cfg["sim"] = dict(desk["sim"], j_max=j_max, seed=args.seed)
-            cfg["verify"] = {"paths": args.paths}
+            cfg = point_config(p, n, gamma, c1, args.paths, args.seed)
+            j_max = cfg["sim"]["j_max"]
             path.write_text(json.dumps(cfg))
             try:
                 checks = run_verify_checks(load_run_config(path))

@@ -26,7 +26,6 @@ from .errors import (
     SeriesDiverged,
     StepTooCoarse,
     UltradiffError,
-    UnsupportedBall,
     ZeroPoint,
 )
 from .padic import (
@@ -70,14 +69,10 @@ from .heat import (
     ztilde_radial_profile,
 )
 from .sim import (
-    FirstPassageSample,
     JumpNormTable,
-    PathSample,
     SimConfig,
-    first_passage,
     run_paths,
     sample_jump_norm,
-    simulate_path,
 )
 from .fpt import (
     LaplaceEval,

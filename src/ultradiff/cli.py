@@ -663,15 +663,20 @@ def run_verify_checks(
     )
     add("mc_survival_within_3_sigma", worst_z, 3.0, f"paths={sim.max_paths}")
 
+    # exact Binomial(N, q) tail of the count of paths returned by T, with q
+    # the point of [I - 10h^2, I + 10h^2] (the quadrature allowance on
+    # I = int_0^T f) nearest the observed fraction
     t_tri = min(cfg.fpt.horizon, sim.horizon)
     grid = solve_volterra(g_grid(state, np.arange(0.0, t_tri + h / 2, h)), h)
-    p_mc, se = fpt_cdf_estimate(batch, t_tri)
-    tri = abs(p_mc - grid.integral_f(t_tri))
+    p_mc, _ = fpt_cdf_estimate(batch, t_tri)
+    returned = round(p_mc * sim.max_paths)
+    integral, slack = grid.integral_f(t_tri), 10.0 * h * h
+    q = min(max(p_mc, integral - slack, 0.0), integral + slack, 1.0)
     add(
         "fpt_triangle_mc_vs_volterra",
-        tri,
-        3.0 * max(se, 1e-12) + 10.0 * h * h,
-        f"T={t_tri}",
+        binomial_tail_z(returned, sim.max_paths, q),
+        3.0,
+        f"T={t_tri} returned={returned}/{sim.max_paths} volterra={integral:.6g}",
     )
     return checks
 
@@ -704,6 +709,13 @@ def cmd_verify(cfg: RunConfig, out: Path, workers: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _worker_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ultradiff",
@@ -726,7 +738,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if name in ("simulate", "verify"):
             sp.add_argument(
-                "--workers", type=int, default=1, help="parallel path workers"
+                "--workers",
+                type=_worker_count,
+                default=1,
+                help="parallel path workers (at most the CPU count are started)",
             )
     return parser
 

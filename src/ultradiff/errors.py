@@ -30,10 +30,6 @@ class ZeroPoint(UltradiffError):
     """The radial heat-kernel density is only defined away from the origin."""
 
 
-class UnsupportedBall(UltradiffError):
-    """A transition-probability ball is not representable at the current depth cap."""
-
-
 class StepTooCoarse(UltradiffError):
     """The Volterra time step makes the implicit diagonal weight unstable."""
 

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GammaOutOfRange, SeriesDiverged, UnsupportedBall, ZeroPoint
+from .errors import GammaOutOfRange, SeriesDiverged, ZeroPoint
 from .landscape import (
     LandscapeParams,
     SpectralCache,
@@ -45,7 +45,6 @@ from .landscape import (
     sphere_masses_above,
 )
 from .padic import (
-    DEFAULT_DEPTH_CAP,
     CosetPoint,
     NormExponent,
     SpaceParams,
@@ -407,10 +406,6 @@ def transition_prob(
     """
     if x.space != center.space:
         raise ValueError("x and ball center live over different spaces")
-    if radius_exp < -DEFAULT_DEPTH_CAP:
-        raise UnsupportedBall(
-            f"ball radius exponent {radius_exp} is below the depth cap"
-        )
     space = x.space
     delta = center - x
     d = delta.norm_exponent()

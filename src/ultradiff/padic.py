@@ -386,6 +386,33 @@ def coset_neg(a: CosetPoint) -> CosetPoint:
     return CosetPoint.from_residues(a.space, [-r for r in a.to_residues()], a.depth)
 
 
+def sample_sphere_residues(
+    space: SpaceParams, j: int, rng: np.random.Generator
+) -> list[int]:
+    """Residues mod p^j (see :meth:`CosetPoint.to_residues`) of a
+    Haar-uniform coset on the norm-p^j sphere, j >= 1.
+
+    The admissible digit patterns occupy positions -j .. -1 with at least
+    one coordinate nonzero at -j; there are p^{jn} - p^{(j-1)n} of them and
+    each is equally likely. Draws vectors of n digits until one is nonzero
+    (the column at -j), then, if j > 1, an (n, j-1) block for -1 .. -(j-1).
+    """
+    p, n = space.p, space.n
+    while True:
+        col = rng.integers(0, p, size=n).tolist()
+        if any(col):
+            break
+    if j == 1:
+        return col
+    out = []
+    for row, lead in zip(rng.integers(0, p, size=(n, j - 1)).tolist(), col):
+        a = 0
+        for dig in row:  # positions -1 .. -(j-1), most significant first
+            a = a * p + dig
+        out.append(a * p + lead)
+    return out
+
+
 def sample_uniform_sphere_coset(
     space: SpaceParams,
     j: int,
@@ -394,31 +421,14 @@ def sample_uniform_sphere_coset(
 ) -> CosetPoint:
     """Haar-uniform sample on the norm-p^j sphere, projected to the quotient.
 
-    For j >= 1 the admissible digit patterns occupy positions -j .. -1 with
-    the constraint that at least one coordinate has a nonzero digit at -j;
-    there are p^{jn} - p^{(j-1)n} of them and each is equally likely. Jumps
-    with j <= 0 do not move the coset and are rejected here.
+    The draw is :func:`sample_sphere_residues`. Jumps with j <= 0 do not
+    move the coset and are rejected here.
     """
     if j < 1:
         raise ValueError("sphere sampling on the quotient requires j >= 1")
     if j > depth_cap:
         raise DepthOverflow(f"sphere exponent {j} exceeds the depth cap {depth_cap}")
-    p, n = space.p, space.n
-    # leading column at position -j: uniform over the p^n - 1 nonzero vectors
-    while True:
-        col = rng.integers(0, p, size=n)
-        if col.any():
-            break
-    if j > 1:
-        rest = rng.integers(0, p, size=(n, j - 1))
-    else:
-        rest = np.zeros((n, 0), dtype=np.int64)
-    arrays = []
-    for c in range(n):
-        digs = [int(rest[c, k]) for k in range(j - 1)]  # positions -1 .. -(j-1)
-        digs.append(int(col[c]))  # position -j
-        arrays.append(tuple(digs))
-    return CosetPoint(space, tuple(arrays))
+    return CosetPoint.from_residues(space, sample_sphere_residues(space, j, rng), j)
 
 
 # ---------------------------------------------------------------------------

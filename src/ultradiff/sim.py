@@ -13,9 +13,13 @@ and consumes it jump by jump, strictly interleaved:
 1. one standard exponential — the waiting time (stop once the running sum
    passes the horizon);
 2. one uniform, inverted through the jump-norm CDF — the norm exponent j;
-3. if j >= 1: vectors of n digits until one is nonzero (the leading
-   column at position -j), then, if j > 1, an (n, j-1) digit block for
-   positions -1 .. -(j-1).
+3. if j >= 1: the coset's residues mod p^j from
+   :func:`~ultradiff.padic.sample_sphere_residues` — vectors of n digits
+   until one is nonzero (the leading column at position -j), then, if
+   j > 1, an (n, j-1) digit block for positions -1 .. -(j-1).
+
+:func:`run_paths` walks each path once, in this order, updating the
+position (residues mod p^j_max), its norm and the first return in place.
 
 Because nothing drawn depends on the horizon, runs with nested horizons
 and the same seed consume identical stream prefixes: path histories agree
@@ -27,6 +31,7 @@ workers. Estimators reduce over paths associatively.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -40,7 +45,7 @@ from .landscape import (
     log_sphere_mass,
     sphere_masses_below,
 )
-from .padic import DEFAULT_DEPTH_CAP, CosetPoint, SpaceParams, split_stream
+from .padic import DEFAULT_DEPTH_CAP, sample_sphere_residues, split_stream
 
 #: Largest tolerated jump-norm mass beyond the table's upper edge.
 TRUNCATION_TOLERANCE = 1e-12
@@ -134,119 +139,6 @@ class SimConfig:
             )
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """One simulated path up to the horizon (always censored there)."""
-
-    jump_times: tuple[float, ...]
-    norm_exponents: tuple[int, ...]
-    positions: tuple[CosetPoint, ...]
-    horizon: float
-    censored: bool = True
-
-
-@dataclass(frozen=True)
-class FirstPassageSample:
-    """tau = first return time to Z_p^n after an excursion, if observed."""
-
-    tau: float | None
-    censored: bool
-    exited: bool
-
-
-def _draw_path_raw(
-    rng: np.random.Generator, table: JumpNormTable, horizon: float, space: SpaceParams
-):
-    """Consume one path's stream; see the module docstring for the protocol.
-
-    Returns (jump_times, norm_exponents, mover_digits) where mover_digits
-    holds, for each jump with norm exponent >= 1 in order, the pair
-    (leading column, shallower digit block).
-    """
-    p, n = space.p, space.n
-    times: list[float] = []
-    jexps: list[int] = []
-    movers = []
-    t = 0.0
-    while True:
-        t += rng.standard_exponential()
-        if t > horizon:
-            break
-        j = sample_jump_norm(table, rng)
-        times.append(t)
-        jexps.append(j)
-        if j >= 1:
-            while True:
-                col = rng.integers(0, p, size=n)
-                if col.any():
-                    break
-            rest = rng.integers(0, p, size=(n, j - 1)) if j > 1 else None
-            movers.append((j, col, rest))
-    return (
-        np.asarray(times, dtype=float),
-        np.asarray(jexps, dtype=np.int64),
-        movers,
-    )
-
-
-def _mover_residues(space: SpaceParams, j: int, col, rest, depth: int) -> tuple[int, ...]:
-    """A moving jump's digits (leading column at position -j, the block
-    above it at -1 .. -(j-1)) encoded as residues mod p^depth."""
-    p = space.p
-    out = []
-    for c in range(space.n):
-        a = int(col[c]) * p ** (depth - j)
-        if rest is not None:
-            for k in range(j - 1):  # digit at position -(k+1)
-                a += int(rest[c, k]) * p ** (depth - 1 - k)
-        out.append(a)
-    return tuple(out)
-
-
-def simulate_path(config: SimConfig, path_index: int) -> PathSample:
-    """Simulate one exact path of the quotient chain, start at the identity.
-
-    Deterministic under (config.seed, path_index). Positions are recorded
-    after every jump, including the coset-fixing ones.
-    """
-    space = config.landscape.space
-    rng = split_stream(config.seed, path_index)
-    times, jexps, movers = _draw_path_raw(rng, config.table, config.horizon, space)
-    pos = CosetPoint.zero(space)
-    positions = []
-    mover_iter = iter(movers)
-    for j in jexps:
-        if j >= 1:
-            jm, col, rest = next(mover_iter)
-            pos = pos + CosetPoint.from_residues(
-                space, _mover_residues(space, jm, col, rest, jm), jm
-            )
-        positions.append(pos)
-    return PathSample(
-        jump_times=tuple(float(t) for t in times),
-        norm_exponents=tuple(int(j) for j in jexps),
-        positions=tuple(positions),
-        horizon=config.horizon,
-    )
-
-
-def first_passage(path: PathSample) -> FirstPassageSample:
-    """Scan a path for its first return to Z_p^n after leaving.
-
-    The path is constant between jumps, so the first-passage time, when it
-    exists, is attained at a jump time: the first one whose position is the
-    identity coset while some strictly earlier jump left it.
-    """
-    exited = False
-    for t, pos in zip(path.jump_times, path.positions):
-        if pos.is_zero():
-            if exited:
-                return FirstPassageSample(tau=t, censored=False, exited=True)
-        else:
-            exited = True
-    return FirstPassageSample(tau=None, censored=True, exited=exited)
-
-
 # ---------------------------------------------------------------------------
 # Batch runner and estimators
 # ---------------------------------------------------------------------------
@@ -281,47 +173,53 @@ def _residue_norm_exp(pos: list[int], p: int, depth: int) -> int:
 def _run_block(
     config: SimConfig, start: int, stop: int, query_times: tuple[float, ...]
 ) -> PathBatch:
+    """Walk paths start .. stop-1 of the coset chain, one pass each.
+
+    The position is a residue vector mod p^j_max (the encoding of
+    :meth:`CosetPoint.to_residues`); a moving jump's residues mod p^j are
+    lifted by p^(j_max - j) and added. The path is constant between jumps,
+    so tau, when observed, is the first jump time that lands on the
+    identity coset after an earlier jump left it.
+    """
     space = config.landscape.space
-    depth = config.j_max
+    p, depth = space.p, config.j_max
+    table, horizon = config.table, config.horizon
     qts = np.asarray(query_times, dtype=float)
     n_paths = stop - start
-    inside = np.ones((n_paths, len(qts)), dtype=bool)
     norm_at = np.zeros((n_paths, len(qts)), dtype=np.int16)
     tau = np.full(n_paths, np.nan)
     exited = np.zeros(n_paths, dtype=bool)
     n_jumps = np.zeros(n_paths, dtype=np.int64)
-    modulus = space.p**depth
+    modulus = p**depth
     for k in range(n_paths):
         rng = split_stream(config.seed, start + k)
-        times, jexps, movers = _draw_path_raw(rng, config.table, config.horizon, space)
-        n_jumps[k] = len(times)
         pos = [0] * space.n
-        mover_times = []
-        norm_after = []
-        mi = 0
-        for t, j in zip(times, jexps):
+        mover_times, norms = [], [0]  # norms[i]: the norm after i moving jumps
+        t, jumps = 0.0, 0
+        while True:
+            t += rng.standard_exponential()
+            if t > horizon:
+                break
+            jumps += 1
+            j = sample_jump_norm(table, rng)
             if j < 1:
                 continue
-            jm, col, rest = movers[mi]
-            mi += 1
-            inc = _mover_residues(space, jm, col, rest, depth)
-            pos = [(a + b) % modulus for a, b in zip(pos, inc)]
-            norm = _residue_norm_exp(pos, space.p, depth)
+            lift = p ** (depth - j)
+            inc = sample_sphere_residues(space, j, rng)
+            pos = [(a + b * lift) % modulus for a, b in zip(pos, inc)]
+            norm = _residue_norm_exp(pos, p, depth)
             mover_times.append(t)
-            norm_after.append(norm)
+            norms.append(norm)
             if norm > 0:
                 exited[k] = True
             elif exited[k] and math.isnan(tau[k]):
                 tau[k] = t
+        n_jumps[k] = jumps
         if mover_times:
-            idx = np.searchsorted(np.asarray(mover_times), qts, side="right") - 1
-            state = np.array(norm_after, dtype=np.int16)
-            norms_k = np.where(idx >= 0, state[np.maximum(idx, 0)], 0)
-            norm_at[k] = norms_k
-            inside[k] = norms_k == 0
+            norm_at[k] = np.take(norms, np.searchsorted(mover_times, qts, side="right"))
     return PathBatch(
         query_times=tuple(query_times),
-        inside_at=inside,
+        inside_at=norm_at == 0,
         norm_at=norm_at,
         tau=tau,
         exited=exited,
@@ -337,14 +235,15 @@ def run_paths(
     """Simulate config.max_paths paths and reduce to per-path summaries.
 
     Fan-out is by path index, so the result is independent of the worker
-    count; blocks are concatenated in index order.
+    count; blocks are concatenated in index order. At most os.cpu_count()
+    worker processes are started.
     """
     qts = tuple(float(t) for t in query_times)
     total = config.max_paths
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or total < 4 * workers:
         return _run_block(config, 0, total, qts)
     bounds = np.linspace(0, total, workers + 1, dtype=int)
-    blocks = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_run_block, config, int(a), int(b), qts)

@@ -1,4 +1,8 @@
-"""Shared fixtures: the desk-scale parameter set used across the suite."""
+"""Shared fixtures: the desk-scale parameter set used across the suite, and
+the 54-point grid of scripts/verify_sweep.py for the tests that sweep it."""
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,14 @@ from ultradiff.heat import HeatState
 from ultradiff.landscape import normalize
 from ultradiff.padic import SpaceParams
 
+_SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "verify_sweep.py"
+_spec = importlib.util.spec_from_file_location("verify_sweep", _SWEEP)
+verify_sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(verify_sweep)
+
+#: (p, n, gamma, C1) for p in {2, 3, 5}, n in {1, 2}, gamma in
+#: {-0.95 n, -0.5 n, 0.5}, C1 in {0.2, 1, 5}.
+GRID = verify_sweep.GRID
 
 @pytest.fixture(scope="session")
 def desk_space():

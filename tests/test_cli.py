@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import GRID, verify_sweep
 from ultradiff.cli import load_run_config, main, run_verify_checks
 from ultradiff.errors import ConfigError
 from ultradiff.landscape import SpectralCache
@@ -218,6 +219,27 @@ def test_verify_mc_check_exact_at_tiny_exit_rate(tmp_path):
     checks = run_verify_checks(load_run_config(write_config(tmp_path, mutate)))
     mc = next(c for c in checks if c["name"] == "mc_survival_within_3_sigma")
     assert mc["passed"], mc
+
+
+@pytest.mark.parametrize("p, n, gamma, c1", GRID)
+def test_verify_across_grid(p, n, gamma, c1, tmp_path):
+    # 100 paths, the fewest config validation accepts: the Monte Carlo
+    # checks must not degenerate when no path leaves or returns
+    path = tmp_path / "point.json"
+    path.write_text(
+        json.dumps(verify_sweep.point_config(p, n, gamma, c1, paths=100, seed=20240810))
+    )
+    checks = run_verify_checks(load_run_config(path))
+    assert [c for c in checks if not c["passed"]] == []
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_rejected(config_path, tmp_path, workers, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(config_path), "--out", str(tmp_path),
+              "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_verify_detects_corrupted_cache(config_path):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ultradiff.errors import GammaOutOfRange, UnsupportedBall, ZeroPoint
+from conftest import GRID
+from ultradiff.errors import GammaOutOfRange, ZeroPoint
 from ultradiff.heat import (
     HeatState,
     chapman_kolmogorov_defect,
@@ -27,17 +28,8 @@ from ultradiff.heat import (
     ztilde,
     ztilde_radial_profile,
 )
-from ultradiff.landscape import exterior_mass, normalize
+from ultradiff.landscape import ball_jmass_bound, exterior_mass, normalize
 from ultradiff.padic import CosetPoint, SpaceParams, ZERO_NORM, sphere_volume
-
-# the 54-point parameter grid of scripts/verify_sweep.py
-GRID = [
-    (p, n, gamma, c1)
-    for p in (2, 3, 5)
-    for n in (1, 2)
-    for gamma in (-0.95 * n, -0.5 * n, 0.5)
-    for c1 in (0.2, 1.0, 5.0)
-]
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +390,21 @@ def test_transition_prob_deep_ball(p, gamma, c1):
             )
 
 
-def test_transition_prob_depth_guard(desk_state):
-    zero = CosetPoint.zero(desk_state.space)
-    with pytest.raises(UnsupportedBall):
-        transition_prob(desk_state, zero, zero, -80, 1.0)
+def test_transition_prob_depth_guard():
+    # balls far below the coset depth cap: a path in B_r at t has not jumped
+    # (the atom e^{-t}) or made its last jump into a translate of B_r, whose
+    # J-mass is at most M(r) = ball_jmass_bound(r)
+    for p, n, gamma, c1 in (GRID[0], GRID[17], GRID[30], GRID[53]):
+        params = normalize(SpaceParams(p=p, n=n), gamma, c1)
+        state = HeatState(params)
+        zero = CosetPoint.zero(state.space)
+        for r in (-80, -200):
+            bound = float(ball_jmass_bound(params, r))
+            for t in (0.1, 1.0):
+                atom = math.exp(-t)
+                value = transition_prob(state, zero, zero, r, t)
+                assert atom - 1e-15 <= value, (p, n, gamma, c1, r, t)
+                assert value <= atom + (1 - atom) * bound + 1e-15, (p, n, gamma, c1, r, t)
 
 
 # ---------------------------------------------------------------------------

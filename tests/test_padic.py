@@ -419,6 +419,28 @@ def test_sampler_uniform_p3_n2_j1():
     assert chi2 < stats.chi2.ppf(0.99, df)
 
 
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 2), (5, 2)])
+def test_sampler_digit_protocol(p, n):
+    # the draw the simulator's randomness protocol pins: n-digit columns
+    # until one is nonzero (position -j), then an (n, j-1) block for
+    # positions -1 .. -(j-1)
+    space = SpaceParams(p, n)
+    for j in (1, 2, 5, 40):
+        rng, ref = split_stream(99, j), split_stream(99, j)
+        for _ in range(20):
+            while True:
+                col = ref.integers(0, p, size=n)
+                if col.any():
+                    break
+            rest = ref.integers(0, p, size=(n, j - 1)) if j > 1 else np.zeros((n, 0))
+            maps = [
+                {-(k + 1): int(rest[c, k]) for k in range(j - 1)} | {-j: int(col[c])}
+                for c in range(n)
+            ]
+            expected = CosetPoint.from_digit_maps(space, maps)
+            assert sample_uniform_sphere_coset(space, j, rng) == expected
+
+
 # ---------------------------------------------------------------------------
 # random streams
 # ---------------------------------------------------------------------------

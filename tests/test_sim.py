@@ -6,6 +6,7 @@ pass with the chosen seeds (and would flag genuine distributional bugs).
 """
 
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -15,17 +16,20 @@ from ultradiff.cli import binomial_tail_z
 from ultradiff.errors import ConfigError
 from ultradiff.heat import survival, u_profile
 from ultradiff.landscape import exterior_mass, normalize
-from ultradiff.padic import CosetPoint, SpaceParams, sphere_volume, split_stream
+from ultradiff.padic import (
+    CosetPoint,
+    SpaceParams,
+    coset_add,
+    sample_uniform_sphere_coset,
+    sphere_volume,
+    split_stream,
+)
 from ultradiff.sim import (
-    FirstPassageSample,
     JumpNormTable,
-    PathSample,
     SimConfig,
-    first_passage,
     fpt_cdf_estimate,
     run_paths,
     sample_jump_norm,
-    simulate_path,
     survival_estimates,
 )
 
@@ -113,31 +117,64 @@ def test_config_validation_messages(desk_params):
 
 
 # ---------------------------------------------------------------------------
-# single-path contracts
+# the simulator against a walk on coset digits
 # ---------------------------------------------------------------------------
 
 
-def test_simulate_path_reproducible(desk_sim):
-    a = simulate_path(desk_sim, 123)
-    b = simulate_path(desk_sim, 123)
-    assert a == b
-    assert a != simulate_path(desk_sim, 124)
-
-
-def test_path_positions_start_inside_and_chain(desk_sim):
-    path = simulate_path(desk_sim, 5)
-    space = desk_sim.landscape.space
+def _digit_walk(sim: SimConfig, index: int, query_times):
+    """(tau, exited, norm at each query time) of one path, by the protocol of
+    the sim docstring with each moving jump a :class:`CosetPoint` drawn by
+    ``sample_uniform_sphere_coset`` and added digit by digit."""
+    space = sim.landscape.space
+    rng = split_stream(sim.seed, index)
     pos = CosetPoint.zero(space)
-    mover = 0
-    for j, recorded in zip(path.norm_exponents, path.positions):
-        if j >= 1:
-            mover += 1
-        assert recorded.space == space
-    assert len(path.positions) == len(path.jump_times)
-    assert all(
-        a < b for a, b in zip(path.jump_times, path.jump_times[1:])
-    )  # strictly increasing
-    assert all(t <= desk_sim.horizon for t in path.jump_times)
+    t, tau, exited, movers = 0.0, math.nan, False, []
+    while True:
+        t += rng.standard_exponential()
+        if t > sim.horizon:
+            break
+        j = sample_jump_norm(sim.table, rng)
+        if j < 1:
+            continue
+        pos = coset_add(pos, sample_uniform_sphere_coset(space, j, rng))
+        movers.append((t, 0 if pos.is_zero() else pos.depth))
+        if not pos.is_zero():
+            exited = True
+        elif exited and math.isnan(tau):
+            tau = t
+    norms = [
+        ([0] + [norm for s, norm in movers if s <= q])[-1] for q in query_times
+    ]
+    return tau, exited, norms
+
+
+@pytest.mark.parametrize(
+    "p, n, gamma, c1, j_max",
+    [
+        (2, 1, -0.5, 1.0, 8),
+        (3, 1, -0.5, 1.0, 40),  # residues mod 3^40 exceed 2^62
+        (3, 2, -1.0, 0.2, 4),
+        (2, 2, 0.5, 0.2, 7),
+    ],
+)
+def test_run_paths_matches_digit_walk(p, n, gamma, c1, j_max):
+    sim = SimConfig(
+        landscape=normalize(SpaceParams(p=p, n=n), gamma, c1),
+        horizon=4.0,
+        max_paths=300,
+        seed=20240810,
+        j_max=j_max,
+    )
+    qts = (0.5, 1.0, 2.0, 4.0)
+    batch = run_paths(sim, query_times=qts)
+    taus, exits, norms = zip(*(_digit_walk(sim, k, qts) for k in range(300)))
+    assert np.array_equal(batch.tau, np.array(taus), equal_nan=True)
+    assert np.array_equal(batch.exited, np.array(exits))
+    assert np.array_equal(batch.norm_at, np.array(norms))
+    assert np.array_equal(batch.inside_at, batch.norm_at == 0)
+    returned = ~np.isnan(batch.tau)
+    assert returned.any() and np.all(batch.exited[returned])
+    assert np.all(batch.tau[returned] <= sim.horizon)
 
 
 def test_expected_jump_count(desk_batch, desk_sim):
@@ -145,54 +182,6 @@ def test_expected_jump_count(desk_batch, desk_sim):
     mean = float(desk_batch.n_jumps.mean())
     sigma = math.sqrt(desk_sim.horizon / desk_sim.max_paths)
     assert abs(mean - desk_sim.horizon) <= 3.0 * sigma
-
-
-def test_first_passage_hand_traced():
-    space = SpaceParams(2, 1)
-    zero = CosetPoint.zero(space)
-    out = CosetPoint.from_digit_maps(space, [{-1: 1}])
-    path = PathSample(
-        jump_times=(0.3, 0.9, 1.4),
-        norm_exponents=(1, 1, 0),
-        positions=(out, zero, zero),
-        horizon=2.0,
-    )
-    fp = first_passage(path)
-    assert fp == FirstPassageSample(tau=0.9, censored=False, exited=True)
-
-
-def test_first_passage_never_left():
-    space = SpaceParams(2, 1)
-    zero = CosetPoint.zero(space)
-    path = PathSample(
-        jump_times=(0.5, 1.0),
-        norm_exponents=(0, -2),
-        positions=(zero, zero),
-        horizon=2.0,
-    )
-    fp = first_passage(path)
-    assert fp.censored and not fp.exited and fp.tau is None
-
-
-def test_batch_matches_scalar_path_api(desk_sim):
-    # p = 3, j_max = 40: residues mod p^j_max exceed 2^62 (Python ints)
-    p3 = normalize(SpaceParams(p=3, n=1), -0.5, 1.0)
-    for landscape, j_max in ((desk_sim.landscape, desk_sim.j_max), (p3, 40)):
-        sim = SimConfig(
-            landscape=landscape,
-            horizon=desk_sim.horizon,
-            max_paths=200,
-            seed=desk_sim.seed,
-            j_max=j_max,
-        )
-        batch = run_paths(sim, query_times=(1.0,))
-        for idx in range(200):
-            fp = first_passage(simulate_path(sim, idx))
-            if fp.tau is None:
-                assert math.isnan(batch.tau[idx])
-            else:
-                assert batch.tau[idx] == pytest.approx(fp.tau, abs=0.0)
-            assert bool(batch.exited[idx]) == fp.exited
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +242,6 @@ def test_one_jump_law_matches_radial_kernel(desk_params):
     n_draws = 100_000
     depth = 2
     counts: dict = {}
-    from ultradiff.padic import sample_uniform_sphere_coset
-
     for _ in range(n_draws):
         j = sample_jump_norm(table, rng)
         if j < 1:
@@ -326,6 +313,39 @@ def test_nested_horizons_share_prefixes(desk_params):
     assert np.array_equal(np.sort(taus2), np.sort(taus4))
     # and censoring probability is monotone in the horizon
     assert fpt_cdf_estimate(b2, 2.0)[0] <= fpt_cdf_estimate(b4, 4.0)[0]
+
+
+def test_worker_fan_out_capped_at_cpu_count(desk_params, monkeypatch):
+    # a pool that records its size and runs the blocks inline: no process
+    import ultradiff.sim as sim_module
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+    monkeypatch.setattr(sim_module, "ProcessPoolExecutor", InlinePool)
+    cfg = SimConfig(landscape=desk_params, horizon=2.0, max_paths=50, seed=5, j_max=8)
+    serial = run_paths(cfg, query_times=(1.0,))
+    for cpus, expected in ((2, [2]), (1, [])):
+        sizes.clear()
+        monkeypatch.setattr(sim_module.os, "cpu_count", lambda: cpus)
+        batch = run_paths(cfg, query_times=(1.0,), workers=5000)
+        assert sizes == expected
+        assert np.array_equal(batch.norm_at, serial.norm_at)
+        assert np.array_equal(batch.tau, serial.tau, equal_nan=True)
 
 
 def test_worker_count_invariance(desk_params):
