@@ -78,10 +78,6 @@ OUT_ENV_VAR = "ULTRADIFF_OUT"
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -294,10 +290,11 @@ def resolve_out_dir(cfg: RunConfig, flag_out: str | None, command: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """str cells as they are; numbers, as Python floats or ints, in .17g."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
+        lines.append(",".join([c if isinstance(c, str) else f"{c:.17g}" for c in row]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -336,10 +333,8 @@ def cmd_landscape(cfg: RunConfig, out: Path) -> int:
     params = cfg.landscape
     state = HeatState(params)
     cache = state.cache
-    rows = []
-    for k in range(cache.k_min, cache.k_max + 1):
-        om = cache.one_minus(k)
-        rows.append([k, 1.0 - om, om])
+    ks = range(cache.k_min, cache.k_max + 1)
+    rows = [[k, 1.0 - om, om] for k, om in zip(ks, cache.values.tolist())]
     _write_csv(out / "spectral.csv", ["k", "jhat", "one_minus_jhat"], rows)
 
     gap = spectral_gap_at_one(params)
@@ -451,7 +446,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, workers: int = 1) -> int:
         rows.append(
             [
                 str(idx),
-                "" if censored else _fmt(tau),
+                "" if censored else float(tau),
                 "1" if censored else "0",
                 "1" if batch.exited[idx] else "0",
             ]
@@ -478,11 +473,8 @@ def cmd_fpt(cfg: RunConfig, out: Path) -> int:
     g = g_grid(state, ts)
     grid = solve_volterra(g, h)
     f_out = grid.f_for_export()
-    _write_csv(
-        out / "g_f.csv",
-        ["t", "g", "f"],
-        [[ts[k], g[k], f_out[k]] for k in range(len(ts))],
-    )
+    rows = zip(ts.tolist(), g.tolist(), f_out.tolist())
+    _write_csv(out / "g_f.csv", ["t", "g", "f"], rows)
 
     cache = state.cache
     ladder_rows = [

@@ -6,8 +6,8 @@ Three linked objects:
   probability per unit time that a path outside Z_p^n jumps back in;
 * the first-passage density f, tied to g by the renewal identity
   ``g(t) = int_0^t g(t - tau) f(tau) dtau + f(t)`` (a second-kind Volterra
-  equation; g vanishes for negative arguments), solved by forward
-  time-stepping with trapezoidal quadrature, O(m^2) overall;
+  equation; g vanishes for negative arguments), discretised by the
+  trapezoid rule and solved as one power-series division, O(m log m);
 * the Laplace transform ``G(s)`` of g, evaluated as the same sphere series
   with phi(lambda) = 1/(s + lambda) in place of e^{-lambda t}.
   Since ``F(s) = G(s) / (1 + G(s))`` for the transform F of f, recurrence
@@ -15,9 +15,9 @@ Three linked objects:
   diagnostic walks a descending s-ladder and reports a verdict, never a
   proof — finite evaluation cannot certify divergence.
 
-The Volterra stepper is inherently sequential in t; Laplace evaluations at
-distinct s are independent, but a small s grows the spectral cache in
-place, so threads sharing a cache need its window grown first.
+The Volterra solve is a handful of FFTs over the whole grid; Laplace
+evaluations at distinct s are independent, but a small s grows the spectral
+cache in place, so threads sharing a cache need its window grown first.
 """
 
 from __future__ import annotations
@@ -71,13 +71,11 @@ class VolterraGrid:
         return (len(self.g) - 1) * self.h
 
     def residual(self) -> np.ndarray:
-        """g - (g (*) f + f) recomputed with the same quadrature: the
-        trapezoid sum at t_k is sum_{i<=k} g_{k-i} f_i (one zero-padded FFT
-        convolution) less half of its two end terms."""
+        """g - (g (*) f + f) under the trapezoid rule, applied directly and
+        not through solve_volterra's series division: the trapezoid sum at
+        t_k is sum_{i<=k} g_{k-i} f_i (one FFT product) less its end halves."""
         g, f = self.g, self.f
-        size = 1 << (2 * len(g) - 1).bit_length()
-        conv = np.fft.irfft(np.fft.rfft(g, size) * np.fft.rfft(f, size), size)
-        trap = conv[: len(g)] - 0.5 * (g * f[0] + g[0] * f)
+        trap = _product(g, f, len(g)) - 0.5 * (g * f[0] + g[0] * f)
         return g - self.h * trap - f
 
     def f_for_export(self) -> np.ndarray:
@@ -96,29 +94,44 @@ class VolterraGrid:
         return _trapezoid(self.f[: k + 1], self.h)
 
 
-def solve_volterra(g: np.ndarray, h: float) -> VolterraGrid:
-    """Forward time-stepping solve of g = g (*) f + f on a uniform grid.
+def _product(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """The first m coefficients of the series product x y (zero-padded FFT)."""
+    size = 1 << (len(x) + len(y) - 2).bit_length()
+    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)[:m]
 
-    Trapezoidal quadrature makes the scheme second order; at each step the
-    new value f_k appears in the quadrature only through the diagonal
-    weight (h/2) g_0, so the update stays explicit after one division.
+
+def _series_inverse(a: np.ndarray) -> np.ndarray:
+    """1/a mod z^len(a) by Newton iteration x <- x (2 - a x) = x - x (a x - 1),
+    doubling the terms of x per step (Brent & Kung, J. ACM 25 (1978) 581)."""
+    x = np.array([1.0 / a[0]])
+    while len(x) < len(a):
+        k, n = len(x), min(2 * len(x), len(a))
+        e = _product(a[:n], x, n)[k:]
+        x = np.concatenate([x, -_product(x, e, n - k)])
+    return x
+
+
+def solve_volterra(g: np.ndarray, h: float) -> VolterraGrid:
+    """Trapezoidal solve of g = g (*) f + f on a uniform grid, in O(m log m).
+
+    The trapezoid rule (second order) gives a lower-triangular Toeplitz
+    system: with a_0 = 1 + h g_0 / 2 and a_k = h g_k (k >= 1) it reads
+    A(z) F(z) = a_0 G(z) mod z^m, so f = a_0 g (*) (1/a), one series division.
     """
     g = np.asarray(g, dtype=float)
     if h <= 0:
         raise ValueError("step h must be positive")
+    bad = np.flatnonzero(~np.isfinite(g))
+    if bad.size:
+        raise ValueError(f"g is not finite at index {bad[0]}: {g[bad[0]]}")
     diag = 0.5 * h * g[0]
     if diag >= 1.0:
         raise StepTooCoarse(
             f"(h/2) g(0) = {diag} >= 1; the implicit diagonal is unstable"
         )
-    m = len(g)
-    f = np.zeros(m)
-    f[0] = g[0]
-    for k in range(1, m):
-        conv = 0.5 * g[k] * f[0]
-        if k > 1:
-            conv += float(np.dot(g[k - 1 : 0 : -1], f[1:k]))
-        f[k] = (g[k] - h * conv) / (1.0 + diag)
+    a = h * g
+    a[0] = 1.0 + diag
+    f = a[0] * _product(g, _series_inverse(a), len(g))
     return VolterraGrid(h=h, g=g, f=f)
 
 

@@ -1,12 +1,15 @@
 """First-passage pipeline: flux, Volterra solve, Laplace series, recurrence.
 
-The Volterra stepper is validated against the closed-form renewal pair
+The Volterra solve is validated against the closed-form renewal pair
 g = a e^{-bt}  <->  f = a e^{-(a+b)t} (Laplace algebra: G = a/(s+b) gives
-F = G/(1+G) = a/(s+a+b)), including the h^2 convergence order.
+F = G/(1+G) = a/(s+a+b)), including the h^2 convergence order; against the
+O(m^2) trapezoidal time-stepper; and, on the real flux, against
+P(tau <= T) from a numerical inverse Laplace transform of F(s)/s.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,9 +24,13 @@ from ultradiff.fpt import (
     solve_volterra,
     VolterraGrid,
 )
-from ultradiff.heat import u_profile
-from ultradiff.landscape import SpectralCache, exterior_mass, normalize
-
+from ultradiff.heat import sphere_series, u_profile
+from ultradiff.landscape import (
+    SpectralCache,
+    exterior_mass,
+    normalize,
+    sphere_masses_above,
+)
 
 
 def synthetic_grid(a, b, h, horizon):
@@ -66,6 +73,39 @@ def test_flux_other_space(state_p3n2):
 # ---------------------------------------------------------------------------
 # Volterra solver
 # ---------------------------------------------------------------------------
+
+
+def stepper_solve(g, h):
+    """The trapezoidal scheme stepped forward in time, O(m^2): the oracle for
+    solve_volterra's series division. f_k appears in its own quadrature only
+    through the diagonal weight (h/2) g_0, so each step is explicit."""
+    diag = 0.5 * h * g[0]
+    f = np.zeros(len(g))
+    f[0] = g[0]
+    for k in range(1, len(g)):
+        conv = 0.5 * g[k] * f[0]
+        if k > 1:
+            conv += float(np.dot(g[k - 1 : 0 : -1], f[1:k]))
+        f[k] = (g[k] - h * conv) / (1.0 + diag)
+    return f
+
+
+def test_fft_solve_matches_stepper(desk_state):
+    h = 0.01
+    ts = np.arange(0.0, 100.0 + h / 2, h)  # m = 10 001
+    rng = np.random.default_rng(20151126)
+    heavy = rng.random(1001) * np.exp(-ts[:1001])
+    heavy[0] = 1.8 / h  # (h/2) g_0 = 0.9, near the StepTooCoarse limit
+    for g in (g_grid(desk_state, ts), synthetic_grid(0.5, 1.0, h, 10.0)[1], heavy):
+        diff = np.max(np.abs(solve_volterra(g, h).f - stepper_solve(g, h)))
+        assert diff <= 1e-14 * max(1.0, float(np.max(np.abs(g))))
+
+
+def test_non_finite_flux_rejected():
+    g = np.ones(101)
+    g[5] = np.nan
+    with pytest.raises(ValueError, match="index 5"):
+        solve_volterra(g, 0.01)
 
 
 def test_zero_flux_gives_zero_density():
@@ -234,3 +274,54 @@ def test_solved_density_transform_matches_renewal_algebra(desk_state, desk_param
     ) else float(np.trapz(np.exp(-s * ts) * grid.f, dx=h))
     g_hat = laplace_G(desk_params, desk_state.cache, s).value
     assert f_hat == pytest.approx(g_hat / (1.0 + g_hat), abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# cross-check: P(tau <= T) by numerical inverse Laplace transform
+# ---------------------------------------------------------------------------
+
+
+def laplace_G_complex(params, cache, s):
+    """G(s) at complex s: laplace_G's double sphere series and outer weights
+    with phi = 1/(s + lambda). Every lambda is >= 0, so |s + lambda| is at
+    least the distance d from s to the negative real axis, and the inner
+    tail past n_terms spheres is below 1e-17 of its first term."""
+    space = params.space
+    pn = float(space.p) ** space.n
+    w = sphere_masses_above(params, 0)
+    i = np.arange(1, w.size + 1)
+    d = abs(s) if s.real >= 0 else abs(s.imag)
+    n_terms = math.ceil(
+        math.log((abs(s) + 2.0) / (1e-17 * d * space.unit_sphere_volume)) / math.log(pn)
+    )
+    a, corr = sphere_series(cache, i, lambda lam: 1.0 / (s + lam), n_terms)
+    return complex(w @ (pn ** -i.astype(float) * (a - corr)))
+
+
+def test_complex_laplace_matches_real_series(desk_params, desk_state):
+    for s in (0.01, 0.3, 5.0):
+        value = laplace_G_complex(desk_params, desk_state.cache, complex(s))
+        assert value.imag == 0.0
+        assert value.real == pytest.approx(
+            laplace_G(desk_params, desk_state.cache, s).value, rel=1e-14
+        )
+
+
+@pytest.mark.parametrize("T", [10.0, 400.0])
+def test_fpt_cdf_matches_inverse_laplace(desk_params, desk_state, T):
+    """F(s)/s = G / (s (1 + G)) is the transform of P(tau <= t); Talbot's
+    contour and de Hoog's Bromwich line (Abate & Whitt, INFORMS J. Comput.
+    18 (2006) 408) invert it independently of the time-domain solve."""
+
+    def cdf_transform(s):
+        s = complex(s)
+        G = laplace_G_complex(desk_params, desk_state.cache, s)
+        return mpmath.mpc(G / (s * (1.0 + G)))
+
+    talbot = float(mpmath.invertlaplace(cdf_transform, T, method="talbot"))
+    dehoog = float(mpmath.invertlaplace(cdf_transform, T, method="dehoog"))
+    assert abs(talbot - dehoog) <= 1e-10
+    h = 0.01
+    ts = np.arange(0.0, T + h / 2, h)
+    grid = solve_volterra(g_grid(desk_state, ts), h)
+    assert abs(grid.integral_f() - talbot) <= 1e-6
