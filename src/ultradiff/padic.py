@@ -399,7 +399,8 @@ def sample_sphere_residues(
     """
     p, n = space.p, space.n
     while True:
-        col = rng.integers(0, p, size=n).tolist()
+        # n scalar draws take the same 32-bit words as one size=n draw
+        col = [int(rng.integers(p)) for _ in range(n)]
         if any(col):
             break
     if j == 1:
@@ -439,8 +440,14 @@ def sample_uniform_sphere_coset(
 def split_stream(seed: int, path_index: int) -> np.random.Generator:
     """Independent counter-based stream for one Monte Carlo path.
 
-    Philox is counter-based, so `jumped` gives each path index its own
-    disjoint 2^128-step block deterministically: identical (seed, path_index)
-    always reproduces the identical stream, independent of execution order.
+    Philox4x64 under key = seed, started at the 256-bit counter
+    (0, 0, path_index mod 2^64, path_index >> 64): each path index owns a
+    disjoint 2^128-step block, and identical (seed, path_index) always
+    reproduces the identical stream, independent of execution order. The
+    state equals ``Philox(key=seed).jumped(path_index)`` (pinned by test)
+    and is built without the jump arithmetic.
     """
-    return np.random.Generator(np.random.Philox(key=seed).jumped(path_index))
+    # a uint64 array: numpy reads a list holding an int past 2^63 as float64,
+    # and builds it faster than from the int path_index << 128
+    counter = np.array([0, 0, path_index % 2**64, path_index >> 64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=seed))

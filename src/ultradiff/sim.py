@@ -7,8 +7,11 @@ trivially on the quotient, so simulating the induced coset chain is exact
 for survival and first-passage observables: no discretization anywhere.
 
 Randomness protocol (stable; reproducibility contract):
-each path index owns the Philox stream ``Philox(key=seed).jumped(index)``
-and consumes it jump by jump, strictly interleaved:
+each path index owns the Philox4x64 stream under key = seed started at the
+counter (0, 0, index mod 2^64, index >> 64), equal to
+``Philox(key=seed).jumped(index)`` (pinned by test; see
+:func:`~ultradiff.padic.split_stream`), and consumes it jump by jump,
+strictly interleaved:
 
 1. one standard exponential — the waiting time (stop once the running sum
    passes the horizon);
@@ -30,6 +33,7 @@ workers. Estimators reduce over paths associatively.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -55,15 +59,16 @@ TRUNCATION_TOLERANCE = 1e-12
 class JumpNormTable:
     """Inverse-CDF table for the norm exponent of a J-distributed jump.
 
-    Covers exponents [j_min, j_max]; the upper defect (mass beyond j_max)
-    must be below TRUNCATION_TOLERANCE and both defects are recorded. The
-    probabilities are renormalized over the table.
+    Covers the consecutive exponents j_min .. j_max (``js``); the upper
+    defect (mass beyond j_max) must be below TRUNCATION_TOLERANCE and both
+    defects are recorded. The probabilities are renormalized over the table;
+    ``cdf`` is their running sum as a Python list, which the draw bisects.
     """
 
     landscape: LandscapeParams
-    js: np.ndarray
+    j_min: int
     probs: np.ndarray
-    cdf: np.ndarray
+    cdf: list[float]
     defect_low: float
     defect_high: float
 
@@ -74,18 +79,22 @@ class JumpNormTable:
         # extend downward until the geometric lower tail is negligible
         top = math.exp(log_sphere_mass(landscape, j_max))
         lower = sphere_masses_below(landscape, j_max - 1, 1e-16, head=top)
-        js = np.arange(j_max - lower.size, j_max + 1, dtype=np.int64)
         probs = np.concatenate((lower[::-1], [top]))
         defect_low = max(0.0, 1.0 - defect_high - float(probs.sum()))
         probs /= probs.sum()
         return cls(
             landscape=landscape,
-            js=js,
+            j_min=j_max - lower.size,
             probs=probs,
-            cdf=np.cumsum(probs),
+            cdf=np.cumsum(probs).tolist(),
             defect_low=defect_low,
             defect_high=defect_high,
         )
+
+    @property
+    def js(self) -> np.ndarray:
+        """The exponents j_min .. j_max, aligned with ``probs``."""
+        return np.arange(self.j_min, self.j_min + len(self.cdf), dtype=np.int64)
 
     @property
     def prob_nonmoving(self) -> float:
@@ -93,14 +102,15 @@ class JumpNormTable:
         return float(self.probs[self.js <= 0].sum())
 
 
-def sample_jump_norm(
-    table: JumpNormTable, rng: np.random.Generator, size: int | None = None
-):
-    """Draw jump-norm exponents by inverse CDF over the table."""
-    u = rng.random(size=size)
-    idx = np.searchsorted(table.cdf, u, side="right")
-    idx = np.minimum(idx, len(table.js) - 1)
-    return table.js[idx] if size is not None else int(table.js[int(idx)])
+def sample_jump_norm(table: JumpNormTable, rng: np.random.Generator) -> int:
+    """Draw one jump-norm exponent by inverse CDF over the table.
+
+    One uniform u maps to the first index whose CDF exceeds u
+    (``np.searchsorted(side="right")``); capping the search at the last
+    index clamps u >= cdf[-1] to j_max.
+    """
+    cdf = table.cdf
+    return table.j_min + bisect.bisect_right(cdf, rng.random(), 0, len(cdf) - 1)
 
 
 @dataclass(frozen=True)
@@ -183,21 +193,18 @@ def _run_block(
     """
     space = config.landscape.space
     p, depth = space.p, config.j_max
-    table, horizon = config.table, config.horizon
-    qts = np.asarray(query_times, dtype=float)
-    n_paths = stop - start
-    norm_at = np.zeros((n_paths, len(qts)), dtype=np.int16)
-    tau = np.full(n_paths, np.nan)
-    exited = np.zeros(n_paths, dtype=bool)
-    n_jumps = np.zeros(n_paths, dtype=np.int64)
+    table, horizon, seed = config.table, config.horizon, config.seed
+    qts = [float(q) for q in query_times]
     modulus = p**depth
-    for k in range(n_paths):
-        rng = split_stream(config.seed, start + k)
+    rows, taus, exits, counts = [], [], [], []
+    for index in range(start, stop):
+        rng = split_stream(seed, index)
+        exponential = rng.standard_exponential
         pos = [0] * space.n
         mover_times, norms = [], [0]  # norms[i]: the norm after i moving jumps
-        t, jumps = 0.0, 0
+        t, jumps, tau, exited = 0.0, 0, math.nan, False
         while True:
-            t += rng.standard_exponential()
+            t += exponential()
             if t > horizon:
                 break
             jumps += 1
@@ -211,19 +218,21 @@ def _run_block(
             mover_times.append(t)
             norms.append(norm)
             if norm > 0:
-                exited[k] = True
-            elif exited[k] and math.isnan(tau[k]):
-                tau[k] = t
-        n_jumps[k] = jumps
-        if mover_times:
-            norm_at[k] = np.take(norms, np.searchsorted(mover_times, qts, side="right"))
+                exited = True
+            elif exited and math.isnan(tau):
+                tau = t
+        rows.append([norms[bisect.bisect_right(mover_times, q)] for q in qts])
+        taus.append(tau)
+        exits.append(exited)
+        counts.append(jumps)
+    norm_at = np.array(rows, dtype=np.int16).reshape(stop - start, len(qts))
     return PathBatch(
         query_times=tuple(query_times),
         inside_at=norm_at == 0,
         norm_at=norm_at,
-        tau=tau,
-        exited=exited,
-        n_jumps=n_jumps,
+        tau=np.array(taus, dtype=float),
+        exited=np.array(exits, dtype=bool),
+        n_jumps=np.array(counts, dtype=np.int64),
     )
 
 

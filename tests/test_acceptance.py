@@ -167,7 +167,8 @@ def test_criterion_08_monte_carlo_agreement(desk_params, desk_state, mc_batch):
     )
     # jump-norm law: chi-square against the exact table at the 99% level
     table = JumpNormTable.build(desk_params, j_max=8)
-    draws = sample_jump_norm(table, split_stream(777, 0), size=MC_PATHS)
+    rng = split_stream(777, 0)
+    draws = np.array([sample_jump_norm(table, rng) for _ in range(MC_PATHS)])
     order = np.argsort(table.js)[::-1]
     pooled_p, pooled_c = [], []
     acc_p, acc_c = 0.0, 0
@@ -200,12 +201,13 @@ def test_criterion_09_volterra_solver():
         errs.append(float(np.max(np.abs(grid.f - a * np.exp(-(a + b) * ts)))))
         resids.append(float(np.max(np.abs(grid.residual()))))
     orders = [math.log2(e1 / e2) for e1, e2 in zip(errs, errs[1:])]
-    resid_ok = all(r <= 10.0 * h * h for r, h in zip(resids, hs))
+    # the solve satisfies its trapezoid equations up to roundoff (max g = a)
+    resid_ok = all(r <= 1e-12 * max(1.0, a) for r in resids)
     report(
         9,
         min(orders) >= 1.8 and resid_ok,
         f"closed-form renewal oracle: observed order {min(orders):.2f} >= 1.8, "
-        f"max errors {['%.1e' % e for e in errs]}, residual <= 10h^2 ok={resid_ok}",
+        f"max errors {['%.1e' % e for e in errs]}, residual <= 1e-12 ok={resid_ok}",
     )
 
 

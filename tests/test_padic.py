@@ -28,6 +28,7 @@ from ultradiff.padic import (
     coset_neg,
     is_prime,
     padic_fractional_part,
+    sample_sphere_residues,
     sample_uniform_sphere_coset,
     sphere_volume,
     sphere_volume_frac,
@@ -441,9 +442,44 @@ def test_sampler_digit_protocol(p, n):
             assert sample_uniform_sphere_coset(space, j, rng) == expected
 
 
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 2), (5, 2), (3, 3)])
+def test_column_digits_match_vector_draw(p, n):
+    # the leading column is n scalar integers(p) draws; they take the same
+    # 32-bit half-words as one integers(0, p, size=n), whatever half-word
+    # the stream stands at (the odd-sized blocks shift it)
+    rng, ref = split_stream(5, p * n), split_stream(5, p * n)
+    for k in range(200):
+        got = sample_sphere_residues(SpaceParams(p, n), 1, rng)
+        while True:
+            col = ref.integers(0, p, size=n).tolist()
+            if any(col):
+                break
+        assert got == col and all(type(a) is int for a in got)
+        rng.integers(0, p, size=k % 3)
+        ref.integers(0, p, size=k % 3)
+
+
 # ---------------------------------------------------------------------------
 # random streams
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 20240810, 2**64 - 1])
+@pytest.mark.parametrize("index", [0, 1, 12345, 2**63 + 7, 2**64 + 5])
+def test_split_stream_equals_jumped(seed, index):
+    # the stream starts at counter (0, 0, index mod 2^64, index >> 64); the
+    # protocol defines it as Philox(key=seed) jumped index times by 2^128
+    def oracle():
+        return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+
+    raw = split_stream(seed, index).bit_generator.random_raw(16)
+    assert np.array_equal(raw, oracle().bit_generator.random_raw(16))
+    rng, ref = split_stream(seed, index), oracle()
+    for _ in range(5):
+        assert rng.standard_exponential() == ref.standard_exponential()
+        assert rng.random() == ref.random()
+        assert rng.integers(3) == ref.integers(3)
+        assert np.array_equal(rng.integers(0, 5, size=(2, 3)), ref.integers(0, 5, size=(2, 3)))
 
 
 def test_split_stream_deterministic_and_independent():

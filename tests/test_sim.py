@@ -5,6 +5,7 @@ Fixed seeds everywhere; the chi-square and 3-sigma tests are calibrated to
 pass with the chosen seeds (and would flag genuine distributional bugs).
 """
 
+import hashlib
 import math
 from concurrent.futures import Future
 
@@ -88,7 +89,7 @@ def test_table_concentrates_with_huge_rate(desk_space):
 def test_jump_law_chi_square(desk_params):
     table = JumpNormTable.build(desk_params, j_max=8)
     rng = split_stream(777, 0)
-    draws = sample_jump_norm(table, rng, size=100_000)
+    draws = np.array([sample_jump_norm(table, rng) for _ in range(100_000)])
     # pool table bins so every expectation is at least 10 counts
     order = np.argsort(table.js)[::-1]  # largest exponents first
     pooled_probs, pooled_counts = [], []
@@ -105,6 +106,43 @@ def test_jump_law_chi_square(desk_params):
     expected = np.array(pooled_probs) * len(draws)
     chi2 = float(((np.array(pooled_counts) - expected) ** 2 / expected).sum())
     assert chi2 < stats.chi2.ppf(0.99, len(expected) - 1)
+
+
+class _FixedUniform:
+    """A stand-in generator whose ``random()`` returns a chosen value."""
+
+    def __init__(self, u):
+        self.u = float(u)
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize(
+    "p, n, gamma, c1, j_max",
+    [(2, 1, -0.5, 1.0, 8), (3, 2, -1.0, 0.2, 4), (2, 2, -1.9, 5.0, 3)],
+)
+def test_jump_norm_matches_searchsorted(p, n, gamma, c1, j_max):
+    # the draw bisects the CDF list; the reference is
+    # np.searchsorted(side="right") clamped to the last entry. Every CDF
+    # entry, its two float neighbours and values at or past the top (the
+    # clamp) must give the same exponent.
+    table = JumpNormTable.build(normalize(SpaceParams(p, n), gamma, c1), j_max)
+    cdf = table.cdf
+    us = np.concatenate(
+        (
+            [0.0, 1.0, np.nextafter(1.0, 0.0), 2.0],
+            cdf,
+            np.nextafter(cdf, -np.inf),
+            np.nextafter(cdf, np.inf),
+        )
+    )
+    assert us.max() >= cdf[-1]
+    for u in us:
+        idx = min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
+        j = sample_jump_norm(table, _FixedUniform(u))
+        assert type(j) is int
+        assert j == int(table.js[idx]), u
 
 
 def test_config_validation_messages(desk_params):
@@ -175,6 +213,42 @@ def test_run_paths_matches_digit_walk(p, n, gamma, c1, j_max):
     returned = ~np.isnan(batch.tau)
     assert returned.any() and np.all(batch.exited[returned])
     assert np.all(batch.tau[returned] <= sim.horizon)
+
+
+#: sha256 over the bytes of run_paths' tau (float64), exited (bool),
+#: norm_at (int16) and n_jumps (int64) for 2000 paths, seed 20240810,
+#: horizon 4, query times (0.5, 1, 2). The digit walk above draws from the
+#: same split_stream, so it cannot see a change to the stream itself; these
+#: digests can.
+PROTOCOL_DIGESTS = {
+    (2, 1, -0.5, 1.0, 8): "35e48bb213f4ccd15fb2d0433a6013c33c5b6d8f9b52a504438b6da589333edc",
+    (3, 1, -0.5, 1.0, 40): "78b9f1e7b05d88a5ce312d51a092583bb599e408f48b91a21aaa7ad6be6d5680",
+    (3, 2, -1.0, 0.2, 4): "c3fe6a52a08e9b8b02a6dba11ff8a6860bebe677395fce7133ea5306169b2d0c",
+    (2, 2, 0.5, 0.2, 7): "dfe7b614e36c7d357944ead21a9cdb7873273f572c2688e821305034572ba9ff",
+}
+
+
+@pytest.mark.parametrize("point", sorted(PROTOCOL_DIGESTS))
+def test_randomness_protocol_golden(point):
+    p, n, gamma, c1, j_max = point
+    sim = SimConfig(
+        landscape=normalize(SpaceParams(p=p, n=n), gamma, c1),
+        horizon=4.0,
+        max_paths=2000,
+        seed=20240810,
+        j_max=j_max,
+    )
+    batch = run_paths(sim, query_times=(0.5, 1.0, 2.0))
+    digest = hashlib.sha256()
+    for arr, dtype in (
+        (batch.tau, np.float64),
+        (batch.exited, np.bool_),
+        (batch.norm_at, np.int16),
+        (batch.n_jumps, np.int64),
+    ):
+        assert arr.dtype == dtype
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == PROTOCOL_DIGESTS[point]
 
 
 def test_expected_jump_count(desk_batch, desk_sim):
