@@ -72,7 +72,6 @@ from .sim import (
     JumpNormTable,
     SimConfig,
     run_paths,
-    sample_jump_norm,
 )
 from .fpt import (
     LaplaceEval,

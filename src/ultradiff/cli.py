@@ -71,10 +71,19 @@ from .fpt import (
     solve_volterra,
 )
 from .padic import SpaceParams, ZERO_NORM, is_prime
-from .sim import SimConfig, fpt_cdf_estimate, run_paths, survival_estimates
+from .sim import (
+    RNG_PROTOCOL,
+    PathBatch,
+    SimConfig,
+    fpt_cdf_estimate,
+    run_paths,
+    survival_estimates,
+)
 
 SCHEMA_VERSION = 1
 OUT_ENV_VAR = "ULTRADIFF_OUT"
+#: The Monte Carlo commands: they take --workers and name the rng protocol.
+MC_COMMANDS = ("simulate", "verify")
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -319,6 +328,7 @@ def _write_manifest(
             "wall_clock_s": time.perf_counter() - t0,
             "config": cfg.resolved_echo(),
             "artifacts": checks,
+            **({"rng_protocol": RNG_PROTOCOL} if command in MC_COMMANDS else {}),
         },
     )
 
@@ -439,18 +449,12 @@ def cmd_simulate(cfg: RunConfig, out: Path, workers: int = 1) -> int:
     times = [t for t in cfg.kernel.times if 0 < t <= cfg.sim.horizon]
     batch = run_paths(cfg.sim, query_times=times, workers=workers)
 
-    rows = []
-    for idx in range(cfg.sim.max_paths):
-        tau = batch.tau[idx]
-        censored = math.isnan(tau)
-        rows.append(
-            [
-                str(idx),
-                "" if censored else float(tau),
-                "1" if censored else "0",
-                "1" if batch.exited[idx] else "0",
-            ]
-        )
+    rows = [
+        [str(idx), "", "1"] if math.isnan(tau) else [str(idx), tau, "0"]
+        for idx, tau in enumerate(batch.tau.tolist())
+    ]
+    for row, exited in zip(rows, batch.exited.tolist()):
+        row.append("1" if exited else "0")
     _write_csv(
         out / "fpt_samples.csv", ["path_index", "tau", "censored", "exited"], rows
     )
@@ -532,6 +536,28 @@ def binomial_tail_z(k: int, n: int, q: float) -> float:
     pmf = np.exp(log_fact[n] - log_fact - log_fact[::-1] + log_qs)
     tail = min(math.fsum(pmf[: k + 1]), math.fsum(pmf[k:]), 0.5)
     return math.inf if tail == 0.0 else abs(NormalDist().inv_cdf(tail))
+
+
+def mc_agreement(
+    batch: PathBatch, s_exact: list[float], t_fpt: float, integral: float, slack: float
+) -> tuple[float, float, int]:
+    """verify's Monte Carlo checks as :func:`binomial_tail_z` scores: the
+    worst over the query times of the count of paths outside Z_p^n against
+    Binomial(N, 1 - S(t)), and the count returned by t_fpt against
+    Binomial(N, q), q the point of [integral - slack, integral + slack]
+    nearest the observed fraction; also that count."""
+    n = len(batch.tau)
+    z_survival = max(
+        (
+            binomial_tail_z(int(k), n, max(0.0, 1.0 - s))
+            for k, s in zip((~batch.inside_at).sum(axis=0), s_exact)
+        ),
+        default=0.0,
+    )
+    p_mc, _ = fpt_cdf_estimate(batch, t_fpt)
+    returned = round(p_mc * n)
+    q = min(max(p_mc, integral - slack, 0.0), integral + slack, 1.0)
+    return z_survival, binomial_tail_z(returned, n, q), returned
 
 
 def run_verify_checks(
@@ -648,28 +674,16 @@ def run_verify_checks(
     )
     mc_times = [t for t in (0.5, 1.0, 2.0) if t <= sim.horizon]
     batch = run_paths(sim, query_times=mc_times, workers=workers)
-    # exact two-sided Binomial(N, 1 - S(t)) tail of the count of paths outside
-    worst_z = max(
-        (
-            binomial_tail_z(int(k), sim.max_paths, max(0.0, 1.0 - survival(state, t)))
-            for k, t in zip((~batch.inside_at).sum(axis=0), mc_times)
-        ),
-        default=0.0,
-    )
-    add("mc_survival_within_3_sigma", worst_z, 3.0, f"paths={sim.max_paths}")
-
-    # exact Binomial(N, q) tail of the count of paths returned by T, with q
-    # the point of [I - 10h^2, I + 10h^2] (the quadrature allowance on
-    # I = int_0^T f) nearest the observed fraction
     t_tri = min(cfg.fpt.horizon, sim.horizon)
     grid = solve_volterra(g_grid(state, np.arange(0.0, t_tri + h / 2, h)), h)
-    p_mc, _ = fpt_cdf_estimate(batch, t_tri)
-    returned = round(p_mc * sim.max_paths)
-    integral, slack = grid.integral_f(t_tri), 10.0 * h * h
-    q = min(max(p_mc, integral - slack, 0.0), integral + slack, 1.0)
+    integral = grid.integral_f(t_tri)
+    z_survival, z_triangle, returned = mc_agreement(
+        batch, [survival(state, t) for t in mc_times], t_tri, integral, 10.0 * h * h
+    )
+    add("mc_survival_within_3_sigma", z_survival, 3.0, f"paths={sim.max_paths}")
     add(
         "fpt_triangle_mc_vs_volterra",
-        binomial_tail_z(returned, sim.max_paths, q),
+        z_triangle,
         3.0,
         f"T={t_tri} returned={returned}/{sim.max_paths} volterra={integral:.6g}",
     )
@@ -731,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--seed", type=int, default=None, help="override the config seed"
         )
-        if name in ("simulate", "verify"):
+        if name in MC_COMMANDS:
             sp.add_argument(
                 "--workers",
                 type=_worker_count,

@@ -398,11 +398,9 @@ def sample_sphere_residues(
     (the column at -j), then, if j > 1, an (n, j-1) block for -1 .. -(j-1).
     """
     p, n = space.p, space.n
-    while True:
-        # n scalar draws take the same 32-bit words as one size=n draw
-        col = [int(rng.integers(p)) for _ in range(n)]
-        if any(col):
-            break
+    col = [0] * n
+    while not any(col):
+        col = rng.integers(0, p, size=n).tolist()
     if j == 1:
         return col
     out = []

@@ -1,39 +1,38 @@
-"""Exact compound-Poisson simulation on the quotient Q_p^n / Z_p^n.
+"""Exact Monte Carlo of the coset norm chain on Q_p^n / Z_p^n.
 
-The process behind the evolution equation du/dt = J*u - u jumps at unit
-rate with increments drawn from the density J. Membership in Z_p^n depends
-only on the coset of the position, and increments of norm <= 1 act
-trivially on the quotient, so simulating the induced coset chain is exact
-for survival and first-passage observables: no discretization anywhere.
+The process behind du/dt = J*u - u jumps at unit rate with increments drawn
+from the radial density J. Membership in Z_p^n depends only on the coset of
+the position, and the coset's norm exponent is a Markov chain of its own
+(strong lumpability; Kemeny & Snell 1960, §6.3) with transition matrix
+:func:`~ultradiff.heat.norm_chain`, so simulating it is exact for survival
+and first passage. Only coset-moving jumps (norm exponent j >= 1) are drawn;
+they arrive at rate C = 1 - ``JumpNormTable.prob_nonmoving``. From norm
+exponent a (0 is Z_p^n), a jump of exponent j != a lands at max(a, j); one
+with j = a cancels the leading digits with probability 1/(p^n - 1), landing
+uniformly on the ball of norm p^(a-1), and otherwise leaves the path at a.
 
-Randomness protocol (stable; reproducibility contract):
-each path index owns the Philox4x64 stream under key = seed started at the
-counter (0, 0, index mod 2^64, index >> 64), equal to
-``Philox(key=seed).jumped(index)`` (pinned by test; see
-:func:`~ultradiff.padic.split_stream`), and consumes it jump by jump,
-strictly interleaved:
+Randomness protocol ``norm-chain-v2`` (stable; reproducibility contract):
+round m is every path's m-th moving jump. Path i reads the i-th 4-word
+block of the Philox4x64 stream :func:`~ultradiff.padic.split_stream`
+(seed, m) (``bit_generator.advance(i)``, then ``random_raw(4)``), and each
+word w gives u = (w >> 11) 2^-53:
 
-1. one standard exponential — the waiting time (stop once the running sum
-   passes the horizon);
-2. one uniform, inverted through the jump-norm CDF — the norm exponent j;
-3. if j >= 1: the coset's residues mod p^j from
-   :func:`~ultradiff.padic.sample_sphere_residues` — vectors of n digits
-   until one is nonzero (the leading column at position -j), then, if
-   j > 1, an (n, j-1) digit block for positions -1 .. -(j-1).
+0. the wait -log1p(-u) / C; the path stops once its clock passes the horizon;
+1. the norm exponent j by :func:`moving_norms`;
+2. when j = a, the landing level max(a - c, 0), with c the number of
+   d = 0, 1, ... such that u < 1 / ((p^n - 1) p^(nd)) in exact arithmetic:
+   the path stays (c = 0) with probability (p^n - 2)/(p^n - 1), and else
+   lands on b <= a - 1 with P(b <= k) = p^(n(k - a + 1));
+3. unused.
 
-:func:`run_paths` walks each path once, in this order, updating the
-position (residues mod p^j_max), its norm and the first return in place.
-
-Because nothing drawn depends on the horizon, runs with nested horizons
-and the same seed consume identical stream prefixes: path histories agree
-up to the shorter horizon exactly, and identical (seed, path index) always
-reproduces the identical path no matter how paths are batched across
-workers. Estimators reduce over paths associatively.
+Nothing drawn depends on the horizon or on the other paths, so runs with
+nested horizons and the same seed agree up to the shorter horizon, and a
+path's result does not depend on how paths are split across workers or
+chunks. Estimators reduce over paths associatively.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -43,32 +42,30 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .landscape import (
-    LandscapeParams,
-    jmass_tail,
-    log_sphere_mass,
-    sphere_masses_below,
-)
-from .padic import DEFAULT_DEPTH_CAP, sample_sphere_residues, split_stream
+from .landscape import LandscapeParams, jmass_tail, log_sphere_mass, sphere_masses_below
+from .padic import DEFAULT_DEPTH_CAP, split_stream
 
 #: Largest tolerated jump-norm mass beyond the table's upper edge.
 TRUNCATION_TOLERANCE = 1e-12
 
+#: The randomness protocol of this module, as recorded in run manifests.
+RNG_PROTOCOL = "norm-chain-v2"
+
+#: Paths advanced together in one round; bounds a block's working memory.
+CHUNK_PATHS = 8192
+
 
 @dataclass(frozen=True)
 class JumpNormTable:
-    """Inverse-CDF table for the norm exponent of a J-distributed jump.
-
-    Covers the consecutive exponents j_min .. j_max (``js``); the upper
-    defect (mass beyond j_max) must be below TRUNCATION_TOLERANCE and both
-    defects are recorded. The probabilities are renormalized over the table;
-    ``cdf`` is their running sum as a Python list, which the draw bisects.
-    """
+    """Law of the norm exponent of a J-distributed jump over the consecutive
+    exponents j_min .. j_max (``js``), renormalized; the upper defect (mass
+    beyond j_max) must be below TRUNCATION_TOLERANCE, and both defects are
+    recorded. ``moving_cdf`` is the normalized running sum over j >= 1."""
 
     landscape: LandscapeParams
     j_min: int
     probs: np.ndarray
-    cdf: list[float]
+    moving_cdf: np.ndarray
     defect_low: float
     defect_high: float
 
@@ -82,19 +79,25 @@ class JumpNormTable:
         probs = np.concatenate((lower[::-1], [top]))
         defect_low = max(0.0, 1.0 - defect_high - float(probs.sum()))
         probs /= probs.sum()
+        j_min = j_max - lower.size
+        moving = np.cumsum(probs[max(1 - j_min, 0) :])
         return cls(
             landscape=landscape,
-            j_min=j_max - lower.size,
+            j_min=j_min,
             probs=probs,
-            cdf=np.cumsum(probs).tolist(),
+            moving_cdf=moving / moving[-1] if moving[-1] > 0 else moving,
             defect_low=defect_low,
             defect_high=defect_high,
         )
 
     @property
+    def j_max(self) -> int:
+        return self.j_min + len(self.probs) - 1
+
+    @property
     def js(self) -> np.ndarray:
         """The exponents j_min .. j_max, aligned with ``probs``."""
-        return np.arange(self.j_min, self.j_min + len(self.cdf), dtype=np.int64)
+        return np.arange(self.j_min, self.j_max + 1, dtype=np.int64)
 
     @property
     def prob_nonmoving(self) -> float:
@@ -102,15 +105,24 @@ class JumpNormTable:
         return float(self.probs[self.js <= 0].sum())
 
 
-def sample_jump_norm(table: JumpNormTable, rng: np.random.Generator) -> int:
-    """Draw one jump-norm exponent by inverse CDF over the table.
+def moving_norms(table: JumpNormTable, u: np.ndarray) -> np.ndarray:
+    """Norm exponents of coset-moving jumps from uniforms u (protocol word 1):
+    the first index whose ``moving_cdf`` entry exceeds u
+    (``searchsorted(side="right")``), clamped to j_max."""
+    cdf = table.moving_cdf
+    idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+    return idx + (table.j_max - len(cdf) + 1)
 
-    One uniform u maps to the first index whose CDF exceeds u
-    (``np.searchsorted(side="right")``); capping the search at the last
-    index clamps u >= cdf[-1] to j_max.
-    """
-    cdf = table.cdf
-    return table.j_min + bisect.bisect_right(cdf, rng.random(), 0, len(cdf) - 1)
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    return (words >> 11).astype(np.float64) * 2.0**-53
+
+
+def _drop_thresholds(p: int, n: int, depth: int) -> np.ndarray:
+    """ceil(2^53 / ((p^n - 1) p^(nd))) for d = depth-1 .. 0 (ascending):
+    w >> 11 is below the d-th exactly when u < 1 / ((p^n - 1) p^(nd))."""
+    dens = [(p**n - 1) * p ** (n * d) for d in range(depth - 1, -1, -1)]
+    return np.array([-(-(2**53) // den) for den in dens], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -163,76 +175,51 @@ class PathBatch:
     norm_at: np.ndarray  # (paths, times) int16 norm exponent, 0 = inside Z_p^n
     tau: np.ndarray  # nan when not observed
     exited: np.ndarray  # bool
-    n_jumps: np.ndarray  # int64
-
-
-def _residue_norm_exp(pos: list[int], p: int, depth: int) -> int:
-    """Coset norm exponent of a residue vector; 0 means the identity coset."""
-    best = 0
-    for a in pos:
-        if a == 0:
-            continue
-        v = 0
-        while a % p == 0:
-            a //= p
-            v += 1
-        best = max(best, depth - v)
-    return best
+    n_jumps: np.ndarray  # int64, coset-moving jumps
 
 
 def _run_block(
     config: SimConfig, start: int, stop: int, query_times: tuple[float, ...]
 ) -> PathBatch:
-    """Walk paths start .. stop-1 of the coset chain, one pass each.
+    """Paths start .. stop-1 of the norm chain, CHUNK_PATHS at a time, one
+    vectorised round per moving jump.
 
-    The position is a residue vector mod p^j_max (the encoding of
-    :meth:`CosetPoint.to_residues`); a moving jump's residues mod p^j are
-    lifted by p^(j_max - j) and added. The path is constant between jumps,
-    so tau, when observed, is the first jump time that lands on the
-    identity coset after an earlier jump left it.
+    ``live`` holds the paths whose clock has not passed the horizon. A path
+    is constant between jumps, so tau, when observed, is the first jump time
+    that lands on norm exponent 0; every jump from there leaves Z_p^n.
     """
-    space = config.landscape.space
-    p, depth = space.p, config.j_max
-    table, horizon, seed = config.table, config.horizon, config.seed
-    qts = [float(q) for q in query_times]
-    modulus = p**depth
-    rows, taus, exits, counts = [], [], [], []
-    for index in range(start, stop):
-        rng = split_stream(seed, index)
-        exponential = rng.standard_exponential
-        pos = [0] * space.n
-        mover_times, norms = [], [0]  # norms[i]: the norm after i moving jumps
-        t, jumps, tau, exited = 0.0, 0, math.nan, False
-        while True:
-            t += exponential()
-            if t > horizon:
-                break
-            jumps += 1
-            j = sample_jump_norm(table, rng)
-            if j < 1:
-                continue
-            lift = p ** (depth - j)
-            inc = sample_sphere_residues(space, j, rng)
-            pos = [(a + b * lift) % modulus for a, b in zip(pos, inc)]
-            norm = _residue_norm_exp(pos, p, depth)
-            mover_times.append(t)
-            norms.append(norm)
-            if norm > 0:
-                exited = True
-            elif exited and math.isnan(tau):
-                tau = t
-        rows.append([norms[bisect.bisect_right(mover_times, q)] for q in qts])
-        taus.append(tau)
-        exits.append(exited)
-        counts.append(jumps)
-    norm_at = np.array(rows, dtype=np.int16).reshape(stop - start, len(qts))
+    space, table, horizon = config.landscape.space, config.table, config.horizon
+    rate = 1.0 - table.prob_nonmoving
+    drop = _drop_thresholds(space.p, space.n, config.j_max)
+    qts = np.array(query_times, dtype=float)
+    size = stop - start
+    clock, norm = np.zeros(size), np.zeros(size, dtype=np.int64)
+    tau = np.full(size, math.nan)
+    n_jumps = np.zeros(size, dtype=np.int64)
+    norm_at = np.zeros((size, qts.size), dtype=np.int16)
+    for chunk in range(0, size if rate > 0 else 0, CHUNK_PATHS):
+        live, round_ = np.arange(chunk, min(chunk + CHUNK_PATHS, size)), 0
+        while live.size:
+            lo, hi = int(live[0]), int(live[-1]) + 1
+            bits = split_stream(config.seed, round_).bit_generator
+            words = bits.advance(start + lo).random_raw(4 * (hi - lo))
+            words = words.reshape(hi - lo, 4)[live - lo]
+            t = clock[live] - np.log1p(-_uniforms(words[:, 0])) / rate
+            keep = t <= horizon
+            live, t, words = live[keep], t[keep], words[keep]
+            a = norm[live]
+            j = moving_norms(table, _uniforms(words[:, 1]))
+            c = drop.size - np.searchsorted(drop, words[:, 2] >> 11, side="right")
+            new = np.where(j == a, np.maximum(a - c, 0), np.maximum(a, j))
+            first = (new == 0) & np.isnan(tau[live])
+            tau[live[first]] = t[first]
+            rows, cols = np.nonzero(t[:, None] <= qts)
+            norm_at[live[rows], cols] = new[rows]
+            clock[live], norm[live] = t, new
+            n_jumps[live] += 1
+            round_ += 1
     return PathBatch(
-        query_times=tuple(query_times),
-        inside_at=norm_at == 0,
-        norm_at=norm_at,
-        tau=np.array(taus, dtype=float),
-        exited=np.array(exits, dtype=bool),
-        n_jumps=np.array(counts, dtype=np.int64),
+        tuple(query_times), norm_at == 0, norm_at, tau, n_jumps > 0, n_jumps
     )
 
 
@@ -260,14 +247,8 @@ def run_paths(
             if b > a
         ]
         blocks = [f.result() for f in futures]
-    return PathBatch(
-        query_times=qts,
-        inside_at=np.concatenate([b.inside_at for b in blocks]),
-        norm_at=np.concatenate([b.norm_at for b in blocks]),
-        tau=np.concatenate([b.tau for b in blocks]),
-        exited=np.concatenate([b.exited for b in blocks]),
-        n_jumps=np.concatenate([b.n_jumps for b in blocks]),
-    )
+    columns = zip(*(list(vars(b).values())[1:] for b in blocks))
+    return PathBatch(qts, *map(np.concatenate, columns))
 
 
 @dataclass(frozen=True)

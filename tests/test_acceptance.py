@@ -37,8 +37,8 @@ from ultradiff.sim import (
     JumpNormTable,
     SimConfig,
     fpt_cdf_estimate,
+    moving_norms,
     run_paths,
-    sample_jump_norm,
     survival_estimates,
 )
 
@@ -165,15 +165,16 @@ def test_criterion_08_monte_carlo_agreement(desk_params, desk_state, mc_batch):
         abs(est.estimate - survival(desk_state, est.t)) / est.stderr
         for est in survival_estimates(batch)
     )
-    # jump-norm law: chi-square against the exact table at the 99% level
+    # law of the coset-moving jump norms run_paths draws: chi-square against
+    # the exact table restricted to j >= 1, at the 99% level
     table = JumpNormTable.build(desk_params, j_max=8)
-    rng = split_stream(777, 0)
-    draws = np.array([sample_jump_norm(table, rng) for _ in range(MC_PATHS)])
-    order = np.argsort(table.js)[::-1]
+    words = split_stream(777, 0).bit_generator.random_raw(MC_PATHS)
+    draws = moving_norms(table, (words >> 11).astype(np.float64) * 2.0**-53)
+    moving = np.flatnonzero(table.js >= 1)[::-1]
     pooled_p, pooled_c = [], []
     acc_p, acc_c = 0.0, 0
-    for idx in order:
-        acc_p += table.probs[idx]
+    for idx in moving:
+        acc_p += table.probs[idx] / (1.0 - table.prob_nonmoving)
         acc_c += int(np.sum(draws == table.js[idx]))
         if acc_p * MC_PATHS >= 10:
             pooled_p.append(acc_p)

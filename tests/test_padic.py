@@ -422,9 +422,8 @@ def test_sampler_uniform_p3_n2_j1():
 
 @pytest.mark.parametrize("p, n", [(2, 1), (3, 2), (5, 2)])
 def test_sampler_digit_protocol(p, n):
-    # the draw the simulator's randomness protocol pins: n-digit columns
-    # until one is nonzero (position -j), then an (n, j-1) block for
-    # positions -1 .. -(j-1)
+    # n-digit columns until one is nonzero (position -j), then an (n, j-1)
+    # block for positions -1 .. -(j-1)
     space = SpaceParams(p, n)
     for j in (1, 2, 5, 40):
         rng, ref = split_stream(99, j), split_stream(99, j)
@@ -444,9 +443,8 @@ def test_sampler_digit_protocol(p, n):
 
 @pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 2), (5, 2), (3, 3)])
 def test_column_digits_match_vector_draw(p, n):
-    # the leading column is n scalar integers(p) draws; they take the same
-    # 32-bit half-words as one integers(0, p, size=n), whatever half-word
-    # the stream stands at (the odd-sized blocks shift it)
+    # the leading column is one integers(0, p, size=n) per attempt,
+    # whatever half-word the stream stands at (the odd-sized blocks shift it)
     rng, ref = split_stream(5, p * n), split_stream(5, p * n)
     for k in range(200):
         got = sample_sphere_residues(SpaceParams(p, n), 1, rng)

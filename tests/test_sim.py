@@ -5,17 +5,23 @@ Fixed seeds everywhere; the chi-square and 3-sigma tests are calibrated to
 pass with the chosen seeds (and would flag genuine distributional bugs).
 """
 
+import bisect
 import hashlib
+import itertools
 import math
+from collections import Counter
 from concurrent.futures import Future
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from ultradiff.cli import binomial_tail_z
+import ultradiff.fpt as fpt
+import ultradiff.sim as sim_module
+from ultradiff.cli import binomial_tail_z, mc_agreement
 from ultradiff.errors import ConfigError
-from ultradiff.heat import survival, u_profile
+from ultradiff.heat import HeatState, norm_chain, survival, u_profile
 from ultradiff.landscape import exterior_mass, normalize
 from ultradiff.padic import (
     CosetPoint,
@@ -29,10 +35,47 @@ from ultradiff.sim import (
     JumpNormTable,
     SimConfig,
     fpt_cdf_estimate,
+    moving_norms,
     run_paths,
-    sample_jump_norm,
     survival_estimates,
 )
+
+#: sha256 over the bytes of run_paths' tau (float64), exited (bool),
+#: norm_at (int16) and n_jumps (int64) for 2000 paths, seed 20240810,
+#: horizon 4, query times (0.5, 1, 2), under the protocol norm-chain-v2.
+#: The scalar walk below reads the same split_stream, so it cannot see a
+#: change to the stream itself; these digests can.
+PROTOCOL_DIGESTS = {
+    (2, 1, -0.5, 1.0, 8): "ac7344ed3f8de9d3e67127f37332edd7b3b45e45024134e0d8ffa850da012823",
+    (3, 1, -0.5, 1.0, 40): "f639d718468f782cee43c05deb67bc235c7db8ab24abcac2c0957a1b38dcc437",
+    (3, 2, -1.0, 0.2, 4): "d4db3550a53368af48e7d23aefd9813772a5ac6268e9e869b89faa2948e5d777",
+    (2, 2, 0.5, 0.2, 7): "4ec6f49a16b6d32595c5d48d9ff604a12512db5b10a6a18e5bc484b017401638",
+}
+
+
+def _uniforms(stream_seed: int, size: int) -> np.ndarray:
+    """u = (w >> 11) 2^-53 over the first words of one split stream."""
+    words = split_stream(stream_seed, 0).bit_generator.random_raw(size)
+    return (words >> 11).astype(np.float64) * 2.0**-53
+
+
+def _chi2_pooled(probs, counts, total):
+    """(chi-square, degrees of freedom) after pooling bins, in the given
+    order, until every expectation is at least 10 counts."""
+    pooled_probs, pooled_counts = [], []
+    acc_p, acc_c = 0.0, 0
+    for prob, count in zip(probs, counts):
+        acc_p += prob
+        acc_c += int(count)
+        if acc_p * total >= 10:
+            pooled_probs.append(acc_p)
+            pooled_counts.append(acc_c)
+            acc_p, acc_c = 0.0, 0
+    pooled_probs[-1] += acc_p
+    pooled_counts[-1] += acc_c
+    expected = np.array(pooled_probs) * total
+    chi2 = float(((np.array(pooled_counts) - expected) ** 2 / expected).sum())
+    return chi2, len(expected) - 1
 
 
 @pytest.fixture(scope="module")
@@ -87,35 +130,13 @@ def test_table_concentrates_with_huge_rate(desk_space):
 
 
 def test_jump_law_chi_square(desk_params):
+    # the norm of a coset-moving jump follows the table restricted to j >= 1
     table = JumpNormTable.build(desk_params, j_max=8)
-    rng = split_stream(777, 0)
-    draws = np.array([sample_jump_norm(table, rng) for _ in range(100_000)])
-    # pool table bins so every expectation is at least 10 counts
-    order = np.argsort(table.js)[::-1]  # largest exponents first
-    pooled_probs, pooled_counts = [], []
-    acc_p, acc_c = 0.0, 0
-    for idx in order:
-        acc_p += table.probs[idx]
-        acc_c += int(np.sum(draws == table.js[idx]))
-        if acc_p * len(draws) >= 10:
-            pooled_probs.append(acc_p)
-            pooled_counts.append(acc_c)
-            acc_p, acc_c = 0.0, 0
-    pooled_probs[-1] += acc_p
-    pooled_counts[-1] += acc_c
-    expected = np.array(pooled_probs) * len(draws)
-    chi2 = float(((np.array(pooled_counts) - expected) ** 2 / expected).sum())
-    assert chi2 < stats.chi2.ppf(0.99, len(expected) - 1)
-
-
-class _FixedUniform:
-    """A stand-in generator whose ``random()`` returns a chosen value."""
-
-    def __init__(self, u):
-        self.u = float(u)
-
-    def random(self):
-        return self.u
+    draws = moving_norms(table, _uniforms(777, 100_000))
+    js = table.js[table.js >= 1][::-1]  # largest exponents first
+    probs = table.probs[table.js >= 1][::-1] / (1.0 - table.prob_nonmoving)
+    chi2, dof = _chi2_pooled(probs, [np.sum(draws == j) for j in js], len(draws))
+    assert chi2 < stats.chi2.ppf(0.99, dof)
 
 
 @pytest.mark.parametrize(
@@ -123,12 +144,12 @@ class _FixedUniform:
     [(2, 1, -0.5, 1.0, 8), (3, 2, -1.0, 0.2, 4), (2, 2, -1.9, 5.0, 3)],
 )
 def test_jump_norm_matches_searchsorted(p, n, gamma, c1, j_max):
-    # the draw bisects the CDF list; the reference is
-    # np.searchsorted(side="right") clamped to the last entry. Every CDF
-    # entry, its two float neighbours and values at or past the top (the
-    # clamp) must give the same exponent.
+    # the reference is bisect_right on the moving CDF clamped to the last
+    # entry. Every CDF entry, its two float neighbours and values at or
+    # past the top (the clamp) must give the same exponent.
     table = JumpNormTable.build(normalize(SpaceParams(p, n), gamma, c1), j_max)
-    cdf = table.cdf
+    cdf = table.moving_cdf.tolist()
+    assert cdf[-1] == 1.0 and table.js[-1] == table.j_max == j_max
     us = np.concatenate(
         (
             [0.0, 1.0, np.nextafter(1.0, 0.0), 2.0],
@@ -137,12 +158,11 @@ def test_jump_norm_matches_searchsorted(p, n, gamma, c1, j_max):
             np.nextafter(cdf, np.inf),
         )
     )
-    assert us.max() >= cdf[-1]
-    for u in us:
-        idx = min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
-        j = sample_jump_norm(table, _FixedUniform(u))
-        assert type(j) is int
-        assert j == int(table.js[idx]), u
+    got = moving_norms(table, us)
+    assert got.dtype == np.int64
+    for u, j in zip(us, got):
+        idx = min(bisect.bisect_right(cdf, u), len(cdf) - 1)
+        assert j == j_max - len(cdf) + 1 + idx, u
 
 
 def test_config_validation_messages(desk_params):
@@ -155,47 +175,42 @@ def test_config_validation_messages(desk_params):
 
 
 # ---------------------------------------------------------------------------
-# the simulator against a walk on coset digits
+# the simulator against a scalar reading of the randomness protocol
 # ---------------------------------------------------------------------------
 
 
-def _digit_walk(sim: SimConfig, index: int, query_times):
-    """(tau, exited, norm at each query time) of one path, by the protocol of
-    the sim docstring with each moving jump a :class:`CosetPoint` drawn by
-    ``sample_uniform_sphere_coset`` and added digit by digit."""
-    space = sim.landscape.space
-    rng = split_stream(sim.seed, index)
-    pos = CosetPoint.zero(space)
-    t, tau, exited, movers = 0.0, math.nan, False, []
+def _scalar_walk(sim: SimConfig, index: int, query_times):
+    """(tau, exited, norm at each query time, moving jumps) of one path, read
+    word by word as the sim docstring's protocol says: round m takes the
+    index-th 4-word block of split_stream(seed, m)."""
+    p, n = sim.landscape.space.p, sim.landscape.space.n
+    rate, cdf = 1.0 - sim.table.prob_nonmoving, sim.table.moving_cdf.tolist()
+    t, a, tau, jumps, movers = 0.0, 0, math.nan, 0, []
     while True:
-        t += rng.standard_exponential()
+        rng = split_stream(sim.seed, jumps).bit_generator.advance(index)
+        k = [int(w) >> 11 for w in rng.random_raw(4)]  # u = k / 2^53
+        # numpy's log1p, as in run_paths: math.log1p differs in the last bit
+        t += -np.log1p(-k[0] * 2.0**-53) / rate
         if t > sim.horizon:
             break
-        j = sample_jump_norm(sim.table, rng)
-        if j < 1:
-            continue
-        pos = coset_add(pos, sample_uniform_sphere_coset(space, j, rng))
-        movers.append((t, 0 if pos.is_zero() else pos.depth))
-        if not pos.is_zero():
-            exited = True
-        elif exited and math.isnan(tau):
+        jumps += 1
+        j = sim.j_max - len(cdf) + 1 + min(
+            bisect.bisect_right(cdf, k[1] * 2.0**-53), len(cdf) - 1
+        )
+        if j != a:
+            a = max(a, j)
+        else:
+            u = Fraction(k[2], 2**53)
+            a -= sum(u < Fraction(1, (p**n - 1) * p ** (n * d)) for d in range(a))
+        movers.append((t, a))
+        if a == 0 and math.isnan(tau):
             tau = t
-    norms = [
-        ([0] + [norm for s, norm in movers if s <= q])[-1] for q in query_times
-    ]
-    return tau, exited, norms
+    norms = [([0] + [b for s, b in movers if s <= q])[-1] for q in query_times]
+    return tau, jumps > 0, norms, jumps
 
 
-@pytest.mark.parametrize(
-    "p, n, gamma, c1, j_max",
-    [
-        (2, 1, -0.5, 1.0, 8),
-        (3, 1, -0.5, 1.0, 40),  # residues mod 3^40 exceed 2^62
-        (3, 2, -1.0, 0.2, 4),
-        (2, 2, 0.5, 0.2, 7),
-    ],
-)
-def test_run_paths_matches_digit_walk(p, n, gamma, c1, j_max):
+@pytest.mark.parametrize("p, n, gamma, c1, j_max", sorted(PROTOCOL_DIGESTS))
+def test_run_paths_matches_scalar_walk(p, n, gamma, c1, j_max, monkeypatch):
     sim = SimConfig(
         landscape=normalize(SpaceParams(p=p, n=n), gamma, c1),
         horizon=4.0,
@@ -205,27 +220,55 @@ def test_run_paths_matches_digit_walk(p, n, gamma, c1, j_max):
     )
     qts = (0.5, 1.0, 2.0, 4.0)
     batch = run_paths(sim, query_times=qts)
-    taus, exits, norms = zip(*(_digit_walk(sim, k, qts) for k in range(300)))
-    assert np.array_equal(batch.tau, np.array(taus), equal_nan=True)
-    assert np.array_equal(batch.exited, np.array(exits))
-    assert np.array_equal(batch.norm_at, np.array(norms))
-    assert np.array_equal(batch.inside_at, batch.norm_at == 0)
+    # a block that starts past index 0 (one worker's share), cut by chunk
+    # boundaries at 101, 165, ...
+    monkeypatch.setattr(sim_module, "CHUNK_PATHS", 64)
+    block = sim_module._run_block(sim, 37, 300, qts)
+    taus, exits, norms, jumps = (
+        np.array(col) for col in zip(*(_scalar_walk(sim, k, qts) for k in range(300)))
+    )
+    for got, lo in ((batch, 0), (block, 37)):
+        assert np.array_equal(got.tau, taus[lo:], equal_nan=True)
+        assert np.array_equal(got.exited, exits[lo:])
+        assert np.array_equal(got.norm_at, norms[lo:])
+        assert np.array_equal(got.n_jumps, jumps[lo:])
+        assert np.array_equal(got.inside_at, got.norm_at == 0)
     returned = ~np.isnan(batch.tau)
     assert returned.any() and np.all(batch.exited[returned])
     assert np.all(batch.tau[returned] <= sim.horizon)
 
 
-#: sha256 over the bytes of run_paths' tau (float64), exited (bool),
-#: norm_at (int16) and n_jumps (int64) for 2000 paths, seed 20240810,
-#: horizon 4, query times (0.5, 1, 2). The digit walk above draws from the
-#: same split_stream, so it cannot see a change to the stream itself; these
-#: digests can.
-PROTOCOL_DIGESTS = {
-    (2, 1, -0.5, 1.0, 8): "35e48bb213f4ccd15fb2d0433a6013c33c5b6d8f9b52a504438b6da589333edc",
-    (3, 1, -0.5, 1.0, 40): "78b9f1e7b05d88a5ce312d51a092583bb599e408f48b91a21aaa7ad6be6d5680",
-    (3, 2, -1.0, 0.2, 4): "c3fe6a52a08e9b8b02a6dba11ff8a6860bebe677395fce7133ea5306169b2d0c",
-    (2, 2, 0.5, 0.2, 7): "dfe7b614e36c7d357944ead21a9cdb7873273f572c2688e821305034572ba9ff",
-}
+@pytest.mark.parametrize("p, n, a", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 2, 2)])
+def test_landing_law_by_enumeration(p, n, a):
+    # every coset y of norm p^j added to a fixed x of norm p^a: the norm of
+    # x + y is p^max(a, j) for j != a, and for j = a it follows the law the
+    # protocol's word 2 draws, exactly
+    space = SpaceParams(p, n)
+    x = CosetPoint.from_residues(space, [1] + [0] * (n - 1), a)
+    assert x.norm_exponent() == a
+    by_norm: dict = {}
+    for res in itertools.product(range(p ** (a + 1)), repeat=n):
+        y = CosetPoint.from_residues(space, res, a + 1)
+        if not y.is_zero():
+            s = coset_add(x, y)
+            by_norm.setdefault(y.depth, []).append(0 if s.is_zero() else s.depth)
+    for j, landed in by_norm.items():
+        if j != a:
+            assert set(landed) == {max(a, j)}
+    tally = Counter(by_norm[a])
+    total = len(by_norm[a])
+    assert total == p ** (a * n) - p ** ((a - 1) * n)
+    pn = p**n
+    assert Fraction(tally[a], total) == Fraction(pn - 2, pn - 1)
+    drop = sim_module._drop_thresholds(p, n, a)[::-1]  # d = 0 .. a-1
+    for k in range(a):
+        below = Fraction(sum(tally[b] for b in range(k + 1)), total)
+        # P(b <= k) = p^(n(k - a + 1)) / (p^n - 1)
+        assert below == Fraction(1, (pn - 1) * p ** (n * (a - k - 1)))
+        # the sampler's P(b <= k) = P(c >= a - k) is that law, rounded up to
+        # the 2^-53 grid of u
+        sampled = Fraction(int(drop[a - k - 1]), 2**53)
+        assert 0 <= sampled - below < Fraction(1, 2**53)
 
 
 @pytest.mark.parametrize("point", sorted(PROTOCOL_DIGESTS))
@@ -252,10 +295,11 @@ def test_randomness_protocol_golden(point):
 
 
 def test_expected_jump_count(desk_batch, desk_sim):
-    # unit-rate process: E[N(T)] = T, sd of the mean = sqrt(T/paths)
+    # coset-moving jumps are Poisson of rate C: E[N(T)] = C T, and the sd
+    # of the mean is sqrt(C T / paths)
+    ct = exterior_mass(desk_sim.landscape) * desk_sim.horizon
     mean = float(desk_batch.n_jumps.mean())
-    sigma = math.sqrt(desk_sim.horizon / desk_sim.max_paths)
-    assert abs(mean - desk_sim.horizon) <= 3.0 * sigma
+    assert abs(mean - ct) <= 3.0 * math.sqrt(ct / desk_sim.max_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -305,28 +349,23 @@ def test_stderr_scaling(desk_params):
 
 
 def test_one_jump_law_matches_radial_kernel(desk_params):
-    # one jump from the identity: stays with mass 1 - C; lands on a given
-    # coset of norm p^j with mass J(p^j)
+    # one coset-moving jump from the identity lands on a given coset of
+    # norm p^j with mass J(p^j) / C: the norm from the run_paths draw, the
+    # coset from the padic sphere sampler
     space = desk_params.space
     table = JumpNormTable.build(desk_params, j_max=8)
-    cfg = SimConfig(
-        landscape=desk_params, horizon=1.0, max_paths=1, seed=11, j_max=8
-    )
-    rng = split_stream(2024, 0)
-    n_draws = 100_000
+    rate = exterior_mass(desk_params)
+    rng = split_stream(2024, 1)
+    n_draws = 20_000
     depth = 2
     counts: dict = {}
-    for _ in range(n_draws):
-        j = sample_jump_norm(table, rng)
-        if j < 1:
-            key = "stay"
-        elif j > depth:
+    for j in moving_norms(table, _uniforms(2024, n_draws)).tolist():
+        if j > depth:
             key = "far"
         else:
             key = sample_uniform_sphere_coset(space, j, rng).to_residues(depth)
         counts[key] = counts.get(key, 0) + 1
-    probs = {"stay": 1.0 - exterior_mass(desk_params)}
-    far = exterior_mass(desk_params)
+    probs = {"far": 1.0}
     # each coset of norm p^j inside the depth window carries mass J(p^j)
     for a in range(1, 2**depth):
         v = 0
@@ -334,14 +373,33 @@ def test_one_jump_law_matches_radial_kernel(desk_params):
         while b % 2 == 0:
             b //= 2
             v += 1
-        probs[(a,)] = desk_params.value_at(depth - v)
-        far -= probs[(a,)]
-    probs["far"] = far
+        probs[(a,)] = desk_params.value_at(depth - v) / rate
+        probs["far"] -= probs[(a,)]
     keys = list(probs)
     expected = np.array([probs[k] * n_draws for k in keys])
     observed = np.array([counts.get(k, 0) for k in keys], dtype=float)
     chi2 = float(((observed - expected) ** 2 / expected).sum())
     assert chi2 < stats.chi2.ppf(0.99, len(keys) - 1)
+
+
+@pytest.mark.parametrize(
+    "p, n, gamma, c1, j_max", [(2, 1, -0.5, 1.0, 8), (3, 2, -1.0, 0.2, 4)]
+)
+def test_norm_law_matches_norm_chain(p, n, gamma, c1, j_max):
+    # the sampled chain against the analytic one: the norm at t of paths
+    # started in Z_p^n follows row 0 of the lumped transition matrix
+    params = normalize(SpaceParams(p, n), gamma, c1)
+    sim = SimConfig(
+        landscape=params, horizon=2.0, max_paths=20_000, seed=20240810, j_max=j_max
+    )
+    batch = run_paths(sim, query_times=(0.5, 2.0))
+    state = HeatState(params)
+    for col, t in enumerate(batch.query_times):
+        row = norm_chain(state, t, j_max)[0]
+        row[-1] += 1.0 - row.sum()  # mass past B_j_max: below 1e-12
+        counts = np.bincount(batch.norm_at[:, col], minlength=j_max + 1)
+        chi2, dof = _chi2_pooled(row[::-1], counts[::-1], sim.max_paths)
+        assert chi2 < stats.chi2.ppf(0.99, dof), t
 
 
 def test_marginal_norm_law_total_variation(desk_batch, desk_state):
@@ -370,6 +428,37 @@ def test_fpt_estimate_vs_volterra(desk_batch, desk_state):
     grid = fpt.solve_volterra(fpt.g_grid(desk_state, ts), h)
     p_mc, se = fpt_cdf_estimate(desk_batch, 4.0)
     assert abs(p_mc - grid.integral_f(4.0)) <= 3.0 * se + 10.0 * h * h
+
+
+def test_verify_mc_false_alarm_rate(desk_params, desk_state):
+    # verify's Monte Carlo checks at the desk config (horizon 10, T = 10,
+    # h = 0.01) with 2000 paths, over 200 seeds: each of the four two-sided
+    # tails (survival at 0.5, 1, 2 and the first-passage triangle) alarms
+    # past z = 3 with probability at most 2 Phi(-3) on a correct sampler,
+    # so by the union bound a seed alarms with probability at most 8 Phi(-3)
+    h, horizon, times = 0.01, 10.0, (0.5, 1.0, 2.0)
+    table = JumpNormTable.build(desk_params, j_max=8)
+    grid = fpt.solve_volterra(
+        fpt.g_grid(desk_state, np.arange(0.0, horizon + h / 2, h)), h
+    )
+    integral = grid.integral_f(horizon)
+    s_exact = [survival(desk_state, t) for t in times]
+    alarms = 0
+    for seed in range(200):
+        cfg = SimConfig(
+            landscape=desk_params,
+            horizon=horizon,
+            max_paths=2000,
+            seed=seed,
+            j_max=8,
+            table=table,
+        )
+        batch = run_paths(cfg, query_times=times)
+        z_survival, z_triangle, _ = mc_agreement(
+            batch, s_exact, horizon, integral, 10.0 * h * h
+        )
+        alarms += max(z_survival, z_triangle) > 3.0
+    assert alarms <= stats.binom.ppf(0.999, 200, 8 * stats.norm.sf(3.0))
 
 
 # ---------------------------------------------------------------------------
