@@ -47,7 +47,7 @@ def run(argv=None):
             grid = solve_volterra(g_grid(state, ts), args.h)
             rows.append(
                 [gamma, c1, exterior_mass(params), spectral_gap_at_one(params)]
-                + [survival(state, t) for t in args.times]
+                + survival(state, args.times).tolist()
                 + [return_probability(grid)]
             )
             print(

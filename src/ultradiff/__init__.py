@@ -58,6 +58,7 @@ from .heat import (
     RadialProfile,
     chapman_kolmogorov_defect,
     conservation_audit,
+    conservation_audits,
     decay_bound_check,
     du_dt,
     pde_residual,
@@ -65,8 +66,10 @@ from .heat import (
     transition_prob,
     u_profile,
     u_radial_profile,
+    u_table,
     ztilde,
     ztilde_radial_profile,
+    ztilde_table,
 )
 from .sim import (
     JumpNormTable,

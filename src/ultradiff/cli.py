@@ -21,6 +21,7 @@ be set with the ``ULTRADIFF_OUT`` environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -38,16 +39,15 @@ from .errors import ConfigError, UltradiffError
 from .heat import (
     HeatState,
     chapman_kolmogorov_defect,
-    conservation_audit,
+    conservation_audits,
     decay_bound_check,
     du_dt,
     escape_depth,
     pde_residual,
     survival,
     u_profile,
-    u_radial_profile,
-    ztilde,
-    ztilde_radial_profile,
+    u_table,
+    ztilde_table,
 )
 from .landscape import (
     LandscapeParams,
@@ -387,21 +387,24 @@ def cmd_kernel(cfg: RunConfig, out: Path) -> int:
     times = cfg.kernel.times
     x_exps = cfg.kernel.x_exps
 
-    u_rows, z_rows = [], []
-    for t in times:
-        u_prof = u_radial_profile(state, x_exps, t)
-        z_prof = ztilde_radial_profile(state, x_exps, t)
-        u_rows += [[i, t, u_prof.values[i]] for i in x_exps]
-        z_rows += [[i, t, z_prof.values[i]] for i in x_exps]
-    u_rows.sort(key=lambda r: (r[0], r[1]))
-    z_rows.sort(key=lambda r: (r[0], r[1]))
-    _write_csv(out / "u_profile.csv", ["norm_exp", "t", "value"], u_rows)
-    _write_csv(out / "ztilde.csv", ["norm_exp", "t", "value"], z_rows)
+    # one engine call per quantity; tables have rows i, columns t
+    u = u_table(state, x_exps, times)
+    z = ztilde_table(state, x_exps, times)
+    for name, table in (("u_profile.csv", u), ("ztilde.csv", z)):
+        rows = [
+            [i, t, v]
+            for i, values in zip(x_exps, table.tolist())
+            for t, v in zip(times, values)
+        ]
+        rows.sort(key=lambda r: (r[0], r[1]))
+        _write_csv(out / name, ["norm_exp", "t", "value"], rows)
 
-    s_rows = []
-    for t in times:
-        audit = conservation_audit(state, t)
-        s_rows.append([t, survival(state, t), audit.defect])
+    s_rows = [
+        [t, s, audit.defect]
+        for t, s, audit in zip(
+            times, survival(state, times).tolist(), conservation_audits(state, times)
+        )
+    ]
     _write_csv(out / "survival.csv", ["t", "value", "conservation_defect"], s_rows)
 
     pos_exps = [i for i in x_exps if i >= 1] or list(range(1, 11))
@@ -421,12 +424,19 @@ def cmd_kernel(cfg: RunConfig, out: Path) -> int:
             "times": pos_times,
         }
     else:
-        # only the uniform 2 t |x|^{-n} bound applies outside gamma in (-n,0)
+        # only the uniform 2 t |x|^{-n} bound applies outside gamma in (-n,0);
+        # its points are in the Ztilde table unless a default filled them in
+        rows = [r for r, i in enumerate(x_exps) if i >= 1]
+        cols = [c for c, t in enumerate(times) if t > 0]
+        z_pos = (
+            z[np.ix_(rows, cols)]
+            if rows and cols
+            else ztilde_table(state, pos_exps, pos_times)
+        )
         margins = [
-            2.0 * t * float(state.space.p) ** (-i * state.space.n)
-            - ztilde(state, i, t)
-            for i in pos_exps
-            for t in pos_times
+            2.0 * t * float(state.space.p) ** (-i * state.space.n) - v
+            for i, row in zip(pos_exps, z_pos.tolist())
+            for t, v in zip(pos_times, row)
         ]
         report["decay_bounds"] = {
             "min_uniform_margin": min(margins),
@@ -480,15 +490,11 @@ def cmd_fpt(cfg: RunConfig, out: Path) -> int:
     rows = zip(ts.tolist(), g.tolist(), f_out.tolist())
     _write_csv(out / "g_f.csv", ["t", "g", "f"], rows)
 
-    cache = state.cache
-    ladder_rows = [
-        [s, laplace_G(cfg.landscape, cache, s).value] for s in cfg.fpt.s_ladder
-    ]
-    _write_csv(out / "laplace_ladder.csv", ["s", "G"], ladder_rows)
-
     rec = recurrence_diagnostic(
-        cfg.landscape, cache, cfg.fpt.s_ladder, cfg.fpt.recurrence_threshold
+        cfg.landscape, state.cache, cfg.fpt.s_ladder, cfg.fpt.recurrence_threshold
     )
+    ladder_rows = [[s, g] for s, g in zip(rec.s_values, rec.g_values)]
+    _write_csv(out / "laplace_ladder.csv", ["s", "G"], ladder_rows)
     _write_json(
         out / "recurrence_verdict.json",
         {
@@ -521,6 +527,15 @@ def cmd_fpt(cfg: RunConfig, out: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)
+def _log_factorials(n: int) -> np.ndarray:
+    """log m! for m = 0..n, one table per n (verify scores several counts
+    out of the same number of paths)."""
+    log_fact = np.array(list(map(math.lgamma, range(1, n + 2))), dtype=float)
+    log_fact.setflags(write=False)
+    return log_fact
+
+
 def binomial_tail_z(k: int, n: int, q: float) -> float:
     """The exact two-sided tail of k under Binomial(n, q), as a normal z:
     -Phi^{-1}(min(P(K <= k), P(K >= k), 1/2)), inf when it underflows.
@@ -529,7 +544,7 @@ def binomial_tail_z(k: int, n: int, q: float) -> float:
     when no path (or every path) counted.
     """
     i = np.arange(n + 1)
-    log_fact = np.array([math.lgamma(m + 1.0) for m in range(n + 1)])
+    log_fact = _log_factorials(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_qs = np.where(i > 0, i * np.log(q), 0.0)
         log_qs += np.where(i < n, (n - i) * np.log1p(-q), 0.0)
@@ -597,7 +612,7 @@ def run_verify_checks(
     add("indicator_self_dual", err, 1e-12)
 
     # conservation incl. the zero-jump atom, on certified windows
-    audits = [conservation_audit(state, t) for t in (0.1, 0.5, 1.0, 5.0, 20.0)]
+    audits = conservation_audits(state, (0.1, 0.5, 1.0, 5.0, 20.0))
     w = max(audits, key=lambda a: a.tail_bound)
     evidence = f"tail_bound={w.tail_bound:.3g} window={list(w.window)} t={w.t:g}"
     add("conservation", max(a.defect for a in audits), 1e-8, evidence)

@@ -25,10 +25,19 @@ depth that also caps the conservation window (:func:`escape_depth`). The
 results are pure functions of the landscape, but a series that reaches past
 the cache window grows the cache in place, so concurrent evaluation on one
 state needs the window grown first.
+
+The engine takes a whole time grid at once: :func:`u_table` and
+:func:`ztilde_table` return tables with rows i and columns t, `survival` of
+a time vector is row 0 of the u table, :func:`conservation_audits` sums one
+sphere-mass table over the union of its certified windows, and
+:func:`decay_bound_check` takes its deficits from one call. Each entry goes
+through the same roundings whatever batch it is in, so a table equals the
+one-point calls (:func:`u_profile`, :func:`ztilde`, ...) bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -154,6 +163,8 @@ def _decay(ts):
         raise ValueError("time must be nonnegative")
 
     def phi(lam):
+        # in place: g_grid passes every grid time (40 001 at T = 400), where
+        # a second (K, T) array costs about 14 MB of peak memory
         x = np.multiply.outer(-lam, ts)
         return np.exp(x, out=x)
 
@@ -181,20 +192,26 @@ def _on_spheres(state: HeatState, i: np.ndarray, bracket: np.ndarray) -> np.ndar
     return _clamp((pn ** -i.astype(float))[:, None] * bracket)
 
 
-def _ztilde_values(state: HeatState, i_exps, ts) -> np.ndarray:
-    """Ztilde(p^i, t); rows i, columns t."""
-    i = np.asarray(i_exps, dtype=np.int64)
+def ztilde_table(state: HeatState, x_exps: Sequence[int], ts) -> np.ndarray:
+    """Ztilde(p^i, t) for x_exps i (x != 0) and times ts; rows i, columns t.
+
+    Every entry has the roundings of the one-point call :func:`ztilde`, so
+    a table over many times equals the scalar calls bit for bit.
+    """
+    i = np.asarray(x_exps, dtype=np.int64)
     return _on_spheres(state, i, _bracket(state, i, ts)[1])
 
 
-def _sphere_masses(state: HeatState, i_exps, t: float) -> np.ndarray:
-    """Ztilde(p^i, t) vol(S_i) per i, computed without the cancelling p^{+-ni}."""
-    return _clamp(state.space.unit_sphere_volume * _bracket(state, i_exps, t)[1][:, 0])
+def _sphere_masses(state: HeatState, i_exps, ts) -> np.ndarray:
+    """Ztilde(p^i, t) vol(S_i), computed without the cancelling p^{+-ni};
+    rows i, columns t."""
+    return _clamp(state.space.unit_sphere_volume * _bracket(state, i_exps, ts)[1])
 
 
-def _u_values(state: HeatState, i_exps, ts) -> np.ndarray:
-    """u(p^i, t); rows i, columns t. Every i <= 0 means Z_p^n, where u = S."""
-    i = np.maximum(np.asarray(i_exps, dtype=np.int64), 0)
+def u_table(state: HeatState, x_exps: Sequence[int], ts) -> np.ndarray:
+    """u(p^i, t) for x_exps i and times ts; rows i, columns t. Every i <= 0
+    means Z_p^n, where u = S. Entries equal :func:`u_profile` bit for bit."""
+    i = np.maximum(np.asarray(x_exps, dtype=np.int64), 0)
     a, bracket = _bracket(state, i, ts)
     return np.where((i == 0)[:, None], a, _on_spheres(state, i, bracket))
 
@@ -207,7 +224,7 @@ def ztilde(state: HeatState, x_exp: NormExponent, t: float) -> float:
     """
     if isinstance(x_exp, _ZeroNorm):
         raise ZeroPoint("Ztilde is defined for x != 0 only")
-    return float(_ztilde_values(state, [x_exp], t)[0, 0])
+    return float(ztilde_table(state, [x_exp], t)[0, 0])
 
 
 def u_profile(state: HeatState, i: NormExponent, t: float) -> float:
@@ -216,14 +233,14 @@ def u_profile(state: HeatState, i: NormExponent, t: float) -> float:
     Constant on Z_p^n (any i <= 0 or the ZERO_NORM tag); for i >= 1 it is
     the sphere series  sum_{j>=i} vol(S_{-j}) E(p^{-j},t) - p^{-ni} E(p^{1-i},t).
     """
-    return float(_u_values(state, [_norm_index(i)], t)[0, 0])
+    return float(u_table(state, [_norm_index(i)], t)[0, 0])
 
 
 def u_radial_profile(
     state: HeatState, x_exps: Sequence[int], t: float
 ) -> RadialProfile:
     """Tabulate the solution profile over the given norm exponents."""
-    u = _u_values(state, [0, *x_exps], t)[:, 0]
+    u = u_table(state, [0, *x_exps], t)[:, 0]
     return RadialProfile(
         space=state.space,
         t=t,
@@ -236,7 +253,7 @@ def ztilde_radial_profile(
     state: HeatState, x_exps: Sequence[int], t: float
 ) -> RadialProfile:
     """Tabulate the kernel density over the given norm exponents (x != 0)."""
-    z = _ztilde_values(state, x_exps, t)[:, 0]
+    z = ztilde_table(state, x_exps, t)[:, 0]
     return RadialProfile(
         space=state.space,
         t=t,
@@ -244,13 +261,15 @@ def ztilde_radial_profile(
     )
 
 
-def survival(state: HeatState, t: float) -> float:
+def survival(state: HeatState, t):
     """S(t): probability of sitting in Z_p^n at time t, started there.
 
-    Equals the constant value of u on Z_p^n since vol(Z_p^n) = 1. Not
-    monotone in general: paths return.
+    Equals the constant value of u on Z_p^n since vol(Z_p^n) = 1, so it is
+    row 0 of :func:`u_table`: a float for a scalar t, an array over the
+    times for a sequence. Not monotone in general: paths return.
     """
-    return u_profile(state, ZERO_NORM, t)
+    s = u_table(state, [0], t)[0]
+    return float(s[0]) if np.ndim(t) == 0 else s
 
 
 def du_dt(state: HeatState, i: NormExponent, t: float) -> float:
@@ -266,7 +285,7 @@ def inflow(state: HeatState, r: int, ts) -> np.ndarray:
     """sum_{m > r} J(p^m) vol(S_m) u(p^m, t) over the times ts, for r >= 0:
     the rate at which mass outside the ball B_r jumps into it."""
     w = sphere_masses_above(state.landscape, r)
-    return w @ _u_values(state, np.arange(r + 1, r + 1 + w.size), ts)
+    return w @ u_table(state, np.arange(r + 1, r + 1 + w.size), ts)
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +318,61 @@ class ConservationAudit:
         return abs(self.total - 1.0)
 
 
-def escape_depth(params: LandscapeParams, t: float) -> tuple[int, float]:
-    """The smallest r >= 0 with 1 - exp(-t jmass_tail(r)) <= AUDIT_TAIL, and
-    that bound on the mass that has left B_r by time t: a path leaves B_r
-    only by a jump of norm > p^r (ultrametric inequality)."""
+def escape_depths(
+    params: LandscapeParams, ts: Sequence[float]
+) -> list[tuple[int, float]]:
+    """For each t, the smallest r >= 0 with 1 - exp(-t jmass_tail(r)) <=
+    AUDIT_TAIL, and that bound on the mass that has left B_r by time t: a
+    path leaves B_r only by a jump of norm > p^r (ultrametric inequality)."""
     # jmass_tail(h) for h = 0, 1, ..., ending in 0 past the last listed sphere
     tails = np.append(np.cumsum(sphere_masses_above(params, 0)[::-1])[::-1], 0.0)
-    escape = -np.expm1(-t * tails)
-    r = int(np.flatnonzero(escape <= AUDIT_TAIL)[0])
-    return r, float(escape[r])
+    depths = []
+    for t in ts:
+        escape = -np.expm1(-t * tails)
+        r = int(np.flatnonzero(escape <= AUDIT_TAIL)[0])
+        depths.append((r, float(escape[r])))
+    return depths
 
 
-def conservation_audit(state: HeatState, t: float) -> ConservationAudit:
-    """Sum Ztilde over spheres and add the atom, on a window certified by
-    two bounds from the landscape, each at most AUDIT_TAIL:
+def escape_depth(params: LandscapeParams, t: float) -> tuple[int, float]:
+    """:func:`escape_depths` at one time."""
+    return escape_depths(params, [t])[0]
+
+
+def _audit_windows(
+    params: LandscapeParams, ts: Sequence[float]
+) -> list[tuple[int, int, float]]:
+    """(lo, hi, tail_bound) of the conservation window at each time; see
+    :func:`conservation_audits`. Times with the same hi share the M(q)
+    blocks of the search for lo."""
+
+    @functools.cache
+    def ball_bounds(top: int, size: int) -> np.ndarray:
+        return ball_jmass_bound(params, np.arange(top, top - size, -1))
+
+    windows = []
+    for t, (hi, above) in zip(ts, escape_depths(params, ts)):
+        top, size = hi - 1, 64
+        while True:
+            if top <= hi - 100_000:
+                raise SeriesDiverged(
+                    f"conservation window at t={t} not certified in 1e5 spheres"
+                )
+            below = -math.expm1(-t) * ball_bounds(top, size)
+            ok = np.flatnonzero(below <= AUDIT_TAIL)
+            if ok.size:
+                windows.append((top - int(ok[0]) + 1, hi, float(above + below[ok[0]])))
+                break
+            top, size = top - size, 2 * size
+    return windows
+
+
+def conservation_audits(
+    state: HeatState, ts: Sequence[float]
+) -> list[ConservationAudit]:
+    """One :class:`ConservationAudit` per time: Ztilde summed over spheres
+    plus the atom, on a window certified by two bounds from the landscape,
+    each at most AUDIT_TAIL:
 
     * above S_hi: hi is the :func:`escape_depth` of t, so the mass outside
       B_hi is at most 1 - exp(-t jmass_tail(hi));
@@ -320,26 +380,31 @@ def conservation_audit(state: HeatState, t: float) -> ConservationAudit:
       landed in a translate of B_{lo-1}, so that mass is at most
       (1 - e^{-t}) M(lo - 1) (:func:`ball_jmass_bound`).
 
-    Raises SeriesDiverged when no lo within 100 000 spheres qualifies.
+    The sphere masses come from one table over the union of the windows;
+    each time sums its own slice. Raises SeriesDiverged when no lo within
+    100 000 spheres qualifies.
     """
-    params = state.landscape
-    hi, above = escape_depth(params, t)
-    top, size = hi - 1, 64
-    while top > hi - 100_000:
-        q = np.arange(top, top - size, -1)
-        below = -math.expm1(-t) * ball_jmass_bound(params, q)
-        ok = np.flatnonzero(below <= AUDIT_TAIL)
-        if ok.size:
-            lo = int(q[ok[0]]) + 1
-            return ConservationAudit(
-                t=t,
-                density_mass=math.fsum(_sphere_masses(state, np.arange(lo, hi + 1), t)),
-                atom=math.exp(-t),
-                window=(lo, hi),
-                tail_bound=float(above + below[ok[0]]),
-            )
-        top, size = top - size, 2 * size
-    raise SeriesDiverged(f"conservation window at t={t} not certified in 1e5 spheres")
+    windows = _audit_windows(state.landscape, ts)
+    if not windows:
+        return []
+    bottom = min(lo for lo, _, _ in windows)
+    top = max(hi for _, hi, _ in windows)
+    masses = _sphere_masses(state, np.arange(bottom, top + 1), ts)
+    return [
+        ConservationAudit(
+            t=t,
+            density_mass=math.fsum(masses[lo - bottom : hi - bottom + 1, col]),
+            atom=math.exp(-t),
+            window=(lo, hi),
+            tail_bound=tail,
+        )
+        for col, (t, (lo, hi, tail)) in enumerate(zip(ts, windows))
+    ]
+
+
+def conservation_audit(state: HeatState, t: float) -> ConservationAudit:
+    """:func:`conservation_audits` at one time."""
+    return conservation_audits(state, [t])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +424,7 @@ def j_convolve_u(state: HeatState, i: NormExponent, t: float) -> float:
     params = state.landscape
     space = state.space
     i = max(_norm_index(i), 0)
-    u = _u_values(state, np.arange(i + 1), t)[:, 0]  # u[0] is the inside value
+    u = u_table(state, np.arange(i + 1), t)[:, 0]  # u[0] is the inside value
     # spheres of y with norm above p^i
     outer = float(inflow(state, i, t)[0])
     if i == 0:
@@ -425,7 +490,7 @@ def q_by_norm(state: HeatState, t: float, depth: int) -> np.ndarray:
     coset of norm p^j (probability Ztilde(p^j, t), the density being
     constant on unit balls at that distance).
     """
-    return _u_values(state, np.arange(depth + 1), t)[:, 0]
+    return u_table(state, np.arange(depth + 1), t)[:, 0]
 
 
 def norm_chain(state: HeatState, t: float, depth: int) -> np.ndarray:
@@ -503,30 +568,29 @@ def decay_bound_check(
     b1, b2 = spectral_bound_constants(params)
     p, n = float(params.space.p), params.space.n
     c0 = b1 * p ** (-n - params.gamma) + b2 * p ** (-params.gamma - (l + 1) * n)
-    deficits = {
-        t: _series(state, x_exps, lambda lam: -np.expm1(-lam * t))[0] for t in ts
-    }
+    t_grid = np.asarray(ts, dtype=float)
+    deficits = _series(
+        state, x_exps, lambda lam: -np.expm1(np.multiply.outer(-lam, t_grid))
+    )[0]
     points, uni, claim, decay = [], [], [], []
-    for row, i in enumerate(x_exps):
-        for t in ts:
-            # The first bound is tight to within roundoff when 1 - Jhat is
-            # tiny, so the margins are assembled from manifestly nonnegative
-            # pieces instead of subtracting two nearly equal numbers:
-            #   t d - (1 - e^{-dt})            with d = 1 - Jhat(p^{1-i}),
-            #   sum_j vol(S_{-j}) (1 - E_j)    the deficit of the sphere sum.
-            d = state.cache.one_minus(1 - i)
+    for i, row in zip(x_exps, deficits.tolist()):
+        # The first bound is tight to within roundoff when 1 - Jhat is
+        # tiny, so the margins are assembled from manifestly nonnegative
+        # pieces instead of subtracting two nearly equal numbers:
+        #   t d - (1 - e^{-dt})            with d = 1 - Jhat(p^{1-i}),
+        #   sum_j vol(S_{-j}) (1 - E_j)    the deficit of the sphere sum.
+        d = state.cache.one_minus(1 - i)
+        xm_n = p ** (-i * n)
+        ex = -params.c1 * p**i
+        damp = math.exp(ex) if ex > -745.0 else 0.0
+        slope = c0 * p ** (i * params.gamma) * damp - xm_n * d
+        for t, deficit in zip(ts, row):
             core = d * t + math.expm1(-d * t)
-            deficit = float(deficits[t][row])
-            xm_n = p ** (-i * n)
             claim_margin = xm_n * (core + deficit)
             points.append((i, t))
             uni.append(xm_n * t * (2.0 - d) + claim_margin)
             claim.append(claim_margin)
-            ex = -params.c1 * p**i
-            damp = math.exp(ex) if ex > -745.0 else 0.0
-            decay.append(
-                t * (c0 * p ** (i * params.gamma) * damp - xm_n * d) + claim_margin
-            )
+            decay.append(t * slope + claim_margin)
     return DecayBoundReport(
         points=tuple(points),
         uniform_margins=tuple(uni),

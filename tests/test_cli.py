@@ -1,15 +1,18 @@
 """CLI surface: config validation, artifact schemas, determinism, verify."""
 
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from conftest import GRID, verify_sweep
-from ultradiff.cli import load_run_config, main, run_verify_checks
+from ultradiff.cli import _log_factorials, load_run_config, main, run_verify_checks
 from ultradiff.errors import ConfigError
 from ultradiff.landscape import SpectralCache
 
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE_CONFIG = {
     "landscape": {"p": 2, "n": 1, "gamma": -0.5, "c1": 1.0},
@@ -307,3 +310,81 @@ def test_out_env_var(config_path, tmp_path, monkeypatch):
     code = main(["landscape", "--config", str(config_path)])
     assert code == 0
     assert (tmp_path / "root" / "landscape" / "spectral.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# kernel tables and the ladder: the same bytes from fewer engine calls
+# ---------------------------------------------------------------------------
+
+KERNEL_ARTIFACTS = ("u_profile.csv", "ztilde.csv", "survival.csv", "bounds_report.json")
+
+#: sha256 of the kernel artifacts as the per-time, per-point code wrote them
+#: (numpy 2.4, x86-64); a change of platform may move a last bit of exp,
+#: which scripts/compare_artifacts.py then measures against its tolerance
+KERNEL_DIGESTS = {
+    "desk": {
+        "u_profile.csv": "0089d189102792d5d45abac5d87004e942f6fb4dec7abeac65246f76cce7570e",
+        "ztilde.csv": "f1a8053673fd591b532a532681c39b17edcab630a4d9d7be12022bddb7246f98",
+        "survival.csv": "0d88f776b7cd4b5625cc3947225416e7457d7705515002551fb265500c27edc7",
+        "bounds_report.json": "fa4f987682749b0c4c7d5a1d12be8f1d9e73cab03826d041af7e304f38d00962",
+    },
+    "p2n2g0.5c0.2": {
+        "u_profile.csv": "9d8b3ae3cb46a31ad17eb32e8c722f6536f13f36f72942c554aa9cee54061c03",
+        "ztilde.csv": "26f63d739a300a60fbf45ff8aa8258f18ded561999c39499962ece5dc9cb14de",
+        "survival.csv": "d1dc914db48f44ceef0c4ba675da4037381dcb83560bdaf1cc0569f6f002cbc8",
+        "bounds_report.json": "5ce591f8e055465674f22dd7af9912fca853ac6ce8fe2c5930557fe4668c6d0a",
+    },
+}
+
+
+def kernel_config(tmp_path, point):
+    """configs/desk.json, or its gamma > 0 variant on 64 times from 0.05 to
+    20 and x_exps -10..30."""
+    path = ROOT / "configs" / "desk.json"
+    if point == "desk":
+        return path
+    cfg = json.loads(path.read_text())
+    cfg["landscape"] = {"p": 2, "n": 2, "gamma": 0.5, "c1": 0.2}
+    cfg["kernel"] = {
+        "times": [0.05 * (20.0 / 0.05) ** (k / 63) for k in range(64)],
+        "x_exps": list(range(-10, 31)),
+    }
+    out = tmp_path / f"{point}.json"
+    out.write_text(json.dumps(cfg))
+    return out
+
+
+@pytest.mark.parametrize("point", sorted(KERNEL_DIGESTS))
+def test_kernel_artifact_digests(point, tmp_path):
+    out = run_cmd("kernel", kernel_config(tmp_path, point), tmp_path / "krn")
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in KERNEL_ARTIFACTS
+    }
+    assert digests == KERNEL_DIGESTS[point]
+
+
+def test_fpt_evaluates_the_ladder_once(config_path, tmp_path, monkeypatch):
+    import ultradiff.fpt as fpt_module
+
+    calls = []
+    laplace_G = fpt_module.laplace_G
+
+    def counted(params, cache, s, *args, **kwargs):
+        calls.append(s)
+        return laplace_G(params, cache, s, *args, **kwargs)
+
+    monkeypatch.setattr(fpt_module, "laplace_G", counted)
+    out = run_cmd("fpt", config_path, tmp_path / "fpt")
+    ladder = BASE_CONFIG["fpt"]["s_ladder"]
+    assert calls == ladder
+    verdict = json.loads((out / "recurrence_verdict.json").read_text())
+    rows = (out / "laplace_ladder.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows] == verdict["g_values"]
+
+
+def test_log_factorial_table_is_built_once_per_n():
+    table = _log_factorials(2000)
+    assert table.tolist() == [math.lgamma(m + 1.0) for m in range(2001)]
+    assert _log_factorials(2000) is table
+    assert not table.flags.writeable

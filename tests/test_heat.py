@@ -12,11 +12,16 @@ import scipy.linalg
 from conftest import GRID
 from ultradiff.errors import GammaOutOfRange, ZeroPoint
 from ultradiff.heat import (
+    AUDIT_TAIL,
+    ConservationAudit,
     HeatState,
+    _sphere_masses,
     chapman_kolmogorov_defect,
     conservation_audit,
+    conservation_audits,
     decay_bound_check,
     du_dt,
+    escape_depth,
     j_convolve_u,
     norm_chain,
     pde_residual,
@@ -25,8 +30,10 @@ from ultradiff.heat import (
     transition_prob,
     u_profile,
     u_radial_profile,
+    u_table,
     ztilde,
     ztilde_radial_profile,
+    ztilde_table,
 )
 from ultradiff.landscape import ball_jmass_bound, exterior_mass, normalize
 from ultradiff.padic import CosetPoint, SpaceParams, ZERO_NORM, sphere_volume
@@ -148,6 +155,87 @@ def test_conservation_window_certified_across_grid(p, n, gamma, c1):
         audit = conservation_audit(state, t)
         assert audit.defect <= 1e-8, (t, audit.window)
         assert audit.tail_bound <= 1e-15, (t, audit.window)
+
+
+# ---------------------------------------------------------------------------
+# tables over (i, t): one engine call, the roundings of the scalar calls
+# ---------------------------------------------------------------------------
+
+#: the desk point and the six points of the benchmark's sweep workload
+TABLE_POINTS = [
+    (2, 1, -0.5, 1.0),
+    (2, 1, -0.5, 0.2),
+    (2, 2, -1.0, 0.3),
+    (3, 2, -1.0, 1.0),
+    (5, 1, -0.7, 0.3),
+    (3, 1, -0.3, 0.5),
+    (2, 2, 0.5, 0.2),
+]
+#: unsorted, with t = 0 and a repeat
+TABLE_TIMES = (2.0, 0.0, 0.05, 20.0, 0.5, 7.3, 0.05)
+TABLE_EXPS = (3, -10, 0, 30, 1, -1, 12, 2, 3)
+
+
+def audit_at_one_time(state, t):
+    """The conservation audit of t alone: its own window search and a
+    one-column sphere-mass table, as before the audits were batched."""
+    params = state.landscape
+    hi, above = escape_depth(params, t)
+    top, size = hi - 1, 64
+    while True:
+        q = np.arange(top, top - size, -1)
+        below = -math.expm1(-t) * ball_jmass_bound(params, q)
+        ok = np.flatnonzero(below <= AUDIT_TAIL)
+        if ok.size:
+            break
+        top, size = top - size, 2 * size
+    lo = int(q[ok[0]]) + 1
+    masses = _sphere_masses(state, np.arange(lo, hi + 1), t)[:, 0]
+    return ConservationAudit(
+        t=t,
+        density_mass=math.fsum(masses),
+        atom=math.exp(-t),
+        window=(lo, hi),
+        tail_bound=float(above + below[ok[0]]),
+    )
+
+
+@pytest.mark.parametrize("p, n, gamma, c1", TABLE_POINTS)
+def test_tables_equal_scalar_calls(p, n, gamma, c1):
+    state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
+    u = u_table(state, TABLE_EXPS, TABLE_TIMES)
+    z = ztilde_table(state, TABLE_EXPS, TABLE_TIMES)
+    s = survival(state, TABLE_TIMES)
+    assert u.shape == z.shape == (len(TABLE_EXPS), len(TABLE_TIMES))
+    for col, t in enumerate(TABLE_TIMES):
+        assert s[col] == survival(state, t) == u_profile(state, ZERO_NORM, t)
+        for row, i in enumerate(TABLE_EXPS):
+            assert u[row, col] == u_profile(state, i, t), (i, t)
+            assert z[row, col] == ztilde(state, i, t), (i, t)
+    audits = conservation_audits(state, TABLE_TIMES)
+    assert audits == [audit_at_one_time(state, t) for t in TABLE_TIMES]
+    assert [conservation_audit(state, t) for t in TABLE_TIMES] == audits
+
+
+@pytest.mark.parametrize("p, n, gamma, c1", [pt for pt in TABLE_POINTS if pt[2] < 0])
+def test_decay_bound_check_batch_equals_single_points(p, n, gamma, c1):
+    state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
+    exps = [i for i in TABLE_EXPS if i >= 2]
+    report = decay_bound_check(state, exps, TABLE_TIMES, l=1)
+    singles = [
+        decay_bound_check(state, [i], [t], l=1) for i in exps for t in TABLE_TIMES
+    ]
+    assert list(report.points) == [(i, t) for i in exps for t in TABLE_TIMES]
+    for margins, field in (
+        (report.uniform_margins, "uniform_margins"),
+        (report.claim_margins, "claim_margins"),
+        (report.decay_margins, "decay_margins"),
+    ):
+        assert list(margins) == [getattr(one, field)[0] for one in singles]
+
+
+def test_conservation_audits_without_times(desk_state):
+    assert conservation_audits(desk_state, []) == []
 
 
 # ---------------------------------------------------------------------------

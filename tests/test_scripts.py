@@ -1,0 +1,64 @@
+"""Smoke runs of the scripts under scripts/, each as its own process on tiny
+arguments, so that a change to the API they call shows up here."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from ultradiff.heat import HeatState, survival
+from ultradiff.landscape import normalize
+from ultradiff.padic import SpaceParams
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_run_pipeline_smoke(tmp_path):
+    cfg = json.loads((ROOT / "configs" / "desk.json").read_text())
+    cfg["sim"].update(horizon=2.0, paths=500)
+    cfg["fpt"].update(T=2.0, h=0.02)
+    cfg["kernel"] = {"times": [0.5, 1.0, 2.0], "x_exps": [-1, 0, 1, 2]}
+    cfg["verify"] = {"paths": 500}
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(cfg))
+    proc = run_script(
+        "run_pipeline.py", "--config", config, "--out", tmp_path / "runs", cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "recurrence verdict" in proc.stdout
+    for command in ("landscape", "kernel", "simulate", "fpt", "verify"):
+        assert (tmp_path / "runs" / command / "manifest.json").exists(), command
+    # the summary reads one analytic survival line per kernel time
+    table = proc.stdout.split("S(t) Monte Carlo\n")[1].splitlines()[:3]
+    assert [float(line.split()[0]) for line in table] == [0.5, 1.0, 2.0]
+
+
+def test_landscape_sweep_smoke(tmp_path):
+    out = tmp_path / "sweep.csv"
+    proc = run_script(
+        "landscape_sweep.py",
+        "--gammas", -0.5, 0.5, "--c1s", 1.0, "--times", 0.5, 2.0,
+        "--horizon", 1.0, "--h", 0.05, "--out", out,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = out.read_text().splitlines()
+    assert header == "gamma,c1,exterior_mass,gap_at_one,S(0.5),S(2),int_f_0_1"
+    assert len(rows) == 2
+    for row in rows:
+        gamma, c1, *_, s_half, s_two, int_f = map(float, row.split(","))
+        state = HeatState(normalize(SpaceParams(p=2, n=1), gamma, c1))
+        assert [s_half, s_two] == [survival(state, 0.5), survival(state, 2.0)]
+        assert 0.0 < int_f < 1.0
