@@ -16,9 +16,10 @@ with i >= 1) and 1 for everything else; p and n come from the
 cancellation residues, such as Ztilde at norm p^{-10}, sit at the roundoff
 of their scale. Text fields must match exactly.
 
-Prints the largest scaled deviation per file, then every violation, and
-exits 1 if there is any (a missing or extra file, a shape mismatch, or a
-number out of tolerance).
+Prints ``byte-identical`` for a file whose bytes match and the largest
+scaled deviation for any other, then every violation, and exits 1 if there
+is any (a missing or extra file, a shape mismatch, or a number out of
+tolerance). The last line reads ``K of N files byte-identical``.
 """
 
 from __future__ import annotations
@@ -144,13 +145,20 @@ def main(argv: list[str] | None = None) -> int:
     old_files, new_files = _artifacts(args.old), _artifacts(args.new)
     violations = [f"{rel}: missing under NEW" for rel in sorted(old_files - new_files)]
     violations += [f"{rel}: not under OLD" for rel in sorted(new_files - old_files)]
-    for rel in sorted(old_files & new_files):
+    common = sorted(old_files & new_files)
+    identical = 0
+    for rel in common:
+        if (args.old / rel).read_bytes() == (args.new / rel).read_bytes():
+            identical += 1
+            print(f"{rel}: byte-identical")
+            continue
         worst, problems = compare_file(args.old / rel, args.new / rel)
         print(f"{rel}: largest scaled deviation {worst:.3g}")
         violations += [f"{rel}: {msg}" for msg in problems]
     for v in violations:
         print(f"VIOLATION {v}")
-    print(f"{len(old_files & new_files)} files compared, {len(violations)} violations")
+    print(f"{len(common)} files compared, {len(violations)} violations")
+    print(f"{identical} of {len(common)} files byte-identical")
     return 1 if violations else 0
 
 

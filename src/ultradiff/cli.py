@@ -29,6 +29,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from statistics import NormalDist
 
@@ -156,6 +157,11 @@ def _is_a(v, typ) -> bool:
     return isinstance(v, typ) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    """A JSON number (not a bool) that converts to a finite double."""
+    return _is_a(v, (int, float)) and abs(v) <= sys.float_info.max
+
+
 def _get(block: dict, path: str, typ, default=None, required=True):
     head, _, key = path.rpartition(".")
     if key not in block:
@@ -163,7 +169,9 @@ def _get(block: dict, path: str, typ, default=None, required=True):
             raise ConfigError(f"{path}: missing required field")
         return default
     val = block[key]
-    if typ is float and isinstance(val, int) and not isinstance(val, bool):
+    if typ is float and _is_a(val, (int, float)):
+        if not _is_finite(val):
+            raise ConfigError(f"{path}: must be a finite number, got {val!r}")
         val = float(val)
     if not _is_a(val, typ):
         raise ConfigError(f"{path}: expected {typ.__name__}, got {val!r}")
@@ -227,9 +235,9 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
         raise ConfigError(f"fpt.T: must be an integer multiple of h, got T={fpt_T}, h={h}")
     ladder = fptb.get("s_ladder")
     if not isinstance(ladder, list) or not ladder or any(
-        not _is_a(s, (int, float)) or s <= 0 for s in ladder
+        not _is_finite(s) or s <= 0 for s in ladder
     ):
-        raise ConfigError("fpt.s_ladder: must be a nonempty list of positive numbers")
+        raise ConfigError("fpt.s_ladder: must be a nonempty list of finite numbers > 0")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError("fpt.s_ladder: must be strictly decreasing")
     fpt = FptBlock(
@@ -246,16 +254,16 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
         raise ConfigError("kernel: must be a block")
     times = kern.get("times", [0.1, 0.5, 1.0, 2.0, 5.0])
     x_exps = kern.get("x_exps", list(range(-5, 11)))
-    if not isinstance(times, list) or any(
-        not _is_a(t, (int, float)) or t < 0 for t in times
-    ):
-        raise ConfigError("kernel.times: must be a list of nonnegative numbers")
+    if not isinstance(times, list) or any(not _is_finite(t) or t < 0 for t in times):
+        raise ConfigError("kernel.times: must be a list of finite nonnegative numbers")
     # Ztilde and the decay bounds scale by p^{-n i}, which must stay a double
-    if not isinstance(x_exps, list) or any(
+    if not isinstance(x_exps, list) or not x_exps or any(
         not _is_a(i, int) or abs(i) * n * params.space.log_p >= _LOG_FLOAT_MAX
         for i in x_exps
     ):
-        raise ConfigError("kernel.x_exps: must be integers i with p^(n|i|) finite")
+        raise ConfigError(
+            "kernel.x_exps: must be a nonempty list of integers i with p^(n|i|) finite"
+        )
     kernel = KernelBlock(
         times=tuple(float(t) for t in times), x_exps=tuple(x_exps)
     )
@@ -299,12 +307,13 @@ def resolve_out_dir(cfg: RunConfig, flag_out: str | None, command: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """str cells as they are; numbers, as Python floats or ints, in .17g."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join([c if isinstance(c, str) else f"{c:.17g}" for c in row]))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], columns: list[list]) -> None:
+    """One list per column, all of one kind: str cells written as they are,
+    or numbers (Python floats or ints) in %.17g, the bytes of f"{x:.17g}".
+    One row format is applied, once, to the whole table."""
+    row = ",".join("%s" if c and isinstance(c[0], str) else "%.17g" for c in columns)
+    cells = tuple(chain.from_iterable(zip(*columns)))
+    path.write_text(",".join(header) + "\n" + (row + "\n") * len(columns[0]) % cells)
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -343,9 +352,9 @@ def cmd_landscape(cfg: RunConfig, out: Path) -> int:
     params = cfg.landscape
     state = HeatState(params)
     cache = state.cache
-    ks = range(cache.k_min, cache.k_max + 1)
-    rows = [[k, 1.0 - om, om] for k, om in zip(ks, cache.values.tolist())]
-    _write_csv(out / "spectral.csv", ["k", "jhat", "one_minus_jhat"], rows)
+    ks = list(range(cache.k_min, cache.k_max + 1))
+    columns = [ks, (1.0 - cache.values).tolist(), cache.values.tolist()]
+    _write_csv(out / "spectral.csv", ["k", "jhat", "one_minus_jhat"], columns)
 
     gap = spectral_gap_at_one(params)
     diag: dict = {
@@ -387,25 +396,20 @@ def cmd_kernel(cfg: RunConfig, out: Path) -> int:
     times = cfg.kernel.times
     x_exps = cfg.kernel.x_exps
 
-    # one engine call per quantity; tables have rows i, columns t
+    # one engine call per quantity; tables have rows i, columns t, written
+    # in the stable (i, t) order of their flattened grid
     u = u_table(state, x_exps, times)
     z = ztilde_table(state, x_exps, times)
+    i_flat, t_flat = np.repeat(x_exps, len(times)), np.tile(times, len(x_exps))
+    order = np.lexsort((t_flat, i_flat))
+    keys = [i_flat[order].tolist(), t_flat[order].tolist()]
     for name, table in (("u_profile.csv", u), ("ztilde.csv", z)):
-        rows = [
-            [i, t, v]
-            for i, values in zip(x_exps, table.tolist())
-            for t, v in zip(times, values)
-        ]
-        rows.sort(key=lambda r: (r[0], r[1]))
-        _write_csv(out / name, ["norm_exp", "t", "value"], rows)
+        columns = keys + [table.ravel()[order].tolist()]
+        _write_csv(out / name, ["norm_exp", "t", "value"], columns)
 
-    s_rows = [
-        [t, s, audit.defect]
-        for t, s, audit in zip(
-            times, survival(state, times).tolist(), conservation_audits(state, times)
-        )
-    ]
-    _write_csv(out / "survival.csv", ["t", "value", "conservation_defect"], s_rows)
+    defects = [audit.defect for audit in conservation_audits(state, times)]
+    columns = [list(times), survival(state, times).tolist(), defects]
+    _write_csv(out / "survival.csv", ["t", "value", "conservation_defect"], columns)
 
     pos_exps = [i for i in x_exps if i >= 1] or list(range(1, 11))
     pos_times = [t for t in times if t > 0] or [1.0]
@@ -459,22 +463,19 @@ def cmd_simulate(cfg: RunConfig, out: Path, workers: int = 1) -> int:
     times = [t for t in cfg.kernel.times if 0 < t <= cfg.sim.horizon]
     batch = run_paths(cfg.sim, query_times=times, workers=workers)
 
-    rows = [
-        [str(idx), "", "1"] if math.isnan(tau) else [str(idx), tau, "0"]
-        for idx, tau in enumerate(batch.tau.tolist())
+    columns = [
+        list(range(len(batch.tau))),
+        ["" if math.isnan(t) else "%.17g" % t for t in batch.tau.tolist()],
+        np.isnan(batch.tau).astype(int).tolist(),
+        batch.exited.astype(int).tolist(),
     ]
-    for row, exited in zip(rows, batch.exited.tolist()):
-        row.append("1" if exited else "0")
-    _write_csv(
-        out / "fpt_samples.csv", ["path_index", "tau", "censored", "exited"], rows
-    )
+    header = ["path_index", "tau", "censored", "exited"]
+    _write_csv(out / "fpt_samples.csv", header, columns)
 
-    est_rows = [
-        [e.t, e.estimate, e.stderr, str(e.n_paths)] for e in survival_estimates(batch)
-    ]
-    _write_csv(
-        out / "survival_mc.csv", ["t", "estimate", "stderr", "n_paths"], est_rows
-    )
+    estimates = survival_estimates(batch)
+    header = ["t", "estimate", "stderr", "n_paths"]
+    columns = [[getattr(e, name) for e in estimates] for name in header]
+    _write_csv(out / "survival_mc.csv", header, columns)
     _write_manifest(out, "simulate", cfg, ["fpt_samples.csv", "survival_mc.csv"], t0)
     return 0
 
@@ -486,15 +487,14 @@ def cmd_fpt(cfg: RunConfig, out: Path) -> int:
     ts = np.arange(0.0, T + h / 2.0, h)
     g = g_grid(state, ts)
     grid = solve_volterra(g, h)
-    f_out = grid.f_for_export()
-    rows = zip(ts.tolist(), g.tolist(), f_out.tolist())
-    _write_csv(out / "g_f.csv", ["t", "g", "f"], rows)
+    columns = [ts.tolist(), g.tolist(), grid.f_for_export().tolist()]
+    _write_csv(out / "g_f.csv", ["t", "g", "f"], columns)
 
     rec = recurrence_diagnostic(
         cfg.landscape, state.cache, cfg.fpt.s_ladder, cfg.fpt.recurrence_threshold
     )
-    ladder_rows = [[s, g] for s, g in zip(rec.s_values, rec.g_values)]
-    _write_csv(out / "laplace_ladder.csv", ["s", "G"], ladder_rows)
+    columns = [list(rec.s_values), list(rec.g_values)]
+    _write_csv(out / "laplace_ladder.csv", ["s", "G"], columns)
     _write_json(
         out / "recurrence_verdict.json",
         {
@@ -549,7 +549,8 @@ def binomial_tail_z(k: int, n: int, q: float) -> float:
         log_qs = np.where(i > 0, i * np.log(q), 0.0)
         log_qs += np.where(i < n, (n - i) * np.log1p(-q), 0.0)
     pmf = np.exp(log_fact[n] - log_fact - log_fact[::-1] + log_qs)
-    tail = min(math.fsum(pmf[: k + 1]), math.fsum(pmf[k:]), 0.5)
+    # only the nonzero terms: the rest underflowed to exact zeros
+    tail = min(*(math.fsum(x[x != 0.0]) for x in (pmf[: k + 1], pmf[k:])), 0.5)
     return math.inf if tail == 0.0 else abs(NormalDist().inv_cdf(tail))
 
 

@@ -65,6 +65,8 @@ from .padic import (
 
 #: Largest density mass either side of the conservation window may hold.
 AUDIT_TAIL = 1e-16
+#: Times per evaluation of the heat series; bounds its (K, T) exp table.
+_TIME_BLOCK = 4096
 
 
 def _machine_tail_len(space: SpaceParams) -> int:
@@ -163,8 +165,7 @@ def _decay(ts):
         raise ValueError("time must be nonnegative")
 
     def phi(lam):
-        # in place: g_grid passes every grid time (40 001 at T = 400), where
-        # a second (K, T) array costs about 14 MB of peak memory
+        # in place: a second (K, T) array would double the table's memory
         x = np.multiply.outer(-lam, ts)
         return np.exp(x, out=x)
 
@@ -181,9 +182,16 @@ def _norm_index(i: NormExponent) -> int:
 
 
 def _bracket(state: HeatState, i_exps, ts) -> tuple[np.ndarray, np.ndarray]:
-    """(A, A - correction) of the heat series; rows i, columns t."""
-    a, corr = _series(state, i_exps, _decay(ts))
-    return a, a - corr
+    """(A, A - correction) of the heat series; rows i, columns t. The series
+    runs over blocks of _TIME_BLOCK times; no column's roundings depend on
+    another's, so the blocks change no bit."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    a, bracket = np.empty((2, len(i_exps), ts.size))
+    for k in range(0, ts.size, _TIME_BLOCK):
+        block = slice(k, k + _TIME_BLOCK)
+        a[:, block], corr = _series(state, i_exps, _decay(ts[block]))
+        bracket[:, block] = a[:, block] - corr
+    return a, bracket
 
 
 def _on_spheres(state: HeatState, i: np.ndarray, bracket: np.ndarray) -> np.ndarray:

@@ -4,11 +4,20 @@ import hashlib
 import json
 import math
 from pathlib import Path
+from statistics import NormalDist
 
+import numpy as np
 import pytest
 
 from conftest import GRID, verify_sweep
-from ultradiff.cli import _log_factorials, load_run_config, main, run_verify_checks
+from ultradiff.cli import (
+    _log_factorials,
+    _write_csv,
+    binomial_tail_z,
+    load_run_config,
+    main,
+    run_verify_checks,
+)
 from ultradiff.errors import ConfigError
 from ultradiff.landscape import SpectralCache
 
@@ -70,6 +79,42 @@ def test_gamma_boundary_cli_exit_code(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+#: an empty list and numbers that are no finite double (JSON NaN, Infinity,
+#: or an integer past the largest double), each rejected by name
+NON_FINITE_CASES = [
+    pytest.param(
+        lambda c: c["kernel"].update(x_exps=[]), "kernel.x_exps", id="kernel.x_exps-empty"
+    ),
+    pytest.param(
+        lambda c: c["kernel"].update(times=[math.nan]), "kernel.times", id="kernel.times-nan"
+    ),
+    pytest.param(
+        lambda c: c["kernel"].update(times=[0.5, math.inf]),
+        "kernel.times",
+        id="kernel.times-inf",
+    ),
+    pytest.param(lambda c: c["fpt"].update(h=math.nan), "fpt.h", id="fpt.h-nan"),
+    pytest.param(
+        lambda c: c["fpt"].update(s_ladder=[math.inf, 1.0]),
+        "fpt.s_ladder",
+        id="fpt.s_ladder-inf",
+    ),
+    pytest.param(lambda c: c["fpt"].update(T=math.inf), "fpt.T", id="fpt.T-inf"),
+    pytest.param(lambda c: c["fpt"].update(T=10**400), "fpt.T", id="fpt.T-huge-int"),
+    pytest.param(
+        lambda c: c["landscape"].update(gamma=math.nan),
+        "landscape.gamma",
+        id="landscape.gamma-nan",
+    ),
+    pytest.param(
+        lambda c: c["landscape"].update(c1=math.inf), "landscape.c1", id="landscape.c1-inf"
+    ),
+    pytest.param(
+        lambda c: c["sim"].update(horizon=math.nan), "sim.horizon", id="sim.horizon-nan"
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "mutate,field",
     [
@@ -111,6 +156,7 @@ def test_gamma_boundary_cli_exit_code(tmp_path, capsys):
             "kernel.x_exps",
             id="kernel.x_exps-underflow",
         ),
+        *NON_FINITE_CASES,
     ],
 )
 def test_field_level_messages(tmp_path, mutate, field):
@@ -118,6 +164,14 @@ def test_field_level_messages(tmp_path, mutate, field):
     with pytest.raises(ConfigError) as exc:
         load_run_config(path)
     assert field in str(exc.value)
+
+
+@pytest.mark.parametrize("mutate,field", NON_FINITE_CASES)
+def test_non_finite_fields_exit_2(tmp_path, mutate, field, capsys):
+    path = write_config(tmp_path, mutate)
+    code = main(["kernel", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config error: {field}" in capsys.readouterr().err
 
 
 def test_seed_override(config_path):
@@ -388,3 +442,85 @@ def test_log_factorial_table_is_built_once_per_n():
     assert table.tolist() == [math.lgamma(m + 1.0) for m in range(2001)]
     assert _log_factorials(2000) is table
     assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 7, 2000, 20000])
+def test_binomial_tail_z_sums_only_nonzero_terms(n):
+    def unfiltered(k, n, q):
+        """binomial_tail_z with fsum over every pmf term, zeros included."""
+        i = np.arange(n + 1)
+        log_fact = _log_factorials(n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_qs = np.where(i > 0, i * np.log(q), 0.0)
+            log_qs += np.where(i < n, (n - i) * np.log1p(-q), 0.0)
+        pmf = np.exp(log_fact[n] - log_fact - log_fact[::-1] + log_qs)
+        tail = min(math.fsum(pmf[: k + 1]), math.fsum(pmf[k:]), 0.5)
+        return math.inf if tail == 0.0 else abs(NormalDist().inv_cdf(tail))
+
+    for q in (0.0, 1e-9, 2.8e-5, 0.01, 0.3, 0.5, 0.97, 1.0):
+        for k in sorted({0, 1, n // 2, round(n * q), n - 1, n}):
+            assert binomial_tail_z(k, n, q) == unfiltered(k, n, q), (k, q)
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer: one %-format per table, the bytes of the per-cell writer
+# ---------------------------------------------------------------------------
+
+
+def write_csv_per_cell(path, header, rows):
+    """The per-cell writer that _write_csv replaced, kept as its oracle."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join([c if isinstance(c, str) else f"{c:.17g}" for c in row]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+SPECIAL_NUMBERS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5e-17, 2**60, -(2**60), -7, 0, 1,
+]
+TEXT_CELLS = (["", "a", "x y", "-0", "nan"] * 4)[: len(SPECIAL_NUMBERS)]
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        pytest.param(
+            [
+                list(range(len(SPECIAL_NUMBERS))),
+                SPECIAL_NUMBERS,
+                TEXT_CELLS,
+                SPECIAL_NUMBERS[::-1],
+            ],
+            id="mixed",
+        ),
+        pytest.param([[1.5], [""]], id="one-row"),
+        pytest.param([[], [], []], id="zero-rows"),
+    ],
+)
+def test_write_csv_matches_per_cell_oracle(tmp_path, columns):
+    header = [f"c{k}" for k in range(len(columns))]
+    _write_csv(tmp_path / "new.csv", header, columns)
+    write_csv_per_cell(tmp_path / "old.csv", header, zip(*columns))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+#: sha256 of the landscape, fpt and simulate artifacts at configs/desk.json
+#: as the per-cell writer wrote them (numpy 2.4, x86-64)
+DESK_DIGESTS = {
+    "landscape/spectral.csv": "fe63836188791eb16ebbda41eb2b63a4d4549dd1ceab3bab968dfb4c703424bf",
+    "fpt/g_f.csv": "83978330614d48778f677804e3578eea6f02c156eb2990171a30fb607f8ca74c",
+    "fpt/laplace_ladder.csv": "fb87ff5e9bebd0f93943032367b4169d73bb136150910ded7fcfb30891ec38f1",
+    "simulate/fpt_samples.csv": "db1e9a62c79e88656f2db47ff089b06063b4cca2633d9b97834a941620e056a4",
+    "simulate/survival_mc.csv": "5417e4cb21f4440397b6c36f4c01d4012c8f63326245330f8c3134c6b1781158",
+}
+
+
+def test_desk_artifact_digests(tmp_path):
+    for command in ("landscape", "fpt", "simulate"):
+        run_cmd(command, ROOT / "configs" / "desk.json", tmp_path / command)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in DESK_DIGESTS
+    }
+    assert digests == DESK_DIGESTS

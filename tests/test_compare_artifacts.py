@@ -1,6 +1,6 @@
-"""The artifact comparison script: identical runs pass, and a 1e-12
-relative change of a single number (the tolerance is 1e-13) or a changed
-text field fails."""
+"""The artifact comparison script: identical runs pass and count their
+files as byte-identical, and a 1e-12 relative change of a single number
+(the tolerance is 1e-13) or a changed text field fails."""
 
 import json
 import shutil
@@ -42,6 +42,20 @@ def test_identical_trees_pass(run_dir, tmp_path):
     assert proc.returncode == 0, proc.stdout
     assert "0 violations" in proc.stdout
     assert "kernel/ztilde.csv" in proc.stdout
+
+
+def test_byte_identical_files_are_counted(run_dir, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    # the same number in another spelling: equal as a number, not as bytes
+    spectral = copy / "landscape" / "spectral.csv"
+    spectral.write_text(spectral.read_text().replace("\n0,", "\n0.0,", 1))
+    proc = compare(run_dir, copy)
+    assert proc.returncode == 0, proc.stdout
+    lines = proc.stdout.splitlines()
+    assert "kernel/ztilde.csv: byte-identical" in lines
+    assert "landscape/spectral.csv: largest scaled deviation 0" in lines
+    assert lines[-1] == "5 of 6 files byte-identical"
 
 
 def _perturb_csv(path: Path) -> None:

@@ -11,7 +11,10 @@ import scipy.linalg
 
 from conftest import GRID
 from ultradiff.errors import GammaOutOfRange, ZeroPoint
+from ultradiff import heat
+from ultradiff.fpt import g_grid
 from ultradiff.heat import (
+    _TIME_BLOCK,
     AUDIT_TAIL,
     ConservationAudit,
     HeatState,
@@ -232,6 +235,57 @@ def test_decay_bound_check_batch_equals_single_points(p, n, gamma, c1):
         (report.decay_margins, "decay_margins"),
     ):
         assert list(margins) == [getattr(one, field)[0] for one in singles]
+
+
+#: a grid of three time blocks, the last of three times, and sub-slices of
+#: it whose own blocks start off the grid's block edges and cross them
+BLOCK_GRID = np.geomspace(0.01, 400.0, 2 * _TIME_BLOCK + 3)
+BLOCK_SLICES = (
+    slice(0, 5),
+    slice(_TIME_BLOCK - 3, _TIME_BLOCK + 4),
+    slice(7, 2 * _TIME_BLOCK + 1),
+    slice(_TIME_BLOCK + 1, None),
+)
+
+
+@pytest.mark.parametrize("p, n, gamma, c1", [TABLE_POINTS[0], TABLE_POINTS[-1]])
+def test_time_blocks_change_no_bit(p, n, gamma, c1, monkeypatch):
+    state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
+    exps = list(range(-3, 9))
+    tables = {
+        "u": lambda ts: u_table(state, exps, ts),
+        "ztilde": lambda ts: ztilde_table(state, exps, ts),
+        "g": lambda ts: g_grid(state, ts),
+    }
+    blocked = {name: table(BLOCK_GRID) for name, table in tables.items()}
+    for name in ("u", "ztilde"):
+        full = blocked[name]
+        for cut in BLOCK_SLICES:
+            part = tables[name](BLOCK_GRID[cut])
+            assert part.shape == full[:, cut].shape
+            assert np.all(part == full[:, cut]), (name, cut)
+    # g sums the u rows in one matrix product, whose roundings may depend
+    # on the number of columns, so its slices agree to roundoff only
+    for cut in BLOCK_SLICES:
+        np.testing.assert_allclose(
+            tables["g"](BLOCK_GRID[cut]), blocked["g"][cut], rtol=1e-13, atol=0.0
+        )
+    # the whole grid in one block, as the series ran before it was blocked
+    monkeypatch.setattr(heat, "_TIME_BLOCK", BLOCK_GRID.size)
+    for name, table in tables.items():
+        assert np.all(table(BLOCK_GRID) == blocked[name]), name
+
+
+def test_time_blocks_on_empty_and_single_time_grids(desk_state):
+    exps = [-2, 0, 1, 5]
+    assert u_table(desk_state, exps, []).shape == (len(exps), 0)
+    assert ztilde_table(desk_state, exps, []).shape == (len(exps), 0)
+    assert g_grid(desk_state, np.array([])).shape == (0,)
+    u = u_table(desk_state, exps, [1.5])
+    z = ztilde_table(desk_state, exps, [1.5])
+    assert u[:, 0].tolist() == [u_profile(desk_state, i, 1.5) for i in exps]
+    assert z[:, 0].tolist() == [ztilde(desk_state, i, 1.5) for i in exps]
+    assert g_grid(desk_state, np.array([1.5])).shape == (1,)
 
 
 def test_conservation_audits_without_times(desk_state):
