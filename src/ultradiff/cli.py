@@ -13,8 +13,8 @@ Subcommands (all take --config, and optionally --out and --seed):
 
 Every command is deterministic given (config, seed): artifacts are written
 with 17-significant-digit numeric fields and listed with sha256 checksums
-in a per-run ``manifest.json`` (whose wall-clock field is the one value
-allowed to differ between identical reruns). The default output root can
+in a per-run ``manifest.json``, whose timing fields (wall clock, verify's
+``stages``) alone differ between reruns. The default output root can
 be set with the ``ULTRADIFF_OUT`` environment variable.
 """
 
@@ -46,7 +46,7 @@ from .heat import (
     escape_depth,
     pde_residual,
     survival,
-    u_profile,
+    u_profile,  # a span target of perfbench/spans.py
     u_table,
     ztilde_table,
 )
@@ -230,6 +230,8 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
     fpt_T = _get(fptb, "fpt.T", float)
     if h <= 0:
         raise ConfigError(f"fpt.h: must be > 0, got {h}")
+    if fpt_T < 0:
+        raise ConfigError(f"fpt.T: must be >= 0, got {fpt_T}")
     steps = fpt_T / h
     if abs(steps - round(steps)) > 1e-9:
         raise ConfigError(f"fpt.T: must be an integer multiple of h, got T={fpt_T}, h={h}")
@@ -240,14 +242,12 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
         raise ConfigError("fpt.s_ladder: must be a nonempty list of finite numbers > 0")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError("fpt.s_ladder: must be strictly decreasing")
-    fpt = FptBlock(
-        h=h,
-        horizon=fpt_T,
-        s_ladder=tuple(float(s) for s in ladder),
-        recurrence_threshold=_get(
-            fptb, "fpt.recurrence_threshold", float, default=1e3, required=False
-        ),
-    )
+    threshold = _get(fptb, "fpt.recurrence_threshold", float, default=1e3, required=False)
+    if threshold <= 0:
+        # G > 0 everywhere, so a threshold <= 0 would always be exceeded
+        raise ConfigError(f"fpt.recurrence_threshold: must be > 0, got {threshold}")
+    fpt = FptBlock(h=h, horizon=fpt_T, s_ladder=tuple(float(s) for s in ladder),
+                   recurrence_threshold=threshold)
 
     kern = raw.get("kernel", {})
     if not isinstance(kern, dict):
@@ -307,11 +307,20 @@ def resolve_out_dir(cfg: RunConfig, flag_out: str | None, command: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _cell_format(column: list) -> str:
+    """%s for str, %d for ints within 2**53 (the bytes of %.17g, faster), else %.17g."""
+    if column and isinstance(column[0], str):
+        return "%s"
+    # the first cell spares float columns the scan of every cell's type
+    ints = bool(column) and type(column[0]) is int and set(map(type, column)) == {int}
+    return "%d" if ints and -(2**53) <= min(column) and max(column) <= 2**53 else "%.17g"
+
+
 def _write_csv(path: Path, header: list[str], columns: list[list]) -> None:
     """One list per column, all of one kind: str cells written as they are,
-    or numbers (Python floats or ints) in %.17g, the bytes of f"{x:.17g}".
+    or numbers (Python floats or ints) with the bytes of f"{x:.17g}".
     One row format is applied, once, to the whole table."""
-    row = ",".join("%s" if c and isinstance(c[0], str) else "%.17g" for c in columns)
+    row = ",".join(map(_cell_format, columns))
     cells = tuple(chain.from_iterable(zip(*columns)))
     path.write_text(",".join(header) + "\n" + (row + "\n") * len(columns[0]) % cells)
 
@@ -321,7 +330,8 @@ def _write_json(path: Path, obj: dict) -> None:
 
 
 def _write_manifest(
-    out: Path, command: str, cfg: RunConfig, artifacts: list[str], t0: float
+    out: Path, command: str, cfg: RunConfig, artifacts: list[str], t0: float,
+    stages: dict[str, float] | None = None,
 ) -> None:
     checks = {}
     for name in sorted(artifacts):
@@ -338,6 +348,7 @@ def _write_manifest(
             "config": cfg.resolved_echo(),
             "artifacts": checks,
             **({"rng_protocol": RNG_PROTOCOL} if command in MC_COMMANDS else {}),
+            **({"stages": stages} if stages else {}),
         },
     )
 
@@ -577,26 +588,27 @@ def mc_agreement(
 
 
 def run_verify_checks(
-    cfg: RunConfig, cache: SpectralCache | None = None, workers: int = 1
+    cfg: RunConfig, cache: SpectralCache | None = None, workers: int = 1,
+    stages: dict | None = None,
 ) -> list[dict]:
     """Execute every cross-module check; a tampered cache may be injected
-    (test hook) to prove the battery actually bites."""
+    (test hook) to prove the battery actually bites. ``stages`` receives
+    each check's seconds since the previous check (the two Monte Carlo
+    checks share their work, which counts to the first)."""
     params = cfg.landscape
     space = params.space
     state = HeatState(params, cache=cache)
     cache = state.cache
     checks: list[dict] = []
+    stages = {} if stages is None else stages
+    marks = [time.perf_counter()]
 
     def add(name: str, observed: float, threshold: float, extra: str = ""):
-        checks.append(
-            {
-                "name": name,
-                "observed": float(observed),
-                "threshold": float(threshold),
-                "passed": bool(observed <= threshold),
-                "detail": extra,
-            }
-        )
+        marks.append(time.perf_counter())
+        stages[name] = marks[-1] - marks[-2]
+        passed = bool(observed <= threshold)
+        checks.append(dict(name=name, observed=float(observed), threshold=float(threshold),
+                           passed=passed, detail=extra))
 
     # spectral series vs direct character-sum quadrature
     err = max(
@@ -626,28 +638,30 @@ def run_verify_checks(
     add("chapman_kolmogorov", ck, 1e-6, evidence)
 
     # evolution-equation residual and the time-derivative series
-    pts = [(i, t) for i in (ZERO_NORM, 1, 2, 3) for t in (0.1, 0.5, 1.0, 2.0, 5.0)]
-    res = max(abs(pde_residual(state, i, t)) for i, t in pts)
-    add("evolution_residual", res, 1e-6, f"{len(pts)} points")
+    exps, times = [ZERO_NORM, 1, 2, 3], [0.1, 0.5, 1.0, 2.0, 5.0]
+    res = np.max(np.abs(pde_residual(state, exps, times)))
+    add("evolution_residual", res, 1e-6, f"{len(exps) * len(times)} points")
 
-    def ddt(f, t: float, h: float = 1e-3) -> float:
-        """Five-point central difference: error h^4 f^(5) / 30 plus eps / h."""
-        return (f(t - 2 * h) - 8 * f(t - h) + 8 * f(t + h) - f(t + 2 * h)) / (12 * h)
+    h_fd = 1e-3
+    shifts = (-2 * h_fd, -h_fd, h_fd, 2 * h_fd)
+
+    def ddt(f) -> float:
+        """Five-point central difference of f at (t - 2h, t - h, t + h,
+        t + 2h): error h^4 f^(5) / 30 plus eps / h."""
+        return (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * h_fd)
 
     fd_err = max(
-        abs(du_dt(state, i, t) - ddt(lambda s: u_profile(state, i, s), t))
+        abs(du_dt(state, i, t) - ddt(u_table(state, [i], [t + d for d in shifts])[0]))
         for i, t in ((2, 1.0), (ZERO_NORM, 0.5), (1, 2.0))
     )
     add("du_dt_vs_finite_difference", fd_err, 1e-6)
 
-    # survival flux balance S' = g - C S
+    # survival flux balance S' = g - C S, one survival call for all stencils
     c_ext = exterior_mass(params)
+    flux_ts = (0.5, 1.0, 2.0)
+    surv = survival(state, [t + d for t in flux_ts for d in (*shifts, 0.0)]).reshape(-1, 5)
     ode = max(
-        abs(
-            ddt(lambda s: survival(state, s), t)
-            - (g_of_t(state, t) - c_ext * survival(state, t))
-        )
-        for t in (0.5, 1.0, 2.0)
+        abs(ddt(f) - (g_of_t(state, t) - c_ext * f[4])) for t, f in zip(flux_ts, surv)
     )
     add("survival_flux_balance", ode, 1e-6)
 
@@ -668,14 +682,12 @@ def run_verify_checks(
     )
 
     # Laplace series vs direct quadrature of g
-    lap_T = 50.0
+    lap_T, lap_s = 50.0, (0.5, 1.0, 2.0)
+    quadrature = laplace_g_quadrature(state, lap_s, horizon=lap_T, h=1e-2)
     err = max(
-        abs(
-            laplace_G(params, cache, s).value
-            - laplace_g_quadrature(state, s, horizon=lap_T, h=1e-2)
-        )
+        abs(laplace_G(params, cache, s).value - q)
         - c_ext * math.exp(-s * lap_T) / s  # quadrature's own tail allowance
-        for s in (0.5, 1.0, 2.0)
+        for s, q in zip(lap_s, quadrature)
     )
     add("laplace_series_vs_quadrature", err, 1e-4)
 
@@ -694,7 +706,7 @@ def run_verify_checks(
     grid = solve_volterra(g_grid(state, np.arange(0.0, t_tri + h / 2, h)), h)
     integral = grid.integral_f(t_tri)
     z_survival, z_triangle, returned = mc_agreement(
-        batch, [survival(state, t) for t in mc_times], t_tri, integral, 10.0 * h * h
+        batch, survival(state, mc_times).tolist(), t_tri, integral, 10.0 * h * h
     )
     add("mc_survival_within_3_sigma", z_survival, 3.0, f"paths={sim.max_paths}")
     add(
@@ -708,7 +720,8 @@ def run_verify_checks(
 
 def cmd_verify(cfg: RunConfig, out: Path, workers: int = 1) -> int:
     t0 = time.perf_counter()
-    checks = run_verify_checks(cfg, workers=workers)
+    stages: dict[str, float] = {}
+    checks = run_verify_checks(cfg, workers=workers, stages=stages)
     passed = all(c["passed"] for c in checks)
     _write_json(
         out / "verify_report.json",
@@ -718,7 +731,7 @@ def cmd_verify(cfg: RunConfig, out: Path, workers: int = 1) -> int:
             "checks": checks,
         },
     )
-    _write_manifest(out, "verify", cfg, ["verify_report.json"], t0)
+    _write_manifest(out, "verify", cfg, ["verify_report.json"], t0, stages)
     for c in checks:
         status = "ok " if c["passed"] else "FAIL"
         print(f"[{status}] {c['name']}: {c['observed']:.3e} <= {c['threshold']:.3e}")

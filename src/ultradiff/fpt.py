@@ -193,15 +193,16 @@ def laplace_G(
     )
 
 
-def laplace_g_quadrature(
-    state: HeatState, s: float, horizon: float = 50.0, h: float = 1e-2
-) -> float:
-    """Direct numerical Laplace transform of g (trapezoid on [0, horizon])."""
-    if s <= 0:
-        raise NonPositiveS(f"Laplace evaluation needs s > 0, got {s}")
+def laplace_g_quadrature(state: HeatState, s, horizon: float = 50.0, h: float = 1e-2):
+    """Direct numerical Laplace transform of g (trapezoid on [0, horizon]):
+    a float for one s, an array for a sequence, all from one g grid."""
+    s_values = np.atleast_1d(np.asarray(s, dtype=float))
+    if np.any(s_values <= 0):
+        raise NonPositiveS(f"Laplace evaluation needs s > 0, got {s_values[s_values <= 0][0]}")
     ts = np.arange(0.0, horizon + h / 2, h)
     gv = g_grid(state, ts)
-    return _trapezoid(np.exp(-s * ts) * gv, h)
+    out = np.array([_trapezoid(np.exp(-sv * ts) * gv, h) for sv in s_values])
+    return float(out[0]) if np.ndim(s) == 0 else out
 
 
 @dataclass(frozen=True)

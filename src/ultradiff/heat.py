@@ -26,8 +26,9 @@ results are pure functions of the landscape, but a series that reaches past
 the cache window grows the cache in place, so concurrent evaluation on one
 state needs the window grown first.
 
-The engine takes a whole time grid at once: :func:`u_table` and
-:func:`ztilde_table` return tables with rows i and columns t, `survival` of
+The engine takes a whole time grid at once: :func:`u_table`,
+:func:`ztilde_table`, :func:`du_dt`, :func:`j_convolve_u` and
+:func:`pde_residual` return tables with rows i and columns t, `survival` of
 a time vector is row 0 of the u table, :func:`conservation_audits` sums one
 sphere-mass table over the union of its certified windows, and
 :func:`decay_bound_check` takes its deficits from one call. Each entry goes
@@ -177,8 +178,17 @@ def _clamp(v: np.ndarray) -> np.ndarray:
     return np.where((v < 0.0) & (v >= -1e-12), 0.0, v)
 
 
-def _norm_index(i: NormExponent) -> int:
-    return 0 if isinstance(i, _ZeroNorm) else i
+def _exps(i) -> np.ndarray:
+    """One norm exponent or a sequence of them, as int64; ZERO_NORM is 0."""
+    seq = [i] if np.ndim(i) == 0 else i
+    return np.array([0 if isinstance(k, _ZeroNorm) else k for k in seq], np.int64)
+
+
+def _view(table: np.ndarray, i, t):
+    """A (rows i, columns t) table at a scalar i or t: a float at one
+    point, one row or column when only one of the two is a scalar."""
+    v = table[0 if np.ndim(i) == 0 else slice(None), 0 if np.ndim(t) == 0 else slice(None)]
+    return float(v) if v.ndim == 0 else v
 
 
 def _bracket(state: HeatState, i_exps, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -218,8 +228,8 @@ def _sphere_masses(state: HeatState, i_exps, ts) -> np.ndarray:
 
 def u_table(state: HeatState, x_exps: Sequence[int], ts) -> np.ndarray:
     """u(p^i, t) for x_exps i and times ts; rows i, columns t. Every i <= 0
-    means Z_p^n, where u = S. Entries equal :func:`u_profile` bit for bit."""
-    i = np.maximum(np.asarray(x_exps, dtype=np.int64), 0)
+    (or ZERO_NORM) means Z_p^n, where u = S. :func:`u_profile` is one entry."""
+    i = np.maximum(_exps(x_exps), 0)
     a, bracket = _bracket(state, i, ts)
     return np.where((i == 0)[:, None], a, _on_spheres(state, i, bracket))
 
@@ -241,7 +251,7 @@ def u_profile(state: HeatState, i: NormExponent, t: float) -> float:
     Constant on Z_p^n (any i <= 0 or the ZERO_NORM tag); for i >= 1 it is
     the sphere series  sum_{j>=i} vol(S_{-j}) E(p^{-j},t) - p^{-ni} E(p^{1-i},t).
     """
-    return float(u_table(state, [_norm_index(i)], t)[0, 0])
+    return float(u_table(state, [i], t)[0, 0])
 
 
 def u_radial_profile(
@@ -276,17 +286,16 @@ def survival(state: HeatState, t):
     row 0 of :func:`u_table`: a float for a scalar t, an array over the
     times for a sequence. Not monotone in general: paths return.
     """
-    s = u_table(state, [0], t)[0]
-    return float(s[0]) if np.ndim(t) == 0 else s
+    return _view(u_table(state, [0], t), 0, t)
 
 
-def du_dt(state: HeatState, i: NormExponent, t: float) -> float:
-    """Time derivative of u_profile: each sphere term picks up (Jhat - 1)."""
-    i = _norm_index(i)
-    a, corr = _series(state, [max(i, 0)], lambda lam: lam * np.exp(-lam * t))
-    if i <= 0:
-        return -float(a[0])
-    return float((float(state.space.p) ** state.space.n) ** -i * (corr[0] - a[0]))
+def du_dt(state: HeatState, i, t):
+    """du/dt, each sphere term times (Jhat - 1): a table over norm exponents
+    i (rows) and times t (columns), viewed at a scalar i or t (:func:`_view`)."""
+    idx = np.maximum(_exps(i), 0)
+    a, corr = _series(state, idx, lambda lam: lam[:, None] * _decay(t)(lam))
+    scale = (float(state.space.p) ** state.space.n) ** -idx.astype(float)
+    return _view(np.where((idx == 0)[:, None], -a, scale[:, None] * (corr - a)), i, t)
 
 
 def inflow(state: HeatState, r: int, ts) -> np.ndarray:
@@ -420,39 +429,42 @@ def conservation_audit(state: HeatState, t: float) -> ConservationAudit:
 # ---------------------------------------------------------------------------
 
 
-def j_convolve_u(state: HeatState, i: NormExponent, t: float) -> float:
-    """(J * u(., t))(x) for |x| = p^i, via ultrametric ball geometry.
+def j_convolve_u(state: HeatState, i, t):
+    """(J * u(., t))(x) for |x| = p^i, via ultrametric ball geometry; a
+    table over norm exponents i and times t, or a view as in :func:`du_dt`.
 
     The convolution collapses to a finite weighted sum: spheres of y
-    strictly larger than |x| contribute J(|y|) u(|y|) vol directly, smaller
-    ones see u(|x|) weighted by the interior J-mass, and the same-norm
-    sphere contributes J(|x|) times the u-mass of the ball B_i minus the
-    sub-ball around x.
+    strictly larger than |x| contribute J(|y|) u(|y|) vol directly (the
+    :func:`inflow` into B_i, as one single-time product per column),
+    smaller ones see u(|x|) weighted by the interior J-mass, and the
+    same-norm sphere contributes J(|x|) times the u-mass of the ball B_i
+    minus the sub-ball around x. All of it reads one u table.
     """
-    params = state.landscape
-    space = state.space
-    i = max(_norm_index(i), 0)
-    u = u_table(state, np.arange(i + 1), t)[:, 0]  # u[0] is the inside value
-    # spheres of y with norm above p^i
-    outer = float(inflow(state, i, t)[0])
-    if i == 0:
-        return u[0] * jmass_ball(params, 0) + outer
-    # strictly smaller norms leave the displaced norm at p^i
-    inner = u[i] * jmass_ball(params, i - 1)
-    # same norm: integrate u over B_i(x) = B_i minus the ball B_{i-1}(x) in S_i
-    ball_u = u[0] + math.fsum(
-        u[m] * sphere_volume(space, m) for m in range(1, i + 1)
-    )
-    same = params.value_at(i) * (
-        ball_u - u[i] * float(space.p) ** ((i - 1) * space.n)
-    )
-    return outer + inner + same
+    params, space = state.landscape, state.space
+    idx = np.maximum(_exps(i), 0).tolist()
+    ws = [sphere_masses_above(params, r) for r in idx]
+    u = u_table(state, np.arange(max(r + w.size for r, w in zip(idx, ws)) + 1), t)
+    table = np.empty((len(idx), u.shape[1]))
+    for row, (r, w) in enumerate(zip(idx, ws)):
+        outer = np.concatenate([w @ u[r + 1 : r + 1 + w.size, [c]] for c in range(u.shape[1])])
+        if r == 0:
+            table[row] = u[0] * jmass_ball(params, 0) + outer
+            continue
+        # strictly smaller norms leave the displaced norm at p^r
+        inner = u[r] * jmass_ball(params, r - 1)
+        # same norm: integrate u over B_r(x) = B_r minus the ball B_{r-1}(x) in S_r
+        vols = np.array([sphere_volume(space, m) for m in range(1, r + 1)])
+        ball_u = u[0] + np.array([math.fsum(col) for col in (u[1 : r + 1] * vols[:, None]).T])
+        same = params.value_at(r) * (ball_u - u[r] * float(space.p) ** ((r - 1) * space.n))
+        table[row] = outer + inner + same
+    return _view(table, i, t)
 
 
-def pde_residual(state: HeatState, i: NormExponent, t: float) -> float:
-    """Residual of du/dt = J*u - u at one (norm, time) point."""
-    u_i = u_profile(state, i, t)
-    return du_dt(state, i, t) - (j_convolve_u(state, i, t) - u_i)
+def pde_residual(state: HeatState, i, t):
+    """Residual of du/dt = J*u - u: a table over i and t, as :func:`du_dt`."""
+    idx, ts = _exps(i), np.atleast_1d(t)
+    table = du_dt(state, idx, ts) - (j_convolve_u(state, idx, ts) - u_table(state, idx, ts))
+    return _view(table, i, t)
 
 
 # ---------------------------------------------------------------------------

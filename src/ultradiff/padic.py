@@ -127,9 +127,12 @@ def sphere_volume_frac(space: SpaceParams, j: int) -> Fraction:
 
 
 def sphere_volume(space: SpaceParams, j: int) -> float:
-    """Volume of the sphere {|x|_p = p^j}; log-space for large |j*n|."""
+    """Volume of the sphere {|x|_p = p^j}; log-space for large |j*n|. Up
+    to |j*n| = 30 it is float(sphere_volume_frac): int-to-float and int
+    true division both round correctly, so no Fraction is needed."""
     if abs(j * space.n) <= EXACT_EXPONENT_LIMIT:
-        return float(sphere_volume_frac(space, j))
+        pn = space.p**space.n
+        return float(pn ** (j - 1) * (pn - 1)) if j >= 1 else (pn - 1) / pn ** (1 - j)
     return math.exp(log_sphere_volume(space, j))
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import GRID, verify_sweep
 from ultradiff.cli import (
+    _cell_format,
     _log_factorials,
     _write_csv,
     binomial_tail_z,
@@ -115,6 +116,24 @@ NON_FINITE_CASES = [
 ]
 
 
+#: fpt fields that are finite numbers but out of range: a negative horizon
+#: (the flux grid would be empty) and a recurrence threshold that every
+#: G > 0 exceeds, which would make the verdict vacuous
+FPT_RANGE_CASES = [
+    pytest.param(lambda c: c["fpt"].update(T=-1), "fpt.T", id="fpt.T-negative"),
+    pytest.param(
+        lambda c: c["fpt"].update(recurrence_threshold=-5),
+        "fpt.recurrence_threshold",
+        id="fpt.recurrence_threshold-negative",
+    ),
+    pytest.param(
+        lambda c: c["fpt"].update(recurrence_threshold=0.0),
+        "fpt.recurrence_threshold",
+        id="fpt.recurrence_threshold-zero",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "mutate,field",
     [
@@ -157,6 +176,7 @@ NON_FINITE_CASES = [
             id="kernel.x_exps-underflow",
         ),
         *NON_FINITE_CASES,
+        *FPT_RANGE_CASES,
     ],
 )
 def test_field_level_messages(tmp_path, mutate, field):
@@ -172,6 +192,23 @@ def test_non_finite_fields_exit_2(tmp_path, mutate, field, capsys):
     code = main(["kernel", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert f"config error: {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fpt", "verify"])
+@pytest.mark.parametrize("mutate,field", FPT_RANGE_CASES)
+def test_fpt_range_errors_exit_2(tmp_path, mutate, field, command, capsys):
+    path = write_config(tmp_path, mutate)
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+
+
+def test_zero_horizon_still_runs(tmp_path):
+    path = write_config(tmp_path, lambda c: c["fpt"].update(T=0))
+    for command in ("fpt", "verify"):
+        run_cmd(command, path, tmp_path / command)
+    rows = (tmp_path / "fpt" / "g_f.csv").read_text().splitlines()
+    assert rows == ["t,g,f", "0,0,0"]
 
 
 def test_seed_override(config_path):
@@ -263,6 +300,11 @@ def test_verify_passes(config_path, tmp_path):
     report = json.loads((out / "verify_report.json").read_text())
     assert report["passed"]
     assert len(report["checks"]) >= 10
+    # seconds per check in the manifest, outside the hashed artifacts
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["stages"]) == {c["name"] for c in report["checks"]}
+    assert all(s >= 0.0 for s in manifest["stages"].values())
+    assert set(manifest["artifacts"]) == {"verify_report.json"}
 
 
 def test_verify_mc_check_exact_at_tiny_exit_rate(tmp_path):
@@ -327,7 +369,11 @@ def artifact_bytes(out_dir):
     for f in sorted(Path(out_dir).iterdir()):
         if f.name == "manifest.json":
             manifest = json.loads(f.read_text())
-            manifest.pop("wall_clock_s")  # the one timing field
+            # the timing fields: the wall clock, and verify's seconds per
+            # check, of which only the check names must repeat
+            manifest.pop("wall_clock_s")
+            if "stages" in manifest:
+                manifest["stages"] = sorted(manifest["stages"])
             found[f.name] = json.dumps(manifest, sort_keys=True)
         else:
             found[f.name] = f.read_bytes()
@@ -437,6 +483,32 @@ def test_fpt_evaluates_the_ladder_once(config_path, tmp_path, monkeypatch):
     assert [float(r.split(",")[1]) for r in rows] == verdict["g_values"]
 
 
+def test_verify_evaluates_heat_checks_as_tables(monkeypatch):
+    import ultradiff.fpt as fpt_module
+    import ultradiff.heat as heat_module
+
+    series_calls, grids = [], []
+    sphere_series, g_grid = heat_module.sphere_series, fpt_module.g_grid
+
+    def counted_series(*args, **kwargs):
+        series_calls.append(1)
+        return sphere_series(*args, **kwargs)
+
+    def counted_grid(state, ts):
+        grids.append((len(ts), float(ts[0]), float(ts[-1])))
+        return g_grid(state, ts)
+
+    for module in (heat_module, fpt_module):
+        monkeypatch.setattr(module, "sphere_series", counted_series)
+    monkeypatch.setattr(fpt_module, "g_grid", counted_grid)
+    checks = run_verify_checks(load_run_config(ROOT / "configs" / "desk.json"))
+    assert all(c["passed"] for c in checks)
+    # 133 one-point series before the heat and flux checks became tables
+    assert len(series_calls) <= 40
+    # the Laplace check's [0, 50] grid is built once for its three s
+    assert grids.count((5001, 0.0, 50.0)) == 1
+
+
 def test_log_factorial_table_is_built_once_per_n():
     table = _log_factorials(2000)
     assert table.tolist() == [math.lgamma(m + 1.0) for m in range(2001)]
@@ -496,6 +568,17 @@ TEXT_CELLS = (["", "a", "x y", "-0", "nan"] * 4)[: len(SPECIAL_NUMBERS)]
         ),
         pytest.param([[1.5], [""]], id="one-row"),
         pytest.param([[], [], []], id="zero-rows"),
+        pytest.param(
+            [
+                [2**53, -(2**53), 0, -7, 10**16, 1],  # %d
+                [2**53 + 1, 0, 0, 0, 0, 0],  # past 2**53: %.17g rounds it
+                [10**17 - 1, -(10**17 - 1), 1, 2, 3, 4],
+                [True, False, True, True, False, True],  # bools are not ints here
+                [1, 2.5, -3, 0.0, 2**53, -0.0],  # ints and floats mixed
+                [1, True, 0, False, 1, 1],
+            ],
+            id="int-columns",
+        ),
     ],
 )
 def test_write_csv_matches_per_cell_oracle(tmp_path, columns):
@@ -505,7 +588,15 @@ def test_write_csv_matches_per_cell_oracle(tmp_path, columns):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-#: sha256 of the landscape, fpt and simulate artifacts at configs/desk.json
+def test_int_columns_within_2_53_are_written_with_d():
+    assert _cell_format([2**53, -(2**53), 0, 5]) == "%d"
+    assert "%d" % (2**53 + 1) != "%.17g" % (2**53 + 1) == "9007199254740992"
+    for column in ([2**53 + 1], [-(2**53) - 1], [True, 1], [1, 2.5], [1.0], []):
+        assert _cell_format(column) == "%.17g", column
+    assert _cell_format(["", "a"]) == "%s"
+
+
+#: sha256 of the landscape, fpt, simulate and verify artifacts at configs/desk.json
 #: as the per-cell writer wrote them (numpy 2.4, x86-64)
 DESK_DIGESTS = {
     "landscape/spectral.csv": "fe63836188791eb16ebbda41eb2b63a4d4549dd1ceab3bab968dfb4c703424bf",
@@ -513,11 +604,13 @@ DESK_DIGESTS = {
     "fpt/laplace_ladder.csv": "fb87ff5e9bebd0f93943032367b4169d73bb136150910ded7fcfb30891ec38f1",
     "simulate/fpt_samples.csv": "db1e9a62c79e88656f2db47ff089b06063b4cca2633d9b97834a941620e056a4",
     "simulate/survival_mc.csv": "5417e4cb21f4440397b6c36f4c01d4012c8f63326245330f8c3134c6b1781158",
+    # recorded before verify's heat and flux checks were evaluated as tables
+    "verify/verify_report.json": "cbf7c263f9785fc0075c335eb98fdf8d4c6c74fb6fa7b03de852b12fb9f06c2a",
 }
 
 
 def test_desk_artifact_digests(tmp_path):
-    for command in ("landscape", "fpt", "simulate"):
+    for command in ("landscape", "fpt", "simulate", "verify"):
         run_cmd(command, ROOT / "configs" / "desk.json", tmp_path / command)
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

@@ -216,6 +216,23 @@ def test_laplace_positive_s_required(desk_params, desk_state):
         laplace_g_quadrature(desk_state, -1.0)
 
 
+def test_laplace_quadrature_over_an_s_vector(desk_state):
+    s_values = [2.0, 0.5, 1.0, 0.5, 7.25]
+    horizon, h = 5.0, 1e-2
+    quad = laplace_g_quadrature(desk_state, s_values, horizon=horizon, h=h)
+    # the trapezoid of each s over one g grid, as one s at a time computes it
+    ts = np.arange(0.0, horizon + h / 2, h)
+    gv = g_grid(desk_state, ts)
+    assert quad.tolist() == [float(np.trapezoid(np.exp(-s * ts) * gv, dx=h)) for s in s_values]
+    assert quad.tolist() == [
+        laplace_g_quadrature(desk_state, s, horizon=horizon, h=h) for s in s_values
+    ]
+    assert isinstance(laplace_g_quadrature(desk_state, 1.0, horizon=horizon, h=h), float)
+    for bad in ([1.0, 0.0], [-1.0], (0.5, -2.0, 1.0)):
+        with pytest.raises(NonPositiveS):
+            laplace_g_quadrature(desk_state, bad, horizon=horizon, h=h)
+
+
 def test_laplace_bounded_by_exterior_mass_over_s(desk_params, desk_state):
     c_ext = exterior_mass(desk_params)
     for s in (1.0, 10.0):

@@ -38,7 +38,7 @@ from ultradiff.heat import (
     ztilde_radial_profile,
     ztilde_table,
 )
-from ultradiff.landscape import ball_jmass_bound, exterior_mass, normalize
+from ultradiff.landscape import ball_jmass_bound, exterior_mass, jmass_ball, normalize
 from ultradiff.padic import CosetPoint, SpaceParams, ZERO_NORM, sphere_volume
 
 
@@ -427,6 +427,63 @@ def test_convolution_at_origin_is_flux_balance(desk_state):
 
     lhs = j_convolve_u(desk_state, ZERO_NORM, t) - u_in
     assert lhs == pytest.approx(g_of_t(desk_state, t) - c_ext * u_in, abs=1e-12)
+
+
+#: desk and two points of the verify grid, one of them with gamma > 0
+RESIDUAL_POINTS = [(2, 1, -0.5, 1.0), (3, 2, -1.0, 0.2), (2, 2, 0.5, 0.2)]
+#: ZERO_NORM, norms inside and outside Z_p^n; unsorted times, t = 0, a repeat
+RESIDUAL_EXPS = [ZERO_NORM, 3, -2, 1, 0, 6, 2]
+RESIDUAL_TIMES = (2.0, 0.0, 0.5, 5.0, 0.1, 0.5)
+
+
+def du_dt_one_point(state, i, t):
+    """du/dt from a one-row, one-time series: the scalar form the table
+    replaced, kept as its oracle."""
+    i = i if isinstance(i, int) else 0
+    a, corr = heat._series(state, [max(i, 0)], lambda lam: lam * np.exp(-lam * t))
+    if i <= 0:
+        return -float(a[0])
+    return float((float(state.space.p) ** state.space.n) ** -i * (corr[0] - a[0]))
+
+
+def j_convolve_u_one_point(state, i, t):
+    """(J * u)(p^i) at one time from its own u rows and its own inflow: the
+    scalar form the table replaced, kept as its oracle."""
+    params, space = state.landscape, state.space
+    i = max(i if isinstance(i, int) else 0, 0)
+    u = u_table(state, np.arange(i + 1), t)[:, 0]
+    outer = float(heat.inflow(state, i, t)[0])
+    if i == 0:
+        return u[0] * jmass_ball(params, 0) + outer
+    inner = u[i] * jmass_ball(params, i - 1)
+    ball_u = u[0] + math.fsum(u[m] * sphere_volume(space, m) for m in range(1, i + 1))
+    same = params.value_at(i) * (ball_u - u[i] * float(space.p) ** ((i - 1) * space.n))
+    return outer + inner + same
+
+
+@pytest.mark.parametrize("p, n, gamma, c1", RESIDUAL_POINTS)
+def test_residual_tables_equal_one_point_oracles(p, n, gamma, c1):
+    state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
+    exps, times = RESIDUAL_EXPS, RESIDUAL_TIMES
+    dt = du_dt(state, exps, times)
+    jc = j_convolve_u(state, exps, times)
+    res = pde_residual(state, exps, times)
+    assert dt.shape == jc.shape == res.shape == (len(exps), len(times))
+    for col, t in enumerate(times):
+        for row, i in enumerate(exps):
+            want_dt = du_dt_one_point(state, i, t)
+            want_jc = j_convolve_u_one_point(state, i, t)
+            want_res = want_dt - (want_jc - u_profile(state, i, t))
+            assert dt[row, col] == want_dt == du_dt(state, i, t), (i, t)
+            assert jc[row, col] == want_jc == j_convolve_u(state, i, t), (i, t)
+            assert res[row, col] == want_res == pde_residual(state, i, t), (i, t)
+    # a scalar i or t views one row or one column of the table
+    assert du_dt(state, exps[1], times).tolist() == dt[1].tolist()
+    assert j_convolve_u(state, exps[0], times).tolist() == jc[0].tolist()
+    assert pde_residual(state, exps, times[2]).tolist() == res[:, 2].tolist()
+    assert u_table(state, exps, times).tolist() == [
+        [u_profile(state, i, t) for t in times] for i in exps
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,18 @@ def test_sphere_volume_matches_coset_counting(p, n, j):
     assert sphere_volume(SpaceParams(p, n), j) == pytest.approx(float(expected), rel=1e-15)
 
 
+def test_sphere_volume_is_the_rounded_exact_volume():
+    # every exponent of the exact range, up to a p of 17 bits and n = 7
+    checked = 0
+    for p in (2, 3, 5, 7, 11, 13, 31, 97, 101, 257, 65537):
+        for n in range(1, 8):
+            space = SpaceParams(p, n)
+            for j in range(-(30 // n), 30 // n + 1):
+                assert sphere_volume(space, j) == float(sphere_volume_frac(space, j)), (p, n, j)
+                checked += 1
+    assert checked == 1771
+
+
 def test_sphere_volume_examples_from_counting():
     assert sphere_volume_by_counting(3, 2, -1) == Fraction(8, 81)
     assert sphere_volume_by_counting(2, 1, 1) == Fraction(1)
