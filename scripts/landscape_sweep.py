@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ultradiff.cli import _write_csv
 from ultradiff.fpt import g_grid, solve_volterra, return_probability
 from ultradiff.heat import HeatState, survival
 from ultradiff.landscape import exterior_mass, normalize, spectral_gap_at_one
@@ -56,9 +57,7 @@ def run(argv=None):
             )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines += [",".join(format(v, ".17g") for v in row) for row in rows]
-    out.write_text("\n".join(lines) + "\n")
+    _write_csv(out, header, list(zip(*rows)))
     print(f"wrote {out}")
     return 0
 

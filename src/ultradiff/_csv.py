@@ -1,0 +1,176 @@
+"""CSV tables from numpy columns, with the bytes of ``'%.17g' % x`` per cell.
+
+The 17 significant digits D = round(|x| 10^(16 - X)) of a double with
+1e-280 <= |x| <= 1e280 come from a double-double p + q: p = fl(|x| P_hi),
+q the exact error of that product (Dekker, Numer. Math. 18 (1971) 224-242)
+plus |x| P_lo, where P_hi + P_lo = 10^(16 - X) exactly to about 2**-106.
+q is within about 1e-14 of its true value, so D is certified where q's
+fraction is more than 1e-6 from 1/2. Ints within 2**53 and +-0 have exact
+digits; nan, +-inf, extreme exponents and (near-)ties go through ``%``.
+"""
+
+from __future__ import annotations
+
+import functools
+from fractions import Fraction
+
+import numpy as np
+
+BLOCK_ROWS = 4096
+_SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+_FALLBACK, _BLANK = -1, -2  # keys of the cells written by % and of those left empty
+
+
+@functools.lru_cache(maxsize=256)
+def _powers(k0: int, k1: int) -> np.ndarray:
+    """Rows (hi, lo, hi's two halves), hi + lo = 10^k to 2**-106, k = k0..k1."""
+    exact = [Fraction(10) ** k for k in range(k0, k1 + 1)]
+    hi = np.array([float(v) for v in exact])
+    lo = np.array([float(v - Fraction(h)) for v, h in zip(exact, hi.tolist())])
+    hh = hi * _SPLIT - (hi * _SPLIT - hi)
+    table = np.stack([hi, lo, hh, hi - hh], axis=1)
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
+@functools.cache
+def _chunk_ascii() -> np.ndarray:
+    """The ASCII of 0000..9999 as 4-byte words, then with trailing zeros NUL."""
+    n = np.arange(10**4, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16)
+    n = (n % 10).astype(np.uint8)
+    kept = np.cumsum(n[:, ::-1], axis=1, dtype=np.int8)[:, ::-1] > 0
+    table = np.concatenate([n + 48, (n + 48) * kept]).view(np.uint32).ravel()
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
+@functools.cache
+def _layout(key: int) -> tuple[np.ndarray, tuple]:
+    """A key's text: bytes with NUL digit slots, and the runs (dst, src, n)
+    that copy digit columns into them."""
+    neg, dot, e = key & 1, key >> 1 & 1, (key >> 2) - 400
+    fixed = 0 <= e < 17
+    point = e + 1 if fixed else 1  # digits before the point
+    parts = [(0, point)] + ([".", (point, 17)] if dot else []) + ([] if fixed else ["e%+03d" % e])
+    if -4 <= e < 0:  # fixed notation with zeros after the point
+        parts = ["0." + "0" * (-e - 1), (0, 17)]
+    text, runs = "-" * neg, []
+    for part in parts:
+        if isinstance(part, tuple):
+            runs.append((len(text), 3 + part[0], part[1] - part[0]))
+            part = "\0" * (part[1] - part[0])
+        text += part
+    return np.frombuffer(text.encode(), np.uint8), tuple(runs)
+
+
+def _keys(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's layout key ((X + 400) * 2 + dot) * 2 + sign, dot set where a
+    fraction is written, and its D (|x| 10^(16 - X) for an int, 0 for +-0)."""
+    a = np.abs(x)
+    pow10 = 10 ** np.arange(18, dtype=np.int64)
+    if x.dtype.kind == "i":
+        e = np.maximum(np.searchsorted(pow10, a, side="right") - 1, 0)
+        return (e + 400) * 4 + (x < 0), a * np.take(pow10, 16 - e)
+    ok, zero = (a >= 1e-280) & (a <= 1e280), a == 0
+    a = np.where(ok, a, 1.0)
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    e = np.floor(np.log10(a)).astype(np.int64)
+    for first in (True, False):  # log10 can put X one off next to a power of ten
+        k = 16 - e
+        hi, lo, hh, hl = np.take(_powers(int(k.min()), int(k.max())), k - k.min(), axis=0).T
+        p = a * hi
+        q = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+        # is p + q outside [1e16, 1e17)? p - 1e16 and p - 1e17 are exact
+        # wherever the answer is in doubt
+        step = ((p - 1e17) + q >= 0).astype(np.int64) - ((p - 1e16) + q < 0)
+        if not (first and step.any()):
+            break
+        e += step
+    floor_q = np.floor(q)
+    frac = q - floor_q
+    d = p.astype(np.int64) + floor_q.astype(np.int64) + (frac > 0.5)
+    top = d == 10**17
+    e += top
+    ok &= (np.abs(frac - 0.5) > 1e-6) & (d >= 10**16) & (d <= 10**17)
+    d = np.where(ok & ~top, d, 10**16) * ~zero  # +-0 is the int 0, signed
+    # a fraction is written where a significant digit follows the integer
+    # part (fixed notation) or the first digit (exponential notation)
+    point = np.where((-4 <= e) & (e < 17), e + 1, 1)
+    dot = d % np.take(pow10, np.clip(17 - point, 0, 17)) != 0
+    return np.where(ok | zero, ((e + 400) * 2 + dot) * 2 + np.signbit(x), _FALLBACK), d
+
+
+def _block(columns: list[tuple[str, np.ndarray | list]], blank_nan: list[bool]) -> bytes:
+    """The CSV rows of one block of (kind, cells) columns."""
+    rows, width = len(columns[0][1]), len(columns)
+    texts = {j: np.array([s.encode() for s in col], dtype=bytes)
+             for j, (kind, col) in enumerate(columns) if kind == "text"}
+    w, keys, ds, dests = max([t.itemsize for t in texts.values()], default=0), [], [], []
+    for kind in ("float", "int"):  # one pass over the cells of each kind
+        js = [j for j, c in enumerate(columns) if c[0] == kind]
+        if js:
+            x = np.concatenate([columns[j][1] for j in js])
+            key, d = _keys(x)
+            if kind == "float":
+                floats = x
+                key[np.concatenate([np.isnan(columns[j][1]) & blank_nan[j] for j in js])] = _BLANK
+            keys.append(key.astype(np.int16))
+            ds.append(d)
+            dests.append((np.arange(rows) * width + np.array(js)[:, None]).ravel())
+    if keys:
+        order = np.argsort(np.concatenate(keys), kind="stable")  # a radix sort, on int16
+        key = np.take(np.concatenate(keys), order)
+        s0 = int(np.searchsorted(key, 0))  # the cells with a layout follow these
+        # D in 4-digit chunks, written as ASCII words; where a fraction is
+        # written, the trailing zeros become NUL
+        hi, lo = (v.astype(np.int32) for v in np.divmod(np.take(np.concatenate(ds), order[s0:]), 10**8))
+        chunks = (*np.divmod(hi // 10**4, 10**4), hi % 10**4, *np.divmod(lo, 10**4))
+        words, strip = np.empty((len(key) - s0, 5), np.uint32), (key[s0:] >> 1 & 1) * np.int32(10**4)
+        for j in range(4, -1, -1):
+            words[:, j] = np.take(_chunk_ascii(), chunks[j] + strip)
+            strip[chunks[j] != 0] = 0
+        digits = words.view(np.uint8)  # digit i of D at column 3 + i
+        starts = [0] + (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+        groups = []
+        for g0, g1 in zip(starts, starts[1:] + [len(key)]):
+            if key[g0] == _FALLBACK:  # only float cells
+                text = np.array([b"%.17g" % v for v in floats[order[g0:g1]].tolist()])
+                groups.append((g0, g1, text.view(np.uint8).reshape(g1 - g0, -1), ()))
+            elif key[g0] != _BLANK:
+                groups.append((g0, g1, *_layout(int(key[g0]))))
+        w = max([w] + [text.shape[-1] for _, _, text, _ in groups])
+        cells = np.zeros((len(key), w + 1), np.uint8)
+        for g0, g1, text, runs in groups:
+            cells[g0:g1, : text.shape[-1]] = text
+            for dst, src, n in runs:
+                cells[g0:g1, dst : dst + n] = digits[g0 - s0 : g1 - s0, src : src + n]
+    table = np.zeros((rows, width, w + 1), np.uint8)  # each cell and its separator
+    if keys:
+        row, dest = np.dtype((np.void, w + 1)), np.take(np.concatenate(dests), order)
+        table.reshape(-1, w + 1).view(row).ravel()[dest] = cells.view(row).ravel()
+    for j, text in texts.items():
+        table[:, j, : text.itemsize] = text.view(np.uint8).reshape(rows, -1)
+    table[:, :, w] = 44
+    table[:, -1, w] = 10
+    return table.tobytes().translate(None, b"\0")
+
+
+def write_csv(path, header: list[str], columns: list, blank_nan: tuple[str, ...] = ()) -> None:
+    """One sequence or array per column, all of one kind: str cells are
+    written as they are, numbers (floats, ints, bools) with the bytes of
+    ``'%.17g' % x``. NaN is ``nan``, or an empty cell in the columns named
+    in ``blank_nan``."""
+    kinds = []
+    for col in columns:
+        a = np.asarray(col)  # ints past int64 make an object array, written as floats
+        ints = a.dtype.kind in "iu" and (not a.size or -(2**53) <= a.min() and a.max() <= 2**53)
+        text = len(col) and isinstance(col[0], str)
+        kinds.append(("text", list(col)) if text else ("int", a.astype(np.int64, copy=False))
+                     if ints else ("float", a.astype(float, copy=False)))
+    blank = [name in blank_nan for name in header]
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for r0 in range(0, len(kinds[0][1]) if kinds else 0, BLOCK_ROWS):
+            fh.write(_block([(kind, col[r0 : r0 + BLOCK_ROWS]) for kind, col in kinds], blank))

@@ -14,8 +14,10 @@ Subcommands (all take --config, and optionally --out and --seed):
 Every command is deterministic given (config, seed): artifacts are written
 with 17-significant-digit numeric fields and listed with sha256 checksums
 in a per-run ``manifest.json``, whose timing fields (wall clock, verify's
-``stages``) alone differ between reruns. The default output root can
-be set with the ``ULTRADIFF_OUT`` environment variable.
+``stages``) alone differ between reruns. The commands hand numpy columns
+to ``_write_csv`` (``_csv.write_csv``), which writes each cell with the
+bytes of ``'%.17g' % x`` from certified digits, in row blocks. The default
+output root can be set with the ``ULTRADIFF_OUT`` environment variable.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
 from . import __version__
+from ._csv import write_csv as _write_csv
 from .errors import ConfigError, UltradiffError
 from .heat import (
     HeatState,
@@ -307,24 +309,6 @@ def resolve_out_dir(cfg: RunConfig, flag_out: str | None, command: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _cell_format(column: list) -> str:
-    """%s for str, %d for ints within 2**53 (the bytes of %.17g, faster), else %.17g."""
-    if column and isinstance(column[0], str):
-        return "%s"
-    # the first cell spares float columns the scan of every cell's type
-    ints = bool(column) and type(column[0]) is int and set(map(type, column)) == {int}
-    return "%d" if ints and -(2**53) <= min(column) and max(column) <= 2**53 else "%.17g"
-
-
-def _write_csv(path: Path, header: list[str], columns: list[list]) -> None:
-    """One list per column, all of one kind: str cells written as they are,
-    or numbers (Python floats or ints) with the bytes of f"{x:.17g}".
-    One row format is applied, once, to the whole table."""
-    row = ",".join(map(_cell_format, columns))
-    cells = tuple(chain.from_iterable(zip(*columns)))
-    path.write_text(",".join(header) + "\n" + (row + "\n") * len(columns[0]) % cells)
-
-
 def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -363,8 +347,8 @@ def cmd_landscape(cfg: RunConfig, out: Path) -> int:
     params = cfg.landscape
     state = HeatState(params)
     cache = state.cache
-    ks = list(range(cache.k_min, cache.k_max + 1))
-    columns = [ks, (1.0 - cache.values).tolist(), cache.values.tolist()]
+    ks = np.arange(cache.k_min, cache.k_max + 1)
+    columns = [ks, 1.0 - cache.values, cache.values]
     _write_csv(out / "spectral.csv", ["k", "jhat", "one_minus_jhat"], columns)
 
     gap = spectral_gap_at_one(params)
@@ -413,13 +397,13 @@ def cmd_kernel(cfg: RunConfig, out: Path) -> int:
     z = ztilde_table(state, x_exps, times)
     i_flat, t_flat = np.repeat(x_exps, len(times)), np.tile(times, len(x_exps))
     order = np.lexsort((t_flat, i_flat))
-    keys = [i_flat[order].tolist(), t_flat[order].tolist()]
+    keys = [i_flat[order], t_flat[order]]
     for name, table in (("u_profile.csv", u), ("ztilde.csv", z)):
-        columns = keys + [table.ravel()[order].tolist()]
+        columns = keys + [table.ravel()[order]]
         _write_csv(out / name, ["norm_exp", "t", "value"], columns)
 
     defects = [audit.defect for audit in conservation_audits(state, times)]
-    columns = [list(times), survival(state, times).tolist(), defects]
+    columns = [times, survival(state, times), defects]
     _write_csv(out / "survival.csv", ["t", "value", "conservation_defect"], columns)
 
     pos_exps = [i for i in x_exps if i >= 1] or list(range(1, 11))
@@ -475,13 +459,13 @@ def cmd_simulate(cfg: RunConfig, out: Path, workers: int = 1) -> int:
     batch = run_paths(cfg.sim, query_times=times, workers=workers)
 
     columns = [
-        list(range(len(batch.tau))),
-        ["" if math.isnan(t) else "%.17g" % t for t in batch.tau.tolist()],
-        np.isnan(batch.tau).astype(int).tolist(),
-        batch.exited.astype(int).tolist(),
+        np.arange(len(batch.tau)),
+        batch.tau,
+        np.isnan(batch.tau).astype(int),
+        batch.exited.astype(int),
     ]
     header = ["path_index", "tau", "censored", "exited"]
-    _write_csv(out / "fpt_samples.csv", header, columns)
+    _write_csv(out / "fpt_samples.csv", header, columns, blank_nan=("tau",))
 
     estimates = survival_estimates(batch)
     header = ["t", "estimate", "stderr", "n_paths"]
@@ -498,13 +482,13 @@ def cmd_fpt(cfg: RunConfig, out: Path) -> int:
     ts = np.arange(0.0, T + h / 2.0, h)
     g = g_grid(state, ts)
     grid = solve_volterra(g, h)
-    columns = [ts.tolist(), g.tolist(), grid.f_for_export().tolist()]
+    columns = [ts, g, grid.f_for_export()]
     _write_csv(out / "g_f.csv", ["t", "g", "f"], columns)
 
     rec = recurrence_diagnostic(
         cfg.landscape, state.cache, cfg.fpt.s_ladder, cfg.fpt.recurrence_threshold
     )
-    columns = [list(rec.s_values), list(rec.g_values)]
+    columns = [rec.s_values, rec.g_values]
     _write_csv(out / "laplace_ladder.csv", ["s", "G"], columns)
     _write_json(
         out / "recurrence_verdict.json",

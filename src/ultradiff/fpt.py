@@ -174,7 +174,7 @@ def laplace_G(
     >= s, giving a hard remainder bound; spectral values beyond the cache
     window are filled in on demand.
     """
-    if s <= 0:
+    if not s > 0:  # NaN fails this too
         raise NonPositiveS(f"Laplace evaluation needs s > 0, got {s}")
     space = params.space
     pn = float(space.p) ** space.n
@@ -197,8 +197,9 @@ def laplace_g_quadrature(state: HeatState, s, horizon: float = 50.0, h: float = 
     """Direct numerical Laplace transform of g (trapezoid on [0, horizon]):
     a float for one s, an array for a sequence, all from one g grid."""
     s_values = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s_values <= 0):
-        raise NonPositiveS(f"Laplace evaluation needs s > 0, got {s_values[s_values <= 0][0]}")
+    bad = ~(s_values > 0)  # NaN is bad too
+    if bad.any():
+        raise NonPositiveS(f"Laplace evaluation needs s > 0, got {s_values[bad][0]}")
     ts = np.arange(0.0, horizon + h / 2, h)
     gv = g_grid(state, ts)
     out = np.array([_trapezoid(np.exp(-sv * ts) * gv, h) for sv in s_values])
@@ -235,7 +236,7 @@ def recurrence_diagnostic(
     hypothesis.
     """
     ladder = list(s_ladder)
-    if any(s <= 0 for s in ladder):
+    if not all(s > 0 for s in ladder):  # NaN fails this too
         raise NonPositiveS("the s-ladder must be strictly positive")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("the s-ladder must be strictly decreasing")

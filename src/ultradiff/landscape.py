@@ -78,16 +78,22 @@ class LandscapeParams:
 
     def value_at(self, j: int) -> float:
         """J(p^j), evaluated through the log to dodge overflow at large |j|."""
-        log_val = self.log_value_at(j)
-        if log_val > 700.0:
-            return math.inf
-        return math.exp(log_val) if log_val > -745.0 else 0.0
+        return next(_values_from(self, j, block=1))
 
     def log_value_at(self, j):
         """log J(p^j) for an integer or an integer array j."""
         with np.errstate(over="ignore"):
             decay = self.c1 * np.power(float(self.space.p), j)  # inf is fine
         return math.log(self.norm_const) + j * self.gamma * self.space.log_p - decay
+
+
+def _values_from(kernel: RadialKernel, m: int, step: int = 1, block: int = 32):
+    """J(p^m), J(p^(m + step)), ... through the log, inf above e^700 and 0
+    below e^-745, from one log_value_at call per block of m."""
+    while True:
+        for log_val in kernel.log_value_at(np.arange(m, m + step * block, step)).tolist():
+            yield math.inf if log_val > 700.0 else math.exp(log_val) if log_val > -745.0 else 0.0
+        m += step * block
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +248,23 @@ def spectral_by_quadrature(
     upper_mass = 0.0
     m = 2 - k
     zeros = 0
+    values = _values_from(kernel, m)
     while zeros < 2:
-        t = kernel.value_at(m) * sphere_volume(space, m)
+        t = next(values) * sphere_volume(space, m)
         upper_mass += t
         zeros = zeros + 1 if t == 0.0 else 0
         m += 1
         if m - (2 - k) > _MAX_SERIES_TERMS:
             raise SeriesDiverged("quadrature upper tail failed to settle")
     m = 1 - k
-    total = -kernel.value_at(m) * pn ** (m - 1)  # the lone negative sphere
-    mass_seen = kernel.value_at(m) * sphere_volume(space, m)
+    values = _values_from(kernel, m, -1)
+    j_m = next(values)
+    total = -j_m * pn ** (m - 1)  # the lone negative sphere
+    mass_seen = j_m * sphere_volume(space, m)
     scale = max(abs(total), 1.0)
     while True:
         m -= 1
-        term = kernel.value_at(m) * sphere_volume(space, m)
+        term = next(values) * sphere_volume(space, m)
         total += term
         mass_seen += term
         scale = max(scale, abs(total))

@@ -11,7 +11,6 @@ import pytest
 
 from conftest import GRID, verify_sweep
 from ultradiff.cli import (
-    _cell_format,
     _log_factorials,
     _write_csv,
     binomial_tail_z,
@@ -535,7 +534,7 @@ def test_binomial_tail_z_sums_only_nonzero_terms(n):
 
 
 # ---------------------------------------------------------------------------
-# the CSV writer: one %-format per table, the bytes of the per-cell writer
+# the CSV writer: whole tables have the bytes of the per-cell writer
 # ---------------------------------------------------------------------------
 
 
@@ -579,6 +578,18 @@ TEXT_CELLS = (["", "a", "x y", "-0", "nan"] * 4)[: len(SPECIAL_NUMBERS)]
             ],
             id="int-columns",
         ),
+        pytest.param(
+            [
+                np.arange(len(SPECIAL_NUMBERS)),
+                np.array(SPECIAL_NUMBERS),
+                np.array(SPECIAL_NUMBERS[::-1]),
+                np.array([2**53, -(2**53), 2**53 + 1, 2**62, -7, 0] * 3)[:17],
+                np.arange(17) % 3 == 0,
+                np.arange(17, dtype=np.uint8),
+            ],
+            id="ndarrays",
+        ),
+        pytest.param([np.array([]), np.array([], dtype=int)], id="ndarray-zero-rows"),
     ],
 )
 def test_write_csv_matches_per_cell_oracle(tmp_path, columns):
@@ -588,12 +599,18 @@ def test_write_csv_matches_per_cell_oracle(tmp_path, columns):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-def test_int_columns_within_2_53_are_written_with_d():
-    assert _cell_format([2**53, -(2**53), 0, 5]) == "%d"
+def test_int_columns_within_2_53_are_written_with_d(tmp_path):
     assert "%d" % (2**53 + 1) != "%.17g" % (2**53 + 1) == "9007199254740992"
+
+    def written(column):
+        _write_csv(tmp_path / "c.csv", ["c"], [column])
+        return (tmp_path / "c.csv").read_text()
+
+    for column in ([2**53, -(2**53), 0, 5], np.array([2**53, -(2**53), 0, 5])):
+        assert written(column) == "c\n" + "".join("%d\n" % v for v in column)
     for column in ([2**53 + 1], [-(2**53) - 1], [True, 1], [1, 2.5], [1.0], []):
-        assert _cell_format(column) == "%.17g", column
-    assert _cell_format(["", "a"]) == "%s"
+        assert written(column) == "c\n" + "".join("%.17g\n" % v for v in column), column
+    assert written(["", "a"]) == "c\n\na\n"
 
 
 #: sha256 of the landscape, fpt, simulate and verify artifacts at configs/desk.json

@@ -1,0 +1,132 @@
+"""The CSV writer: every cell has the bytes of '%.17g' % x, whole tables
+match a per-cell oracle at every block boundary, and the certified digit
+path carries nearly every cell of a real artifact."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ultradiff._csv import _FALLBACK, BLOCK_ROWS, _block, _keys, write_csv
+from ultradiff.fpt import g_grid, solve_volterra
+
+
+def formatted(values) -> list[str]:
+    """One float column through the writer, cell by cell."""
+    return _block([("float", np.asarray(values, dtype=float))], [False]).decode().splitlines()
+
+
+def oracle(values) -> list[str]:
+    return ["%.17g" % v for v in values]
+
+
+def powers_of_ten_and_neighbours():
+    out = []
+    for k in range(-300, 301):
+        v = float(f"1e{k}")
+        out += [v, np.nextafter(v, 0.0), np.nextafter(v, math.inf)]
+    return np.array(out)
+
+
+def exact_ties():
+    """Doubles whose 18-digit decimal expansion ends in 5: n + 1/8 near
+    1e14, and 1e15 - j/8 for odd j, whose scaled digits are half-integers
+    just below 1e17."""
+    near_1e14 = [1e14 + n + 0.125 for n in range(200)]
+    near_1e17 = [1e15 - j / 8 for j in range(1, 400, 2)]
+    return np.array(near_1e14 + near_1e17)
+
+
+SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+           2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        pytest.param(
+            np.random.default_rng(20240810)
+            .integers(0, 2**64, size=10**5, dtype=np.uint64)
+            .view(np.float64),
+            id="random-bit-patterns",
+        ),
+        pytest.param(powers_of_ten_and_neighbours(), id="powers-of-ten-1-ulp"),
+        pytest.param(np.arange(40001) * 0.01, id="k-hundredths"),
+        pytest.param(np.arange(0.0, 400.005, 0.01), id="fpt-long-t-grid"),
+        pytest.param(np.ldexp(1.0, np.arange(-1000, 1000)), id="powers-of-two"),
+        pytest.param(np.array(SPECIAL), id="special"),
+        pytest.param(exact_ties(), id="exact-ties"),
+        pytest.param(-exact_ties(), id="negative-exact-ties"),
+    ],
+)
+def test_cells_are_the_bytes_of_percent_17g(values):
+    assert formatted(values) == oracle(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_cells_are_the_bytes_of_percent_17g_for_any_floats(values):
+    assert formatted(values) == oracle(values)
+
+
+def test_fallback_fires_on_ties_and_non_finite_cells():
+    key, _ = _keys(exact_ties())
+    assert (key == _FALLBACK).all()
+    key, _ = _keys(np.array([math.nan, math.inf, -math.inf, 5e-324, 1e-300, 1e300]))
+    assert (key == _FALLBACK).all()
+    # +-0 has exact digits: the int 0 with the sign of the double
+    key, d = _keys(np.array([0.0, -0.0]))
+    assert (key >= 0).all() and (d == 0).all()
+    assert formatted([0.0, -0.0]) == ["0", "-0"]
+
+
+def test_nearly_every_g_f_cell_takes_the_certified_path(desk_state):
+    # the fpt_long artifact: T = 400 at the desk h = 0.01
+    h = 0.01
+    ts = np.arange(0.0, 400.0 + h / 2.0, h)
+    g = g_grid(desk_state, ts)
+    cells = np.concatenate([ts, g, solve_volterra(g, h).f_for_export()])
+    key, _ = _keys(cells)
+    assert np.mean(key >= 0) >= 0.99
+    assert formatted(cells) == oracle(cells)
+
+
+def per_cell(header, columns, blank_nan=()):
+    """The table as a loop over its cells would write it."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        cells = []
+        for name, c in zip(header, row):
+            if isinstance(c, str):
+                cells.append(c)
+            elif name in blank_nan and math.isnan(c):
+                cells.append("")
+            else:
+                cells.append("%.17g" % c)
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_tables_match_the_per_cell_writer_at_block_boundaries(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    tau = rng.exponential(3.0, rows)
+    tau[rng.random(rows) < 0.5] = math.nan
+    header = ["i", "tau", "x", "label", "flag"]
+    columns = [
+        np.arange(rows) - rows // 2,
+        tau,
+        rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows),
+        [("a", "", "x y", "nan")[i % 4] for i in range(rows)],
+        np.isnan(tau),
+    ]
+    write_csv(tmp_path / "t.csv", header, columns, blank_nan=("tau",))
+    assert (tmp_path / "t.csv").read_bytes() == per_cell(header, columns, blank_nan=("tau",))
+
+
+def test_blank_nan_applies_to_the_named_columns_only(tmp_path):
+    columns = [np.array([math.nan, 1.5]), np.array([math.nan, -2.0])]
+    write_csv(tmp_path / "t.csv", ["a", "b"], columns, blank_nan=("b",))
+    assert (tmp_path / "t.csv").read_text() == "a,b\nnan,\n1.5,-2\n"

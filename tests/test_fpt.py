@@ -216,6 +216,22 @@ def test_laplace_positive_s_required(desk_params, desk_state):
         laplace_g_quadrature(desk_state, -1.0)
 
 
+def test_laplace_G_rejects_nan_s(desk_params, desk_state):
+    with pytest.raises(NonPositiveS):
+        laplace_G(desk_params, desk_state.cache, math.nan)
+
+
+def test_laplace_quadrature_rejects_nan_s(desk_state):
+    for bad in (math.nan, [1.0, math.nan]):
+        with pytest.raises(NonPositiveS):
+            laplace_g_quadrature(desk_state, bad, horizon=5.0)
+
+
+def test_recurrence_diagnostic_rejects_nan_in_the_ladder(desk_params, desk_state):
+    with pytest.raises(NonPositiveS):
+        recurrence_diagnostic(desk_params, desk_state.cache, [0.1, math.nan, 0.001])
+
+
 def test_laplace_quadrature_over_an_s_vector(desk_state):
     s_values = [2.0, 0.5, 1.0, 0.5, 7.25]
     horizon, h = 5.0, 1e-2

@@ -58,6 +58,7 @@ def test_landscape_sweep_smoke(tmp_path):
     assert header == "gamma,c1,exterior_mass,gap_at_one,S(0.5),S(2),int_f_0_1"
     assert len(rows) == 2
     for row in rows:
+        assert row == ",".join("%.17g" % float(v) for v in row.split(","))
         gamma, c1, *_, s_half, s_two, int_f = map(float, row.split(","))
         state = HeatState(normalize(SpaceParams(p=2, n=1), gamma, c1))
         assert [s_half, s_two] == [survival(state, 0.5), survival(state, 2.0)]
