@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ultradiff.cli import _write_csv
-from ultradiff.fpt import g_grid, solve_volterra, return_probability
+from ultradiff.fpt import g_grid, solve_volterra
 from ultradiff.heat import HeatState, survival
 from ultradiff.landscape import exterior_mass, normalize, spectral_gap_at_one
 from ultradiff.padic import SpaceParams
@@ -49,7 +49,7 @@ def run(argv=None):
             rows.append(
                 [gamma, c1, exterior_mass(params), spectral_gap_at_one(params)]
                 + survival(state, args.times).tolist()
-                + [return_probability(grid)]
+                + [grid.integral_f()]
             )
             print(
                 f"gamma={gamma:+.2f} c1={c1:4.2f}: C={rows[-1][2]:.4f} "

@@ -37,7 +37,6 @@ from .padic import (
     coset_add,
     coset_neg,
     padic_fractional_part,
-    sample_uniform_sphere_coset,
     sphere_volume,
     split_stream,
 )
@@ -55,20 +54,14 @@ from .landscape import (
 )
 from .heat import (
     HeatState,
-    RadialProfile,
     chapman_kolmogorov_defect,
-    conservation_audit,
     conservation_audits,
     decay_bound_check,
     du_dt,
     pde_residual,
     survival,
     transition_prob,
-    u_profile,
-    u_radial_profile,
     u_table,
-    ztilde,
-    ztilde_radial_profile,
     ztilde_table,
 )
 from .sim import (
@@ -80,9 +73,7 @@ from .fpt import (
     LaplaceEval,
     RecurrenceReport,
     VolterraGrid,
-    g_of_t,
     laplace_G,
     recurrence_diagnostic,
-    return_probability,
     solve_volterra,
 )

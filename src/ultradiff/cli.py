@@ -45,10 +45,9 @@ from .heat import (
     conservation_audits,
     decay_bound_check,
     du_dt,
-    escape_depth,
+    escape_depths,
     pde_residual,
     survival,
-    u_profile,  # a span target of perfbench/spans.py
     u_table,
     ztilde_table,
 )
@@ -66,11 +65,9 @@ from .landscape import (
 )
 from .fpt import (
     g_grid,
-    g_of_t,
     laplace_G,
     laplace_g_quadrature,
     recurrence_diagnostic,
-    return_probability,
     solve_volterra,
 )
 from .padic import SpaceParams, ZERO_NORM, is_prime
@@ -503,7 +500,7 @@ def cmd_fpt(cfg: RunConfig, out: Path) -> int:
             "f0_proxy": rec.f0_proxy,
             "s_values": list(rec.s_values),
             "g_values": list(rec.g_values),
-            "return_probability_censored": return_probability(grid),
+            "return_probability_censored": grid.integral_f(),
             "volterra_max_residual": float(np.abs(grid.residual()).max()),
         },
     )
@@ -617,7 +614,7 @@ def run_verify_checks(
     # Chapman-Kolmogorov on the lumped norm chain
     pairs = ((0.5, 0.5), (1.0, 2.0))
     ck = max(chapman_kolmogorov_defect(state, t, s) for t, s in pairs)
-    depths, escapes = zip(*(escape_depth(params, t + s) for t, s in pairs))
+    depths, escapes = zip(*escape_depths(params, [t + s for t, s in pairs]))
     evidence = f"depth<={max(depths)} escape<={max(escapes):.3g}"
     add("chapman_kolmogorov", ck, 1e-6, evidence)
 
@@ -645,7 +642,7 @@ def run_verify_checks(
     flux_ts = (0.5, 1.0, 2.0)
     surv = survival(state, [t + d for t in flux_ts for d in (*shifts, 0.0)]).reshape(-1, 5)
     ode = max(
-        abs(ddt(f) - (g_of_t(state, t) - c_ext * f[4])) for t, f in zip(flux_ts, surv)
+        abs(ddt(f) - (g_grid(state, [t])[0] - c_ext * f[4])) for t, f in zip(flux_ts, surv)
     )
     add("survival_flux_balance", ode, 1e-6)
 

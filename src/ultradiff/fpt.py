@@ -3,13 +3,17 @@
 Three linked objects:
 
 * the re-entry flux ``g(t) = sum_{i>=1} J(p^i) vol(S_i) u(p^i, t)`` — the
-  probability per unit time that a path outside Z_p^n jumps back in;
+  probability per unit time that a path outside Z_p^n jumps back in —
+  tabulated over a time grid by :func:`g_grid`;
 * the first-passage density f, tied to g by the renewal identity
   ``g(t) = int_0^t g(t - tau) f(tau) dtau + f(t)`` (a second-kind Volterra
   equation; g vanishes for negative arguments), discretised by the
-  trapezoid rule and solved as one power-series division, O(m log m);
+  trapezoid rule and solved as one power-series division, O(m log m); its
+  integral (:meth:`VolterraGrid.integral_f`) is the censored return
+  probability;
 * the Laplace transform ``G(s)`` of g, evaluated as the same sphere series
-  with phi(lambda) = 1/(s + lambda) in place of e^{-lambda t}.
+  with phi(lambda) = 1/(s + lambda) in place of e^{-lambda t}, for any
+  s in (0, +inf] (G(+inf) = 0).
   Since ``F(s) = G(s) / (1 + G(s))`` for the transform F of f, recurrence
   (return probability one) is equivalent to G blowing up as s -> 0+; the
   diagnostic walks a descending s-ladder and reports a verdict, never a
@@ -39,13 +43,9 @@ def _trapezoid(y: np.ndarray, dx: float) -> float:
     return float(np.trapz(y, dx=dx))  # numpy < 2
 
 
-def g_of_t(state: HeatState, t: float) -> float:
-    """Re-entry flux at time t; zero at t = 0 since u starts supported on Z_p^n."""
-    return float(inflow(state, 0, t)[0])
-
-
 def g_grid(state: HeatState, ts: np.ndarray) -> np.ndarray:
-    """g over a time grid: the series of :func:`g_of_t`, one engine call."""
+    """The re-entry flux g over the times ts, one engine call; g(0) = 0
+    since u starts supported on Z_p^n."""
     return inflow(state, 0, ts)
 
 
@@ -86,8 +86,8 @@ class VolterraGrid:
         return out
 
     def integral_f(self, upto: float | None = None) -> float:
-        """Trapezoidal integral of f, a censored stand-in for the return
-        probability (mass beyond the horizon is simply not counted)."""
+        """Trapezoidal integral of f: the return probability censored at
+        the horizon, a lower proxy for the s -> 0 limit of G/(1+G)."""
         if upto is None:
             return _trapezoid(self.f, self.h)
         k = int(round(upto / self.h))
@@ -135,15 +135,6 @@ def solve_volterra(g: np.ndarray, h: float) -> VolterraGrid:
     return VolterraGrid(h=h, g=g, f=f)
 
 
-def return_probability(grid: VolterraGrid) -> float:
-    """int_0^T f dt: a lower proxy for the total return probability.
-
-    The true quantity is the s -> 0 limit of G/(1+G); mass of f beyond the
-    grid horizon is uncounted here, so the value is censored from below.
-    """
-    return grid.integral_f()
-
-
 # ---------------------------------------------------------------------------
 # Laplace side
 # ---------------------------------------------------------------------------
@@ -172,7 +163,8 @@ def laplace_G(
 
     The inner tail is bounded by a geometric series with all denominators
     >= s, giving a hard remainder bound; spectral values beyond the cache
-    window are filled in on demand.
+    window are filled in on demand. At s = +inf every term is 0, and so are
+    G and the bound (the limit G(s) -> 0).
     """
     if not s > 0:  # NaN fails this too
         raise NonPositiveS(f"Laplace evaluation needs s > 0, got {s}")
@@ -183,7 +175,7 @@ def laplace_G(
     # Past n_terms spheres the inner series has at most p^{-n(i+n_terms)}/s
     # left, below 1e-15 of its first term vol(S_{-i}) / (s + 2).
     n_terms = math.ceil(
-        math.log((s + 2.0) / (1e-15 * s * space.unit_sphere_volume)) / math.log(pn)
+        (math.log1p(2.0 / s) - math.log(1e-15 * space.unit_sphere_volume)) / math.log(pn)
     )
     a, corr = sphere_series(cache, i, lambda lam: 1.0 / (s + lam), n_terms)
     scale = pn ** -i.astype(float)
@@ -195,14 +187,18 @@ def laplace_G(
 
 def laplace_g_quadrature(state: HeatState, s, horizon: float = 50.0, h: float = 1e-2):
     """Direct numerical Laplace transform of g (trapezoid on [0, horizon]):
-    a float for one s, an array for a sequence, all from one g grid."""
+    a float for one s, an array for a sequence, all from one g grid. At
+    s = +inf it is the trapezoid's limit (h/2) g(0)."""
     s_values = np.atleast_1d(np.asarray(s, dtype=float))
     bad = ~(s_values > 0)  # NaN is bad too
     if bad.any():
         raise NonPositiveS(f"Laplace evaluation needs s > 0, got {s_values[bad][0]}")
     ts = np.arange(0.0, horizon + h / 2, h)
     gv = g_grid(state, ts)
-    out = np.array([_trapezoid(np.exp(-sv * ts) * gv, h) for sv in s_values])
+    # e^{-s t} at t = 0 is 1 for every s: -s * 0 is nan at s = inf
+    out = np.array(
+        [_trapezoid(np.append(1.0, np.exp(-sv * ts[1:])) * gv, h) for sv in s_values]
+    )
     return float(out[0]) if np.ndim(s) == 0 else out
 
 

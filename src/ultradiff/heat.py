@@ -9,7 +9,7 @@ density away from the origin is given by the sphere series
     E(p^k, t) = exp( (Jhat(p^k) - 1) t ).
 
 Consequently the density integrates to 1 - e^{-t} and total probability is
-conserved only once the atom is counted; `conservation_audit` reports both
+conserved only once the atom is counted; `conservation_audits` reports both
 pieces. The solution of the Cauchy problem started from the indicator of
 Z_p^n is radial, constant on Z_p^n, and coincides with Ztilde on every
 sphere of norm >= p (both are the transition probability into the
@@ -21,19 +21,18 @@ with lambda_j = 1 - Jhat(p^{-j}) read from the spectral cache, evaluated by
 series is scaled and corrected; the heat series at norm exponent r is
 P(X_t in B_r) itself (:func:`transition_prob`). The coset chain lumps onto
 coset norms (:func:`norm_chain`), where Chapman-Kolmogorov is checked at the
-depth that also caps the conservation window (:func:`escape_depth`). The
+depth that also caps the conservation window (:func:`escape_depths`). The
 results are pure functions of the landscape, but a series that reaches past
 the cache window grows the cache in place, so concurrent evaluation on one
 state needs the window grown first.
 
-The engine takes a whole time grid at once: :func:`u_table`,
-:func:`ztilde_table`, :func:`du_dt`, :func:`j_convolve_u` and
-:func:`pde_residual` return tables with rows i and columns t, `survival` of
-a time vector is row 0 of the u table, :func:`conservation_audits` sums one
-sphere-mass table over the union of its certified windows, and
-:func:`decay_bound_check` takes its deficits from one call. Each entry goes
-through the same roundings whatever batch it is in, so a table equals the
-one-point calls (:func:`u_profile`, :func:`ztilde`, ...) bit for bit.
+Each quantity has one table API: :func:`u_table`, :func:`ztilde_table`,
+:func:`du_dt`, :func:`j_convolve_u` and :func:`pde_residual` return tables
+with rows i and columns t, `survival` of a time vector is row 0 of the u
+table, :func:`conservation_audits` sums one sphere-mass table over the union
+of its certified windows, and :func:`decay_bound_check` takes its deficits
+from one call. A value at one point is an entry of a one-point table, which
+has the same roundings as that entry in any larger table.
 """
 
 from __future__ import annotations
@@ -56,9 +55,7 @@ from .landscape import (
 )
 from .padic import (
     CosetPoint,
-    NormExponent,
     SpaceParams,
-    ZERO_NORM,
     _ZeroNorm,
     sphere_volume,
 )
@@ -73,37 +70,6 @@ _TIME_BLOCK = 4096
 def _machine_tail_len(space: SpaceParams) -> int:
     """Terms needed for a p^{-nj}-weighted series to reach machine tail."""
     return int(math.ceil(17.0 * math.log(10.0) / (space.n * space.log_p))) + 3
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """A function of the norm only, tabulated by norm exponent at one time.
-
-    ``values[i]`` is the value on the sphere of norm p^i; ``inside`` is the
-    value taken throughout Z_p^n where the profile is constant (meaningful
-    for solution profiles; the kernel density has no inside value). For a
-    full probability profile, inside * vol(Z_p^n) plus the sphere-weighted
-    values account for all mass.
-    """
-
-    space: SpaceParams
-    t: float
-    values: dict[int, float]
-    inside: float | None = None
-
-    def sphere_mass(self) -> float:
-        """sum_i values[i] * vol(S_i) over the tabulated exponents."""
-        return math.fsum(
-            v * sphere_volume(self.space, i) for i, v in self.values.items()
-        )
-
-    def total_probability(self) -> float:
-        """inside-ball mass (vol 1) plus the tabulated sphere masses."""
-        if self.inside is None:
-            raise ValueError("profile has no inside value")
-        return self.inside + math.fsum(
-            v * sphere_volume(self.space, i) for i, v in self.values.items() if i >= 1
-        )
 
 
 @dataclass
@@ -213,9 +179,11 @@ def _on_spheres(state: HeatState, i: np.ndarray, bracket: np.ndarray) -> np.ndar
 def ztilde_table(state: HeatState, x_exps: Sequence[int], ts) -> np.ndarray:
     """Ztilde(p^i, t) for x_exps i (x != 0) and times ts; rows i, columns t.
 
-    Every entry has the roundings of the one-point call :func:`ztilde`, so
-    a table over many times equals the scalar calls bit for bit.
+    Nonnegative up to series roundoff; values within 1e-12 of zero are
+    clamped to zero (at t = 0 the series telescopes to exactly that).
     """
+    if any(isinstance(k, _ZeroNorm) for k in x_exps):
+        raise ZeroPoint("Ztilde is defined for x != 0 only")
     i = np.asarray(x_exps, dtype=np.int64)
     return _on_spheres(state, i, _bracket(state, i, ts)[1])
 
@@ -227,56 +195,12 @@ def _sphere_masses(state: HeatState, i_exps, ts) -> np.ndarray:
 
 
 def u_table(state: HeatState, x_exps: Sequence[int], ts) -> np.ndarray:
-    """u(p^i, t) for x_exps i and times ts; rows i, columns t. Every i <= 0
-    (or ZERO_NORM) means Z_p^n, where u = S. :func:`u_profile` is one entry."""
+    """u(p^i, t), the solution from the unit-ball indicator, for x_exps i
+    and times ts; rows i, columns t. Every i <= 0 (or ZERO_NORM) means
+    Z_p^n, where u = S; for i >= 1 u = Ztilde (one unit coset's probability)."""
     i = np.maximum(_exps(x_exps), 0)
     a, bracket = _bracket(state, i, ts)
     return np.where((i == 0)[:, None], a, _on_spheres(state, i, bracket))
-
-
-def ztilde(state: HeatState, x_exp: NormExponent, t: float) -> float:
-    """Radial heat-kernel density at norm p^x_exp; defined only off the origin.
-
-    Nonnegative up to series roundoff; values within 1e-12 of zero are
-    clamped to zero (at t = 0 the series telescopes to exactly that).
-    """
-    if isinstance(x_exp, _ZeroNorm):
-        raise ZeroPoint("Ztilde is defined for x != 0 only")
-    return float(ztilde_table(state, [x_exp], t)[0, 0])
-
-
-def u_profile(state: HeatState, i: NormExponent, t: float) -> float:
-    """Solution of the Cauchy problem with unit-ball initial datum, by sphere.
-
-    Constant on Z_p^n (any i <= 0 or the ZERO_NORM tag); for i >= 1 it is
-    the sphere series  sum_{j>=i} vol(S_{-j}) E(p^{-j},t) - p^{-ni} E(p^{1-i},t).
-    """
-    return float(u_table(state, [i], t)[0, 0])
-
-
-def u_radial_profile(
-    state: HeatState, x_exps: Sequence[int], t: float
-) -> RadialProfile:
-    """Tabulate the solution profile over the given norm exponents."""
-    u = u_table(state, [0, *x_exps], t)[:, 0]
-    return RadialProfile(
-        space=state.space,
-        t=t,
-        values={i: float(v) for i, v in zip(x_exps, u[1:])},
-        inside=float(u[0]),
-    )
-
-
-def ztilde_radial_profile(
-    state: HeatState, x_exps: Sequence[int], t: float
-) -> RadialProfile:
-    """Tabulate the kernel density over the given norm exponents (x != 0)."""
-    z = ztilde_table(state, x_exps, t)[:, 0]
-    return RadialProfile(
-        space=state.space,
-        t=t,
-        values={i: float(v) for i, v in zip(x_exps, z)},
-    )
 
 
 def survival(state: HeatState, t):
@@ -351,11 +275,6 @@ def escape_depths(
     return depths
 
 
-def escape_depth(params: LandscapeParams, t: float) -> tuple[int, float]:
-    """:func:`escape_depths` at one time."""
-    return escape_depths(params, [t])[0]
-
-
 def _audit_windows(
     params: LandscapeParams, ts: Sequence[float]
 ) -> list[tuple[int, int, float]]:
@@ -391,7 +310,7 @@ def conservation_audits(
     plus the atom, on a window certified by two bounds from the landscape,
     each at most AUDIT_TAIL:
 
-    * above S_hi: hi is the :func:`escape_depth` of t, so the mass outside
+    * above S_hi: hi is the :func:`escape_depths` entry of t, so the mass outside
       B_hi is at most 1 - exp(-t jmass_tail(hi));
     * below S_lo: a path in B_{lo-1} minus 0 has jumped, and its last jump
       landed in a translate of B_{lo-1}, so that mass is at most
@@ -417,11 +336,6 @@ def conservation_audits(
         )
         for col, (t, (lo, hi, tail)) in enumerate(zip(ts, windows))
     ]
-
-
-def conservation_audit(state: HeatState, t: float) -> ConservationAudit:
-    """:func:`conservation_audits` at one time."""
-    return conservation_audits(state, [t])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -499,31 +413,23 @@ def transition_prob(
         return 1.0 if inside else 0.0
     if not delta.is_zero() and d > radius_exp:
         # every point of the displaced ball sits on the sphere of norm p^d
-        return ztilde(state, d, t) * float(space.p) ** (radius_exp * space.n)
+        z = float(ztilde_table(state, [d], t)[0, 0])
+        return z * float(space.p) ** (radius_exp * space.n)
     return float(_series(state, [radius_exp], _decay(t))[0][0, 0])
-
-
-def q_by_norm(state: HeatState, t: float, depth: int) -> np.ndarray:
-    """Transition probability into a single unit coset, by coset norm.
-
-    Index 0 is the identity coset (probability S(t)); index j >= 1 is any
-    coset of norm p^j (probability Ztilde(p^j, t), the density being
-    constant on unit balls at that distance).
-    """
-    return u_table(state, np.arange(depth + 1), t)[:, 0]
 
 
 def norm_chain(state: HeatState, t: float, depth: int) -> np.ndarray:
     """The coset chain on B_depth / Z_p^n lumped onto coset norm exponents:
     P[a, b] = P(from a coset x of norm p^a, in a coset of norm p^b at t),
-    the same for every such x since the jump law is radial. With
-    q = :func:`q_by_norm` and vol(S_b) cosets of norm p^b (1 for b = 0):
+    the same for every such x since the jump law is radial. With q[b] =
+    u(p^b, t), the probability of one unit coset of norm p^b (q[0] = S(t)),
+    and vol(S_b) cosets of norm p^b (1 for b = 0):
     P[a, 0] = q[a]; P[a, b] = vol(S_b) q[max(a, b)] for b != a; and P[a, a]
     sums q over x itself, the spheres of B_{a-1}(x) and S_a minus
     B_{a-1}(x), which has p^{n(a-1)} (p^n - 2) cosets. Rows fall short of 1
     by the mass that has left B_depth.
     """
-    q = q_by_norm(state, t, depth)
+    q = u_table(state, np.arange(depth + 1), t)[:, 0]
     pn = float(state.space.p) ** state.space.n
     b = np.arange(depth + 1)
     count = np.where(b == 0, 1.0, pn**b - pn ** (b - 1.0))
@@ -534,10 +440,10 @@ def norm_chain(state: HeatState, t: float, depth: int) -> np.ndarray:
 
 
 def chapman_kolmogorov_defect(state: HeatState, t: float, s: float) -> float:
-    """max |P(t+s) - P(t) P(s)| over the :func:`norm_chain` at the
-    :func:`escape_depth` of t + s: P(t) P(s) misses only paths that left
-    B_depth by time t, at most AUDIT_TAIL of the mass."""
-    depth, _ = escape_depth(state.landscape, t + s)
+    """max |P(t+s) - P(t) P(s)| over the :func:`norm_chain` at the escape
+    depth of t + s (:func:`escape_depths`): P(t) P(s) misses only paths that
+    left B_depth by time t, at most AUDIT_TAIL of the mass."""
+    [(depth, _)] = escape_depths(state.landscape, [t + s])
     pt, ps, pts = (norm_chain(state, u, depth) for u in (t, s, t + s))
     return float(np.max(np.abs(pts - pt @ ps)))
 

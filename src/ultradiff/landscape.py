@@ -36,6 +36,7 @@ from .padic import SpaceParams, log_sphere_volume, sphere_volume
 DEFAULT_SPECTRAL_WINDOW = (-40, 40)
 
 _MAX_SERIES_TERMS = 10_000
+_TINY = 2.0**-1022  # the smallest normal double
 
 
 class RadialKernel(Protocol):
@@ -264,7 +265,10 @@ def spectral_by_quadrature(
     scale = max(abs(total), 1.0)
     while True:
         m -= 1
-        term = next(values) * sphere_volume(space, m)
+        # near gamma = -n, J overflows where J vol(S_m) is still in range
+        j_m, vol = next(values), sphere_volume(space, m)
+        normal = _TINY <= j_m < math.inf and vol >= _TINY
+        term = j_m * vol if normal else math.exp(log_sphere_mass(kernel, m))
         total += term
         mass_seen += term
         scale = max(scale, abs(total))

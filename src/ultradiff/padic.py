@@ -9,8 +9,9 @@ at that radial resolution:
 * additive-character integrals over spheres, which collapse to a three-case
   closed form and turn every radial Fourier integral into a sphere sum;
 * the quotient group Q_p^n / Z_p^n, stored as finite digit patterns at
-  positions -1, -2, ..., which is the exact state space of the jump
-  simulator (jumps of norm <= 1 act trivially on it).
+  positions -1, -2, ..., the state space of the coset chain (jumps of norm
+  <= 1 act trivially on it); the simulator walks only its lumped norm chain;
+* the counter-based random streams of the Monte Carlo (:func:`split_stream`).
 
 Small exponents can be computed in exact rational arithmetic (`Fraction`)
 for use as test oracles; the float paths switch to log space when the
@@ -387,50 +388,6 @@ def coset_add(a: CosetPoint, b: CosetPoint) -> CosetPoint:
 def coset_neg(a: CosetPoint) -> CosetPoint:
     """Group inverse: the coset of -x, residue negation modulo p^depth."""
     return CosetPoint.from_residues(a.space, [-r for r in a.to_residues()], a.depth)
-
-
-def sample_sphere_residues(
-    space: SpaceParams, j: int, rng: np.random.Generator
-) -> list[int]:
-    """Residues mod p^j (see :meth:`CosetPoint.to_residues`) of a
-    Haar-uniform coset on the norm-p^j sphere, j >= 1.
-
-    The admissible digit patterns occupy positions -j .. -1 with at least
-    one coordinate nonzero at -j; there are p^{jn} - p^{(j-1)n} of them and
-    each is equally likely. Draws vectors of n digits until one is nonzero
-    (the column at -j), then, if j > 1, an (n, j-1) block for -1 .. -(j-1).
-    """
-    p, n = space.p, space.n
-    col = [0] * n
-    while not any(col):
-        col = rng.integers(0, p, size=n).tolist()
-    if j == 1:
-        return col
-    out = []
-    for row, lead in zip(rng.integers(0, p, size=(n, j - 1)).tolist(), col):
-        a = 0
-        for dig in row:  # positions -1 .. -(j-1), most significant first
-            a = a * p + dig
-        out.append(a * p + lead)
-    return out
-
-
-def sample_uniform_sphere_coset(
-    space: SpaceParams,
-    j: int,
-    rng: np.random.Generator,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-) -> CosetPoint:
-    """Haar-uniform sample on the norm-p^j sphere, projected to the quotient.
-
-    The draw is :func:`sample_sphere_residues`. Jumps with j <= 0 do not
-    move the coset and are rejected here.
-    """
-    if j < 1:
-        raise ValueError("sphere sampling on the quotient requires j >= 1")
-    if j > depth_cap:
-        raise DepthOverflow(f"sphere exponent {j} exceeds the depth cap {depth_cap}")
-    return CosetPoint.from_residues(space, sample_sphere_residues(space, j, rng), j)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,13 @@ _spec.loader.exec_module(verify_sweep)
 #: {-0.95 n, -0.5 n, 0.5}, C1 in {0.2, 1, 5}.
 GRID = verify_sweep.GRID
 
+
+def at(table, state, i, t):
+    """One entry of a heat table (``u_table``, ``ztilde_table``): the value
+    at norm exponent i and time t, from the one-point table."""
+    return table(state, [i], [t])[0, 0]
+
+
 @pytest.fixture(scope="session")
 def desk_space():
     return SpaceParams(p=2, n=1)

@@ -12,17 +12,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import at
 import ultradiff.fpt as fpt
 from ultradiff.cli import main
 from ultradiff.heat import (
     chapman_kolmogorov_defect,
-    conservation_audit,
+    conservation_audits,
     decay_bound_check,
     du_dt,
     pde_residual,
     survival,
-    u_profile,
-    ztilde,
+    u_table,
+    ztilde_table,
 )
 from ultradiff.landscape import (
     UnitBallKernel,
@@ -90,11 +91,10 @@ def test_criterion_02_indicator_oracle(desk_space):
 
 def test_criterion_03_conservation(desk_state):
     worst = 0.0
-    for t in (0.1, 0.5, 1.0, 5.0, 20.0):
-        audit = conservation_audit(desk_state, t)
+    for audit in conservation_audits(desk_state, (0.1, 0.5, 1.0, 5.0, 20.0)):
         worst = max(worst, audit.defect)
         # the density alone carries 1 - e^{-t}: the rest is the zero-jump atom
-        worst = max(worst, abs(audit.density_mass - (-math.expm1(-t))))
+        worst = max(worst, abs(audit.density_mass - (-math.expm1(-audit.t))))
     report(
         3,
         worst <= 1e-8,
@@ -104,11 +104,9 @@ def test_criterion_03_conservation(desk_state):
 
 def test_criterion_04_decay_bounds(desk_state):
     space = desk_state.space
-    uniform_ok = all(
-        ztilde(desk_state, i, t) <= 2.0 * t * float(space.p) ** (-i * space.n)
-        for i in range(1, 11)
-        for t in (0.1, 1.0, 10.0)
-    )
+    i, t = np.arange(1, 11), np.array([0.1, 1.0, 10.0])
+    bound = 2.0 * t[None, :] * float(space.p) ** (-i[:, None] * space.n)
+    uniform_ok = bool(np.all(ztilde_table(desk_state, i, t) <= bound))
     rep = decay_bound_check(desk_state, range(2, 13), (0.1, 1.0, 10.0), l=1)
     report(
         4,
@@ -125,7 +123,7 @@ def test_criterion_05_evolution_residual(desk_state):
     worst_fd = max(
         abs(
             du_dt(desk_state, i, t)
-            - (u_profile(desk_state, i, t + h) - u_profile(desk_state, i, t - h))
+            - (at(u_table, desk_state, i, t + h) - at(u_table, desk_state, i, t - h))
             / (2 * h)
         )
         for i, t in ((2, 1.0), (ZERO_NORM, 0.5), (1, 2.0))
@@ -152,7 +150,7 @@ def test_criterion_07_survival_flux_balance(desk_state):
     worst = max(
         abs(
             (survival(desk_state, t + h) - survival(desk_state, t - h)) / (2 * h)
-            - (fpt.g_of_t(desk_state, t) - c_ext * survival(desk_state, t))
+            - (fpt.g_grid(desk_state, [t])[0] - c_ext * survival(desk_state, t))
         )
         for t in (0.5, 1.0, 2.0)
     )

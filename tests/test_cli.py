@@ -331,6 +331,18 @@ def test_verify_across_grid(p, n, gamma, c1, tmp_path):
     assert [c for c in checks if not c["passed"]] == []
 
 
+def test_verify_exits_zero_near_gamma_minus_n(tmp_path):
+    # the quadrature oracle's lower tail passes J(p^m) = inf here
+    path = tmp_path / "point.json"
+    path.write_text(
+        json.dumps(verify_sweep.point_config(2, 1, -0.97, 1.0, paths=100, seed=20240810))
+    )
+    out = tmp_path / "ver"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == []
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_rejected(config_path, tmp_path, workers, capsys):
     with pytest.raises(SystemExit) as exc:

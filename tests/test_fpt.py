@@ -16,15 +16,13 @@ import pytest
 from ultradiff.errors import NonPositiveS, StepTooCoarse
 from ultradiff.fpt import (
     g_grid,
-    g_of_t,
     laplace_G,
     laplace_g_quadrature,
     recurrence_diagnostic,
-    return_probability,
     solve_volterra,
     VolterraGrid,
 )
-from ultradiff.heat import sphere_series, u_profile
+from ultradiff.heat import sphere_series, u_table
 from ultradiff.landscape import (
     SpectralCache,
     exterior_mass,
@@ -44,17 +42,15 @@ def synthetic_grid(a, b, h, horizon):
 
 
 def test_flux_vanishes_at_zero(desk_state):
-    assert g_of_t(desk_state, 0.0) == 0.0
     assert g_grid(desk_state, np.array([0.0]))[0] == 0.0
+    assert g_grid(desk_state, np.array([0.0, 1.0]))[0] == 0.0
 
 
 def test_flux_bounded_by_exterior_mass(desk_state):
     c_ext = exterior_mass(desk_state.landscape)
     ts = np.linspace(0.0, 20.0, 101)
     # u <= 1 on every sphere, hence g <= C
-    for i in (1, 2, 4):
-        for t in (0.5, 2.0, 10.0):
-            assert u_profile(desk_state, i, t) <= 1.0 + 1e-12
+    assert np.all(u_table(desk_state, (1, 2, 4), (0.5, 2.0, 10.0)) <= 1.0 + 1e-12)
     assert np.all(g_grid(desk_state, ts) <= c_ext + 1e-12)
 
 
@@ -62,12 +58,14 @@ def test_flux_grid_matches_scalar(desk_state):
     ts = np.array([0.0, 0.1, 0.7, 1.3, 5.0, 17.0])
     grid = g_grid(desk_state, ts)
     for k, t in enumerate(ts):
-        assert grid[k] == pytest.approx(g_of_t(desk_state, float(t)), rel=1e-12, abs=1e-15)
+        one = g_grid(desk_state, np.array([t]))[0]
+        assert grid[k] == pytest.approx(one, rel=1e-12, abs=1e-15)
 
 
 def test_flux_other_space(state_p3n2):
-    assert g_of_t(state_p3n2, 0.0) == 0.0
-    assert 0.0 < g_of_t(state_p3n2, 1.0) <= exterior_mass(state_p3n2.landscape)
+    g0, g1 = g_grid(state_p3n2, np.array([0.0, 1.0]))
+    assert g0 == 0.0
+    assert 0.0 < g1 <= exterior_mass(state_p3n2.landscape)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +109,7 @@ def test_non_finite_flux_rejected():
 def test_zero_flux_gives_zero_density():
     grid = solve_volterra(np.zeros(101), 0.05)
     assert np.all(grid.f == 0.0)
-    assert return_probability(grid) == 0.0
+    assert grid.integral_f() == 0.0
 
 
 def test_synthetic_renewal_pair_closed_form():
@@ -183,7 +181,7 @@ def test_solver_on_real_flux(desk_state):
     assert float(np.max(np.abs(grid.residual()))) <= roundoff_bound(grid.g)
     assert float(grid.f.min()) >= -1e-8
     assert np.all(grid.f_for_export() >= 0.0)
-    assert 0.0 <= return_probability(grid) <= 1.0
+    assert 0.0 <= grid.integral_f() <= 1.0
 
 
 def test_return_probability_synthetic_limit():
@@ -191,7 +189,7 @@ def test_return_probability_synthetic_limit():
     ts, g = synthetic_grid(a, b, h, T)
     grid = solve_volterra(g, h)
     target = a / (a + b)
-    assert abs(return_probability(grid) - target) <= h * h + math.exp(-(a + b) * T)
+    assert abs(grid.integral_f() - target) <= h * h + math.exp(-(a + b) * T)
 
 
 def test_return_probability_grows_with_horizon(desk_state):
@@ -200,7 +198,7 @@ def test_return_probability_grows_with_horizon(desk_state):
     for T in (10.0, 50.0, 200.0):
         ts = np.arange(0.0, T + h / 2, h)
         grid = solve_volterra(g_grid(desk_state, ts), h)
-        vals.append(return_probability(grid))
+        vals.append(grid.integral_f())
     assert vals[0] < vals[1] < vals[2] <= 1.0 + 1e-6
 
 
@@ -230,6 +228,34 @@ def test_laplace_quadrature_rejects_nan_s(desk_state):
 def test_recurrence_diagnostic_rejects_nan_in_the_ladder(desk_params, desk_state):
     with pytest.raises(NonPositiveS):
         recurrence_diagnostic(desk_params, desk_state.cache, [0.1, math.nan, 0.001])
+
+
+def test_laplace_G_at_infinite_s(desk_params, desk_state):
+    # the limit G(s) -> 0, with a finite term count and a zero tail bound
+    ev = laplace_G(desk_params, desk_state.cache, math.inf)
+    assert ev.value == 0.0 and ev.tail_bound == 0.0
+    far = laplace_G(desk_params, desk_state.cache, 1e300)
+    assert ev.inner_terms_max == far.inner_terms_max
+
+
+def test_laplace_quadrature_at_infinite_s(desk_state):
+    # the trapezoid's limit (h/2) g(0), with no RuntimeWarning
+    h = 1e-2
+    limit = 0.5 * h * g_grid(desk_state, np.array([0.0]))[0]
+    assert laplace_g_quadrature(desk_state, math.inf, horizon=5.0, h=h) == limit
+    quad = laplace_g_quadrature(desk_state, [1.0, math.inf], horizon=5.0, h=h)
+    assert quad.tolist() == [
+        laplace_g_quadrature(desk_state, 1.0, horizon=5.0, h=h), limit
+    ]
+
+
+def test_recurrence_diagnostic_with_infinite_s(desk_params, desk_state):
+    ladder = [math.inf, 0.1, 0.001]
+    rep = recurrence_diagnostic(desk_params, desk_state.cache, ladder)
+    assert rep.g_values == tuple(
+        laplace_G(desk_params, desk_state.cache, s).value for s in ladder
+    )
+    assert rep.g_values[0] == 0.0 and rep.strictly_increasing
 
 
 def test_laplace_quadrature_over_an_s_vector(desk_state):

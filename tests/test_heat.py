@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import GRID
+from conftest import GRID, at
 from ultradiff.errors import GammaOutOfRange, ZeroPoint
 from ultradiff import heat
 from ultradiff.fpt import g_grid
@@ -20,22 +20,16 @@ from ultradiff.heat import (
     HeatState,
     _sphere_masses,
     chapman_kolmogorov_defect,
-    conservation_audit,
     conservation_audits,
     decay_bound_check,
     du_dt,
-    escape_depth,
+    escape_depths,
     j_convolve_u,
     norm_chain,
     pde_residual,
-    q_by_norm,
     survival,
     transition_prob,
-    u_profile,
-    u_radial_profile,
     u_table,
-    ztilde,
-    ztilde_radial_profile,
     ztilde_table,
 )
 from ultradiff.landscape import ball_jmass_bound, exterior_mass, jmass_ball, normalize
@@ -87,9 +81,10 @@ def coset_differences(space, depth):
 
 def transition_matrix(state, t, depth):
     """The coset chain's transition matrix on B_depth / Z_p^n: the
-    probability q_by_norm of the norm of y - x, per pair (x, y)."""
+    probability u(p^j, t) of one unit coset of the norm p^j of y - x, per
+    pair (x, y) (u = S on the identity coset)."""
     norms = coset_norm_exponents(state.space, depth)
-    q = q_by_norm(state, t, depth)
+    q = u_table(state, np.arange(depth + 1), t)[:, 0]
     return q[norms[coset_differences(state.space, depth)]]
 
 
@@ -114,39 +109,38 @@ def quotient_generator(state, depth):
 
 
 def test_ztilde_zero_time_vanishes(desk_state):
-    for i in (-10, -1, 1, 3, 8):
-        assert ztilde(desk_state, i, 0.0) == 0.0
+    assert np.all(ztilde_table(desk_state, [-10, -1, 1, 3, 8], [0.0]) == 0.0)
 
 
 def test_ztilde_rejects_origin(desk_state):
     with pytest.raises(ZeroPoint):
-        ztilde(desk_state, ZERO_NORM, 1.0)
+        ztilde_table(desk_state, [ZERO_NORM], [1.0])
+    with pytest.raises(ZeroPoint):
+        ztilde_table(desk_state, [2, ZERO_NORM, 1], [1.0, 2.0])
 
 
 def test_ztilde_nonnegative_on_grid(desk_state):
-    for i in range(-20, 15):
-        for t in (0.1, 0.5, 1.0, 5.0, 20.0):
-            assert ztilde(desk_state, i, t) >= 0.0
+    z = ztilde_table(desk_state, range(-20, 15), (0.1, 0.5, 1.0, 5.0, 20.0))
+    assert np.all(z >= 0.0)
 
 
 def test_uniform_decay_bound(desk_state):
     # Ztilde(x, t) <= 2 t |x|^{-n} pointwise
-    for i in range(1, 11):
-        for t in (0.1, 1.0, 10.0):
-            assert ztilde(desk_state, i, t) <= 2.0 * t * 2.0 ** (-i) + 1e-15
+    i, t = np.arange(1, 11), np.array([0.1, 1.0, 10.0])
+    bound = 2.0 * t[None, :] * 2.0 ** (-i[:, None].astype(float)) + 1e-15
+    assert np.all(ztilde_table(desk_state, i, t) <= bound)
 
 
 def test_conservation_with_atom(desk_state):
-    for t in (0.1, 0.5, 1.0, 5.0, 20.0):
-        audit = conservation_audit(desk_state, t)
+    for audit in conservation_audits(desk_state, (0.1, 0.5, 1.0, 5.0, 20.0)):
         assert audit.defect <= 1e-8
         # the density alone carries exactly 1 - e^{-t}
-        assert audit.density_mass == pytest.approx(-math.expm1(-t), abs=1e-8)
+        assert audit.density_mass == pytest.approx(-math.expm1(-audit.t), abs=1e-8)
 
 
 def test_conservation_other_space(state_p3n2):
-    for t in (0.5, 5.0):
-        assert conservation_audit(state_p3n2, t).defect <= 1e-8
+    for audit in conservation_audits(state_p3n2, (0.5, 5.0)):
+        assert audit.defect <= 1e-8
 
 
 @pytest.mark.parametrize("p, n, gamma, c1", GRID)
@@ -154,14 +148,13 @@ def test_conservation_window_certified_across_grid(p, n, gamma, c1):
     # near gamma = -n the density mass below S_lo decays like p^{(gamma+n) lo},
     # so the certified window reaches lo ~ -1000 at p = 2
     state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
-    for t in (0.1, 1.0, 20.0):
-        audit = conservation_audit(state, t)
-        assert audit.defect <= 1e-8, (t, audit.window)
-        assert audit.tail_bound <= 1e-15, (t, audit.window)
+    for audit in conservation_audits(state, (0.1, 1.0, 20.0)):
+        assert audit.defect <= 1e-8, (audit.t, audit.window)
+        assert audit.tail_bound <= 1e-15, (audit.t, audit.window)
 
 
 # ---------------------------------------------------------------------------
-# tables over (i, t): one engine call, the roundings of the scalar calls
+# tables over (i, t): one engine call, the roundings of the one-point tables
 # ---------------------------------------------------------------------------
 
 #: the desk point and the six points of the benchmark's sweep workload
@@ -183,7 +176,7 @@ def audit_at_one_time(state, t):
     """The conservation audit of t alone: its own window search and a
     one-column sphere-mass table, as before the audits were batched."""
     params = state.landscape
-    hi, above = escape_depth(params, t)
+    [(hi, above)] = escape_depths(params, [t])
     top, size = hi - 1, 64
     while True:
         q = np.arange(top, top - size, -1)
@@ -211,13 +204,13 @@ def test_tables_equal_scalar_calls(p, n, gamma, c1):
     s = survival(state, TABLE_TIMES)
     assert u.shape == z.shape == (len(TABLE_EXPS), len(TABLE_TIMES))
     for col, t in enumerate(TABLE_TIMES):
-        assert s[col] == survival(state, t) == u_profile(state, ZERO_NORM, t)
+        assert s[col] == survival(state, t) == at(u_table, state, ZERO_NORM, t)
         for row, i in enumerate(TABLE_EXPS):
-            assert u[row, col] == u_profile(state, i, t), (i, t)
-            assert z[row, col] == ztilde(state, i, t), (i, t)
+            assert u[row, col] == at(u_table, state, i, t), (i, t)
+            assert z[row, col] == at(ztilde_table, state, i, t), (i, t)
     audits = conservation_audits(state, TABLE_TIMES)
     assert audits == [audit_at_one_time(state, t) for t in TABLE_TIMES]
-    assert [conservation_audit(state, t) for t in TABLE_TIMES] == audits
+    assert [conservation_audits(state, [t])[0] for t in TABLE_TIMES] == audits
 
 
 @pytest.mark.parametrize("p, n, gamma, c1", [pt for pt in TABLE_POINTS if pt[2] < 0])
@@ -283,8 +276,8 @@ def test_time_blocks_on_empty_and_single_time_grids(desk_state):
     assert g_grid(desk_state, np.array([])).shape == (0,)
     u = u_table(desk_state, exps, [1.5])
     z = ztilde_table(desk_state, exps, [1.5])
-    assert u[:, 0].tolist() == [u_profile(desk_state, i, 1.5) for i in exps]
-    assert z[:, 0].tolist() == [ztilde(desk_state, i, 1.5) for i in exps]
+    assert u[:, 0].tolist() == [at(u_table, desk_state, i, 1.5) for i in exps]
+    assert z[:, 0].tolist() == [at(ztilde_table, desk_state, i, 1.5) for i in exps]
     assert g_grid(desk_state, np.array([1.5])).shape == (1,)
 
 
@@ -298,60 +291,59 @@ def test_conservation_audits_without_times(desk_state):
 
 
 def test_initial_condition(desk_state):
-    assert u_profile(desk_state, ZERO_NORM, 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert u_profile(desk_state, -3, 0.0) == pytest.approx(1.0, abs=1e-12)
-    for i in (1, 2, 5):
-        assert u_profile(desk_state, i, 0.0) == pytest.approx(0.0, abs=1e-12)
+    u = u_table(desk_state, [ZERO_NORM, -3, 1, 2, 5], [0.0])[:, 0]
+    assert u.tolist() == pytest.approx([1.0, 1.0, 0.0, 0.0, 0.0], abs=1e-12)
 
 
 def test_u_constant_inside_unit_ball(desk_state):
-    for t in (0.3, 1.0, 4.0):
-        ref = u_profile(desk_state, ZERO_NORM, t)
-        for i in (0, -1, -7):
-            assert u_profile(desk_state, i, t) == ref
+    u = u_table(desk_state, [ZERO_NORM, 0, -1, -7], (0.3, 1.0, 4.0))
+    assert np.all(u == u[0])
 
 
 def test_u_equals_ztilde_outside(desk_state):
     # both are the transition probability into a unit coset at distance p^i
-    for i in (1, 2, 5):
-        for t in (0.2, 1.0, 3.0):
-            assert u_profile(desk_state, i, t) == pytest.approx(
-                ztilde(desk_state, i, t), abs=1e-14
-            )
+    exps, times = (1, 2, 5), (0.2, 1.0, 3.0)
+    np.testing.assert_allclose(
+        u_table(desk_state, exps, times), ztilde_table(desk_state, exps, times),
+        rtol=0.0, atol=1e-14,
+    )
 
 
 def test_u_total_probability(desk_state):
     space = desk_state.space
     for t in (0.5, 1.0, 5.0):
         mass = survival(desk_state, t) + sum(
-            u_profile(desk_state, i, t) * sphere_volume(space, i)
+            at(u_table, desk_state, i, t) * sphere_volume(space, i)
             for i in range(1, 40)
         )
         assert mass == pytest.approx(1.0, abs=1e-8)
 
 
 def test_radial_profile_containers(desk_state):
+    # a radial profile at one time is one column of a table over norm
+    # exponents, and its sphere masses account for all of its mass
     t = 1.0
-    u_prof = u_radial_profile(desk_state, range(-3, 40), t)
-    assert u_prof.inside == survival(desk_state, t)
-    assert u_prof.values[2] == u_profile(desk_state, 2, t)
-    assert all(v >= 0.0 for v in u_prof.values.values())
+    exps = range(-3, 40)
+    u = u_table(desk_state, exps, [t])[:, 0]
+    assert u[0] == survival(desk_state, t)
+    assert u[exps.index(2)] == at(u_table, desk_state, 2, t)
+    assert np.all(u >= 0.0)
     # full probability profile: inside mass plus exterior sphere masses is 1
-    assert u_prof.total_probability() == pytest.approx(1.0, abs=1e-8)
+    outside = math.fsum(
+        v * sphere_volume(desk_state.space, i) for i, v in zip(exps, u) if i >= 1
+    )
+    assert u[0] + outside == pytest.approx(1.0, abs=1e-8)
     # the density blows up like |x|^gamma at the origin, so its sphere
     # masses have a slow geometric tail: take the window deep enough
-    z_prof = ztilde_radial_profile(desk_state, range(-90, 40), t)
-    assert z_prof.inside is None
-    assert z_prof.sphere_mass() == pytest.approx(-math.expm1(-t), abs=1e-8)
-    with pytest.raises(ValueError):
-        z_prof.total_probability()
+    exps = range(-90, 40)
+    z = ztilde_table(desk_state, exps, [t])[:, 0]
+    z_mass = math.fsum(v * sphere_volume(desk_state.space, i) for i, v in zip(exps, z))
+    assert z_mass == pytest.approx(-math.expm1(-t), abs=1e-8)
 
 
 def test_u_nonnegative_and_below_one(desk_state):
-    for i in (ZERO_NORM, 1, 2, 3, 6):
-        for t in (0.1, 1.0, 10.0):
-            v = u_profile(desk_state, i, t)
-            assert -1e-12 <= v <= 1.0 + 1e-12
+    u = u_table(desk_state, [ZERO_NORM, 1, 2, 3, 6], (0.1, 1.0, 10.0))
+    assert np.all((-1e-12 <= u) & (u <= 1.0 + 1e-12))
 
 
 def test_u_matches_matrix_exponential_oracle(desk_state):
@@ -362,7 +354,7 @@ def test_u_matches_matrix_exponential_oracle(desk_state):
         # residue 2^{8-i} has coset norm p^i
         for i in (1, 2, 3):
             assert row[2 ** (8 - i)] == pytest.approx(
-                u_profile(desk_state, i, t), abs=1e-6
+                at(u_table, desk_state, i, t), abs=1e-6
             )
 
 
@@ -370,8 +362,8 @@ def test_u_matches_matrix_exponential_oracle_p3n2(state_p3n2):
     q = quotient_generator(state_p3n2, depth=2)
     row = scipy.linalg.expm(q * 1.0)[0]
     assert row[0] == pytest.approx(survival(state_p3n2, 1.0), abs=1e-6)
-    assert row[3] == pytest.approx(u_profile(state_p3n2, 1, 1.0), abs=1e-6)
-    assert row[1] == pytest.approx(u_profile(state_p3n2, 2, 1.0), abs=1e-6)
+    assert row[3] == pytest.approx(at(u_table, state_p3n2, 1, 1.0), abs=1e-6)
+    assert row[1] == pytest.approx(at(u_table, state_p3n2, 2, 1.0), abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +374,7 @@ def test_u_matches_matrix_exponential_oracle_p3n2(state_p3n2):
 def test_du_dt_matches_finite_differences(desk_state):
     h = 1e-4
     for i, t in ((2, 1.0), (ZERO_NORM, 0.5), (1, 2.0), (4, 0.3)):
-        fd = (u_profile(desk_state, i, t + h) - u_profile(desk_state, i, t - h)) / (
+        fd = (at(u_table, desk_state, i, t + h) - at(u_table, desk_state, i, t - h)) / (
             2 * h
         )
         assert du_dt(desk_state, i, t) == pytest.approx(fd, abs=1e-6)
@@ -421,12 +413,10 @@ def test_evolution_equation_residual_p3n2(state_p3n2):
 def test_convolution_at_origin_is_flux_balance(desk_state):
     # (J*u)(inside) - u = g - C u_inside, the survival flux identity
     t = 0.8
-    u_in = u_profile(desk_state, ZERO_NORM, t)
+    u_in = survival(desk_state, t)
     c_ext = exterior_mass(desk_state.landscape)
-    from ultradiff.fpt import g_of_t
-
     lhs = j_convolve_u(desk_state, ZERO_NORM, t) - u_in
-    assert lhs == pytest.approx(g_of_t(desk_state, t) - c_ext * u_in, abs=1e-12)
+    assert lhs == pytest.approx(g_grid(desk_state, [t])[0] - c_ext * u_in, abs=1e-12)
 
 
 #: desk and two points of the verify grid, one of them with gamma > 0
@@ -473,7 +463,7 @@ def test_residual_tables_equal_one_point_oracles(p, n, gamma, c1):
         for row, i in enumerate(exps):
             want_dt = du_dt_one_point(state, i, t)
             want_jc = j_convolve_u_one_point(state, i, t)
-            want_res = want_dt - (want_jc - u_profile(state, i, t))
+            want_res = want_dt - (want_jc - at(u_table, state, i, t))
             assert dt[row, col] == want_dt == du_dt(state, i, t), (i, t)
             assert jc[row, col] == want_jc == j_convolve_u(state, i, t), (i, t)
             assert res[row, col] == want_res == pde_residual(state, i, t), (i, t)
@@ -482,7 +472,7 @@ def test_residual_tables_equal_one_point_oracles(p, n, gamma, c1):
     assert j_convolve_u(state, exps[0], times).tolist() == jc[0].tolist()
     assert pde_residual(state, exps, times[2]).tolist() == res[:, 2].tolist()
     assert u_table(state, exps, times).tolist() == [
-        [u_profile(state, i, t) for t in times] for i in exps
+        [at(u_table, state, i, t) for t in times] for i in exps
     ]
 
 
@@ -503,13 +493,11 @@ def test_survival_lower_bound(desk_state):
 
 
 def test_survival_flux_balance(desk_state):
-    from ultradiff.fpt import g_of_t
-
     c_ext = exterior_mass(desk_state.landscape)
     h = 1e-4
     for t in (0.5, 1.0, 2.0):
         fd = (survival(desk_state, t + h) - survival(desk_state, t - h)) / (2 * h)
-        rhs = g_of_t(desk_state, t) - c_ext * survival(desk_state, t)
+        rhs = g_grid(desk_state, [t])[0] - c_ext * survival(desk_state, t)
         assert fd == pytest.approx(rhs, abs=1e-6)
 
 
@@ -542,11 +530,11 @@ def test_transition_prob_distant_coset(desk_state):
     far = CosetPoint.from_digit_maps(space, [{-3: 1}])
     t = 1.0
     assert transition_prob(desk_state, zero, far, 0, t) == pytest.approx(
-        ztilde(desk_state, 3, t), rel=1e-12
+        at(ztilde_table, desk_state, 3, t), rel=1e-12
     )
     # sub-ball of that coset carries the proportional share of the density
     assert transition_prob(desk_state, zero, far, -2, t) == pytest.approx(
-        ztilde(desk_state, 3, t) / 4.0, rel=1e-12
+        at(ztilde_table, desk_state, 3, t) / 4.0, rel=1e-12
     )
 
 
@@ -581,7 +569,7 @@ def test_transition_prob_deep_ball(p, gamma, c1):
     for r in (-10, -40):
         for t in (0.1, 1.0):
             shell = math.fsum(
-                ztilde(state, j, t) * sphere_volume(state.space, j)
+                at(ztilde_table, state, j, t) * sphere_volume(state.space, j)
                 for j in range(r + 1, 1)
             )
             assert transition_prob(state, zero, zero, r, t) == pytest.approx(
@@ -657,11 +645,13 @@ def test_transition_matrix_rows_sum_to_total_mass(desk_state):
 
 
 def test_q_by_norm_consistency(desk_state):
+    # column 0 of the norm chain is q, the probability of one unit coset by
+    # its norm: S(t) for the identity coset, Ztilde(p^j, t) for norm p^j
     t = 0.5
-    q = q_by_norm(desk_state, t, depth=6)
+    q = norm_chain(desk_state, t, depth=6)[:, 0]
     assert q[0] == survival(desk_state, t)
     for j in range(1, 7):
-        assert q[j] == ztilde(desk_state, j, t)
+        assert q[j] == at(ztilde_table, desk_state, j, t)
 
 
 # ---------------------------------------------------------------------------

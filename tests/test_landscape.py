@@ -148,6 +148,30 @@ def test_series_matches_quadrature_other_spaces():
             )
 
 
+#: admissible points near gamma = -n, where J(p^m) overflows in the lower
+#: tail of the quadrature while J(p^m) vol(S_m) is still in range
+NEAR_GAMMA_MINUS_N = [
+    (2, 1, -0.97, 1.0),
+    (3, 1, -0.97, 1.0),
+    (2, 2, -1.94, 1.0),
+    (5, 1, -0.98, 0.3),
+    (3, 2, -1.95, 5.0),
+    (7, 1, -0.975, 20.0),
+    (2, 1, -0.99, 1.0),
+    (2, 1, -0.995, 1.0),
+]
+
+
+@pytest.mark.parametrize("p, n, gamma, c1", NEAR_GAMMA_MINUS_N)
+def test_quadrature_finite_near_gamma_minus_n(p, n, gamma, c1):
+    # verify's spectral_vs_quadrature check, at its threshold
+    params = normalize(SpaceParams(p, n), gamma, c1)
+    cache = SpectralCache.build(params)
+    for k in range(-3, 4):
+        quad = spectral_by_quadrature(params, k)
+        assert abs((1.0 - cache.one_minus(k)) - quad) <= 1e-10, k
+
+
 def test_spectral_range_over_window(desk_params):
     cache = SpectralCache.build(desk_params)
     for k in range(DEFAULT_SPECTRAL_WINDOW[0], DEFAULT_SPECTRAL_WINDOW[1] + 1):

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from ultradiff.errors import DepthOverflow
 from ultradiff.padic import (
@@ -28,8 +27,6 @@ from ultradiff.padic import (
     coset_neg,
     is_prime,
     padic_fractional_part,
-    sample_sphere_residues,
-    sample_uniform_sphere_coset,
     sphere_volume,
     sphere_volume_frac,
     split_stream,
@@ -379,94 +376,12 @@ def test_depth_cap_enforced():
         CosetPoint.from_digit_maps(space, [{-65: 1}])
     with pytest.raises(DepthOverflow):
         CosetPoint.from_fractions(space, [Fraction(1, 2**70)])
-    with pytest.raises(DepthOverflow):
-        sample_uniform_sphere_coset(space, 70, split_stream(0, 0))
 
 
 def test_residue_round_trip():
     space = SpaceParams(3, 2)
     c = CosetPoint.from_digit_maps(space, [{-1: 2, -3: 1}, {-2: 2}])
     assert CosetPoint.from_residues(space, c.to_residues(4), 4) == c
-
-
-# ---------------------------------------------------------------------------
-# sphere sampling
-# ---------------------------------------------------------------------------
-
-
-def test_sampler_single_admissible_pattern():
-    space = SpaceParams(2, 1)
-    rng = split_stream(7, 0)
-    for _ in range(50):
-        c = sample_uniform_sphere_coset(space, 1, rng)
-        assert c == CosetPoint.from_digit_maps(space, [{-1: 1}])
-
-
-def test_sampler_rejects_nonmoving_exponents():
-    with pytest.raises(ValueError):
-        sample_uniform_sphere_coset(SpaceParams(2, 1), 0, split_stream(0, 0))
-
-
-def _chi_square_uniform(space, j, n_draws, seed):
-    rng = split_stream(seed, 0)
-    counts: dict = {}
-    for _ in range(n_draws):
-        c = sample_uniform_sphere_coset(space, j, rng)
-        assert c.norm_exponent() == j
-        counts[c.digits] = counts.get(c.digits, 0) + 1
-    n_patterns = space.p ** (j * space.n) - space.p ** ((j - 1) * space.n)
-    assert len(counts) == n_patterns
-    observed = np.array(list(counts.values()))
-    chi2 = float(((observed - n_draws / n_patterns) ** 2 / (n_draws / n_patterns)).sum())
-    return chi2, n_patterns - 1
-
-
-def test_sampler_uniform_p2_j2():
-    chi2, df = _chi_square_uniform(SpaceParams(2, 1), 2, 10_000, seed=1234)
-    assert chi2 < stats.chi2.ppf(0.99, df)
-
-
-def test_sampler_uniform_p3_n2_j1():
-    chi2, df = _chi_square_uniform(SpaceParams(3, 2), 1, 10_000, seed=4321)
-    assert df == 7  # 8 admissible patterns
-    assert chi2 < stats.chi2.ppf(0.99, df)
-
-
-@pytest.mark.parametrize("p, n", [(2, 1), (3, 2), (5, 2)])
-def test_sampler_digit_protocol(p, n):
-    # n-digit columns until one is nonzero (position -j), then an (n, j-1)
-    # block for positions -1 .. -(j-1)
-    space = SpaceParams(p, n)
-    for j in (1, 2, 5, 40):
-        rng, ref = split_stream(99, j), split_stream(99, j)
-        for _ in range(20):
-            while True:
-                col = ref.integers(0, p, size=n)
-                if col.any():
-                    break
-            rest = ref.integers(0, p, size=(n, j - 1)) if j > 1 else np.zeros((n, 0))
-            maps = [
-                {-(k + 1): int(rest[c, k]) for k in range(j - 1)} | {-j: int(col[c])}
-                for c in range(n)
-            ]
-            expected = CosetPoint.from_digit_maps(space, maps)
-            assert sample_uniform_sphere_coset(space, j, rng) == expected
-
-
-@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 2), (5, 2), (3, 3)])
-def test_column_digits_match_vector_draw(p, n):
-    # the leading column is one integers(0, p, size=n) per attempt,
-    # whatever half-word the stream stands at (the odd-sized blocks shift it)
-    rng, ref = split_stream(5, p * n), split_stream(5, p * n)
-    for k in range(200):
-        got = sample_sphere_residues(SpaceParams(p, n), 1, rng)
-        while True:
-            col = ref.integers(0, p, size=n).tolist()
-            if any(col):
-                break
-        assert got == col and all(type(a) is int for a in got)
-        rng.integers(0, p, size=k % 3)
-        ref.integers(0, p, size=k % 3)
 
 
 # ---------------------------------------------------------------------------

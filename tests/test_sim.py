@@ -17,17 +17,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import at
 import ultradiff.fpt as fpt
 import ultradiff.sim as sim_module
 from ultradiff.cli import binomial_tail_z, mc_agreement
 from ultradiff.errors import ConfigError
-from ultradiff.heat import HeatState, norm_chain, survival, u_profile
+from ultradiff.heat import HeatState, norm_chain, survival, u_table
 from ultradiff.landscape import exterior_mass, normalize
 from ultradiff.padic import (
     CosetPoint,
     SpaceParams,
     coset_add,
-    sample_uniform_sphere_coset,
     sphere_volume,
     split_stream,
 )
@@ -348,40 +348,6 @@ def test_stderr_scaling(desk_params):
     assert ratio == pytest.approx(2.0, rel=0.2)
 
 
-def test_one_jump_law_matches_radial_kernel(desk_params):
-    # one coset-moving jump from the identity lands on a given coset of
-    # norm p^j with mass J(p^j) / C: the norm from the run_paths draw, the
-    # coset from the padic sphere sampler
-    space = desk_params.space
-    table = JumpNormTable.build(desk_params, j_max=8)
-    rate = exterior_mass(desk_params)
-    rng = split_stream(2024, 1)
-    n_draws = 20_000
-    depth = 2
-    counts: dict = {}
-    for j in moving_norms(table, _uniforms(2024, n_draws)).tolist():
-        if j > depth:
-            key = "far"
-        else:
-            key = sample_uniform_sphere_coset(space, j, rng).to_residues(depth)
-        counts[key] = counts.get(key, 0) + 1
-    probs = {"far": 1.0}
-    # each coset of norm p^j inside the depth window carries mass J(p^j)
-    for a in range(1, 2**depth):
-        v = 0
-        b = a
-        while b % 2 == 0:
-            b //= 2
-            v += 1
-        probs[(a,)] = desk_params.value_at(depth - v) / rate
-        probs["far"] -= probs[(a,)]
-    keys = list(probs)
-    expected = np.array([probs[k] * n_draws for k in keys])
-    observed = np.array([counts.get(k, 0) for k in keys], dtype=float)
-    chi2 = float(((observed - expected) ** 2 / expected).sum())
-    assert chi2 < stats.chi2.ppf(0.99, len(keys) - 1)
-
-
 @pytest.mark.parametrize(
     "p, n, gamma, c1, j_max", [(2, 1, -0.5, 1.0, 8), (3, 2, -1.0, 0.2, 4)]
 )
@@ -410,7 +376,7 @@ def test_marginal_norm_law_total_variation(desk_batch, desk_state):
     counts = np.bincount(desk_batch.norm_at[:, col], minlength=10)[:10]
     expected = np.array(
         [survival(desk_state, 1.0)]
-        + [u_profile(desk_state, i, 1.0) * sphere_volume(space, i) for i in range(1, 10)]
+        + [at(u_table, desk_state, i, 1.0) * sphere_volume(space, i) for i in range(1, 10)]
     )
     emp = counts / n
     tv = 0.5 * float(np.abs(emp - expected).sum())
