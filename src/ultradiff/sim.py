@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -187,37 +186,49 @@ def _run_block(
     ``live`` holds the paths whose clock has not passed the horizon. A path
     is constant between jumps, so tau, when observed, is the first jump time
     that lands on norm exponent 0; every jump from there leaves Z_p^n.
+
+    Query times are sorted once. A jump at time t marks its landing norm in
+    row 1 + #{q < t} of ``marks`` (row 0 is the start norm 0, the last row
+    the jumps past every query time; a later round overwrites an earlier
+    one), so marking costs O(live log n_query) per round. After the rounds,
+    each query row is filled forward from the one before where it holds no
+    mark: row 1 + k is then the norm at the k-th smallest query time.
     """
     space, table, horizon = config.landscape.space, config.table, config.horizon
     rate = 1.0 - table.prob_nonmoving
     drop = _drop_thresholds(space.p, space.n, config.j_max)
     qts = np.array(query_times, dtype=float)
+    order = np.argsort(qts, kind="stable")
+    sorted_q = qts[order]
     size = stop - start
     clock, norm = np.zeros(size), np.zeros(size, dtype=np.int64)
     tau = np.full(size, math.nan)
     n_jumps = np.zeros(size, dtype=np.int64)
-    norm_at = np.zeros((size, qts.size), dtype=np.int16)
+    marks = np.full((qts.size + 2, size), -1, dtype=np.int16)
+    marks[0] = 0
     for chunk in range(0, size if rate > 0 else 0, CHUNK_PATHS):
         live, round_ = np.arange(chunk, min(chunk + CHUNK_PATHS, size)), 0
         while live.size:
             lo, hi = int(live[0]), int(live[-1]) + 1
             bits = split_stream(config.seed, round_).bit_generator
-            words = bits.advance(start + lo).random_raw(4 * (hi - lo))
-            words = words.reshape(hi - lo, 4)[live - lo]
-            t = clock[live] - np.log1p(-_uniforms(words[:, 0])) / rate
+            # words[k] is word k of paths lo .. hi-1; only live rows are read
+            words = bits.advance(start + lo).random_raw(4 * (hi - lo)).reshape(-1, 4).T
+            t = clock[live] - np.log1p(-_uniforms(words[0][live - lo])) / rate
             keep = t <= horizon
-            live, t, words = live[keep], t[keep], words[keep]
+            live, t = live[keep], t[keep]
             a = norm[live]
-            j = moving_norms(table, _uniforms(words[:, 1]))
-            c = drop.size - np.searchsorted(drop, words[:, 2] >> 11, side="right")
+            j = moving_norms(table, _uniforms(words[1][live - lo]))
+            c = drop.size - np.searchsorted(drop, words[2][live - lo] >> 11, side="right")
             new = np.where(j == a, np.maximum(a - c, 0), np.maximum(a, j))
             first = (new == 0) & np.isnan(tau[live])
             tau[live[first]] = t[first]
-            rows, cols = np.nonzero(t[:, None] <= qts)
-            norm_at[live[rows], cols] = new[rows]
+            marks[1 + np.searchsorted(sorted_q, t), live] = new
             clock[live], norm[live] = t, new
             n_jumps[live] += 1
             round_ += 1
+    for row in range(1, qts.size + 1):
+        np.copyto(marks[row], marks[row - 1], where=marks[row] < 0)
+    norm_at = marks[1 + np.argsort(order)].T
     return PathBatch(
         tuple(query_times), norm_at == 0, norm_at, tau, n_jumps > 0, n_jumps
     )
@@ -239,6 +250,8 @@ def run_paths(
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or total < 4 * workers:
         return _run_block(config, 0, total, qts)
+    from concurrent.futures import ProcessPoolExecutor
+
     bounds = np.linspace(0, total, workers + 1, dtype=int)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
@@ -263,18 +276,10 @@ def survival_estimates(batch: PathBatch) -> list[SurvivalEstimate]:
     """Fraction of paths sitting in Z_p^n at each query time, with binomial
     standard errors; all times share the same underlying paths."""
     n = batch.inside_at.shape[0]
-    out = []
-    for col, t in enumerate(batch.query_times):
-        phat = float(batch.inside_at[:, col].mean())
-        out.append(
-            SurvivalEstimate(
-                t=t,
-                estimate=phat,
-                stderr=math.sqrt(max(phat * (1.0 - phat), 0.0) / n),
-                n_paths=n,
-            )
-        )
-    return out
+    return [
+        SurvivalEstimate(t, phat, math.sqrt(max(phat * (1.0 - phat), 0.0) / n), n)
+        for t, phat in zip(batch.query_times, batch.inside_at.mean(axis=0).tolist())
+    ]
 
 
 def fpt_cdf_estimate(batch: PathBatch, upto: float) -> tuple[float, float]:

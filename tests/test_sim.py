@@ -6,12 +6,16 @@ pass with the chosen seeds (and would flag genuine distributional bugs).
 """
 
 import bisect
+import concurrent.futures
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
-from concurrent.futures import Future
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,8 @@ from ultradiff.sim import (
     run_paths,
     survival_estimates,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 #: sha256 over the bytes of run_paths' tau (float64), exited (bool),
 #: norm_at (int16) and n_jumps (int64) for 2000 paths, seed 20240810,
@@ -209,8 +215,31 @@ def _scalar_walk(sim: SimConfig, index: int, query_times):
     return tau, jumps > 0, norms, jumps
 
 
-@pytest.mark.parametrize("p, n, gamma, c1, j_max", sorted(PROTOCOL_DIGESTS))
-def test_run_paths_matches_scalar_walk(p, n, gamma, c1, j_max, monkeypatch):
+#: Query-time sets for the scalar-walk oracle; None stands for times equal
+#: to jump times, read from a first batch's finite tau.
+QUERY_SETS = {
+    "sorted": (0.5, 1.0, 2.0, 4.0),
+    "unsorted": (2.0, 0.5, 4.0, 1.0, 0.25),
+    "duplicated": (1.0, 0.5, 1.0, 2.0, 0.5),
+    "empty": (),
+    "jump_times": None,
+}
+
+
+@pytest.mark.parametrize(
+    "p, n, gamma, c1, j_max, qset",
+    [
+        # the sorted set keeps the bare point as its id
+        pytest.param(
+            *point,
+            qset,
+            id="-".join(map(str, point)) + ("" if qset == "sorted" else f"-{qset}"),
+        )
+        for point in sorted(PROTOCOL_DIGESTS)
+        for qset in QUERY_SETS
+    ],
+)
+def test_run_paths_matches_scalar_walk(p, n, gamma, c1, j_max, qset, monkeypatch):
     sim = SimConfig(
         landscape=normalize(SpaceParams(p=p, n=n), gamma, c1),
         horizon=4.0,
@@ -218,8 +247,17 @@ def test_run_paths_matches_scalar_walk(p, n, gamma, c1, j_max, monkeypatch):
         seed=20240810,
         j_max=j_max,
     )
-    qts = (0.5, 1.0, 2.0, 4.0)
+    qts = QUERY_SETS[qset]
+    if qts is None:
+        # in path order, so unsorted; the inclusive edge t <= q is exercised
+        # at every one of them
+        taus = run_paths(sim).tau
+        hit = np.flatnonzero(~np.isnan(taus))[:6]
+        qts = tuple(taus[hit].tolist())
     batch = run_paths(sim, query_times=qts)
+    if qset == "jump_times":
+        # a path is inside Z_p^n at the instant of its first return
+        assert len(qts) > 1 and batch.inside_at[hit, np.arange(hit.size)].all()
     # a block that starts past index 0 (one worker's share), cut by chunk
     # boundaries at 101, 165, ...
     monkeypatch.setattr(sim_module, "CHUNK_PATHS", 64)
@@ -444,10 +482,25 @@ def test_nested_horizons_share_prefixes(desk_params):
     assert fpt_cdf_estimate(b2, 2.0)[0] <= fpt_cdf_estimate(b4, 4.0)[0]
 
 
+def test_cli_import_leaves_process_pool_unloaded():
+    # run_paths imports the pool only when it fans out to several workers
+    code = (
+        "import sys, ultradiff.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_worker_fan_out_capped_at_cpu_count(desk_params, monkeypatch):
     # a pool that records its size and runs the blocks inline: no process
-    import ultradiff.sim as sim_module
-
     sizes = []
 
     class InlinePool:
@@ -461,11 +514,11 @@ def test_worker_fan_out_capped_at_cpu_count(desk_params, monkeypatch):
             return False
 
         def submit(self, fn, *args):
-            done = Future()
+            done = concurrent.futures.Future()
             done.set_result(fn(*args))
             return done
 
-    monkeypatch.setattr(sim_module, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     cfg = SimConfig(landscape=desk_params, horizon=2.0, max_paths=50, seed=5, j_max=8)
     serial = run_paths(cfg, query_times=(1.0,))
     for cpus, expected in ((2, [2]), (1, [])):
@@ -484,5 +537,5 @@ def test_worker_count_invariance(desk_params):
     b1 = run_paths(cfg, query_times=(1.0,), workers=1)
     b3 = run_paths(cfg, query_times=(1.0,), workers=3)
     assert np.array_equal(b1.inside_at, b3.inside_at)
-    assert np.allclose(b1.tau, b3.tau, equal_nan=True)
+    assert np.array_equal(b1.tau, b3.tau, equal_nan=True)
     assert np.array_equal(b1.n_jumps, b3.n_jumps)
