@@ -105,8 +105,7 @@ def _keys(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _block(columns: list[tuple[str, np.ndarray | list]], blank_nan: list[bool]) -> bytes:
     """The CSV rows of one block of (kind, cells) columns."""
     rows, width = len(columns[0][1]), len(columns)
-    texts = {j: np.array([s.encode() for s in col], dtype=bytes)
-             for j, (kind, col) in enumerate(columns) if kind == "text"}
+    texts = {j: col for j, (kind, col) in enumerate(columns) if kind == "text"}
     w, keys, ds, dests = max([t.itemsize for t in texts.values()], default=0), [], [], []
     for kind in ("float", "int"):  # one pass over the cells of each kind
         js = [j for j, c in enumerate(columns) if c[0] == kind]
@@ -157,18 +156,35 @@ def _block(columns: list[tuple[str, np.ndarray | list]], blank_nan: list[bool]) 
     return table.tobytes().translate(None, b"\0")
 
 
+def _column(col) -> tuple[str, np.ndarray]:
+    """A column's kind and cells: an 'S' array or str cells are text, ints
+    within 2**53 are ints, and every other number is a float."""
+    a = np.asarray(col)  # ints past int64 make an object array, written as floats
+    if a.dtype.kind == "S":
+        return "text", np.ascontiguousarray(a)
+    if len(col) and isinstance(col[0], str):
+        return "text", np.array([s.encode() for s in col], dtype=bytes)
+    if a.dtype.kind in "iu" and (not a.size or -(2**53) <= a.min() and a.max() <= 2**53):
+        return "int", a.astype(np.int64, copy=False)
+    return "float", a.astype(float, copy=False)
+
+
+def format_cells(x) -> np.ndarray:
+    """The bytes of ``'%.17g' % v`` for each number v of x, as an 'S' array:
+    the cells of a column that is written more than once."""
+    kind, col = _column(x)
+    text = b"".join(_block([(kind, col[r0 : r0 + BLOCK_ROWS])], [False])
+                    for r0 in range(0, len(col), BLOCK_ROWS))
+    return np.array(text.split(), dtype=bytes)
+
+
 def write_csv(path, header: list[str], columns: list, blank_nan: tuple[str, ...] = ()) -> None:
-    """One sequence or array per column, all of one kind: str cells are
-    written as they are, numbers (floats, ints, bools) with the bytes of
-    ``'%.17g' % x``. NaN is ``nan``, or an empty cell in the columns named
-    in ``blank_nan``."""
-    kinds = []
-    for col in columns:
-        a = np.asarray(col)  # ints past int64 make an object array, written as floats
-        ints = a.dtype.kind in "iu" and (not a.size or -(2**53) <= a.min() and a.max() <= 2**53)
-        text = len(col) and isinstance(col[0], str)
-        kinds.append(("text", list(col)) if text else ("int", a.astype(np.int64, copy=False))
-                     if ints else ("float", a.astype(float, copy=False)))
+    """One sequence or array per column, all of one kind: text cells (str,
+    or an 'S' array such as :func:`format_cells` returns) are written as
+    they are, numbers (floats, ints, bools) with the bytes of ``'%.17g' %
+    x``. NaN is ``nan``, or an empty cell in the columns named in
+    ``blank_nan``."""
+    kinds = [_column(col) for col in columns]
     blank = [name in blank_nan for name in header]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())

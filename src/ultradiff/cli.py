@@ -1,6 +1,8 @@
 """Command-line front end: reproducible runs with manifests.
 
-Subcommands (all take --config, and optionally --out and --seed):
+Commands (all take --config, and optionally --out and --seed; ``simulate``
+and ``verify`` also take --workers; the options may come before or after
+the command):
 
 * ``landscape`` — spectral table and integrability diagnostics;
 * ``kernel``    — heat-kernel profiles, survival, decay-bound report;
@@ -30,14 +32,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
 from . import __version__
-from ._csv import write_csv as _write_csv
+from ._csv import format_cells, write_csv as _write_csv
 from .errors import ConfigError, UltradiffError
 from .heat import (
     HeatState,
@@ -389,18 +391,20 @@ def cmd_kernel(cfg: RunConfig, out: Path) -> int:
     x_exps = cfg.kernel.x_exps
 
     # one engine call per quantity; tables have rows i, columns t, written
-    # in the stable (i, t) order of their flattened grid
+    # in the stable (i, t) order of their flattened grid, with the key
+    # cells formatted once per distinct i and t
     u = u_table(state, x_exps, times)
     z = ztilde_table(state, x_exps, times)
-    i_flat, t_flat = np.repeat(x_exps, len(times)), np.tile(times, len(x_exps))
-    order = np.lexsort((t_flat, i_flat))
-    keys = [i_flat[order], t_flat[order]]
+    order = np.lexsort((np.tile(times, len(x_exps)), np.repeat(x_exps, len(times))))
+    rows, cols = np.divmod(order, len(times))
+    i_cells, t_cells = format_cells(x_exps), format_cells(times)
+    keys = [i_cells[rows], t_cells[cols]]
     for name, table in (("u_profile.csv", u), ("ztilde.csv", z)):
         columns = keys + [table.ravel()[order]]
         _write_csv(out / name, ["norm_exp", "t", "value"], columns)
 
     defects = [audit.defect for audit in conservation_audits(state, times)]
-    columns = [times, survival(state, times), defects]
+    columns = [t_cells, survival(state, times), defects]
     _write_csv(out / "survival.csv", ["t", "value", "conservation_defect"], columns)
 
     pos_exps = [i for i in x_exps if i >= 1] or list(range(1, 11))
@@ -440,13 +444,8 @@ def cmd_kernel(cfg: RunConfig, out: Path) -> int:
             "note": "exponential decay bound needs gamma in (-n, 0)",
         }
     _write_json(out / "bounds_report.json", report)
-    _write_manifest(
-        out,
-        "kernel",
-        cfg,
-        ["u_profile.csv", "ztilde.csv", "survival.csv", "bounds_report.json"],
-        t0,
-    )
+    artifacts = ["u_profile.csv", "ztilde.csv", "survival.csv", "bounds_report.json"]
+    _write_manifest(out, "kernel", cfg, artifacts, t0)
     return 0
 
 
@@ -455,11 +454,12 @@ def cmd_simulate(cfg: RunConfig, out: Path, workers: int = 1) -> int:
     times = [t for t in cfg.kernel.times if 0 < t <= cfg.sim.horizon]
     batch = run_paths(cfg.sim, query_times=times, workers=workers)
 
+    flags = np.array([b"0", b"1"])  # the 0/1 columns, as text
     columns = [
         np.arange(len(batch.tau)),
         batch.tau,
-        np.isnan(batch.tau).astype(int),
-        batch.exited.astype(int),
+        flags[np.isnan(batch.tau).view(np.uint8)],
+        flags[batch.exited.view(np.uint8)],
     ]
     header = ["path_index", "tau", "censored", "exited"]
     _write_csv(out / "fpt_samples.csv", header, columns, blank_nan=("tau",))
@@ -504,13 +504,8 @@ def cmd_fpt(cfg: RunConfig, out: Path) -> int:
             "volterra_max_residual": float(np.abs(grid.residual()).max()),
         },
     )
-    _write_manifest(
-        out,
-        "fpt",
-        cfg,
-        ["g_f.csv", "laplace_ladder.csv", "recurrence_verdict.json"],
-        t0,
-    )
+    artifacts = ["g_f.csv", "laplace_ladder.csv", "recurrence_verdict.json"]
+    _write_manifest(out, "fpt", cfg, artifacts, t0)
     return 0
 
 
@@ -673,14 +668,7 @@ def run_verify_checks(
     add("laplace_series_vs_quadrature", err, 1e-4)
 
     # Monte Carlo vs analytic survival, and the first-passage triangle
-    sim = SimConfig(
-        landscape=params,
-        horizon=cfg.sim.horizon,
-        max_paths=cfg.verify_paths,
-        seed=cfg.sim.seed,
-        j_max=cfg.sim.j_max,
-        depth_cap=cfg.sim.depth_cap,
-    )
+    sim = replace(cfg.sim, max_paths=cfg.verify_paths)  # and the same jump table
     mc_times = [t for t in (0.5, 1.0, 2.0) if t <= sim.horizon]
     batch = run_paths(sim, query_times=mc_times, workers=workers)
     t_tri = min(cfg.fpt.horizon, sim.horizon)
@@ -735,38 +723,43 @@ def _worker_count(text: str) -> int:
     return value
 
 
+#: Each command's function and its one-line description, as ``--help`` lists it.
+COMMANDS = {
+    "landscape": (cmd_landscape, "spectral table and integrability diagnostics"),
+    "kernel": (cmd_kernel, "heat-kernel profiles, survival, decay bounds"),
+    "simulate": (cmd_simulate, "Monte Carlo first-passage and survival estimates"),
+    "fpt": (cmd_fpt, "flux, first-passage density, Laplace ladder, recurrence"),
+    "verify": (cmd_verify, "run the cross-module invariant battery"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: the command is a positional, so the options may
+    come before or after it."""
     parser = argparse.ArgumentParser(
         prog="ultradiff",
-        description="Ultrametric diffusion on Q_p^n: spectral kernels, heat "
-        "kernels, exact jump simulation, first-passage analysis.",
+        description="Ultrametric diffusion on Q_p^n: spectral kernels, heat kernels,\n"
+        "exact jump simulation, first-passage analysis.",
+        epilog="commands:\n" + "".join(f"  {k:<10} {v}\n" for k, (_, v) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("landscape", "spectral table and integrability diagnostics"),
-        ("kernel", "heat-kernel profiles, survival, decay bounds"),
-        ("simulate", "Monte Carlo first-passage and survival estimates"),
-        ("fpt", "flux, first-passage density, Laplace ladder, recurrence"),
-        ("verify", "run the cross-module invariant battery"),
-    ]:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", required=True, help="path to the run config JSON")
-        sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument(
-            "--seed", type=int, default=None, help="override the config seed"
-        )
-        if name in MC_COMMANDS:
-            sp.add_argument(
-                "--workers",
-                type=_worker_count,
-                default=1,
-                help="parallel path workers (at most the CPU count are started)",
-            )
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--config", required=True, help="path to the run config JSON")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--workers", type=_worker_count, help="simulate and verify only: "
+                        "parallel path workers, default 1 (at most the CPU count are started)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    mc = args.command in MC_COMMANDS
+    if args.workers is not None and not mc:
+        parser.error(f"argument --workers: not allowed with {args.command}, "
+                     f"only with {' and '.join(MC_COMMANDS)}")
     try:
         cfg = load_run_config(args.config, seed_override=args.seed)
     except ConfigError as e:
@@ -774,21 +767,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     out = resolve_out_dir(cfg, args.out, args.command)
     out.mkdir(parents=True, exist_ok=True)
+    run = COMMANDS[args.command][0]
     try:
-        if args.command == "landscape":
-            return cmd_landscape(cfg, out)
-        if args.command == "kernel":
-            return cmd_kernel(cfg, out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out, workers=args.workers)
-        if args.command == "fpt":
-            return cmd_fpt(cfg, out)
-        if args.command == "verify":
-            return cmd_verify(cfg, out, workers=args.workers)
+        return run(cfg, out, workers=args.workers or 1) if mc else run(cfg, out)
     except UltradiffError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -267,12 +267,9 @@ def escape_depths(
     path leaves B_r only by a jump of norm > p^r (ultrametric inequality)."""
     # jmass_tail(h) for h = 0, 1, ..., ending in 0 past the last listed sphere
     tails = np.append(np.cumsum(sphere_masses_above(params, 0)[::-1])[::-1], 0.0)
-    depths = []
-    for t in ts:
-        escape = -np.expm1(-t * tails)
-        r = int(np.flatnonzero(escape <= AUDIT_TAIL)[0])
-        depths.append((r, float(escape[r])))
-    return depths
+    escape = -np.expm1(np.multiply.outer(-np.asarray(ts, dtype=float), tails))
+    rs = np.argmax(escape <= AUDIT_TAIL, axis=1)  # the first r: escape[-1] is 0
+    return list(zip(rs.tolist(), escape[np.arange(len(rs)), rs].tolist()))
 
 
 def _audit_windows(

@@ -19,6 +19,7 @@ from ultradiff.cli import (
     run_verify_checks,
 )
 from ultradiff.errors import ConfigError
+from ultradiff.heat import HeatState, conservation_audits, survival, u_table, ztilde_table
 from ultradiff.landscape import SpectralCache
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -254,6 +255,29 @@ def test_kernel_artifacts(config_path, tmp_path):
     assert u_lines[0] == "norm_exp,t,value"
 
 
+def test_kernel_tables_match_a_per_cell_rendering(tmp_path):
+    # unsorted keys and a repeated time: the key cells, formatted once per
+    # distinct i and t, must land in the stable (i, t) order of the rows
+    times, x_exps = [2.0, 0.05, 7.3, 0.0, 0.05, 0.5], [3, -10, 0, 12, 1, -1, 2]
+    path = write_config(tmp_path, lambda c: c["kernel"].update(times=times, x_exps=x_exps))
+    out = run_cmd("kernel", path, tmp_path / "krn")
+    state = HeatState(load_run_config(path).landscape)
+
+    def rendered(rows):
+        return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+
+    for name, table in (("u_profile.csv", u_table), ("ztilde.csv", ztilde_table)):
+        values = table(state, x_exps, times)
+        rows = [(i, t, values[r, c]) for r, i in enumerate(x_exps) for c, t in enumerate(times)]
+        rows.sort(key=lambda row: row[:2])  # stable: repeated (i, t) keep grid order
+        assert (out / name).read_text() == "norm_exp,t,value\n" + rendered(rows)
+    defects = [a.defect for a in conservation_audits(state, times)]
+    rows = list(zip(times, survival(state, times).tolist(), defects))
+    assert (out / "survival.csv").read_text() == (
+        "t,value,conservation_defect\n" + rendered(rows)
+    )
+
+
 def test_simulate_artifacts_and_cross_check(config_path, tmp_path):
     out = run_cmd("simulate", config_path, tmp_path / "sim")
     krn = run_cmd("kernel", config_path, tmp_path / "krn")
@@ -350,6 +374,35 @@ def test_workers_below_one_rejected(config_path, tmp_path, workers, capsys):
               "--workers", workers])
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["landscape", "kernel", "fpt"])
+def test_workers_rejected_outside_the_monte_carlo_commands(config_path, tmp_path, command,
+                                                           capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config_path), "--out", str(tmp_path / "o"),
+              "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_options_may_come_before_the_command(config_path, tmp_path):
+    options = ["--config", str(config_path), "--seed", "7", "--workers", "1"]
+    before = tmp_path / "before"
+    assert main([*options, "--out", str(before), "simulate"]) == 0
+    after = run_cmd("simulate", config_path, tmp_path / "after", options[2:])
+    assert json.loads((before / "manifest.json").read_text())["config"]["sim"]["seed"] == 7
+    for name in ("fpt_samples.csv", "survival_mc.csv"):
+        assert (before / name).read_bytes() == (after / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["simulat"], [], ["kernel", "fpt"]])
+def test_unknown_or_missing_command_exits_2(config_path, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(config_path)])
+    assert exc.value.code == 2
+    assert "usage: ultradiff" in capsys.readouterr().err
 
 
 def test_verify_detects_corrupted_cache(config_path):

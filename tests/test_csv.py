@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultradiff._csv import _FALLBACK, BLOCK_ROWS, _block, _keys, write_csv
+from ultradiff._csv import _FALLBACK, BLOCK_ROWS, _keys, format_cells, write_csv
 from ultradiff.fpt import g_grid, solve_volterra
 
 
 def formatted(values) -> list[str]:
-    """One float column through the writer, cell by cell."""
-    return _block([("float", np.asarray(values, dtype=float))], [False]).decode().splitlines()
+    """One column of numbers through the writer, cell by cell."""
+    return [cell.decode() for cell in format_cells(values)]
 
 
 def oracle(values) -> list[str]:
@@ -59,6 +59,12 @@ SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
         pytest.param(np.array(SPECIAL), id="special"),
         pytest.param(exact_ties(), id="exact-ties"),
         pytest.param(-exact_ties(), id="negative-exact-ties"),
+        pytest.param(
+            np.array([0, 1, -1, 10**16, 10**17 - 1, 2**53, -(2**53), 2**53 + 1, 2**62,
+                      -(2**63), 2**63 - 1]),
+            id="int64",
+        ),
+        pytest.param(np.arange(3 * BLOCK_ROWS) - BLOCK_ROWS, id="ints-over-block-rows"),
     ],
 )
 def test_cells_are_the_bytes_of_percent_17g(values):
@@ -69,6 +75,17 @@ def test_cells_are_the_bytes_of_percent_17g(values):
 @given(st.lists(st.floats(), min_size=1, max_size=40))
 def test_cells_are_the_bytes_of_percent_17g_for_any_floats(values):
     assert formatted(values) == oracle(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40))
+def test_cells_are_the_bytes_of_percent_17g_for_any_int64(values):
+    values = np.array(values, dtype=np.int64)
+    assert formatted(values) == oracle(values)
+
+
+def test_format_cells_of_no_numbers_is_empty():
+    assert format_cells([]).shape == (0,)
 
 
 def test_fallback_fires_on_ties_and_non_finite_cells():
@@ -99,8 +116,8 @@ def per_cell(header, columns, blank_nan=()):
     for row in zip(*columns):
         cells = []
         for name, c in zip(header, row):
-            if isinstance(c, str):
-                cells.append(c)
+            if isinstance(c, (str, bytes)):
+                cells.append(c if isinstance(c, str) else c.decode())
             elif name in blank_nan and math.isnan(c):
                 cells.append("")
             else:
@@ -121,6 +138,28 @@ def test_tables_match_the_per_cell_writer_at_block_boundaries(tmp_path, rows):
         rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows),
         [("a", "", "x y", "nan")[i % 4] for i in range(rows)],
         np.isnan(tau),
+    ]
+    write_csv(tmp_path / "t.csv", header, columns, blank_nan=("tau",))
+    assert (tmp_path / "t.csv").read_bytes() == per_cell(header, columns, blank_nan=("tau",))
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 5])
+def test_text_columns_are_written_verbatim(tmp_path, rows):
+    # 'S' columns, as cmd_kernel's key cells and cmd_simulate's flags are,
+    # among int, float and blank_nan columns
+    rng = np.random.default_rng(rows)
+    tau = rng.exponential(3.0, rows)
+    tau[rng.random(rows) < 0.5] = math.nan
+    header = ["i", "key", "tau", "x", "label", "flag"]
+    columns = [
+        np.arange(rows) - rows // 2,
+        format_cells(rng.standard_normal(13) * 10.0 ** rng.integers(-30, 30, 13))[
+            rng.integers(0, 13, rows)
+        ],
+        tau,
+        rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows),
+        np.array([b"a", b"", b"x y", b"nan"])[np.arange(rows) % 4],
+        np.array([b"0", b"1"])[np.isnan(tau).view(np.uint8)],
     ]
     write_csv(tmp_path / "t.csv", header, columns, blank_nan=("tau",))
     assert (tmp_path / "t.csv").read_bytes() == per_cell(header, columns, blank_nan=("tau",))

@@ -153,6 +153,30 @@ def test_conservation_window_certified_across_grid(p, n, gamma, c1):
         assert audit.tail_bound <= 1e-15, (audit.t, audit.window)
 
 
+def escape_depths_per_time(params, ts):
+    """escape_depths one time at a time, as before it took all times in one
+    array operation: its oracle."""
+    tails = np.append(np.cumsum(heat.sphere_masses_above(params, 0)[::-1])[::-1], 0.0)
+    depths = []
+    for t in ts:
+        escape = -np.expm1(-t * tails)
+        r = int(np.flatnonzero(escape <= AUDIT_TAIL)[0])
+        depths.append((r, float(escape[r])))
+    return depths
+
+
+#: verify's and the audits' times, the sweep's 64 kernel times, fpt_long's T
+ESCAPE_TIMES = sorted({0.0, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 20.0, 400.0}
+                      | set(np.geomspace(0.05, 20.0, 64).tolist()))
+
+
+@pytest.mark.parametrize("p, n, gamma, c1", GRID)
+def test_escape_depths_equal_the_per_time_loop(p, n, gamma, c1):
+    params = normalize(SpaceParams(p=p, n=n), gamma, c1)
+    for ts in (ESCAPE_TIMES, ESCAPE_TIMES[::-1] + [1.0], [7.3], []):
+        assert escape_depths(params, ts) == escape_depths_per_time(params, ts)
+
+
 # ---------------------------------------------------------------------------
 # tables over (i, t): one engine call, the roundings of the one-point tables
 # ---------------------------------------------------------------------------
