@@ -3,9 +3,8 @@
 
     python3 scripts/compare_artifacts.py OLD NEW
 
-Every ``*.csv`` and ``*.json`` file under OLD is compared with the file at
-the same relative path under NEW; ``manifest.json`` is skipped (its
-wall-clock field differs between identical runs). Numbers must satisfy
+Every ``*.csv`` and ``*.json`` artifact under OLD is compared with the file
+at the same relative path under NEW. Numbers must satisfy
 
     |new - old| <= 1e-13 * max(|old|, scale)
 
@@ -16,15 +15,24 @@ with i >= 1) and 1 for everything else; p and n come from the
 cancellation residues, such as Ztilde at norm p^{-10}, sit at the roundoff
 of their scale. Text fields must match exactly.
 
+Each ``manifest.json`` under NEW must list, for every artifact, the sha256
+of the file next to it, and must equal the OLD manifest at the same path
+apart from its digests (checked against the files instead) and the values
+of the timing fields (``wall_clock_s``, and the seconds in verify's
+``stages``), which differ between identical runs: so a wrong digest, a
+changed config echo or a changed artifact list shows up.
+
 Prints ``byte-identical`` for a file whose bytes match and the largest
 scaled deviation for any other, then every violation, and exits 1 if there
-is any (a missing or extra file, a shape mismatch, or a number out of
-tolerance). The last line reads ``K of N files byte-identical``.
+is any (a missing or extra file, a shape mismatch, a number out of
+tolerance, or a manifest that differs or does not match its files). The
+last line reads ``K of N files byte-identical``, counting artifacts only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -129,12 +137,35 @@ def compare_file(old_path: Path, new_path: Path) -> tuple[float, list[str]]:
     return worst, problems
 
 
-def _artifacts(root: Path) -> set[Path]:
-    return {
-        p.relative_to(root)
-        for p in root.rglob("*")
-        if p.suffix in (".csv", ".json") and p.name != "manifest.json"
-    }
+def compare_manifests(old_path: Path, new_path: Path) -> list[str]:
+    """Violations of one pair of manifests: NEW digests that are not those
+    of the files next to it, and fields that differ other than by a digest
+    or a timing."""
+    old, new = (json.loads(p.read_text()) for p in (old_path, new_path))
+    problems = [
+        f"digest of {name} does not match the file"
+        for name, digest in sorted(new.get("artifacts", {}).items())
+        if not (new_path.parent / name).is_file()
+        or hashlib.sha256((new_path.parent / name).read_bytes()).hexdigest() != digest
+    ]
+    for doc in (old, new):
+        if isinstance(doc.get("artifacts"), dict):
+            doc["artifacts"] = sorted(doc["artifacts"])
+        if "wall_clock_s" in doc:
+            doc["wall_clock_s"] = None
+        if isinstance(doc.get("stages"), dict):
+            doc["stages"] = dict.fromkeys(doc["stages"])
+    missing = object()
+    problems += [
+        f"manifest field {key} differs"
+        for key in sorted(old.keys() | new.keys())
+        if old.get(key, missing) != new.get(key, missing)
+    ]
+    return problems
+
+
+def _files(root: Path) -> set[Path]:
+    return {p.relative_to(root) for p in root.rglob("*") if p.suffix in (".csv", ".json")}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -142,10 +173,15 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("old", type=Path)
     ap.add_argument("new", type=Path)
     args = ap.parse_args(argv)
-    old_files, new_files = _artifacts(args.old), _artifacts(args.new)
+    old_files, new_files = _files(args.old), _files(args.new)
     violations = [f"{rel}: missing under NEW" for rel in sorted(old_files - new_files)]
     violations += [f"{rel}: not under OLD" for rel in sorted(new_files - old_files)]
     common = sorted(old_files & new_files)
+    for rel in (rel for rel in common if rel.name == "manifest.json"):
+        problems = compare_manifests(args.old / rel, args.new / rel)
+        print(f"{rel}: {'differs' if problems else 'equal apart from timings'}")
+        violations += [f"{rel}: {msg}" for msg in problems]
+    common = [rel for rel in common if rel.name != "manifest.json"]
     identical = 0
     for rel in common:
         if (args.old / rel).read_bytes() == (args.new / rel).read_bytes():

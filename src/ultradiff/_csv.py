@@ -7,12 +7,22 @@ plus |x| P_lo, where P_hi + P_lo = 10^(16 - X) exactly to about 2**-106.
 q is within about 1e-14 of its true value, so D is certified where q's
 fraction is more than 1e-6 from 1/2. Ints within 2**53 and +-0 have exact
 digits; nan, +-inf, extreme exponents and (near-)ties go through ``%``.
+
+Every artifact file, CSV or JSON, is written by :func:`write_bytes`: in
+place over whatever the path held (opened without ``O_TRUNC`` and cut to
+the length written, which on a filesystem that discards freed blocks costs
+a fraction of truncating on open), and hashed as it is written, so its
+sha256 needs no second read.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
+import itertools
+import os
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
@@ -178,15 +188,35 @@ def format_cells(x) -> np.ndarray:
     return np.array(text.split(), dtype=bytes)
 
 
-def write_csv(path, header: list[str], columns: list, blank_nan: tuple[str, ...] = ()) -> None:
+def write_bytes(path, chunks: Iterable[bytes]) -> str:
+    """Write the chunks to path and return the sha256 hex digest of them.
+
+    An existing file is overwritten from its first byte and then cut to the
+    length written; a new one gets the mode ``open(path, "wb")`` gives.
+    Nothing is synced to disk, so a crash mid-write leaves a torn file,
+    which its digest in the manifest exposes.
+    """
+    digest = hashlib.sha256()
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        for chunk in chunks:
+            digest.update(chunk)
+            fh.write(chunk)
+            del chunk  # freed before the next chunk is made
+        fh.truncate()  # drops the tail of a longer previous file
+    return digest.hexdigest()
+
+
+def write_csv(path, header: list[str], columns: list, blank_nan: tuple[str, ...] = ()) -> str:
     """One sequence or array per column, all of one kind: text cells (str,
     or an 'S' array such as :func:`format_cells` returns) are written as
     they are, numbers (floats, ints, bools) with the bytes of ``'%.17g' %
     x``. NaN is ``nan``, or an empty cell in the columns named in
-    ``blank_nan``."""
+    ``blank_nan``. Rows go through :func:`write_bytes` a block at a time;
+    returns the file's sha256 hex digest."""
     kinds = [_column(col) for col in columns]
     blank = [name in blank_nan for name in header]
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for r0 in range(0, len(kinds[0][1]) if kinds else 0, BLOCK_ROWS):
-            fh.write(_block([(kind, col[r0 : r0 + BLOCK_ROWS]) for kind, col in kinds], blank))
+    blocks = (
+        _block([(kind, col[r0 : r0 + BLOCK_ROWS]) for kind, col in kinds], blank)
+        for r0 in range(0, len(kinds[0][1]) if kinds else 0, BLOCK_ROWS)
+    )
+    return write_bytes(path, itertools.chain([(",".join(header) + "\n").encode()], blocks))

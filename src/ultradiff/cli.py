@@ -18,15 +18,18 @@ with 17-significant-digit numeric fields and listed with sha256 checksums
 in a per-run ``manifest.json``, whose timing fields (wall clock, verify's
 ``stages``) alone differ between reruns. The commands hand numpy columns
 to ``_write_csv`` (``_csv.write_csv``), which writes each cell with the
-bytes of ``'%.17g' % x`` from certified digits, in row blocks. The default
-output root can be set with the ``ULTRADIFF_OUT`` environment variable.
+bytes of ``'%.17g' % x`` from certified digits, in row blocks, and JSON
+documents to ``_write_json``. Both write through ``_csv.write_bytes``,
+which overwrites a file in place, cuts it to length and returns the sha256
+of the bytes as written; each command hands those digests to
+``_write_manifest``, so no artifact is read back. The default output root
+can be set with the ``ULTRADIFF_OUT`` environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import os
@@ -39,7 +42,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import __version__
-from ._csv import format_cells, write_csv as _write_csv
+from ._csv import format_cells, write_bytes, write_csv as _write_csv
 from .errors import ConfigError, UltradiffError
 from .heat import (
     HeatState,
@@ -308,18 +311,17 @@ def resolve_out_dir(cfg: RunConfig, flag_out: str | None, command: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _write_json(path: Path, obj: dict) -> str:
+    """Write obj as indented ASCII JSON; returns the file's sha256 hex digest."""
+    return write_bytes(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def _write_manifest(
-    out: Path, command: str, cfg: RunConfig, artifacts: list[str], t0: float,
+    out: Path, command: str, cfg: RunConfig, digests: dict[str, str], t0: float,
     stages: dict[str, float] | None = None,
 ) -> None:
-    checks = {}
-    for name in sorted(artifacts):
-        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-        checks[name] = digest
+    """The run's manifest, with ``digests`` ({artifact name: sha256 hex} as
+    the writers returned them) as its ``artifacts``."""
     _write_json(
         out / "manifest.json",
         {
@@ -329,7 +331,7 @@ def _write_manifest(
             "command": command,
             "wall_clock_s": time.perf_counter() - t0,
             "config": cfg.resolved_echo(),
-            "artifacts": checks,
+            "artifacts": digests,
             **({"rng_protocol": RNG_PROTOCOL} if command in MC_COMMANDS else {}),
             **({"stages": stages} if stages else {}),
         },
@@ -347,8 +349,8 @@ def cmd_landscape(cfg: RunConfig, out: Path) -> int:
     state = HeatState(params)
     cache = state.cache
     ks = np.arange(cache.k_min, cache.k_max + 1)
-    columns = [ks, 1.0 - cache.values, cache.values]
-    _write_csv(out / "spectral.csv", ["k", "jhat", "one_minus_jhat"], columns)
+    columns, header = [ks, 1.0 - cache.values, cache.values], ["k", "jhat", "one_minus_jhat"]
+    digests = {"spectral.csv": _write_csv(out / "spectral.csv", header, columns)}
 
     gap = spectral_gap_at_one(params)
     diag: dict = {
@@ -379,8 +381,8 @@ def cmd_landscape(cfg: RunConfig, out: Path) -> int:
             "verdict": "not applicable",
             "note": "reciprocal-spectral divergence is established for gamma in (-n, 0)",
         }
-    _write_json(out / "diagnostics.json", diag)
-    _write_manifest(out, "landscape", cfg, ["spectral.csv", "diagnostics.json"], t0)
+    digests["diagnostics.json"] = _write_json(out / "diagnostics.json", diag)
+    _write_manifest(out, "landscape", cfg, digests, t0)
     return 0
 
 
@@ -398,14 +400,15 @@ def cmd_kernel(cfg: RunConfig, out: Path) -> int:
     order = np.lexsort((np.tile(times, len(x_exps)), np.repeat(x_exps, len(times))))
     rows, cols = np.divmod(order, len(times))
     i_cells, t_cells = format_cells(x_exps), format_cells(times)
-    keys = [i_cells[rows], t_cells[cols]]
+    keys, digests = [i_cells[rows], t_cells[cols]], {}
     for name, table in (("u_profile.csv", u), ("ztilde.csv", z)):
         columns = keys + [table.ravel()[order]]
-        _write_csv(out / name, ["norm_exp", "t", "value"], columns)
+        digests[name] = _write_csv(out / name, ["norm_exp", "t", "value"], columns)
 
     defects = [audit.defect for audit in conservation_audits(state, times)]
     columns = [t_cells, survival(state, times), defects]
-    _write_csv(out / "survival.csv", ["t", "value", "conservation_defect"], columns)
+    header = ["t", "value", "conservation_defect"]
+    digests["survival.csv"] = _write_csv(out / "survival.csv", header, columns)
 
     pos_exps = [i for i in x_exps if i >= 1] or list(range(1, 11))
     pos_times = [t for t in times if t > 0] or [1.0]
@@ -443,9 +446,8 @@ def cmd_kernel(cfg: RunConfig, out: Path) -> int:
             "all_nonnegative": all(m >= 0 for m in margins),
             "note": "exponential decay bound needs gamma in (-n, 0)",
         }
-    _write_json(out / "bounds_report.json", report)
-    artifacts = ["u_profile.csv", "ztilde.csv", "survival.csv", "bounds_report.json"]
-    _write_manifest(out, "kernel", cfg, artifacts, t0)
+    digests["bounds_report.json"] = _write_json(out / "bounds_report.json", report)
+    _write_manifest(out, "kernel", cfg, digests, t0)
     return 0
 
 
@@ -462,13 +464,15 @@ def cmd_simulate(cfg: RunConfig, out: Path, workers: int = 1) -> int:
         flags[batch.exited.view(np.uint8)],
     ]
     header = ["path_index", "tau", "censored", "exited"]
-    _write_csv(out / "fpt_samples.csv", header, columns, blank_nan=("tau",))
+    digests = {
+        "fpt_samples.csv": _write_csv(out / "fpt_samples.csv", header, columns, blank_nan=("tau",))
+    }
 
     estimates = survival_estimates(batch)
     header = ["t", "estimate", "stderr", "n_paths"]
     columns = [[getattr(e, name) for e in estimates] for name in header]
-    _write_csv(out / "survival_mc.csv", header, columns)
-    _write_manifest(out, "simulate", cfg, ["fpt_samples.csv", "survival_mc.csv"], t0)
+    digests["survival_mc.csv"] = _write_csv(out / "survival_mc.csv", header, columns)
+    _write_manifest(out, "simulate", cfg, digests, t0)
     return 0
 
 
@@ -480,14 +484,14 @@ def cmd_fpt(cfg: RunConfig, out: Path) -> int:
     g = g_grid(state, ts)
     grid = solve_volterra(g, h)
     columns = [ts, g, grid.f_for_export()]
-    _write_csv(out / "g_f.csv", ["t", "g", "f"], columns)
+    digests = {"g_f.csv": _write_csv(out / "g_f.csv", ["t", "g", "f"], columns)}
 
     rec = recurrence_diagnostic(
         cfg.landscape, state.cache, cfg.fpt.s_ladder, cfg.fpt.recurrence_threshold
     )
     columns = [rec.s_values, rec.g_values]
-    _write_csv(out / "laplace_ladder.csv", ["s", "G"], columns)
-    _write_json(
+    digests["laplace_ladder.csv"] = _write_csv(out / "laplace_ladder.csv", ["s", "G"], columns)
+    digests["recurrence_verdict.json"] = _write_json(
         out / "recurrence_verdict.json",
         {
             "schema_version": SCHEMA_VERSION,
@@ -504,8 +508,7 @@ def cmd_fpt(cfg: RunConfig, out: Path) -> int:
             "volterra_max_residual": float(np.abs(grid.residual()).max()),
         },
     )
-    artifacts = ["g_f.csv", "laplace_ladder.csv", "recurrence_verdict.json"]
-    _write_manifest(out, "fpt", cfg, artifacts, t0)
+    _write_manifest(out, "fpt", cfg, digests, t0)
     return 0
 
 
@@ -692,15 +695,9 @@ def cmd_verify(cfg: RunConfig, out: Path, workers: int = 1) -> int:
     stages: dict[str, float] = {}
     checks = run_verify_checks(cfg, workers=workers, stages=stages)
     passed = all(c["passed"] for c in checks)
-    _write_json(
-        out / "verify_report.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "passed": passed,
-            "checks": checks,
-        },
-    )
-    _write_manifest(out, "verify", cfg, ["verify_report.json"], t0, stages)
+    report = {"schema_version": SCHEMA_VERSION, "passed": passed, "checks": checks}
+    digests = {"verify_report.json": _write_json(out / "verify_report.json", report)}
+    _write_manifest(out, "verify", cfg, digests, t0, stages)
     for c in checks:
         status = "ok " if c["passed"] else "FAIL"
         print(f"[{status}] {c['name']}: {c['observed']:.3e} <= {c['threshold']:.3e}")

@@ -20,6 +20,7 @@ magnitudes leave the comfortable range.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -395,6 +396,30 @@ def coset_neg(a: CosetPoint) -> CosetPoint:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _philox_key_type() -> type:
+    """A seed sequence type whose state is a given 128-bit Philox key:
+    Philox keys itself with ``generate_state(2, np.uint64)``, so
+    ``Philox(key_type(seed))`` has key = seed and, unlike
+    ``Philox(key=seed)``, builds no ``SeedSequence()`` from OS entropy
+    first. Made on first use, so importing this module does not import
+    ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        def __init__(self, key: int):
+            if not 0 <= key < 2**128:
+                raise ValueError(f"key must be in [0, 2**128), got {key}")
+            self.words = np.array([key % 2**64, key >> 64], dtype=np.uint64)
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a Philox key is two uint64 words")
+            return self.words
+
+    return PhiloxKey
+
+
 def split_stream(seed: int, path_index: int) -> np.random.Generator:
     """Independent counter-based stream for one Monte Carlo path.
 
@@ -403,9 +428,9 @@ def split_stream(seed: int, path_index: int) -> np.random.Generator:
     disjoint 2^128-step block, and identical (seed, path_index) always
     reproduces the identical stream, independent of execution order. The
     state equals ``Philox(key=seed).jumped(path_index)`` (pinned by test)
-    and is built without the jump arithmetic.
+    and is built without the jump arithmetic or any OS entropy.
     """
     # a uint64 array: numpy reads a list holding an int past 2^63 as float64,
     # and builds it faster than from the int path_index << 128
     counter = np.array([0, 0, path_index % 2**64, path_index >> 64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=seed))
+    return np.random.Generator(np.random.Philox(_philox_key_type()(seed), counter=counter))

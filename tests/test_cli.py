@@ -446,9 +446,20 @@ def artifact_bytes(out_dir):
 
 @pytest.mark.parametrize("command", ["landscape", "kernel", "simulate", "fpt", "verify"])
 def test_reruns_byte_identical(command, config_path, tmp_path):
+    # the rerun goes into a directory whose every artifact path, manifest
+    # included, holds junk longer than the real file: files are written in
+    # place, so each must be cut to length
     a = run_cmd(command, config_path, tmp_path / "a")
+    (tmp_path / "b").mkdir()
+    for f in a.iterdir():
+        (tmp_path / "b" / f.name).write_bytes(b"junk,\n" * (f.stat().st_size // 6 + 100))
     b = run_cmd(command, config_path, tmp_path / "b")
     assert artifact_bytes(a) == artifact_bytes(b)
+    # and the manifest's digests are those of the files as they stand
+    listed = json.loads((b / "manifest.json").read_text())["artifacts"]
+    assert sorted(listed) == sorted(f.name for f in b.iterdir() if f.name != "manifest.json")
+    for name, digest in listed.items():
+        assert hashlib.sha256((b / name).read_bytes()).hexdigest() == digest
 
 
 def test_seed_changes_samples(config_path, tmp_path):

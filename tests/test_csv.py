@@ -1,15 +1,18 @@
 """The CSV writer: every cell has the bytes of '%.17g' % x, whole tables
 match a per-cell oracle at every block boundary, and the certified digit
-path carries nearly every cell of a real artifact."""
+path carries nearly every cell of a real artifact. Files are written in
+place over what the path held, cut to length, and hashed as written."""
 
+import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultradiff._csv import _FALLBACK, BLOCK_ROWS, _keys, format_cells, write_csv
+from ultradiff._csv import _FALLBACK, BLOCK_ROWS, _keys, format_cells, write_bytes, write_csv
 from ultradiff.fpt import g_grid, solve_volterra
 
 
@@ -169,3 +172,49 @@ def test_blank_nan_applies_to_the_named_columns_only(tmp_path):
     columns = [np.array([math.nan, 1.5]), np.array([math.nan, -2.0])]
     write_csv(tmp_path / "t.csv", ["a", "b"], columns, blank_nan=("b",))
     assert (tmp_path / "t.csv").read_text() == "a,b\nnan,\n1.5,-2\n"
+
+
+# ---------------------------------------------------------------------------
+# write_bytes: in place, cut to length, hashed as written
+# ---------------------------------------------------------------------------
+
+
+def test_write_bytes_leaves_exactly_what_it_wrote(tmp_path):
+    path = tmp_path / "a.bin"
+    versions = [
+        [b"a first version", b"\n" * 5000],  # a new file
+        [b"shorter"],  # no stale tail of the first
+        [],  # an empty file
+        [b"x" * 10, b"", b"y" * 70000],  # longer than any before
+    ]
+    for chunks in versions:
+        digest = write_bytes(path, iter(chunks))
+        assert path.read_bytes() == b"".join(chunks)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2 * BLOCK_ROWS + 5])
+def test_write_csv_over_a_longer_file_returns_its_digest(tmp_path, rows):
+    # rows = 0 is a header-only table: no block is written at all
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"9" * (40 * rows + 100))
+    columns = [np.arange(rows), np.arange(rows) / 7.0]
+    digest = write_csv(path, ["i", "x"], columns)
+    assert path.read_bytes() == per_cell(["i", "x"], columns)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_write_bytes_gives_the_mode_of_open_wb(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_bytes(tmp_path / "new", [b"x"])
+        with open(tmp_path / "reference", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    assert (tmp_path / "new").stat().st_mode == (tmp_path / "reference").stat().st_mode
+    # and an existing file keeps its own mode, as under open(path, "wb")
+    (tmp_path / "new").chmod(0o640)
+    write_bytes(tmp_path / "new", [b"y"])
+    assert (tmp_path / "new").stat().st_mode & 0o777 == 0o640

@@ -11,9 +11,11 @@ import hashlib
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -330,6 +332,18 @@ def test_randomness_protocol_golden(point):
         assert arr.dtype == dtype
         digest.update(np.ascontiguousarray(arr).tobytes())
     assert digest.hexdigest() == PROTOCOL_DIGESTS[point]
+
+
+def test_run_paths_draws_no_os_entropy(desk_sim, monkeypatch):
+    # every stream is keyed by the seed alone; Philox(key=...) would still
+    # seed a SeedSequence() from OS entropy first, then discard it
+    def urandom(size):
+        raise AssertionError(f"OS entropy drawn ({size} bytes)")
+
+    monkeypatch.setattr(random, "_urandom", urandom)
+    monkeypatch.setattr(os, "urandom", urandom)
+    batch = run_paths(replace(desk_sim, max_paths=500), query_times=(1.0,))
+    assert batch.n_jumps.sum() > 0
 
 
 def test_expected_jump_count(desk_batch, desk_sim):
