@@ -636,12 +636,12 @@ def run_verify_checks(
     add("du_dt_vs_finite_difference", fd_err, 1e-6)
 
     # survival flux balance S' = g - C S, one survival call for all stencils
+    # and one g_grid call for their centres
     c_ext = exterior_mass(params)
     flux_ts = (0.5, 1.0, 2.0)
     surv = survival(state, [t + d for t in flux_ts for d in (*shifts, 0.0)]).reshape(-1, 5)
-    ode = max(
-        abs(ddt(f) - (g_grid(state, [t])[0] - c_ext * f[4])) for t, f in zip(flux_ts, surv)
-    )
+    flux = g_grid(state, flux_ts)
+    ode = max(abs(ddt(f) - (g - c_ext * f[4])) for g, f in zip(flux, surv))
     add("survival_flux_balance", ode, 1e-6)
 
     # Volterra solver against the closed-form exponential-flux oracle

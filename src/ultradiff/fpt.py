@@ -4,7 +4,8 @@ Three linked objects:
 
 * the re-entry flux ``g(t) = sum_{i>=1} J(p^i) vol(S_i) u(p^i, t)`` — the
   probability per unit time that a path outside Z_p^n jumps back in —
-  tabulated over a time grid by :func:`g_grid`;
+  tabulated over a time grid by :func:`g_grid` as one weighted sum of
+  e^{-lambda_k t} (:func:`ultradiff.heat.inflow`);
 * the first-passage density f, tied to g by the renewal identity
   ``g(t) = int_0^t g(t - tau) f(tau) dtau + f(t)`` (a second-kind Volterra
   equation; g vanishes for negative arguments), discretised by the
@@ -44,8 +45,9 @@ def _trapezoid(y: np.ndarray, dx: float) -> float:
 
 
 def g_grid(state: HeatState, ts: np.ndarray) -> np.ndarray:
-    """The re-entry flux g over the times ts, one engine call; g(0) = 0
-    since u starts supported on Z_p^n."""
+    """The re-entry flux g over the times ts: :func:`ultradiff.heat.inflow`
+    into Z_p^n, so each time's value is the same bits in any grid that
+    holds it. g(0) = 0 since u starts supported on Z_p^n."""
     return inflow(state, 0, ts)
 
 

@@ -19,12 +19,14 @@ Every quantity here is one sphere series sum_j vol(S_{-j}) phi(lambda_j),
 with lambda_j = 1 - Jhat(p^{-j}) read from the spectral cache, evaluated by
 :func:`sphere_series`; the quantities differ only in phi and in how the
 series is scaled and corrected; the heat series at norm exponent r is
-P(X_t in B_r) itself (:func:`transition_prob`). The coset chain lumps onto
-coset norms (:func:`norm_chain`), where Chapman-Kolmogorov is checked at the
-depth that also caps the conservation window (:func:`escape_depths`). The
-results are pure functions of the landscape, but a series that reaches past
-the cache window grows the cache in place, so concurrent evaluation on one
-state needs the window grown first.
+P(X_t in B_r) itself (:func:`transition_prob`). The flux :func:`inflow`
+folds its rows' series into one weighted sum over the same spectral slice.
+The coset chain lumps onto coset norms (:func:`norm_chain`), where
+Chapman-Kolmogorov is checked at the depth that also caps the conservation
+window (:func:`escape_depths`). The results are pure functions of the
+landscape, but a series that reaches past the cache window grows the cache
+in place, so concurrent evaluation on one state needs the window grown
+first.
 
 Each quantity has one table API: :func:`u_table`, :func:`ztilde_table`,
 :func:`du_dt`, :func:`j_convolve_u` and :func:`pde_residual` return tables
@@ -38,6 +40,7 @@ has the same roundings as that entry in any larger table.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -224,9 +227,39 @@ def du_dt(state: HeatState, i, t):
 
 def inflow(state: HeatState, r: int, ts) -> np.ndarray:
     """sum_{m > r} J(p^m) vol(S_m) u(p^m, t) over the times ts, for r >= 0:
-    the rate at which mass outside the ball B_r jumps into it."""
+    the rate at which mass outside the ball B_r jumps into it.
+
+    With s_m = J(p^m) vol(S_m) p^{-nm} over the R listed spheres m = r+1 ..
+    r+R, and N the heat series' length, the u rows' sphere series fold into
+    one weight per spectral entry:
+
+        inflow(t) = sum_k c_k e^{-lambda_k t},
+        c_k = sum_m s_m (vol(S_{k+m}) [0 <= -(k+m) < N] - [m = 1 - k]),
+
+    for k = -(r+R)-N+1 .. -r. Row a = r+R-m of the band holds s_m times
+    (vol(S_{1-N}), ..., vol(S_0), -1) from column a on, so c is one
+    convolution, independent of the times. Each column adds its terms one
+    k at a time (no matrix product), so its value is the same bits in any
+    grid that contains its time. u starts on Z_p^n, so t = 0 gives 0.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    space = state.space
+    n_terms = _machine_tail_len(space) + 1
     w = sphere_masses_above(state.landscape, r)
-    return w @ u_table(state, np.arange(r + 1, r + 1 + w.size), ts)
+    pn = float(space.p) ** space.n
+    s = (w * pn ** -np.arange(r + 1.0, r + 1 + w.size))[::-1]
+    band = np.append(space.unit_sphere_volume * pn ** -np.arange(n_terms - 1.0, -1, -1), -1.0)
+    c = np.convolve(s, band)
+    lam = state.cache.window(-r - w.size - n_terms + 1, -r)
+    g = np.zeros(ts.size)
+    for k in range(0, ts.size, _TIME_BLOCK):
+        block = slice(k, k + _TIME_BLOCK)
+        terms = _decay(ts[block])(lam)
+        terms *= c[:, None]
+        for row in terms:
+            g[block] += row
+    g[ts == 0.0] = 0.0
+    return _clamp(g)
 
 
 # ---------------------------------------------------------------------------
@@ -346,18 +379,17 @@ def j_convolve_u(state: HeatState, i, t):
 
     The convolution collapses to a finite weighted sum: spheres of y
     strictly larger than |x| contribute J(|y|) u(|y|) vol directly (the
-    :func:`inflow` into B_i, as one single-time product per column),
-    smaller ones see u(|x|) weighted by the interior J-mass, and the
-    same-norm sphere contributes J(|x|) times the u-mass of the ball B_i
-    minus the sub-ball around x. All of it reads one u table.
+    :func:`inflow` into B_i, one call per row), smaller ones see u(|x|)
+    weighted by the interior J-mass, and the same-norm sphere contributes
+    J(|x|) times the u-mass of the ball B_i minus the sub-ball around x.
+    Everything but the inflow reads one u table over 0..max i.
     """
     params, space = state.landscape, state.space
     idx = np.maximum(_exps(i), 0).tolist()
-    ws = [sphere_masses_above(params, r) for r in idx]
-    u = u_table(state, np.arange(max(r + w.size for r, w in zip(idx, ws)) + 1), t)
+    u = u_table(state, np.arange(max(idx) + 1), t)
     table = np.empty((len(idx), u.shape[1]))
-    for row, (r, w) in enumerate(zip(idx, ws)):
-        outer = np.concatenate([w @ u[r + 1 : r + 1 + w.size, [c]] for c in range(u.shape[1])])
+    for row, r in enumerate(idx):
+        outer = inflow(state, r, t)
         if r == 0:
             table[row] = u[0] * jmass_ball(params, 0) + outer
             continue
@@ -462,11 +494,8 @@ class DecayBoundReport:
 
     @property
     def all_nonnegative(self) -> bool:
-        return all(
-            m >= 0.0
-            for ms in (self.uniform_margins, self.claim_margins, self.decay_margins)
-            for m in ms
-        )
+        margins = self.uniform_margins + self.claim_margins + self.decay_margins
+        return bool(np.all(np.array(margins) >= 0.0))  # a nan margin fails
 
 
 def decay_bound_check(
@@ -495,29 +524,31 @@ def decay_bound_check(
     deficits = _series(
         state, x_exps, lambda lam: -np.expm1(np.multiply.outer(-lam, t_grid))
     )[0]
-    points, uni, claim, decay = [], [], [], []
-    for i, row in zip(x_exps, deficits.tolist()):
-        # The first bound is tight to within roundoff when 1 - Jhat is
-        # tiny, so the margins are assembled from manifestly nonnegative
-        # pieces instead of subtracting two nearly equal numbers:
-        #   t d - (1 - e^{-dt})            with d = 1 - Jhat(p^{1-i}),
-        #   sum_j vol(S_{-j}) (1 - E_j)    the deficit of the sphere sum.
+    # The first bound is tight to within roundoff when 1 - Jhat is tiny, so
+    # the margins are assembled from manifestly nonnegative pieces instead
+    # of subtracting two nearly equal numbers:
+    #   t d - (1 - e^{-dt})            with d = 1 - Jhat(p^{1-i}),
+    #   sum_j vol(S_{-j}) (1 - E_j)    the deficit of the sphere sum.
+    # Each row's constants are scalar arithmetic; the (i, t) tables are
+    # elementwise in the order of the scalar formulas, with math.expm1,
+    # since np.expm1 may differ from it in the last bit.
+    rows = []
+    for i in x_exps:
         d = state.cache.one_minus(1 - i)
         xm_n = p ** (-i * n)
         ex = -params.c1 * p**i
         damp = math.exp(ex) if ex > -745.0 else 0.0
-        slope = c0 * p ** (i * params.gamma) * damp - xm_n * d
-        for t, deficit in zip(ts, row):
-            core = d * t + math.expm1(-d * t)
-            claim_margin = xm_n * (core + deficit)
-            points.append((i, t))
-            uni.append(xm_n * t * (2.0 - d) + claim_margin)
-            claim.append(claim_margin)
-            decay.append(t * slope + claim_margin)
+        rows.append((d, xm_n, c0 * p ** (i * params.gamma) * damp - xm_n * d))
+    d, xm_n, slope = np.array(rows).T[:, :, None]
+    neg_dt = (-d * t_grid).ravel().tolist()
+    core = d * t_grid + np.array(list(map(math.expm1, neg_dt))).reshape(deficits.shape)
+    claim = xm_n * (core + deficits)
+    uniform = xm_n * t_grid * (2.0 - d) + claim
+    decay = t_grid * slope + claim
     return DecayBoundReport(
-        points=tuple(points),
-        uniform_margins=tuple(uni),
-        claim_margins=tuple(claim),
-        decay_margins=tuple(decay),
+        points=tuple(itertools.product(x_exps, ts)),
+        uniform_margins=tuple(uniform.ravel().tolist()),
+        claim_margins=tuple(claim.ravel().tolist()),
+        decay_margins=tuple(decay.ravel().tolist()),
         c0=c0,
     )

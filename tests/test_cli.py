@@ -693,12 +693,11 @@ def test_int_columns_within_2_53_are_written_with_d(tmp_path):
 #: as the per-cell writer wrote them (numpy 2.4, x86-64)
 DESK_DIGESTS = {
     "landscape/spectral.csv": "fe63836188791eb16ebbda41eb2b63a4d4549dd1ceab3bab968dfb4c703424bf",
-    "fpt/g_f.csv": "83978330614d48778f677804e3578eea6f02c156eb2990171a30fb607f8ca74c",
+    "fpt/g_f.csv": "3cd73e06c298d3141d9288fa9f6726e66ac3e46dd20443f37bbcb5398ff6f965",
     "fpt/laplace_ladder.csv": "fb87ff5e9bebd0f93943032367b4169d73bb136150910ded7fcfb30891ec38f1",
     "simulate/fpt_samples.csv": "db1e9a62c79e88656f2db47ff089b06063b4cca2633d9b97834a941620e056a4",
     "simulate/survival_mc.csv": "5417e4cb21f4440397b6c36f4c01d4012c8f63326245330f8c3134c6b1781158",
-    # recorded before verify's heat and flux checks were evaluated as tables
-    "verify/verify_report.json": "cbf7c263f9785fc0075c335eb98fdf8d4c6c74fb6fa7b03de852b12fb9f06c2a",
+    "verify/verify_report.json": "c882f296c7784b8872adf8655e984f013e5667b08e0452ab7c9223aa623a15ce",
 }
 
 

@@ -22,13 +22,14 @@ from ultradiff.fpt import (
     solve_volterra,
     VolterraGrid,
 )
-from ultradiff.heat import sphere_series, u_table
+from ultradiff.heat import HeatState, sphere_series, u_table
 from ultradiff.landscape import (
     SpectralCache,
     exterior_mass,
     normalize,
     sphere_masses_above,
 )
+from ultradiff.padic import SpaceParams
 
 
 def synthetic_grid(a, b, h, horizon):
@@ -58,14 +59,45 @@ def test_flux_grid_matches_scalar(desk_state):
     ts = np.array([0.0, 0.1, 0.7, 1.3, 5.0, 17.0])
     grid = g_grid(desk_state, ts)
     for k, t in enumerate(ts):
-        one = g_grid(desk_state, np.array([t]))[0]
-        assert grid[k] == pytest.approx(one, rel=1e-12, abs=1e-15)
+        assert grid[k] == g_grid(desk_state, np.array([t]))[0], t
 
 
 def test_flux_other_space(state_p3n2):
     g0, g1 = g_grid(state_p3n2, np.array([0.0, 1.0]))
     assert g0 == 0.0
     assert 0.0 < g1 <= exterior_mass(state_p3n2.landscape)
+
+
+#: desk, the point where small-t cancellation is worst, and two more of the
+#: verify grid, one with gamma > 0
+ORACLE_POINTS = [(2, 1, -0.5, 1.0), (5, 1, -0.5, 5.0), (3, 2, -1.0, 1.0), (2, 2, 0.5, 0.2)]
+ORACLE_TIMES = (1e-3, 0.1, 1.0, 10.0, 400.0)
+
+
+@pytest.mark.parametrize("p, n, gamma, c1", ORACLE_POINTS)
+def test_flux_matches_high_precision_row_series(p, n, gamma, c1):
+    """g against sum_m J(p^m) vol(S_m) u(p^m, t), each u its own sphere
+    series run until p^{-nj} < 1e-30, summed at 40 digits on the same
+    double lambda and sphere masses: within 2 eps C."""
+    state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
+    w = sphere_masses_above(state.landscape, 0)
+    terms = math.ceil(30.0 * math.log(10.0) / (n * math.log(p)))
+    lo = -w.size - terms + 1
+    lam = state.cache.window(lo, 0)
+    g = g_grid(state, np.array(ORACLE_TIMES))
+    bound = 2.0 * np.finfo(float).eps * exterior_mass(state.landscape)
+    with mpmath.workdps(40):
+        pn = mpmath.mpf(p) ** n
+        vol = [(1 - 1 / pn) / pn**j for j in range(terms)]
+        for col, t in enumerate(ORACLE_TIMES):
+            decay = [mpmath.exp(-mpmath.mpf(float(x)) * t) for x in lam]  # at k - lo
+            u = [
+                (mpmath.fsum(v * decay[-j - m - lo] for j, v in enumerate(vol))
+                 - decay[1 - m - lo]) / pn**m
+                for m in range(1, w.size + 1)
+            ]
+            ref = mpmath.fsum(mpmath.mpf(float(wm)) * um for wm, um in zip(w, u))
+            assert abs(g[col] - ref) <= bound, (t, float(ref), g[col])
 
 
 # ---------------------------------------------------------------------------
