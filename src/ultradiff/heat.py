@@ -482,20 +482,24 @@ def chapman_kolmogorov_defect(state: HeatState, t: float, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecayBoundReport:
-    """Pointwise margins for the two heat-kernel decay estimates."""
+    """Pointwise margins for the two heat-kernel decay estimates, as
+    read-only arrays in the order of ``points``. ``all_nonnegative`` is
+    false when any margin is below zero or nan."""
 
     points: tuple[tuple[int, float], ...]  # (norm exponent, t)
-    uniform_margins: tuple[float, ...]  # 2 t |x|^{-n} - Ztilde
-    claim_margins: tuple[float, ...]  # t |x|^{-n} (1 - Jhat(p/|x|)) - Ztilde
-    decay_margins: tuple[float, ...]  # C0 t |x|^gamma e^{-C1 |x|} - Ztilde
+    uniform_margins: np.ndarray  # 2 t |x|^{-n} - Ztilde
+    claim_margins: np.ndarray  # t |x|^{-n} (1 - Jhat(p/|x|)) - Ztilde
+    decay_margins: np.ndarray  # C0 t |x|^gamma e^{-C1 |x|} - Ztilde
     c0: float
+    all_nonnegative: bool
 
-    @property
-    def all_nonnegative(self) -> bool:
-        margins = self.uniform_margins + self.claim_margins + self.decay_margins
-        return bool(np.all(np.array(margins) >= 0.0))  # a nan margin fails
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    flat = table.ravel()
+    flat.flags.writeable = False
+    return flat
 
 
 def decay_bound_check(
@@ -547,8 +551,9 @@ def decay_bound_check(
     decay = t_grid * slope + claim
     return DecayBoundReport(
         points=tuple(itertools.product(x_exps, ts)),
-        uniform_margins=tuple(uniform.ravel().tolist()),
-        claim_margins=tuple(claim.ravel().tolist()),
-        decay_margins=tuple(decay.ravel().tolist()),
+        uniform_margins=_read_only(uniform),
+        claim_margins=_read_only(claim),
+        decay_margins=_read_only(decay),
         c0=c0,
+        all_nonnegative=all(bool(np.all(m >= 0.0)) for m in (uniform, claim, decay)),
     )

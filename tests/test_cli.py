@@ -255,6 +255,23 @@ def test_kernel_artifacts(config_path, tmp_path):
     assert u_lines[0] == "norm_exp,t,value"
 
 
+def test_kernel_writes_nan_minimum_for_any_nan_margin(config_path, tmp_path, monkeypatch):
+    # a nan spectral value at |x| = p^5, a middle row of the decay-bound
+    # points (norm exponents 2..8): each min_* field is nan, as it is for
+    # a nan in the first row, and the flag is false
+    one_minus = SpectralCache.one_minus
+    monkeypatch.setattr(
+        SpectralCache, "one_minus",
+        lambda self, k: math.nan if k == 1 - 5 else one_minus(self, k),
+    )
+    out = run_cmd("kernel", config_path, tmp_path / "krn")
+    bounds = json.loads((out / "bounds_report.json").read_text())["decay_bounds"]
+    assert bounds["x_exps"] == list(range(2, 9))
+    for name in ("min_uniform_margin", "min_claim_margin", "min_decay_margin"):
+        assert math.isnan(bounds[name]), name
+    assert bounds["all_nonnegative"] is False
+
+
 def test_kernel_tables_match_a_per_cell_rendering(tmp_path):
     # unsorted keys and a repeated time: the key cells, formatted once per
     # distinct i and t, must land in the stable (i, t) order of the rows
@@ -584,6 +601,28 @@ def test_verify_evaluates_heat_checks_as_tables(monkeypatch):
     assert grids.count((5001, 0.0, 50.0)) == 1
 
 
+def test_volterra_oracle_catches_a_first_order_solve(monkeypatch):
+    import ultradiff.cli as cli_module
+    import ultradiff.fpt as fpt_module
+
+    def first_order(g, h):
+        """The rectangle rule: the trapezoid solve without its diagonal
+        weight (a_0 = 1 in place of 1 + h g_0 / 2), error O(h)."""
+        a = h * np.asarray(g, dtype=float)
+        a[0] = 1.0
+        f = fpt_module._product(g, fpt_module._series_inverse(a), len(g))
+        return fpt_module.VolterraGrid(h=h, g=g, f=f)
+
+    monkeypatch.setattr(cli_module, "solve_volterra", first_order)
+    cfg = load_run_config(ROOT / "configs" / "desk.json")
+    [check] = [c for c in run_verify_checks(cfg) if c["name"] == "volterra_synthetic_oracle"]
+    h = cfg.fpt.h
+    # about 1.5e-4 at h = 0.01: below the former 50 h^2, 22 times the bound
+    assert check["observed"] <= 50.0 * h * h
+    assert check["observed"] >= 10.0 * check["threshold"]
+    assert not check["passed"]
+
+
 def test_log_factorial_table_is_built_once_per_n():
     table = _log_factorials(2000)
     assert table.tolist() == [math.lgamma(m + 1.0) for m in range(2001)]
@@ -693,11 +732,11 @@ def test_int_columns_within_2_53_are_written_with_d(tmp_path):
 #: as the per-cell writer wrote them (numpy 2.4, x86-64)
 DESK_DIGESTS = {
     "landscape/spectral.csv": "fe63836188791eb16ebbda41eb2b63a4d4549dd1ceab3bab968dfb4c703424bf",
-    "fpt/g_f.csv": "3cd73e06c298d3141d9288fa9f6726e66ac3e46dd20443f37bbcb5398ff6f965",
+    "fpt/g_f.csv": "8b57d03718d96138baa7234d647253cf4cd0f8ee212d8289b8be2c32561623b0",
     "fpt/laplace_ladder.csv": "fb87ff5e9bebd0f93943032367b4169d73bb136150910ded7fcfb30891ec38f1",
     "simulate/fpt_samples.csv": "db1e9a62c79e88656f2db47ff089b06063b4cca2633d9b97834a941620e056a4",
     "simulate/survival_mc.csv": "5417e4cb21f4440397b6c36f4c01d4012c8f63326245330f8c3134c6b1781158",
-    "verify/verify_report.json": "c882f296c7784b8872adf8655e984f013e5667b08e0452ab7c9223aa623a15ce",
+    "verify/verify_report.json": "cc28bfc89cf2bb97d469f057711a250cbfe12c0c6eeae4a140c04d3ede31fd01",
 }
 
 

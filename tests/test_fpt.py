@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from ultradiff import fpt
 from ultradiff.errors import NonPositiveS, StepTooCoarse
 from ultradiff.fpt import (
     g_grid,
@@ -129,6 +130,76 @@ def test_fft_solve_matches_stepper(desk_state):
     for g in (g_grid(desk_state, ts), synthetic_grid(0.5, 1.0, h, 10.0)[1], heavy):
         diff = np.max(np.abs(solve_volterra(g, h).f - stepper_solve(g, h)))
         assert diff <= 1e-14 * max(1.0, float(np.max(np.abs(g))))
+
+
+def brute_fft_len(n):
+    """The smallest integer >= n with no prime factor above 5, by search."""
+    c = n
+    while True:
+        rest = c
+        for q in (2, 3, 5):
+            while rest % q == 0:
+                rest //= q
+        if rest == 1:
+            return c
+        c += 1
+
+
+def test_fft_len_is_the_smallest_smooth_length():
+    assert [fpt._fft_len(n) for n in range(1, 10_001)] == [
+        brute_fft_len(n) for n in range(1, 10_001)
+    ]
+
+
+PRODUCT_LENGTHS = (1, 2, 3, 7, 31, 127, 1021, 15, 17, 63, 65, 1023, 1025, 4095, 4097)
+
+
+@pytest.mark.parametrize("nx", PRODUCT_LENGTHS)
+def test_product_matches_truncated_convolve(nx):
+    rng = np.random.default_rng(nx)
+    for ny in (1, 2, nx, nx + 1):
+        x, y = rng.standard_normal(nx), rng.standard_normal(ny)
+        full = np.convolve(x, y)
+        for m in {1, min(nx, ny), nx, len(full)}:
+            got = fpt._product(x, y, m)
+            assert got.shape == (m,)
+            scale = np.sqrt(np.sum(x * x) * np.sum(y * y))
+            assert np.max(np.abs(got - full[:m])) <= 1e-14 * scale, (nx, ny, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 17, 1000, 1001, 4097])
+def test_fft_solve_matches_stepper_at_every_length(m):
+    # odd and even m, below and above a smooth length: each step of the
+    # Newton schedule and the fused division meets a different wrap
+    h = 0.01
+    ts = np.arange(m) * h
+    rng = np.random.default_rng(m)
+    heavy = rng.random(m) * np.exp(-ts)
+    heavy[0] = 1.8 / h
+    for g in (0.5 * np.exp(-ts), rng.random(m) * np.exp(-ts), heavy):
+        diff = np.max(np.abs(solve_volterra(g, h).f - stepper_solve(g, h)))
+        assert diff <= 1e-14 * max(1.0, float(np.max(np.abs(g)))), (m, diff)
+
+
+def test_solve_and_residual_transform_only_needed_lengths(monkeypatch):
+    """A count, not a timing: every transform the solve and the residual
+    make at m = 40 001 is at most _fft_len(2m - 1) points long, and all of
+    them together cover at most half the 1 966 053 points that products
+    padded to powers of two took."""
+    lengths = []
+    for name in ("rfft", "irfft"):
+        transform = getattr(np.fft, name)
+
+        def counted(x, n=None, *args, transform=transform, **kwargs):
+            lengths.append(len(x) if n is None else n)
+            return transform(x, n, *args, **kwargs)
+
+        monkeypatch.setattr(fpt.np.fft, name, counted)
+    m, h = 40_001, 0.01
+    grid = solve_volterra(0.5 * np.exp(-np.arange(m) * h), h)
+    grid.residual()
+    assert max(lengths) <= fpt._fft_len(2 * m - 1)
+    assert sum(lengths) <= 1_966_053 // 2
 
 
 def test_non_finite_flux_rejected():

@@ -32,7 +32,13 @@ from ultradiff.heat import (
     u_table,
     ztilde_table,
 )
-from ultradiff.landscape import ball_jmass_bound, exterior_mass, jmass_ball, normalize
+from ultradiff.landscape import (
+    SpectralCache,
+    ball_jmass_bound,
+    exterior_mass,
+    jmass_ball,
+    normalize,
+)
 from ultradiff.padic import CosetPoint, SpaceParams, ZERO_NORM, sphere_volume
 
 
@@ -681,6 +687,31 @@ def test_decay_bounds_hold(desk_state):
     report = decay_bound_check(desk_state, range(2, 13), (0.1, 1.0, 10.0), l=1)
     assert report.all_nonnegative
     assert report.c0 > 0
+
+
+def test_decay_margins_are_read_only_arrays(desk_state):
+    report = decay_bound_check(desk_state, [2, 3], (0.1, 1.0), l=1)
+    for margins in (report.uniform_margins, report.claim_margins, report.decay_margins):
+        assert margins.dtype == np.float64 and margins.shape == (4,)
+        with pytest.raises(ValueError):
+            margins[0] = 0.0
+
+
+def test_nan_margin_fails_wherever_it_sits(desk_state, monkeypatch):
+    # a nan spectral value at one row makes that row's margins nan: the
+    # flag is false and every minimum is nan, whether the row comes first
+    # or not
+    one_minus = SpectralCache.one_minus
+    for bad in (2, 4):
+        monkeypatch.setattr(
+            SpectralCache, "one_minus",
+            lambda self, k, bad=bad: math.nan if k == 1 - bad else one_minus(self, k),
+        )
+        report = decay_bound_check(desk_state, [2, 3, 4, 5], (0.1, 1.0), l=1)
+        assert not report.all_nonnegative
+        for margins in (report.uniform_margins, report.claim_margins, report.decay_margins):
+            assert np.isnan(margins.min())
+            assert np.isfinite(np.delete(margins, [2 * (bad - 2), 2 * (bad - 2) + 1])).all()
 
 
 def test_decay_bound_vacuous_at_time_zero(desk_state):
