@@ -4,15 +4,20 @@ The package computes, for the nonlocal evolution equation
 ``du/dt = J*u - u`` driven by a normalized radial jump kernel
 ``J(|x|_p) = c |x|_p^gamma e^{-C1 |x|_p}``:
 
+* sphere volumes and the Monte Carlo's random streams (`padic`);
 * the radial Fourier transform ``Jhat`` and its diagnostics (`landscape`);
-* heat-kernel densities, survival probabilities, and transition
-  probabilities on the coset chain (`heat`);
+* heat-kernel densities, survival probabilities, and the coset chain
+  lumped onto coset norms (`heat`);
 * exact compound-Poisson path simulation on Q_p^n / Z_p^n (`sim`);
 * the first-passage pipeline: re-entry flux, Volterra-solved density,
   Laplace ladder, and a recurrence verdict (`fpt`);
 * a reproducible CLI with manifests (`cli`).
 
-Every analytic series ships with an independent oracle in the test suite.
+Every analytic series ships with an independent oracle in the test suite;
+the oracles no command needs (coset arithmetic on Q_p^n / Z_p^n, exact
+character integrals, ball transition probabilities) live in
+``tests/oracles.py``. Records are ``NamedTuple`` or ``__slots__`` classes,
+which cost the import no generated code.
 """
 
 __version__ = "0.1.0"
@@ -31,12 +36,7 @@ from .errors import (
 from .padic import (
     DEFAULT_DEPTH_CAP,
     ZERO_NORM,
-    CosetPoint,
     SpaceParams,
-    character_sphere_integral,
-    coset_add,
-    coset_neg,
-    padic_fractional_part,
     sphere_volume,
     split_stream,
 )
@@ -47,7 +47,6 @@ from .landscape import (
     divergence_diagnostic,
     exterior_mass,
     normalize,
-    nonintegrable_demo,
     spectral,
     spectral_by_quadrature,
     spectral_gap_at_one,
@@ -60,7 +59,6 @@ from .heat import (
     du_dt,
     pde_residual,
     survival,
-    transition_prob,
     u_table,
     ztilde_table,
 )

@@ -35,9 +35,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,7 +75,7 @@ from .fpt import (
     recurrence_diagnostic,
     solve_volterra,
 )
-from .padic import SpaceParams, ZERO_NORM, is_prime
+from .padic import DEFAULT_DEPTH_CAP, SpaceParams, ZERO_NORM, is_prime
 from .sim import (
     RNG_PROTOCOL,
     PathBatch,
@@ -97,31 +97,35 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FptBlock:
+class FptBlock(NamedTuple):
     h: float
     horizon: float
     s_ladder: tuple[float, ...]
     recurrence_threshold: float = 1e3
 
 
-@dataclass(frozen=True)
-class KernelBlock:
+class KernelBlock(NamedTuple):
     times: tuple[float, ...]
     x_exps: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """Fully validated run configuration (one JSON document of record)."""
 
-    landscape: LandscapeParams
-    sim: SimConfig
-    fpt: FptBlock
-    kernel: KernelBlock
-    verify_paths: int
-    out_dir: str | None
-    raw: dict
+    __slots__ = ("landscape", "sim", "fpt", "kernel", "verify_paths", "out_dir", "raw")
+
+    def __init__(
+        self,
+        landscape: LandscapeParams,
+        sim: SimConfig,
+        fpt: FptBlock,
+        kernel: KernelBlock,
+        verify_paths: int,
+        out_dir: str | None,
+        raw: dict,
+    ):
+        self.landscape, self.sim, self.fpt, self.kernel = landscape, sim, fpt, kernel
+        self.verify_paths, self.out_dir, self.raw = verify_paths, out_dir, raw
 
     def resolved_echo(self) -> dict:
         """The config as actually used, with every computed constant echoed."""
@@ -224,7 +228,7 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
         max_paths=_get(simb, "sim.paths", int),
         seed=seed,
         j_max=_get(simb, "sim.j_max", int),
-        depth_cap=_get(simb, "sim.depth_cap", int, default=64, required=False),
+        depth_cap=_get(simb, "sim.depth_cap", int, default=DEFAULT_DEPTH_CAP, required=False),
     )
 
     fptb = raw.get("fpt")
@@ -684,7 +688,7 @@ def run_verify_checks(
     add("laplace_series_vs_quadrature", err, 1e-4)
 
     # Monte Carlo vs analytic survival, and the first-passage triangle
-    sim = replace(cfg.sim, max_paths=cfg.verify_paths)  # and the same jump table
+    sim = cfg.sim._replace(max_paths=cfg.verify_paths)  # and the same jump table
     mc_times = [t for t in (0.5, 1.0, 2.0) if t <= sim.horizon]
     batch = run_paths(sim, query_times=mc_times, workers=workers)
     t_tri = min(cfg.fpt.horizon, sim.horizon)

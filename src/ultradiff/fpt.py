@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,13 +60,13 @@ def g_grid(state: HeatState, ts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class VolterraGrid:
     """Uniform time grid carrying the flux g and the solved density f."""
 
-    h: float
-    g: np.ndarray
-    f: np.ndarray
+    __slots__ = ("h", "g", "f")
+
+    def __init__(self, h: float, g: np.ndarray, f: np.ndarray):
+        self.h, self.g, self.f = h, g, f
 
     @property
     def times(self) -> np.ndarray:
@@ -195,8 +194,7 @@ def solve_volterra(g: np.ndarray, h: float) -> VolterraGrid:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LaplaceEval:
+class LaplaceEval(NamedTuple):
     """G(s) with truncation diagnostics."""
 
     s: float
@@ -257,8 +255,7 @@ def laplace_g_quadrature(state: HeatState, s, horizon: float = 50.0, h: float = 
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
-@dataclass(frozen=True)
-class RecurrenceReport:
+class RecurrenceReport(NamedTuple):
     """Numerically supported recurrence verdict along a descending s-ladder."""
 
     s_values: tuple[float, ...]

@@ -19,8 +19,8 @@ Every quantity here is one sphere series sum_j vol(S_{-j}) phi(lambda_j),
 with lambda_j = 1 - Jhat(p^{-j}) read from the spectral cache, evaluated by
 :func:`sphere_series`; the quantities differ only in phi and in how the
 series is scaled and corrected; the heat series at norm exponent r is
-P(X_t in B_r) itself (:func:`transition_prob`). The flux :func:`inflow`
-folds its rows' series into one weighted sum over the same spectral slice.
+P(X_t in B_r) itself. The flux :func:`inflow` folds its rows' series into
+one weighted sum over the same spectral slice.
 The coset chain lumps onto coset norms (:func:`norm_chain`), where
 Chapman-Kolmogorov is checked at the depth that also caps the conservation
 window (:func:`escape_depths`). The results are pure functions of the
@@ -42,8 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,12 +55,7 @@ from .landscape import (
     spectral_bound_constants,
     sphere_masses_above,
 )
-from .padic import (
-    CosetPoint,
-    SpaceParams,
-    _ZeroNorm,
-    sphere_volume,
-)
+from .padic import SpaceParams, _ZeroNorm, sphere_volume
 
 
 #: Largest density mass either side of the conservation window may hold.
@@ -75,16 +69,14 @@ def _machine_tail_len(space: SpaceParams) -> int:
     return int(math.ceil(17.0 * math.log(10.0) / (space.n * space.log_p))) + 3
 
 
-@dataclass
 class HeatState:
     """A landscape and its spectral cache (which grows on demand)."""
 
-    landscape: LandscapeParams
-    cache: SpectralCache = None  # type: ignore[assignment]
+    __slots__ = ("landscape", "cache")
 
-    def __post_init__(self):
-        if self.cache is None:
-            self.cache = SpectralCache.build(self.landscape)
+    def __init__(self, landscape: LandscapeParams, cache: SpectralCache | None = None):
+        self.landscape = landscape
+        self.cache = SpectralCache.build(landscape) if cache is None else cache
 
     @property
     def space(self) -> SpaceParams:
@@ -267,8 +259,7 @@ def inflow(state: HeatState, r: int, ts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConservationAudit:
+class ConservationAudit(NamedTuple):
     """Mass accounting for the kernel measure at one time.
 
     total = atom + density_mass should be 1; the density alone carries
@@ -411,40 +402,8 @@ def pde_residual(state: HeatState, i, t):
 
 
 # ---------------------------------------------------------------------------
-# Transition probabilities and the lumped norm chain
+# The lumped norm chain
 # ---------------------------------------------------------------------------
-
-
-def transition_prob(
-    state: HeatState,
-    x: CosetPoint,
-    center: CosetPoint,
-    radius_exp: int,
-    t: float,
-) -> float:
-    """p_t(x, B) for a ball B of radius p^radius_exp around a canonical point.
-
-    Balls with radius_exp >= 1 are unions of unit cosets; radius_exp <= 0
-    means a sub-ball of a single coset (centered at the canonical
-    representative of `center`). A displaced ball off the origin lies in
-    one sphere, where the density is constant. For the ball B_r around it,
-    1_{B_r} transforms to p^{rn} 1_{B_{-r}}, so by Plancherel
-    P(X_t in B_r) = sum_{j>=0} vol(S_{-j}) e^{-lambda_{-j-r} t} for every
-    integer r: one :func:`sphere_series` row, atom e^{-t} included.
-    """
-    if x.space != center.space:
-        raise ValueError("x and ball center live over different spaces")
-    space = x.space
-    delta = center - x
-    d = delta.norm_exponent()
-    if t == 0.0:
-        inside = delta.is_zero() or (not isinstance(d, _ZeroNorm) and d <= radius_exp)
-        return 1.0 if inside else 0.0
-    if not delta.is_zero() and d > radius_exp:
-        # every point of the displaced ball sits on the sphere of norm p^d
-        z = float(ztilde_table(state, [d], t)[0, 0])
-        return z * float(space.p) ** (radius_exp * space.n)
-    return float(_series(state, [radius_exp], _decay(t))[0][0, 0])
 
 
 def norm_chain(state: HeatState, t: float, depth: int) -> np.ndarray:
@@ -482,8 +441,7 @@ def chapman_kolmogorov_defect(state: HeatState, t: float, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class DecayBoundReport:
+class DecayBoundReport(NamedTuple):
     """Pointwise margins for the two heat-kernel decay estimates, as
     read-only arrays in the order of ``points``. ``all_nonnegative`` is
     false when any margin is below zero or nan."""

@@ -24,8 +24,7 @@ divergence diagnostics below therefore work in log space throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -49,14 +48,14 @@ class RadialKernel(Protocol):
     def log_value_at(self, j): ...
 
 
-@dataclass(frozen=True)
-class UnitBallKernel:
+class UnitBallKernel(NamedTuple):
     """Indicator of Z_p^n: the self-dual test profile.
 
     Normalized for every (p, n) since vol(Z_p^n) = 1, and its radial
     transform is known in closed form (1 for k <= 0, 0 for k >= 1), which
-    makes it the sharpest available oracle for the spectral code paths.
-    Test-only profile; not an exponential-type landscape.
+    makes it the sharpest available oracle for the spectral code paths
+    (``verify``'s ``indicator_self_dual`` check). Not an exponential-type
+    landscape.
     """
 
     space: SpaceParams
@@ -68,8 +67,7 @@ class UnitBallKernel:
         return np.where(np.asarray(j) <= 0, 0.0, -np.inf)
 
 
-@dataclass(frozen=True)
-class LandscapeParams:
+class LandscapeParams(NamedTuple):
     """A normalized exponential-type landscape c |x|^gamma e^{-C1 |x|}."""
 
     space: SpaceParams
@@ -280,7 +278,6 @@ def spectral_by_quadrature(
     return total
 
 
-@dataclass
 class SpectralCache:
     """Values of 1 - Jhat(p^k) for k in [k_min, k_max], held as one array
     (``values[k - k_min]``) and grown on demand.
@@ -291,20 +288,28 @@ class SpectralCache:
     the window a computation needs before sharing the cache.
     """
 
-    kernel: RadialKernel
-    k_min: int
-    k_max: int
-    values: np.ndarray = None  # type: ignore[assignment]
-    left_tail_reaches_one: bool = False
-    right_tail_decayed: bool = False
+    __slots__ = (
+        "kernel", "k_min", "k_max", "values", "left_tail_reaches_one",
+        "right_tail_decayed", "_top",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        kernel: RadialKernel,
+        k_min: int,
+        k_max: int,
+        values: np.ndarray | None = None,
+        left_tail_reaches_one: bool = False,
+        right_tail_decayed: bool = False,
+    ):
+        self.kernel, self.k_min, self.k_max = kernel, k_min, k_max
+        self.left_tail_reaches_one = left_tail_reaches_one
+        self.right_tail_decayed = right_tail_decayed
         # every sum starts at the first m past the mode whose mass underflows
-        self._top = log_sphere_masses_from(self.kernel, 0).size - 1
-        while math.exp(log_sphere_mass(self.kernel, self._top)) > 0.0:
+        self._top = log_sphere_masses_from(kernel, 0).size - 1
+        while math.exp(log_sphere_mass(kernel, self._top)) > 0.0:
             self._top += 1
-        if self.values is None:
-            self.values = self._compute(self.k_min, self.k_max)
+        self.values = self._compute(k_min, k_max) if values is None else values
 
     @classmethod
     def build(
@@ -436,8 +441,7 @@ def spectral_decay_bound(params: LandscapeParams, k: int) -> float:
     return (b1 * p ** (-k * (n + params.gamma)) + b2 * p ** (-k * params.gamma)) * damp
 
 
-@dataclass(frozen=True)
-class SpectralBoundReport:
+class SpectralBoundReport(NamedTuple):
     ks: tuple[int, ...]
     margins: tuple[float, ...]
     bounds: tuple[float, ...]
@@ -492,8 +496,7 @@ def log_one_minus_jhat(params: LandscapeParams, k: int) -> float:
     return float(np.logaddexp.reduce(_spectral_log_terms(params, k)))
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     """Log-scale evidence that a positive series has no finite sum."""
 
     term_logs: tuple[float, ...]
@@ -532,36 +535,4 @@ def divergence_diagnostic(params: LandscapeParams, m_terms: int) -> DivergenceRe
         partial_log_sums=tuple(partials),
         verdict=verdict,
         growth_floor=floor,
-    )
-
-
-@dataclass(frozen=True)
-class NonIntegrableDemo:
-    """Partial sums showing e^{-c|x|}/|x| has no integral over Z_p (n = 1)."""
-
-    partial_sums: tuple[float, ...]
-    increments: tuple[float, ...]
-    limit_increment: float
-
-
-def nonintegrable_demo(p: int, rate: float, m_terms: int) -> NonIntegrableDemo:
-    """Sphere-by-sphere partial sums of int_{Z_p} e^{-c|x|}/|x| dx.
-
-    The j-th sphere (norm p^{-j}) contributes e^{-c p^{-j}} (1 - 1/p),
-    which tends to the constant 1 - 1/p: the partial sums grow linearly in
-    the number of spheres, i.e. the integral is infinite. One-dimensional
-    by construction.
-    """
-    space = SpaceParams(p=p, n=1)
-    incs, partials = [], []
-    total = 0.0
-    for j in range(m_terms + 1):
-        inc = math.exp(-rate * float(p) ** (-j)) * space.unit_sphere_volume
-        incs.append(inc)
-        total += inc
-        partials.append(total)
-    return NonIntegrableDemo(
-        partial_sums=tuple(partials),
-        increments=tuple(incs),
-        limit_increment=space.unit_sphere_volume,
     )

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,19 +53,25 @@ RNG_PROTOCOL = "norm-chain-v2"
 CHUNK_PATHS = 8192
 
 
-@dataclass(frozen=True)
 class JumpNormTable:
     """Law of the norm exponent of a J-distributed jump over the consecutive
     exponents j_min .. j_max (``js``), renormalized; the upper defect (mass
     beyond j_max) must be below TRUNCATION_TOLERANCE, and both defects are
     recorded. ``moving_cdf`` is the normalized running sum over j >= 1."""
 
-    landscape: LandscapeParams
-    j_min: int
-    probs: np.ndarray
-    moving_cdf: np.ndarray
-    defect_low: float
-    defect_high: float
+    __slots__ = ("landscape", "j_min", "probs", "moving_cdf", "defect_low", "defect_high")
+
+    def __init__(
+        self,
+        landscape: LandscapeParams,
+        j_min: int,
+        probs: np.ndarray,
+        moving_cdf: np.ndarray,
+        defect_low: float,
+        defect_high: float,
+    ):
+        self.landscape, self.j_min, self.probs = landscape, j_min, probs
+        self.moving_cdf, self.defect_low, self.defect_high = moving_cdf, defect_low, defect_high
 
     @classmethod
     def build(cls, landscape: LandscapeParams, j_max: int) -> "JumpNormTable":
@@ -124,40 +129,50 @@ def _drop_thresholds(p: int, n: int, depth: int) -> np.ndarray:
     return np.array([-(-(2**53) // den) for den in dens], dtype=np.uint64)
 
 
-@dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo run parameters; validated eagerly at construction."""
+    """Monte Carlo run parameters; validated eagerly at construction. The
+    jump table is built from (landscape, j_max) unless one is given."""
 
-    landscape: LandscapeParams
-    horizon: float
-    max_paths: int
-    seed: int
-    j_max: int
-    depth_cap: int = DEFAULT_DEPTH_CAP
-    table: JumpNormTable = field(compare=False, default=None)  # type: ignore[assignment]
+    __slots__ = ("landscape", "horizon", "max_paths", "seed", "j_max", "depth_cap", "table")
 
-    def __post_init__(self):
-        if self.horizon <= 0:
-            raise ConfigError(f"sim.horizon: must be > 0, got {self.horizon}")
-        if self.max_paths < 1:
-            raise ConfigError(f"sim.paths: must be >= 1, got {self.max_paths}")
-        if not (0 <= self.seed < 2**64):
-            raise ConfigError(f"sim.seed: must fit in 64 bits, got {self.seed}")
-        if self.j_max < 1:
-            raise ConfigError(f"sim.j_max: must be >= 1, got {self.j_max}")
-        if self.j_max > self.depth_cap:
+    def __init__(
+        self,
+        landscape: LandscapeParams,
+        horizon: float,
+        max_paths: int,
+        seed: int,
+        j_max: int,
+        depth_cap: int = DEFAULT_DEPTH_CAP,
+        table: JumpNormTable | None = None,
+    ):
+        if horizon <= 0:
+            raise ConfigError(f"sim.horizon: must be > 0, got {horizon}")
+        if max_paths < 1:
+            raise ConfigError(f"sim.paths: must be >= 1, got {max_paths}")
+        if not (0 <= seed < 2**64):
+            raise ConfigError(f"sim.seed: must fit in 64 bits, got {seed}")
+        if j_max < 1:
+            raise ConfigError(f"sim.j_max: must be >= 1, got {j_max}")
+        if j_max > depth_cap:
+            raise ConfigError(f"sim.j_max: {j_max} exceeds the depth cap {depth_cap}")
+        if table is None:
+            table = JumpNormTable.build(landscape, j_max)
+        if table.defect_high >= TRUNCATION_TOLERANCE:
             raise ConfigError(
-                f"sim.j_max: {self.j_max} exceeds the depth cap {self.depth_cap}"
+                f"sim.j_max: truncated jump mass {table.defect_high:.3e} "
+                f"beyond p^{j_max} is not below {TRUNCATION_TOLERANCE}"
             )
-        if self.table is None:
-            object.__setattr__(
-                self, "table", JumpNormTable.build(self.landscape, self.j_max)
-            )
-        if self.table.defect_high >= TRUNCATION_TOLERANCE:
-            raise ConfigError(
-                f"sim.j_max: truncated jump mass {self.table.defect_high:.3e} "
-                f"beyond p^{self.j_max} is not below {TRUNCATION_TOLERANCE}"
-            )
+        self.landscape, self.horizon, self.max_paths = landscape, horizon, max_paths
+        self.seed, self.j_max, self.depth_cap, self.table = seed, j_max, depth_cap, table
+
+    def _replace(self, **changes) -> "SimConfig":
+        """A copy with ``changes``, validated again, as ``NamedTuple._replace``
+        makes one. It keeps this config's jump table unless the landscape or
+        j_max changes."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        if "landscape" in changes or "j_max" in changes:
+            fields["table"] = None
+        return SimConfig(**{**fields, **changes})
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +180,22 @@ class SimConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PathBatch:
     """Per-path summaries over a contiguous block of path indices."""
 
-    query_times: tuple[float, ...]
-    inside_at: np.ndarray  # (paths, times) bool
-    norm_at: np.ndarray  # (paths, times) int16 norm exponent, 0 = inside Z_p^n
-    tau: np.ndarray  # nan when not observed
-    exited: np.ndarray  # bool
-    n_jumps: np.ndarray  # int64, coset-moving jumps
+    __slots__ = ("query_times", "inside_at", "norm_at", "tau", "exited", "n_jumps")
+
+    def __init__(
+        self,
+        query_times: tuple[float, ...],
+        inside_at: np.ndarray,  # (paths, times) bool
+        norm_at: np.ndarray,  # (paths, times) int16 norm exponent, 0 = inside Z_p^n
+        tau: np.ndarray,  # nan when not observed
+        exited: np.ndarray,  # bool
+        n_jumps: np.ndarray,  # int64, coset-moving jumps
+    ):
+        self.query_times, self.inside_at, self.norm_at = query_times, inside_at, norm_at
+        self.tau, self.exited, self.n_jumps = tau, exited, n_jumps
 
 
 def _run_block(
@@ -260,12 +281,11 @@ def run_paths(
             if b > a
         ]
         blocks = [f.result() for f in futures]
-    columns = zip(*(list(vars(b).values())[1:] for b in blocks))
+    columns = zip(*((b.inside_at, b.norm_at, b.tau, b.exited, b.n_jumps) for b in blocks))
     return PathBatch(qts, *map(np.concatenate, columns))
 
 
-@dataclass(frozen=True)
-class SurvivalEstimate:
+class SurvivalEstimate(NamedTuple):
     t: float
     estimate: float
     stderr: float

@@ -1,0 +1,365 @@
+"""Test oracles that no CLI command needs, kept out of the package so its
+import does not compile them.
+
+* exact rational sphere volumes and character integrals over spheres
+  (``Fraction``), against which the package's float volumes and its
+  sphere-sum transform are checked;
+* the p-adic fractional part of a rational and the quotient group
+  Q_p^n / Z_p^n as canonical digit arrays (:class:`CosetPoint`), the state
+  space whose lumped norm chain ``ultradiff.heat.norm_chain`` and
+  ``ultradiff.sim`` walk;
+* ball transition probabilities P(X_t in B) for balls around coset points
+  (:func:`transition_prob`), one row of the package's heat series;
+* partial sums showing that e^{-c|x|}/|x| is not integrable over Z_p.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Sequence, Union
+
+from ultradiff.errors import DepthOverflow
+from ultradiff.heat import HeatState, _decay, _series, ztilde_table
+from ultradiff.padic import (
+    DEFAULT_DEPTH_CAP,
+    EXACT_EXPONENT_LIMIT,
+    SpaceParams,
+    ZERO_NORM,
+    _ZeroNorm,
+    sphere_volume,
+)
+
+NormExponent = Union[int, _ZeroNorm]
+
+
+# ---------------------------------------------------------------------------
+# Exact volumes and character integrals over spheres
+# ---------------------------------------------------------------------------
+
+
+def sphere_volume_frac(space: SpaceParams, j: int) -> Fraction:
+    """Exact sphere volume p^{jn}(1 - p^{-n}) as a Fraction (|j*n| <= 30)."""
+    if abs(j * space.n) > EXACT_EXPONENT_LIMIT:
+        raise ValueError("exponent too large for exact arithmetic; use sphere_volume")
+    pn = Fraction(space.p) ** space.n
+    return pn ** j * (1 - 1 / pn)
+
+
+def character_sphere_integral_frac(
+    space: SpaceParams, y_exp: NormExponent, sphere_exp: int
+) -> Fraction:
+    """Exact value of the character integral over a sphere.
+
+    Computes ``int_{|xi|_p = p^sphere_exp} chi_p(-y . xi) d^n xi`` for any y
+    with ``|y|_p = p^y_exp`` (the value depends on y only through its norm).
+    Three cases, writing s = y_exp + sphere_exp:
+
+    * s <= 0: the character is identically 1, giving the sphere volume;
+    * s == 1: the sphere splits into cosets on which the character averages
+      to zero except for a deficit of one sub-ball, giving -p^{(sphere_exp-1)n};
+    * s >= 2: full cancellation, 0.
+    """
+    if isinstance(y_exp, _ZeroNorm):
+        return sphere_volume_frac(space, sphere_exp)
+    s = y_exp + sphere_exp
+    if s <= 0:
+        return sphere_volume_frac(space, sphere_exp)
+    if s == 1:
+        return -(Fraction(space.p) ** ((sphere_exp - 1) * space.n))
+    return Fraction(0)
+
+
+def character_sphere_integral(
+    space: SpaceParams, y_exp: NormExponent, sphere_exp: int
+) -> float:
+    """Float version of :func:`character_sphere_integral_frac` (log-space safe)."""
+    if isinstance(y_exp, _ZeroNorm):
+        return sphere_volume(space, sphere_exp)
+    s = y_exp + sphere_exp
+    if s <= 0:
+        return sphere_volume(space, sphere_exp)
+    if s == 1:
+        if abs((sphere_exp - 1) * space.n) <= EXACT_EXPONENT_LIMIT:
+            return -float(Fraction(space.p) ** ((sphere_exp - 1) * space.n))
+        return -math.exp((sphere_exp - 1) * space.n * space.log_p)
+    return 0.0
+
+
+# ---------------------------------------------------------------------------
+# p-adic fractional part of rationals
+# ---------------------------------------------------------------------------
+
+
+def padic_fractional_part(x: Fraction, p: int) -> Fraction:
+    """The p-adic fractional part {x}_p of a rational x.
+
+    Writes x = p^{-m} a/b with p coprime to a and b; for m <= 0 the result
+    is 0, otherwise it is the unique rational in [0, 1) with denominator
+    p^m congruent to x modulo Z_p.
+    """
+    x = Fraction(x)
+    if x == 0:
+        return Fraction(0)
+    num, den = x.numerator, x.denominator
+    m = 0
+    while den % p == 0:
+        den //= p
+        m += 1
+    if m == 0:
+        return Fraction(0)
+    mod = p**m
+    return Fraction((num * pow(den, -1, mod)) % mod, mod)
+
+
+# ---------------------------------------------------------------------------
+# The quotient group Q_p^n / Z_p^n
+# ---------------------------------------------------------------------------
+
+
+def _trim(digits: Iterable[int]) -> tuple[int, ...]:
+    out = list(digits)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class CosetPoint:
+    """An element of Q_p^n / Z_p^n as canonical fractional digit arrays.
+
+    ``digits[c][k]`` is the base-p digit of coordinate c at position -(k+1),
+    i.e. the coefficient of p^{-(k+1)} in the canonical representative.
+    Trailing zeros are trimmed, so equality of digit tuples is equality of
+    cosets and the identity coset is n empty tuples.
+    """
+
+    space: SpaceParams
+    digits: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if len(self.digits) != self.space.n:
+            raise ValueError("need one digit array per coordinate")
+        trimmed = tuple(_trim(d) for d in self.digits)
+        for d in trimmed:
+            if any(not (0 <= a < self.space.p) for a in d):
+                raise ValueError("digits must lie in {0, ..., p-1}")
+        object.__setattr__(self, "digits", trimmed)
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls, space: SpaceParams) -> "CosetPoint":
+        return cls(space, ((),) * space.n)
+
+    @classmethod
+    def from_digit_maps(
+        cls,
+        space: SpaceParams,
+        maps: Sequence[dict[int, int]],
+        depth_cap: int = DEFAULT_DEPTH_CAP,
+    ) -> "CosetPoint":
+        """Build from per-coordinate {position: digit} maps, positions < 0."""
+        arrays = []
+        for m in maps:
+            depth = max((-pos for pos in m), default=0)
+            if depth > depth_cap:
+                raise DepthOverflow(
+                    f"digit at position -{depth} is below the cap -{depth_cap}"
+                )
+            arr = [0] * depth
+            for pos, dig in m.items():
+                if pos >= 0:
+                    raise ValueError("coset digits live at negative positions only")
+                arr[-pos - 1] = dig
+            arrays.append(tuple(arr))
+        return cls(space, tuple(arrays))
+
+    @classmethod
+    def from_fractions(
+        cls,
+        space: SpaceParams,
+        values: Sequence[Fraction],
+        depth_cap: int = DEFAULT_DEPTH_CAP,
+    ) -> "CosetPoint":
+        """Project exact rational coordinates to their coset."""
+        arrays = []
+        for v in values:
+            frac = padic_fractional_part(Fraction(v), space.p)
+            den = frac.denominator
+            depth = 0 if frac == 0 else round(math.log(den, space.p))
+            if depth > depth_cap:
+                raise DepthOverflow(
+                    f"rational {v} needs depth {depth} > cap {depth_cap}"
+                )
+            num = frac.numerator * (space.p**depth // den) if frac else 0
+            arr = []
+            for k in range(depth):  # digit of p^{-(k+1)}
+                arr.append((num // space.p ** (depth - 1 - k)) % space.p)
+            arrays.append(tuple(arr))
+        return cls(space, tuple(arrays))
+
+    @classmethod
+    def from_residues(
+        cls, space: SpaceParams, residues: Sequence[int], depth: int
+    ) -> "CosetPoint":
+        """Inverse of :meth:`to_residues` at the given depth."""
+        arrays = []
+        for a in residues:
+            a %= space.p**depth
+            arr = [(a // space.p ** (depth - 1 - k)) % space.p for k in range(depth)]
+            arrays.append(tuple(arr))
+        return cls(space, tuple(arrays))
+
+    # -- structure ---------------------------------------------------------
+
+    @property
+    def depth(self) -> int:
+        return max((len(d) for d in self.digits), default=0)
+
+    def is_zero(self) -> bool:
+        return all(len(d) == 0 for d in self.digits)
+
+    def norm_exponent(self) -> NormExponent:
+        """j with coset norm p^j (always >= 1), or ZERO_NORM for the identity."""
+        if self.is_zero():
+            return ZERO_NORM
+        return self.depth
+
+    def to_residues(self, depth: int | None = None) -> tuple[int, ...]:
+        """Encode each coordinate as an integer A < p^depth.
+
+        The coset digit at position -(k+1) becomes the coefficient of
+        p^{depth-1-k}, which turns coset addition into integer addition
+        modulo p^depth (carries toward position -1, overflow dropped).
+        """
+        d = self.depth if depth is None else depth
+        if d < self.depth:
+            raise ValueError("requested residue depth discards digits")
+        out = []
+        for digs in self.digits:
+            a = 0
+            for k, dig in enumerate(digs):
+                a += dig * self.space.p ** (d - 1 - k)
+            out.append(a)
+        return tuple(out)
+
+    def to_fractions(self) -> tuple[Fraction, ...]:
+        """Canonical representative in [0,1)^n as exact rationals."""
+        out = []
+        for digs in self.digits:
+            out.append(
+                sum(
+                    (Fraction(dig, self.space.p ** (k + 1)) for k, dig in enumerate(digs)),
+                    Fraction(0),
+                )
+            )
+        return tuple(out)
+
+    # -- group operations ----------------------------------------------------
+
+    def __add__(self, other: "CosetPoint") -> "CosetPoint":
+        return coset_add(self, other)
+
+    def __neg__(self) -> "CosetPoint":
+        return coset_neg(self)
+
+    def __sub__(self, other: "CosetPoint") -> "CosetPoint":
+        return coset_add(self, coset_neg(other))
+
+
+def coset_add(a: CosetPoint, b: CosetPoint) -> CosetPoint:
+    """Digitwise base-p addition with carries toward position -1.
+
+    In the residue encoding of :meth:`CosetPoint.to_residues` this is
+    integer addition modulo p^depth: carries leaving position -1 land in
+    Z_p^n and are dropped, which is the quotient-group law. The result is
+    never deeper than the deeper operand, so the depth cap can only be
+    exceeded at construction time.
+    """
+    if a.space != b.space:
+        raise ValueError("cosets live over different spaces")
+    depth = max(a.depth, b.depth)
+    sums = [x + y for x, y in zip(a.to_residues(depth), b.to_residues(depth))]
+    return CosetPoint.from_residues(a.space, sums, depth)
+
+
+def coset_neg(a: CosetPoint) -> CosetPoint:
+    """Group inverse: the coset of -x, residue negation modulo p^depth."""
+    return CosetPoint.from_residues(a.space, [-r for r in a.to_residues()], a.depth)
+
+
+# ---------------------------------------------------------------------------
+# Ball transition probabilities
+# ---------------------------------------------------------------------------
+
+
+def transition_prob(
+    state: HeatState,
+    x: CosetPoint,
+    center: CosetPoint,
+    radius_exp: int,
+    t: float,
+) -> float:
+    """p_t(x, B) for a ball B of radius p^radius_exp around a canonical point.
+
+    Balls with radius_exp >= 1 are unions of unit cosets; radius_exp <= 0
+    means a sub-ball of a single coset (centered at the canonical
+    representative of `center`). A displaced ball off the origin lies in
+    one sphere, where the density is constant. For the ball B_r around it,
+    1_{B_r} transforms to p^{rn} 1_{B_{-r}}, so by Plancherel
+    P(X_t in B_r) = sum_{j>=0} vol(S_{-j}) e^{-lambda_{-j-r} t} for every
+    integer r: one :func:`ultradiff.heat.sphere_series` row, atom e^{-t}
+    included.
+    """
+    if x.space != center.space:
+        raise ValueError("x and ball center live over different spaces")
+    space = x.space
+    delta = center - x
+    d = delta.norm_exponent()
+    if t == 0.0:
+        inside = delta.is_zero() or (not isinstance(d, _ZeroNorm) and d <= radius_exp)
+        return 1.0 if inside else 0.0
+    if not delta.is_zero() and d > radius_exp:
+        # every point of the displaced ball sits on the sphere of norm p^d
+        z = float(ztilde_table(state, [d], t)[0, 0])
+        return z * float(space.p) ** (radius_exp * space.n)
+    return float(_series(state, [radius_exp], _decay(t))[0][0, 0])
+
+
+# ---------------------------------------------------------------------------
+# A non-integrable profile
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class NonIntegrableDemo:
+    """Partial sums showing e^{-c|x|}/|x| has no integral over Z_p (n = 1)."""
+
+    partial_sums: tuple[float, ...]
+    increments: tuple[float, ...]
+    limit_increment: float
+
+
+def nonintegrable_demo(p: int, rate: float, m_terms: int) -> NonIntegrableDemo:
+    """Sphere-by-sphere partial sums of int_{Z_p} e^{-c|x|}/|x| dx.
+
+    The j-th sphere (norm p^{-j}) contributes e^{-c p^{-j}} (1 - 1/p),
+    which tends to the constant 1 - 1/p: the partial sums grow linearly in
+    the number of spheres, i.e. the integral is infinite. One-dimensional
+    by construction.
+    """
+    space = SpaceParams(p=p, n=1)
+    incs, partials = [], []
+    total = 0.0
+    for j in range(m_terms + 1):
+        inc = math.exp(-rate * float(p) ** (-j)) * space.unit_sphere_volume
+        incs.append(inc)
+        total += inc
+        partials.append(total)
+    return NonIntegrableDemo(
+        partial_sums=tuple(partials),
+        increments=tuple(incs),
+        limit_increment=space.unit_sphere_volume,
+    )

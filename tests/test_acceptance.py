@@ -13,6 +13,7 @@ import pytest
 from scipy import stats
 
 from conftest import at
+from oracles import nonintegrable_demo
 import ultradiff.fpt as fpt
 from ultradiff.cli import main
 from ultradiff.heat import (
@@ -29,7 +30,6 @@ from ultradiff.landscape import (
     UnitBallKernel,
     divergence_diagnostic,
     exterior_mass,
-    nonintegrable_demo,
     spectral,
     spectral_by_quadrature,
 )

@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 
 from conftest import GRID, at
+from oracles import CosetPoint, transition_prob
 from ultradiff.errors import GammaOutOfRange, ZeroPoint
 from ultradiff import heat
 from ultradiff.fpt import g_grid
@@ -28,7 +29,6 @@ from ultradiff.heat import (
     norm_chain,
     pde_residual,
     survival,
-    transition_prob,
     u_table,
     ztilde_table,
 )
@@ -39,7 +39,7 @@ from ultradiff.landscape import (
     jmass_ball,
     normalize,
 )
-from ultradiff.padic import CosetPoint, SpaceParams, ZERO_NORM, sphere_volume
+from ultradiff.padic import SpaceParams, ZERO_NORM, sphere_volume
 
 
 # ---------------------------------------------------------------------------

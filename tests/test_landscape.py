@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import nonintegrable_demo
 from ultradiff.errors import GammaOutOfRange, NonPositiveRate
 from ultradiff.landscape import (
     DEFAULT_SPECTRAL_WINDOW,
@@ -24,7 +25,6 @@ from ultradiff.landscape import (
     jmass_ball,
     log_one_minus_jhat,
     log_sphere_mass,
-    nonintegrable_demo,
     normalize,
     spectral,
     spectral_bound_check,

@@ -16,21 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultradiff.errors import DepthOverflow
-from ultradiff.padic import (
+from oracles import (
     CosetPoint,
-    SpaceParams,
-    ZERO_NORM,
     character_sphere_integral,
     character_sphere_integral_frac,
     coset_add,
     coset_neg,
-    is_prime,
     padic_fractional_part,
-    sphere_volume,
     sphere_volume_frac,
-    split_stream,
 )
+from ultradiff.errors import DepthOverflow
+from ultradiff.padic import SpaceParams, ZERO_NORM, is_prime, sphere_volume, split_stream
 
 # ---------------------------------------------------------------------------
 # enumeration oracles

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ultradiff.heat import HeatState, survival
 from ultradiff.landscape import normalize
 from ultradiff.padic import SpaceParams
@@ -63,3 +65,19 @@ def test_landscape_sweep_smoke(tmp_path):
         state = HeatState(normalize(SpaceParams(p=2, n=1), gamma, c1))
         assert [s_half, s_two] == [survival(state, 0.5), survival(state, 2.0)]
         assert 0.0 < int_f < 1.0
+
+
+def test_import_cost_smoke(tmp_path):
+    proc = run_script("import_cost.py", "--runs", 1, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("1 runs, PYTHONDONTWRITEBYTECODE=1")
+    ms = {line[:34].strip(): float(line[34:]) for line in lines[1:] if line[34:].strip()}
+    parts = ("interpreter start", "import ultradiff.cli", "load_run_config")
+    assert sum(ms[k] for k in parts) == pytest.approx(ms["start to ready"], abs=0.2)
+    modules = [k for k in ms if k.startswith("ultradiff.")]
+    assert {"ultradiff.cli", "ultradiff.padic", "ultradiff.sim"} <= set(modules)
+    assert sum(ms[k] for k in modules) + ms["ultradiff"] == pytest.approx(
+        ms["ultradiff, all modules"], abs=0.1 * len(modules)
+    )
+    assert ms["numpy"] > 0.0

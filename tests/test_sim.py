@@ -15,7 +15,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,19 +23,14 @@ import pytest
 from scipy import stats
 
 from conftest import at
+from oracles import CosetPoint, coset_add
 import ultradiff.fpt as fpt
 import ultradiff.sim as sim_module
 from ultradiff.cli import binomial_tail_z, mc_agreement
 from ultradiff.errors import ConfigError
 from ultradiff.heat import HeatState, norm_chain, survival, u_table
 from ultradiff.landscape import exterior_mass, normalize
-from ultradiff.padic import (
-    CosetPoint,
-    SpaceParams,
-    coset_add,
-    sphere_volume,
-    split_stream,
-)
+from ultradiff.padic import SpaceParams, sphere_volume, split_stream
 from ultradiff.sim import (
     JumpNormTable,
     SimConfig,
@@ -180,6 +174,24 @@ def test_config_validation_messages(desk_params):
         SimConfig(
             landscape=desk_params, horizon=1.0, max_paths=10, seed=1, j_max=70
         )
+
+
+def test_config_replace_keeps_the_jump_table(desk_params, monkeypatch):
+    # verify's Monte Carlo reruns the config at its own path count
+    sim = SimConfig(landscape=desk_params, horizon=1.0, max_paths=10, seed=1, j_max=8)
+    builds = []
+    build = JumpNormTable.build.__func__
+    monkeypatch.setattr(
+        JumpNormTable, "build", classmethod(lambda cls, *a: builds.append(a) or build(cls, *a))
+    )
+    more = sim._replace(max_paths=500)
+    assert more.table is sim.table and builds == []
+    assert (more.max_paths, more.horizon, more.seed) == (500, 1.0, 1)
+    # a new j_max needs its own table, and is validated again
+    deeper = sim._replace(j_max=9)
+    assert builds == [(desk_params, 9)] and deeper.table.j_max == 9
+    with pytest.raises(ConfigError, match="horizon"):
+        sim._replace(horizon=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +354,7 @@ def test_run_paths_draws_no_os_entropy(desk_sim, monkeypatch):
 
     monkeypatch.setattr(random, "_urandom", urandom)
     monkeypatch.setattr(os, "urandom", urandom)
-    batch = run_paths(replace(desk_sim, max_paths=500), query_times=(1.0,))
+    batch = run_paths(desk_sim._replace(max_paths=500), query_times=(1.0,))
     assert batch.n_jumps.sum() > 0
 
 
