@@ -121,10 +121,16 @@ def _block(columns: list[tuple[str, np.ndarray | list]], blank_nan: list[bool]) 
         js = [j for j, c in enumerate(columns) if c[0] == kind]
         if js:
             x = np.concatenate([columns[j][1] for j in js])
-            key, d = _keys(x)
             if kind == "float":
                 floats = x
-                key[np.concatenate([np.isnan(columns[j][1]) & blank_nan[j] for j in js])] = _BLANK
+            if kind == "float" and any(blank_nan[j] and np.isnan(columns[j][1]).any() for j in js):
+                # blank cells need no layout
+                blank = np.concatenate([np.isnan(columns[j][1]) & blank_nan[j] for j in js])
+                key, d = np.full(len(x), _BLANK), np.zeros(len(x), np.int64)
+                if not blank.all():
+                    key[~blank], d[~blank] = _keys(x[~blank])
+            else:
+                key, d = _keys(x)
             keys.append(key.astype(np.int16))
             ds.append(d)
             dests.append((np.arange(rows) * width + np.array(js)[:, None]).ravel())

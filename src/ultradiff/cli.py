@@ -526,9 +526,64 @@ def cmd_fpt(cfg: RunConfig, out: Path) -> int:
 def _log_factorials(n: int) -> np.ndarray:
     """log m! for m = 0..n, one table per n (verify scores several counts
     out of the same number of paths)."""
-    log_fact = np.array(list(map(math.lgamma, range(1, n + 2))), dtype=float)
+    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
     log_fact.setflags(write=False)
     return log_fact
+
+
+#: A tail is summed over its terms within this factor of its largest.
+_TAIL_CUT = 2.0**-120
+
+
+def _log_pmf(i0: int, i1: int, n: int, q: float) -> np.ndarray:
+    """log P(K = i) under Binomial(n, q) for i = i0..i1 - 1, by the same
+    operations at every i and whatever the range, so exp of an entry is
+    one fixed double per (i, n, q)."""
+    i = np.arange(i0, i1)
+    log_fact = _log_factorials(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_qs = np.where(i > 0, i * np.log(q), 0.0)
+        log_qs += np.where(i < n, (n - i) * np.log1p(-q), 0.0)
+    return log_fact[n] - log_fact[i] - log_fact[n - i] + log_qs
+
+
+def _dropped_term(log_term: float) -> float:
+    """A bound on each pmf term farther from the mode than one whose log is
+    log_term: the exact pmf is log-concave, so it falls away from the mode,
+    the computed logs are within far less than 1 of the exact ones, and exp
+    returns 0 below -745.14."""
+    return 0.0 if log_term < -747.0 else math.exp(log_term + 1.0) + 2.0**-1074
+
+
+def _window(a: int, b: int, n: int, q: float, mode: int) -> tuple[np.ndarray, float]:
+    """The terms of the tail a..b within _TAIL_CUT of its largest (at the
+    mode clamped to [a, b]), found in a range of 14 sigma + 32 terms on
+    each side of it, and a bound on the sum of the terms left out."""
+    c = min(max(mode, a), b)
+    w = int(14.0 * math.sqrt(n * q * (1.0 - q))) + 32  # holds the window at every n, q tried
+    i0 = max(a, c - w)
+    log_p = _log_pmf(i0, min(b, c + w) + 1, n, q)
+    if log_p[c - i0] == -math.inf:  # q is 0 or 1: every term is 0
+        return log_p[:0], 0.0
+    kept = np.flatnonzero(log_p >= log_p[c - i0] + math.log(_TAIL_CUT))
+    lo, hi = int(kept[0]), int(kept[-1])
+    # each term left out on a side is bounded by the nearest one computed:
+    # the first outside the window or, past the range, the range's end
+    left, right = log_p[max(lo - 1, 0)], log_p[min(hi + 1, len(log_p) - 1)]
+    dropped = (i0 + lo - a) * _dropped_term(left) + (b - i0 - hi) * _dropped_term(right)
+    return np.exp(log_p[lo : hi + 1]), dropped
+
+
+def _tail_sum(a: int, b: int, n: int, q: float, terms: np.ndarray, dropped: float) -> float:
+    """math.fsum of every term of the tail a..b, from its window's terms when
+    the left-out mass and the window sum's rounding error together stay
+    inside the half ulp above it; else over the whole tail."""
+    kept = np.sort(terms)[::-1].tolist()  # largest first: fsum keeps fewer partials
+    s = math.fsum(kept)
+    if dropped and not math.fsum([-s] + kept) + dropped < math.ulp(s) / 2 * (1 - 2**-40):
+        pmf = np.exp(_log_pmf(a, b + 1, n, q))
+        s = math.fsum(pmf[pmf != 0.0])
+    return s
 
 
 def binomial_tail_z(k: int, n: int, q: float) -> float:
@@ -537,15 +592,25 @@ def binomial_tail_z(k: int, n: int, q: float) -> float:
 
     Unlike a plug-in z score it divides by no estimated stderr, which is 0
     when no path (or every path) counted.
+
+    Each tail is the ``math.fsum`` of the pmf terms exp(log n! - log i! -
+    log (n - i)! + i log q + (n - i) log(1 - q)), and the value is that
+    full-support sum bit for bit, from O(sigma) terms: the tail that can be
+    below 1/2 (the lower one when k is below the mode) is summed over the
+    window of its terms within 2^-120 of its largest, the pmf being
+    log-concave so that every term outside is smaller. That sum stands when
+    a rounding certificate holds: the terms left out (their count times
+    the largest of them, with slack) plus the ``fsum``'s own rounding error
+    stay within the half ulp above it; otherwise the whole tail is summed.
+    The other tail is taken as >= 1/2 when a rounded-down ``np.sum`` of its
+    own window shows it, and summed the same way only when that fails.
     """
-    i = np.arange(n + 1)
-    log_fact = _log_factorials(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_qs = np.where(i > 0, i * np.log(q), 0.0)
-        log_qs += np.where(i < n, (n - i) * np.log1p(-q), 0.0)
-    pmf = np.exp(log_fact[n] - log_fact - log_fact[::-1] + log_qs)
-    # only the nonzero terms: the rest underflowed to exact zeros
-    tail = min(*(math.fsum(x[x != 0.0]) for x in (pmf[: k + 1], pmf[k:])), 0.5)
+    mode = min(int((n + 1) * q), n)
+    near, far = ((0, k), (k, n)) if k < mode else ((k, n), (0, k))
+    tail = min(_tail_sum(*near, n, q, *_window(*near, n, q, mode)), 0.5)
+    terms, dropped = _window(*far, n, q, mode)
+    if np.sum(terms) * (1.0 - len(terms) * 2.0**-52) < 0.5:  # np.sum errs by < len/2 ulps
+        tail = min(tail, _tail_sum(*far, n, q, terms, dropped))
     return math.inf if tail == 0.0 else abs(NormalDist().inv_cdf(tail))
 
 

@@ -10,7 +10,9 @@ import does not compile them.
   ``ultradiff.sim`` walk;
 * ball transition probabilities P(X_t in B) for balls around coset points
   (:func:`transition_prob`), one row of the package's heat series;
-* partial sums showing that e^{-c|x|}/|x| is not integrable over Z_p.
+* partial sums showing that e^{-c|x|}/|x| is not integrable over Z_p;
+* verify's Binomial tail z score summed over the whole support
+  (:func:`binomial_tail_z`), which the package's windowed sum equals.
 """
 
 from __future__ import annotations
@@ -18,8 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
+from ultradiff.cli import _log_factorials
 from ultradiff.errors import DepthOverflow
 from ultradiff.heat import HeatState, _decay, _series, ztilde_table
 from ultradiff.padic import (
@@ -363,3 +369,24 @@ def nonintegrable_demo(p: int, rate: float, m_terms: int) -> NonIntegrableDemo:
         increments=tuple(incs),
         limit_increment=space.unit_sphere_volume,
     )
+
+
+# ---------------------------------------------------------------------------
+# Binomial tails over the whole support
+# ---------------------------------------------------------------------------
+
+
+def binomial_tail_z(k: int, n: int, q: float) -> float:
+    """-Phi^{-1}(min(P(K <= k), P(K >= k), 1/2)) under Binomial(n, q), inf
+    when it underflows, each tail the ``math.fsum`` of every nonzero pmf
+    term: the value ``ultradiff.cli.binomial_tail_z`` must equal bit for
+    bit from a window of the terms."""
+    i = np.arange(n + 1)
+    log_fact = _log_factorials(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_qs = np.where(i > 0, i * np.log(q), 0.0)
+        log_qs += np.where(i < n, (n - i) * np.log1p(-q), 0.0)
+    pmf = np.exp(log_fact[n] - log_fact - log_fact[::-1] + log_qs)
+    # only the nonzero terms: the rest underflowed to exact zeros
+    tail = min(*(math.fsum(x[x != 0.0]) for x in (pmf[: k + 1], pmf[k:])), 0.5)
+    return math.inf if tail == 0.0 else abs(NormalDist().inv_cdf(tail))

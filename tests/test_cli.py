@@ -8,7 +8,11 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+import ultradiff.cli as cli
 from conftest import GRID, verify_sweep
 from ultradiff.cli import (
     _log_factorials,
@@ -646,6 +650,84 @@ def test_binomial_tail_z_sums_only_nonzero_terms(n):
     for q in (0.0, 1e-9, 2.8e-5, 0.01, 0.3, 0.5, 0.97, 1.0):
         for k in sorted({0, 1, n // 2, round(n * q), n - 1, n}):
             assert binomial_tail_z(k, n, q) == unfiltered(k, n, q), (k, q)
+
+
+@st.composite
+def tail_cases(draw, ns):
+    """(k, n, q) where a windowed tail could part from the full sum: q at
+    0, 1, the least subnormal, 1 - 2^-53, anywhere in [0, 1] or putting the
+    mode at a drawn count; k at 0, n, the mode and its neighbours, 3 and 40
+    sigma from it (where tails underflow), or anywhere."""
+    n = draw(ns)
+    m = draw(st.integers(0, n))
+    q = draw(st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2.0**-53, (m + 0.5) / (n + 1)])
+             | st.floats(0.0, 1.0))
+    mode, sigma = min(int((n + 1) * q), n), math.sqrt(n * q * (1.0 - q))
+    near = [0, n, mode - 1, mode, mode + 1] + [round(mode + f * sigma) for f in (-40, -3, 3, 40)]
+    k = draw(st.sampled_from(near) | st.integers(0, n))
+    return min(max(k, 0), n), n, q
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tail_cases(st.integers(1, 3000) | st.just(20000)))
+def test_binomial_tail_z_is_the_full_support_sum(case):
+    assert binomial_tail_z(*case) == oracles.binomial_tail_z(*case)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(tail_cases(st.just(10**6)))
+def test_binomial_tail_z_is_the_full_support_sum_at_a_million(case):
+    assert binomial_tail_z(*case) == oracles.binomial_tail_z(*case)
+
+
+@pytest.mark.parametrize(
+    "k, n, q", [(0, 20000, 0.5), (20000, 20000, 0.3), (0, 50, 1.0 - 2.0**-53), (480000, 10**6, 0.5)]
+)
+def test_binomial_tail_z_is_inf_where_the_tail_underflows(k, n, q):
+    assert binomial_tail_z(k, n, q) == oracles.binomial_tail_z(k, n, q) == math.inf
+
+
+def log_pmf_ranges(monkeypatch):
+    """The (i0, i1) of every log-pmf evaluation binomial_tail_z makes."""
+    ranges, log_pmf = [], cli._log_pmf
+
+    def counted(i0, i1, n, q):
+        ranges.append((i0, i1))
+        return log_pmf(i0, i1, n, q)
+
+    monkeypatch.setattr(cli, "_log_pmf", counted)
+    return ranges
+
+
+def test_binomial_tail_z_sums_the_whole_tail_when_the_certificate_fails(monkeypatch):
+    # at a 2^-40 cut the terms left out outweigh half an ulp of the sum, so
+    # every tail summed is summed whole; at n = 20000 and these q the
+    # windows lie inside the tails, so a whole-tail range is that fallback
+    monkeypatch.setattr(cli, "_TAIL_CUT", 2.0**-40)
+    ranges = log_pmf_ranges(monkeypatch)
+    n = 20000
+    for q in (0.05, 0.3, 0.5, 0.9):
+        mode, sigma = int((n + 1) * q), math.sqrt(n * q * (1.0 - q))
+        for k in (mode - 1, mode, mode + 1, round(mode - 3 * sigma), round(mode + 3 * sigma)):
+            ranges.clear()
+            assert binomial_tail_z(k, n, q) == oracles.binomial_tail_z(k, n, q), (k, q)
+            assert {(0, k + 1), (k, n + 1)} & set(ranges), (k, q)
+
+
+def test_binomial_tail_z_evaluates_o_sigma_terms(monkeypatch):
+    # a range of w = 14 sigma + 32 log-pmf entries on each side of the mode
+    # (both sides for the tail that holds it, one for the other) holds each
+    # window, and nothing more is evaluated while the certificate holds:
+    # at most 3 w + 2 <= 42 sigma + 98 entries, of a support of 10^6 + 1
+    ranges = log_pmf_ranges(monkeypatch)
+    n = 10**6
+    for q in (1e-6, 1e-3, 0.05, 0.5, 0.97):
+        mode, sigma = int((n + 1) * q), math.sqrt(n * q * (1.0 - q))
+        for f in (-40, -3, -1, 0, 1, 3, 40):
+            k = min(max(round(mode + f * sigma), 0), n)
+            ranges.clear()
+            binomial_tail_z(k, n, q)
+            assert sum(i1 - i0 for i0, i1 in ranges) <= 42.0 * sigma + 98.0, (k, q)
 
 
 # ---------------------------------------------------------------------------

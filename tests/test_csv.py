@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ultradiff import _csv
 from ultradiff._csv import _FALLBACK, BLOCK_ROWS, _keys, format_cells, write_bytes, write_csv
 from ultradiff.fpt import g_grid, solve_volterra
 
@@ -172,6 +173,25 @@ def test_blank_nan_applies_to_the_named_columns_only(tmp_path):
     columns = [np.array([math.nan, 1.5]), np.array([math.nan, -2.0])]
     write_csv(tmp_path / "t.csv", ["a", "b"], columns, blank_nan=("b",))
     assert (tmp_path / "t.csv").read_text() == "a,b\nnan,\n1.5,-2\n"
+
+
+@pytest.mark.parametrize("blank_share", [1.0, 0.84, 0.0])
+def test_blank_cells_skip_the_layout_lookup(tmp_path, monkeypatch, blank_share):
+    # a first-passage column as in fpt_samples.csv, where most paths never
+    # return; its blank cells take no part in the layout lookup
+    rows = BLOCK_ROWS + 7
+    rng = np.random.default_rng(int(100 * blank_share))
+    tau = rng.exponential(3.0, rows)
+    tau[rng.random(rows) < blank_share] = math.nan
+    x = rng.standard_normal(rows)
+    x[::5] = math.nan  # NaN outside a blank_nan column is still written
+    header, columns = ["path", "tau", "x"], [np.arange(rows), tau, x]
+    reached = []
+    keys = _csv._keys
+    monkeypatch.setattr(_csv, "_keys", lambda v: reached.append(len(v)) or keys(v))
+    write_csv(tmp_path / "t.csv", header, columns, blank_nan=("tau",))
+    assert (tmp_path / "t.csv").read_bytes() == per_cell(header, columns, blank_nan=("tau",))
+    assert sum(reached) == 2 * rows + np.count_nonzero(~np.isnan(tau))
 
 
 # ---------------------------------------------------------------------------

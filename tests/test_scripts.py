@@ -1,5 +1,6 @@
-"""Smoke runs of the scripts under scripts/, each as its own process on tiny
-arguments, so that a change to the API they call shows up here."""
+"""Smoke runs of the scripts under scripts/ on tiny arguments, each as its
+own process (verify_sweep in this one, on a two-point grid), so that a
+change to the API they call shows up here."""
 
 import json
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import verify_sweep
 from ultradiff.heat import HeatState, survival
 from ultradiff.landscape import normalize
 from ultradiff.padic import SpaceParams
@@ -81,3 +83,21 @@ def test_import_cost_smoke(tmp_path):
         ms["ultradiff, all modules"], abs=0.1 * len(modules)
     )
     assert ms["numpy"] > 0.0
+
+
+def test_verify_sweep_json_smoke(tmp_path, monkeypatch, capsys):
+    # in process, on two points of the grid
+    monkeypatch.setattr(verify_sweep, "GRID", [verify_sweep.GRID[0], verify_sweep.GRID[-1]])
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert verify_sweep.run(["--paths", "100", "--json", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0 of 2 points fail"
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    points = json.loads(outs[0].read_text())
+    assert [tuple(pt[k] for k in ("p", "n", "gamma", "c1")) for pt in points] == verify_sweep.GRID
+    for pt in points:
+        names = [c["name"] for c in pt["checks"]]
+        assert "fpt_triangle_mc_vs_volterra" in names and len(set(names)) == len(names)
+        for check in pt["checks"]:
+            assert set(check) == {"name", "observed", "threshold", "passed", "detail"}
+            assert check["passed"]
