@@ -491,9 +491,7 @@ def cmd_fpt(cfg: RunConfig, out: Path) -> int:
     columns = [ts, g, grid.f_for_export()]
     digests = {"g_f.csv": _write_csv(out / "g_f.csv", ["t", "g", "f"], columns)}
 
-    rec = recurrence_diagnostic(
-        cfg.landscape, state.cache, cfg.fpt.s_ladder, cfg.fpt.recurrence_threshold
-    )
+    rec = recurrence_diagnostic(state, cfg.fpt.s_ladder, cfg.fpt.recurrence_threshold)
     columns = [rec.s_values, rec.g_values]
     digests["laplace_ladder.csv"] = _write_csv(out / "laplace_ladder.csv", ["s", "G"], columns)
     digests["recurrence_verdict.json"] = _write_json(
@@ -746,7 +744,7 @@ def run_verify_checks(
     lap_T, lap_s = 50.0, (0.5, 1.0, 2.0)
     quadrature = laplace_g_quadrature(state, lap_s, horizon=lap_T, h=1e-2)
     err = max(
-        abs(laplace_G(params, cache, s).value - q)
+        abs(laplace_G(state, s).value - q)
         - c_ext * math.exp(-s * lap_T) / s  # quadrature's own tail allowance
         for s, q in zip(lap_s, quadrature)
     )

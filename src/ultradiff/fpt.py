@@ -12,9 +12,9 @@ Three linked objects:
   trapezoid rule and solved as one power-series division, O(m log m); its
   integral (:meth:`VolterraGrid.integral_f`) is the censored return
   probability;
-* the Laplace transform ``G(s)`` of g, evaluated as the same sphere series
-  with phi(lambda) = 1/(s + lambda) in place of e^{-lambda t}, for any
-  s in (0, +inf] (G(+inf) = 0).
+* the Laplace transform ``G(s)`` of g, the same weighted sum with
+  1/(s + lambda_k) in place of e^{-lambda_k t}, for any s in (0, +inf]
+  (G(+inf) = 0).
   Since ``F(s) = G(s) / (1 + G(s))`` for the transform F of f, recurrence
   (return probability one) is equivalent to G blowing up as s -> 0+; the
   diagnostic walks a descending s-ladder and reports a verdict, never a
@@ -38,8 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NonPositiveS, StepTooCoarse
-from .heat import HeatState, inflow, sphere_series
-from .landscape import LandscapeParams, SpectralCache, sphere_masses_above
+from .heat import HeatState, inflow, inflow_weights
 
 
 def _trapezoid(y: np.ndarray, dx: float) -> float:
@@ -204,37 +203,32 @@ class LaplaceEval(NamedTuple):
     tail_bound: float
 
 
-def laplace_G(
-    params: LandscapeParams, cache: SpectralCache, s: float
-) -> LaplaceEval:
-    """Laplace transform of the re-entry flux as a double sphere series.
+def laplace_G(state: HeatState, s: float) -> LaplaceEval:
+    """G(s) = sum_k c_k / (s + lambda_k), the Laplace transform of the
+    re-entry flux over its weights (:func:`ultradiff.heat.inflow_weights`),
+    each row's series cut at an s-dependent n_terms.
 
-    Termwise Laplace transform of the sphere series of u(p^i, .) gives
-
-        G(s) = sum_{i>=1} J(p^i) vol(S_i) [ sum_{j>=i} vol(S_{-j}) /
-               (s + 1 - Jhat(p^{-j}))  -  p^{-ni} / (s + 1 - Jhat(p^{1-i})) ].
-
-    The inner tail is bounded by a geometric series with all denominators
-    >= s, giving a hard remainder bound; spectral values beyond the cache
-    window are filled in on demand. At s = +inf every term is 0, and so are
-    G and the bound (the limit G(s) -> 0).
+    Row i, u(p^i, .) with weight s_i = J(p^i) vol(S_i) p^{-ni} = J(p^i)
+    vol(S_0), leaves out sum_{j >= n_terms} vol(S_{-j}) / (s + lambda) <=
+    p^{-n n_terms} / s (every lambda >= 0), so the tail bound is sum_i s_i
+    p^{-n n_terms} / s.
+    At s = +inf, G and the bound are 0 (the limit G(s) -> 0).
     """
     if not s > 0:  # NaN fails this too
         raise NonPositiveS(f"Laplace evaluation needs s > 0, got {s}")
-    space = params.space
+    space = state.space
     pn = float(space.p) ** space.n
-    w = sphere_masses_above(params, 0)
-    i = np.arange(1, w.size + 1)
     # Past n_terms spheres the inner series has at most p^{-n(i+n_terms)}/s
     # left, below 1e-15 of its first term vol(S_{-i}) / (s + 2).
     n_terms = math.ceil(
         (math.log1p(2.0 / s) - math.log(1e-15 * space.unit_sphere_volume)) / math.log(pn)
     )
-    a, corr = sphere_series(cache, i, lambda lam: 1.0 / (s + lam), n_terms)
-    scale = pn ** -i.astype(float)
+    c, lam = inflow_weights(state, 0, n_terms)
+    rows = c.size - n_terms
+    j_sum = float(np.exp(state.landscape.log_value_at(np.arange(1, rows + 1))).sum())
     return LaplaceEval(
-        s=s, value=float(w @ (scale * (a - corr))), outer_terms=int(w.size),
-        inner_terms_max=n_terms, tail_bound=float(np.max(w * scale)) * pn**-n_terms / s,
+        s=s, value=float(np.sum(c / (s + lam))), outer_terms=rows, inner_terms_max=n_terms,
+        tail_bound=space.unit_sphere_volume * j_sum * pn**-n_terms / s,
     )
 
 
@@ -270,10 +264,7 @@ class RecurrenceReport(NamedTuple):
 
 
 def recurrence_diagnostic(
-    params: LandscapeParams,
-    cache: SpectralCache,
-    s_ladder: Sequence[float],
-    threshold: float = 1e3,
+    state: HeatState, s_ladder: Sequence[float], threshold: float = 1e3
 ) -> RecurrenceReport:
     """Evaluate G down the ladder and report whether it blows up.
 
@@ -288,9 +279,10 @@ def recurrence_diagnostic(
         raise NonPositiveS("the s-ladder must be strictly positive")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("the s-ladder must be strictly decreasing")
-    values = [laplace_G(params, cache, s).value for s in ladder]
+    values = [laplace_G(state, s).value for s in ladder]
     increasing = all(b > a for a, b in zip(values, values[1:]))
     exceeded = any(v > threshold for v in values)
+    params = state.landscape
     hypothesis = -params.space.n < params.gamma < 0
     g_last = values[-1]
     verdict = (

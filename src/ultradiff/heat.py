@@ -19,8 +19,9 @@ Every quantity here is one sphere series sum_j vol(S_{-j}) phi(lambda_j),
 with lambda_j = 1 - Jhat(p^{-j}) read from the spectral cache, evaluated by
 :func:`sphere_series`; the quantities differ only in phi and in how the
 series is scaled and corrected; the heat series at norm exponent r is
-P(X_t in B_r) itself. The flux :func:`inflow` folds its rows' series into
-one weighted sum over the same spectral slice.
+P(X_t in B_r) itself. The flux :func:`inflow` and its Laplace transform
+fold their rows' series into one weight per spectral entry
+(:func:`inflow_weights`).
 The coset chain lumps onto coset norms (:func:`norm_chain`), where
 Chapman-Kolmogorov is checked at the depth that also caps the conservation
 window (:func:`escape_depths`). The results are pure functions of the
@@ -86,7 +87,7 @@ class HeatState:
 def sphere_series(
     cache: SpectralCache, i_exps, phi, n_terms: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The sphere series behind every heat, flux and Laplace quantity.
+    """The sphere series behind every heat quantity.
 
     For each norm exponent i returns
 
@@ -217,32 +218,37 @@ def du_dt(state: HeatState, i, t):
     return _view(np.where((idx == 0)[:, None], -a, scale[:, None] * (corr - a)), i, t)
 
 
-def inflow(state: HeatState, r: int, ts) -> np.ndarray:
-    """sum_{m > r} J(p^m) vol(S_m) u(p^m, t) over the times ts, for r >= 0:
-    the rate at which mass outside the ball B_r jumps into it.
+def inflow_weights(state: HeatState, r: int, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weights c and rates lambda of :func:`inflow` into B_r (r >= 0),
+    each row's sphere series cut at n_terms.
 
     With s_m = J(p^m) vol(S_m) p^{-nm} over the R listed spheres m = r+1 ..
-    r+R, and N the heat series' length, the u rows' sphere series fold into
-    one weight per spectral entry:
+    r+R, the u rows' sphere series fold into one weight per spectral entry:
 
         inflow(t) = sum_k c_k e^{-lambda_k t},
         c_k = sum_m s_m (vol(S_{k+m}) [0 <= -(k+m) < N] - [m = 1 - k]),
 
-    for k = -(r+R)-N+1 .. -r. Row a = r+R-m of the band holds s_m times
-    (vol(S_{1-N}), ..., vol(S_0), -1) from column a on, so c is one
-    convolution, independent of the times. Each column adds its terms one
-    k at a time (no matrix product), so its value is the same bits in any
-    grid that contains its time. u starts on Z_p^n, so t = 0 gives 0.
+    for k = -(r+R)-N+1 .. -r, N = n_terms. Row a = r+R-m of the band holds
+    s_m times (vol(S_{1-N}), ..., vol(S_0), -1) from column a on, so c is
+    one convolution.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
     space = state.space
-    n_terms = _machine_tail_len(space) + 1
     w = sphere_masses_above(state.landscape, r)
     pn = float(space.p) ** space.n
     s = (w * pn ** -np.arange(r + 1.0, r + 1 + w.size))[::-1]
     band = np.append(space.unit_sphere_volume * pn ** -np.arange(n_terms - 1.0, -1, -1), -1.0)
-    c = np.convolve(s, band)
-    lam = state.cache.window(-r - w.size - n_terms + 1, -r)
+    return np.convolve(s, band), state.cache.window(-r - w.size - n_terms + 1, -r)
+
+
+def inflow(state: HeatState, r: int, ts) -> np.ndarray:
+    """sum_{m > r} J(p^m) vol(S_m) u(p^m, t) over the times ts, for r >= 0:
+    the rate at which mass outside B_r jumps into it, sum_k c_k
+    e^{-lambda_k t} (:func:`inflow_weights`). Each column adds its terms
+    one k at a time (no matrix product), so its value is the same bits in
+    any grid that contains its time. u starts on Z_p^n: t = 0 gives 0.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    c, lam = inflow_weights(state, r, _machine_tail_len(state.space) + 1)
     g = np.zeros(ts.size)
     for k in range(0, ts.size, _TIME_BLOCK):
         block = slice(k, k + _TIME_BLOCK)

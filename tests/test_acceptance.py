@@ -227,7 +227,7 @@ def test_criterion_10_first_passage_triangle(desk_state, mc_batch):
 
 def test_criterion_11_recurrence(desk_params, desk_state):
     ladder = [10.0 ** (-k) for k in range(1, 7)]
-    rep = fpt.recurrence_diagnostic(desk_params, desk_state.cache, ladder)
+    rep = fpt.recurrence_diagnostic(desk_state, ladder)
     before_end = any(v > 1e3 for v in rep.g_values[:-1])
     div = divergence_diagnostic(desk_params, m_terms=20)
     log_growth = div.partial_log_sums[20] - div.partial_log_sums[10]

@@ -566,9 +566,9 @@ def test_fpt_evaluates_the_ladder_once(config_path, tmp_path, monkeypatch):
     calls = []
     laplace_G = fpt_module.laplace_G
 
-    def counted(params, cache, s, *args, **kwargs):
+    def counted(state, s, *args, **kwargs):
         calls.append(s)
-        return laplace_G(params, cache, s, *args, **kwargs)
+        return laplace_G(state, s, *args, **kwargs)
 
     monkeypatch.setattr(fpt_module, "laplace_G", counted)
     out = run_cmd("fpt", config_path, tmp_path / "fpt")
@@ -594,8 +594,7 @@ def test_verify_evaluates_heat_checks_as_tables(monkeypatch):
         grids.append((len(ts), float(ts[0]), float(ts[-1])))
         return g_grid(state, ts)
 
-    for module in (heat_module, fpt_module):
-        monkeypatch.setattr(module, "sphere_series", counted_series)
+    monkeypatch.setattr(heat_module, "sphere_series", counted_series)
     monkeypatch.setattr(fpt_module, "g_grid", counted_grid)
     checks = run_verify_checks(load_run_config(ROOT / "configs" / "desk.json"))
     assert all(c["passed"] for c in checks)
@@ -815,10 +814,10 @@ def test_int_columns_within_2_53_are_written_with_d(tmp_path):
 DESK_DIGESTS = {
     "landscape/spectral.csv": "fe63836188791eb16ebbda41eb2b63a4d4549dd1ceab3bab968dfb4c703424bf",
     "fpt/g_f.csv": "8b57d03718d96138baa7234d647253cf4cd0f8ee212d8289b8be2c32561623b0",
-    "fpt/laplace_ladder.csv": "fb87ff5e9bebd0f93943032367b4169d73bb136150910ded7fcfb30891ec38f1",
+    "fpt/laplace_ladder.csv": "14a89bf1f6adb903e0518e85ff8d2dfcef8f7bd07b8421dacaede9e4a55a791b",
     "simulate/fpt_samples.csv": "db1e9a62c79e88656f2db47ff089b06063b4cca2633d9b97834a941620e056a4",
     "simulate/survival_mc.csv": "5417e4cb21f4440397b6c36f4c01d4012c8f63326245330f8c3134c6b1781158",
-    "verify/verify_report.json": "cc28bfc89cf2bb97d469f057711a250cbfe12c0c6eeae4a140c04d3ede31fd01",
+    "verify/verify_report.json": "a191aeb5d3aa6fd62413e40a5776a93ece0ce4526cd108b380f3140153a3cca4",
 }
 
 

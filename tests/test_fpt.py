@@ -23,13 +23,8 @@ from ultradiff.fpt import (
     solve_volterra,
     VolterraGrid,
 )
-from ultradiff.heat import HeatState, sphere_series, u_table
-from ultradiff.landscape import (
-    SpectralCache,
-    exterior_mass,
-    normalize,
-    sphere_masses_above,
-)
+from ultradiff.heat import HeatState, inflow_weights, u_table
+from ultradiff.landscape import SpectralCache, exterior_mass, normalize, sphere_masses_above
 from ultradiff.padic import SpaceParams
 
 
@@ -73,6 +68,7 @@ def test_flux_other_space(state_p3n2):
 #: verify grid, one with gamma > 0
 ORACLE_POINTS = [(2, 1, -0.5, 1.0), (5, 1, -0.5, 5.0), (3, 2, -1.0, 1.0), (2, 2, 0.5, 0.2)]
 ORACLE_TIMES = (1e-3, 0.1, 1.0, 10.0, 400.0)
+ORACLE_S = (2.0, 0.1, 1e-3, 1e-6, 1e-10)
 
 
 @pytest.mark.parametrize("p, n, gamma, c1", ORACLE_POINTS)
@@ -99,6 +95,57 @@ def test_flux_matches_high_precision_row_series(p, n, gamma, c1):
             ]
             ref = mpmath.fsum(mpmath.mpf(float(wm)) * um for wm, um in zip(w, u))
             assert abs(g[col] - ref) <= bound, (t, float(ref), g[col])
+
+
+@pytest.mark.parametrize("p, n, gamma, c1", ORACLE_POINTS)
+def test_laplace_matches_high_precision_double_series(p, n, gamma, c1):
+    """G against the double sphere series sum_i J(p^i) vol(S_i) p^{-ni}
+    [sum_{j<N} vol(S_{-j}) / (s + lambda_{-j-i}) - 1 / (s + lambda_{1-i})]
+    at laplace_G's own length N, summed at 40 digits on the same double
+    lambda and sphere masses: within 4 eps sum_k |c_k| / (s + lambda_k), a
+    roundoff bound that does not cancel as sum_k c_k ~ 0 does at large s."""
+    state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
+    w = sphere_masses_above(state.landscape, 0)
+    for s in ORACLE_S:
+        ev = laplace_G(state, s)
+        terms = ev.inner_terms_max
+        c, lam = inflow_weights(state, 0, terms)
+        lo = -w.size - terms + 1  # lam[k - lo] is lambda_k
+        bound = 4.0 * np.finfo(float).eps * float(np.sum(np.abs(c) / (s + lam)))
+        with mpmath.workdps(40):
+            pn = mpmath.mpf(p) ** n
+            inv = [1 / (mpmath.mpf(s) + mpmath.mpf(float(x))) for x in lam]
+            vol = [(1 - 1 / pn) / pn**j for j in range(terms)]
+            ref = mpmath.fsum(
+                mpmath.mpf(float(wi)) / pn**i
+                * (mpmath.fsum(v * inv[-j - i - lo] for j, v in enumerate(vol)) - inv[1 - i - lo])
+                for i, wi in enumerate(w, start=1)
+            )
+        assert abs(ev.value - ref) <= bound, (s, float(ref), ev.value)
+
+
+@pytest.mark.parametrize("p, n, gamma, c1", ORACLE_POINTS)
+def test_laplace_tail_bound_covers_the_omitted_terms(p, n, gamma, c1):
+    """The terms laplace_G leaves out, sum_i J(p^i) vol(S_i) p^{-ni}
+    sum_{j >= N} vol(S_{-j}) / (s + lambda_{-j-i}), summed directly over
+    the next 200 spheres of every row, are at most its tail_bound. Every
+    omitted lambda is 0 at these points (the deep spectral values
+    underflow), so the bound is the tail itself and the two sums agree
+    only to their roundoff: 2 eps apart at most here, and 8 eps is allowed."""
+    state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
+    w = sphere_masses_above(state.landscape, 0)
+    space = state.space
+    pn = float(p) ** n
+    i = np.arange(1, w.size + 1)
+    for s in ORACLE_S:
+        ev = laplace_G(state, s)
+        j = np.arange(ev.inner_terms_max, ev.inner_terms_max + 200)
+        lo = -w.size - j[-1]
+        lam = state.cache.window(lo, -j[0] - 1)[np.subtract.outer(-i, j) - lo]
+        rows = (space.unit_sphere_volume * pn**-j.astype(float) / (s + lam)).sum(axis=1)
+        omitted = float(w * pn**-i.astype(float) @ rows)
+        eps = np.finfo(float).eps
+        assert 0.0 < omitted <= ev.tail_bound * (1.0 + 8.0 * eps), (s, omitted, ev.tail_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +357,16 @@ def test_return_probability_grows_with_horizon(desk_state):
 # ---------------------------------------------------------------------------
 
 
-def test_laplace_positive_s_required(desk_params, desk_state):
+def test_laplace_positive_s_required(desk_state):
     with pytest.raises(NonPositiveS):
-        laplace_G(desk_params, desk_state.cache, 0.0)
+        laplace_G(desk_state, 0.0)
     with pytest.raises(NonPositiveS):
         laplace_g_quadrature(desk_state, -1.0)
 
 
-def test_laplace_G_rejects_nan_s(desk_params, desk_state):
+def test_laplace_G_rejects_nan_s(desk_state):
     with pytest.raises(NonPositiveS):
-        laplace_G(desk_params, desk_state.cache, math.nan)
+        laplace_G(desk_state, math.nan)
 
 
 def test_laplace_quadrature_rejects_nan_s(desk_state):
@@ -328,16 +375,16 @@ def test_laplace_quadrature_rejects_nan_s(desk_state):
             laplace_g_quadrature(desk_state, bad, horizon=5.0)
 
 
-def test_recurrence_diagnostic_rejects_nan_in_the_ladder(desk_params, desk_state):
+def test_recurrence_diagnostic_rejects_nan_in_the_ladder(desk_state):
     with pytest.raises(NonPositiveS):
-        recurrence_diagnostic(desk_params, desk_state.cache, [0.1, math.nan, 0.001])
+        recurrence_diagnostic(desk_state, [0.1, math.nan, 0.001])
 
 
-def test_laplace_G_at_infinite_s(desk_params, desk_state):
+def test_laplace_G_at_infinite_s(desk_state):
     # the limit G(s) -> 0, with a finite term count and a zero tail bound
-    ev = laplace_G(desk_params, desk_state.cache, math.inf)
+    ev = laplace_G(desk_state, math.inf)
     assert ev.value == 0.0 and ev.tail_bound == 0.0
-    far = laplace_G(desk_params, desk_state.cache, 1e300)
+    far = laplace_G(desk_state, 1e300)
     assert ev.inner_terms_max == far.inner_terms_max
 
 
@@ -352,11 +399,11 @@ def test_laplace_quadrature_at_infinite_s(desk_state):
     ]
 
 
-def test_recurrence_diagnostic_with_infinite_s(desk_params, desk_state):
+def test_recurrence_diagnostic_with_infinite_s(desk_state):
     ladder = [math.inf, 0.1, 0.001]
-    rep = recurrence_diagnostic(desk_params, desk_state.cache, ladder)
+    rep = recurrence_diagnostic(desk_state, ladder)
     assert rep.g_values == tuple(
-        laplace_G(desk_params, desk_state.cache, s).value for s in ladder
+        laplace_G(desk_state, s).value for s in ladder
     )
     assert rep.g_values[0] == 0.0 and rep.strictly_increasing
 
@@ -381,21 +428,21 @@ def test_laplace_quadrature_over_an_s_vector(desk_state):
 def test_laplace_bounded_by_exterior_mass_over_s(desk_params, desk_state):
     c_ext = exterior_mass(desk_params)
     for s in (1.0, 10.0):
-        assert laplace_G(desk_params, desk_state.cache, s).value <= c_ext / s
+        assert laplace_G(desk_state, s).value <= c_ext / s
 
 
 def test_laplace_series_vs_quadrature(desk_params, desk_state):
     c_ext = exterior_mass(desk_params)
     T = 50.0
     for s in (0.5, 1.0, 2.0):
-        series = laplace_G(desk_params, desk_state.cache, s).value
+        series = laplace_G(desk_state, s).value
         quad = laplace_g_quadrature(desk_state, s, horizon=T, h=1e-2)
         assert abs(series - quad) <= 1e-4 + c_ext * math.exp(-s * T) / s
 
 
-def test_laplace_strictly_decreasing_in_s(desk_params, desk_state):
+def test_laplace_strictly_decreasing_in_s(desk_state):
     ladder = [10.0 ** (-k) for k in range(-1, 4)]  # 10, 1, 0.1, 0.01, 0.001
-    vals = [laplace_G(desk_params, desk_state.cache, s).value for s in ladder]
+    vals = [laplace_G(desk_state, s).value for s in ladder]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -404,9 +451,9 @@ def test_laplace_strictly_decreasing_in_s(desk_params, desk_state):
 # ---------------------------------------------------------------------------
 
 
-def test_recurrence_verdict_desk(desk_params, desk_state):
+def test_recurrence_verdict_desk(desk_state):
     ladder = [10.0 ** (-k) for k in range(1, 7)]
-    rep = recurrence_diagnostic(desk_params, desk_state.cache, ladder)
+    rep = recurrence_diagnostic(desk_state, ladder)
     assert rep.verdict == "recurrent (numerically supported)"
     assert rep.hypothesis_met and rep.strictly_increasing and rep.exceeded_threshold
     assert rep.g_values[-1] > rep.g_values[2] > rep.g_values[0]
@@ -416,16 +463,16 @@ def test_recurrence_verdict_desk(desk_params, desk_state):
 def test_recurrence_outside_hypothesis(desk_space):
     params = normalize(desk_space, gamma=0.5, c1=1.0)
     cache = SpectralCache.build(params, window=(-10, 10))
-    rep = recurrence_diagnostic(params, cache, [0.1, 0.01, 1e-4])
+    rep = recurrence_diagnostic(HeatState(params, cache), [0.1, 0.01, 1e-4])
     assert not rep.hypothesis_met
     assert "outside" in rep.note
 
 
-def test_recurrence_ladder_validation(desk_params, desk_state):
+def test_recurrence_ladder_validation(desk_state):
     with pytest.raises(ValueError):
-        recurrence_diagnostic(desk_params, desk_state.cache, [0.1, 0.2])
+        recurrence_diagnostic(desk_state, [0.1, 0.2])
     with pytest.raises(NonPositiveS):
-        recurrence_diagnostic(desk_params, desk_state.cache, [0.1, -0.01])
+        recurrence_diagnostic(desk_state, [0.1, -0.01])
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +480,14 @@ def test_recurrence_ladder_validation(desk_params, desk_state):
 # ---------------------------------------------------------------------------
 
 
-def test_solved_density_transform_matches_renewal_algebra(desk_state, desk_params):
+def test_solved_density_transform_matches_renewal_algebra(desk_state):
     h, T, s = 0.01, 40.0, 1.0
     ts = np.arange(0.0, T + h / 2, h)
     grid = solve_volterra(g_grid(desk_state, ts), h)
     f_hat = float(np.trapezoid(np.exp(-s * ts) * grid.f, dx=h)) if hasattr(
         np, "trapezoid"
     ) else float(np.trapz(np.exp(-s * ts) * grid.f, dx=h))
-    g_hat = laplace_G(desk_params, desk_state.cache, s).value
+    g_hat = laplace_G(desk_state, s).value
     assert f_hat == pytest.approx(g_hat / (1.0 + g_hat), abs=1e-4)
 
 
@@ -449,41 +496,39 @@ def test_solved_density_transform_matches_renewal_algebra(desk_state, desk_param
 # ---------------------------------------------------------------------------
 
 
-def laplace_G_complex(params, cache, s):
-    """G(s) at complex s: laplace_G's double sphere series and outer weights
-    with phi = 1/(s + lambda). Every lambda is >= 0, so |s + lambda| is at
-    least the distance d from s to the negative real axis, and the inner
-    tail past n_terms spheres is below 1e-17 of its first term."""
-    space = params.space
-    pn = float(space.p) ** space.n
-    w = sphere_masses_above(params, 0)
-    i = np.arange(1, w.size + 1)
+def laplace_G_complex(state, s):
+    """G(s) at complex s: sum_k c_k / (s + lambda_k) over the flux's weights.
+    Every lambda is >= 0, so |s + lambda| is at least the distance d from s
+    to the negative real axis, and each row's series past n_terms spheres
+    is below 1e-17 of its first term."""
+    space = state.space
     d = abs(s) if s.real >= 0 else abs(s.imag)
     n_terms = math.ceil(
-        math.log((abs(s) + 2.0) / (1e-17 * d * space.unit_sphere_volume)) / math.log(pn)
+        math.log((abs(s) + 2.0) / (1e-17 * d * space.unit_sphere_volume))
+        / math.log(float(space.p) ** space.n)
     )
-    a, corr = sphere_series(cache, i, lambda lam: 1.0 / (s + lam), n_terms)
-    return complex(w @ (pn ** -i.astype(float) * (a - corr)))
+    c, lam = inflow_weights(state, 0, n_terms)
+    return complex(np.sum(c / (s + lam)))
 
 
-def test_complex_laplace_matches_real_series(desk_params, desk_state):
+def test_complex_laplace_matches_real_series(desk_state):
     for s in (0.01, 0.3, 5.0):
-        value = laplace_G_complex(desk_params, desk_state.cache, complex(s))
+        value = laplace_G_complex(desk_state, complex(s))
         assert value.imag == 0.0
         assert value.real == pytest.approx(
-            laplace_G(desk_params, desk_state.cache, s).value, rel=1e-14
+            laplace_G(desk_state, s).value, rel=1e-14
         )
 
 
 @pytest.mark.parametrize("T", [10.0, 400.0])
-def test_fpt_cdf_matches_inverse_laplace(desk_params, desk_state, T):
+def test_fpt_cdf_matches_inverse_laplace(desk_state, T):
     """F(s)/s = G / (s (1 + G)) is the transform of P(tau <= t); Talbot's
     contour and de Hoog's Bromwich line (Abate & Whitt, INFORMS J. Comput.
     18 (2006) 408) invert it independently of the time-domain solve."""
 
     def cdf_transform(s):
         s = complex(s)
-        G = laplace_G_complex(desk_params, desk_state.cache, s)
+        G = laplace_G_complex(desk_state, s)
         return mpmath.mpc(G / (s * (1.0 + G)))
 
     talbot = float(mpmath.invertlaplace(cdf_transform, T, method="talbot"))
