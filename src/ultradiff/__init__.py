@@ -5,7 +5,9 @@ The package computes, for the nonlocal evolution equation
 ``J(|x|_p) = c |x|_p^gamma e^{-C1 |x|_p}``:
 
 * sphere volumes and the Monte Carlo's random streams (`padic`);
-* the radial Fourier transform ``Jhat`` and its diagnostics (`landscape`);
+* the radial Fourier transform ``Jhat``: ``1 - Jhat`` as one cached
+  series, its quadrature oracle and the log-space divergence diagnostic
+  (`landscape`);
 * heat-kernel densities, survival probabilities, and the coset chain
   lumped onto coset norms (`heat`);
 * exact compound-Poisson path simulation on Q_p^n / Z_p^n (`sim`);
@@ -47,7 +49,6 @@ from .landscape import (
     divergence_diagnostic,
     exterior_mass,
     normalize,
-    spectral,
     spectral_by_quadrature,
     spectral_gap_at_one,
 )

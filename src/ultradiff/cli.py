@@ -63,7 +63,6 @@ from .landscape import (
     divergence_diagnostic,
     exterior_mass,
     normalize,
-    spectral,
     spectral_bound_check,
     spectral_by_quadrature,
     spectral_gap_at_one,
@@ -665,10 +664,8 @@ def run_verify_checks(
     add("spectral_vs_quadrature", err, 1e-10)
 
     # unit-ball indicator reproduces its closed-form transform
-    ub = UnitBallKernel(space)
-    err = max(
-        abs(spectral(ub, k) - (1.0 if k <= 0 else 0.0)) for k in range(-6, 7)
-    )
+    ub = SpectralCache(UnitBallKernel(space), -6, 6)
+    err = max(abs(ub.jhat(k) - float(k <= 0)) for k in range(-6, 7))
     add("indicator_self_dual", err, 1e-12)
 
     # conservation incl. the zero-jump atom, on certified windows

@@ -13,12 +13,14 @@ which follows from evaluating the character integral sphere by sphere; the
 lone first term is the mass of S_{1-k} over p^n - 1. In log space no term
 forms J = inf times vol = 0 or overflows p^{nm}. Everything downstream
 (heat kernels, survival, Laplace transforms) consumes ``1 - Jhat``
-directly, so that quantity is what gets cached; it is nonnegative and at
-most 2 for any normalized kernel.
+directly, so that quantity is what gets cached: :class:`SpectralCache`
+holds the one linear evaluation of the series; it is nonnegative and at
+most 2 for any normalized kernel. :func:`spectral_by_quadrature` is its
+independent oracle, a direct sum over the spheres below S_{1-k}.
 
 For gamma in (-n, 0) the reciprocal ``1/(1 - Jhat(p^{-j}))`` grows double
 exponentially in j, which is the mechanism behind recurrence; the
-divergence diagnostics below therefore work in log space throughout.
+divergence diagnostic therefore sums the same series in log space.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import NamedTuple, Protocol, Sequence
 import numpy as np
 
 from .errors import GammaOutOfRange, NonPositiveRate, SeriesDiverged
-from .padic import SpaceParams, log_sphere_volume, sphere_volume
+from .padic import EXACT_EXPONENT_LIMIT, SpaceParams, log_sphere_volume, sphere_volume
 
 #: Default exponent window for prebuilt spectral caches.
 DEFAULT_SPECTRAL_WINDOW = (-40, 40)
@@ -39,11 +41,9 @@ _TINY = 2.0**-1022  # the smallest normal double
 
 
 class RadialKernel(Protocol):
-    """A radial jump density: value J(p^j) for each norm exponent j."""
+    """A radial jump density: log J(p^j) for each norm exponent j."""
 
     space: SpaceParams
-
-    def value_at(self, j: int) -> float: ...
 
     def log_value_at(self, j): ...
 
@@ -53,15 +53,12 @@ class UnitBallKernel(NamedTuple):
 
     Normalized for every (p, n) since vol(Z_p^n) = 1, and its radial
     transform is known in closed form (1 for k <= 0, 0 for k >= 1), which
-    makes it the sharpest available oracle for the spectral code paths
+    makes it the sharpest available oracle for the spectral cache
     (``verify``'s ``indicator_self_dual`` check). Not an exponential-type
     landscape.
     """
 
     space: SpaceParams
-
-    def value_at(self, j: int) -> float:
-        return 1.0 if j <= 0 else 0.0
 
     def log_value_at(self, j):
         return np.where(np.asarray(j) <= 0, 0.0, -np.inf)
@@ -76,23 +73,15 @@ class LandscapeParams(NamedTuple):
     norm_const: float
 
     def value_at(self, j: int) -> float:
-        """J(p^j), evaluated through the log to dodge overflow at large |j|."""
-        return next(_values_from(self, j, block=1))
+        """J(p^j), evaluated through the log: inf above e^700, 0 below e^-745."""
+        log_val = float(self.log_value_at(j))
+        return math.inf if log_val > 700.0 else math.exp(log_val) if log_val > -745.0 else 0.0
 
     def log_value_at(self, j):
         """log J(p^j) for an integer or an integer array j."""
         with np.errstate(over="ignore"):
             decay = self.c1 * np.power(float(self.space.p), j)  # inf is fine
         return math.log(self.norm_const) + j * self.gamma * self.space.log_p - decay
-
-
-def _values_from(kernel: RadialKernel, m: int, step: int = 1, block: int = 32):
-    """J(p^m), J(p^(m + step)), ... through the log, inf above e^700 and 0
-    below e^-745, from one log_value_at call per block of m."""
-    while True:
-        for log_val in kernel.log_value_at(np.arange(m, m + step * block, step)).tolist():
-            yield math.inf if log_val > 700.0 else math.exp(log_val) if log_val > -745.0 else 0.0
-        m += step * block
 
 
 # ---------------------------------------------------------------------------
@@ -199,33 +188,19 @@ def normalize(space: SpaceParams, gamma: float, c1: float) -> LandscapeParams:
 # ---------------------------------------------------------------------------
 
 
-def _spectral_log_terms(kernel: RadialKernel, k: int) -> np.ndarray:
-    """Log terms of the sphere-sum series of 1 - Jhat(p^k): the J-mass of
-    S_{1-k} over p^n - 1 (that is p^{-kn} J(p^{1-k})), then the J-mass of
-    every sphere S_m with m >= 1-k."""
-    logs = log_sphere_masses_from(kernel, 1 - k)
-    first = logs[0] - math.log(float(kernel.space.p) ** kernel.space.n - 1.0)
-    return np.concatenate(([first], logs))
-
-
-def spectral_one_minus(kernel: RadialKernel, k: int) -> float:
-    """1 - Jhat(p^k) via the sphere-sum series; nonnegative by construction.
-
-    The terms die double-exponentially for the landscape family and
-    terminate exactly for compactly supported test profiles.
-    """
-    return math.fsum(np.exp(_spectral_log_terms(kernel, k)))
-
-
-def spectral(kernel: RadialKernel, k: int) -> float:
-    """Jhat(p^k) in [-1, 1]; values drifting past the boundary by more than
-    1e-10 indicate a broken series and raise instead of being clamped."""
-    jhat = 1.0 - spectral_one_minus(kernel, k)  # <= 1: 1 - Jhat is a sum of exps
-    if jhat < -1.0:
-        if -1.0 - jhat > 1e-10:
-            raise SeriesDiverged(f"Jhat(p^{k}) = {jhat} below -1 beyond tolerance")
-        return -1.0
-    return jhat
+def _sphere_terms(kernel: RadialKernel, m: np.ndarray) -> np.ndarray:
+    """J(p^m) vol(S_m) for an integer array m: the product of the two factors
+    where both are normal doubles, else from log_sphere_mass (near
+    gamma = -n, J overflows where J vol(S_m) is still in range)."""
+    space = kernel.space
+    log_j, log_vol = kernel.log_value_at(m), log_sphere_volume(space, m)
+    with np.errstate(over="ignore"):
+        j = np.exp(log_j)
+    vol = np.exp(log_vol)
+    near = np.abs(m * space.n) <= EXACT_EXPONENT_LIMIT  # sphere_volume is exact there
+    vol[near] = [sphere_volume(space, i) for i in m[near].tolist()]
+    normal = (j >= _TINY) & (j < math.inf) & (vol >= _TINY)
+    return np.multiply(j, vol, out=np.exp(log_j + log_vol), where=normal)
 
 
 def spectral_by_quadrature(
@@ -235,47 +210,34 @@ def spectral_by_quadrature(
 
     Uses only the closed-form character integral per sphere, i.e. the
     definition of the transform, with no rearrangement shared with
-    :func:`spectral_one_minus`. Spheres above m = 1-k contribute nothing,
-    the sphere at m = 1-k contributes its cancellation term, and the ones
-    below contribute kernel value times volume. The kernel is normalized,
-    so the un-summed lower tail is exactly 1 minus the volume-weighted
-    mass seen so far; the descent stops when that remainder is negligible.
+    :class:`SpectralCache`. Spheres above m = 1-k contribute nothing, the
+    sphere at m = 1-k contributes its cancellation term, and the ones below
+    contribute kernel value times volume, walked downward in doubling
+    blocks. The kernel is normalized, so the un-summed lower tail is exactly
+    1 minus the volume-weighted mass seen so far; the descent stops at the
+    first sphere where that remainder is negligible.
     """
-    space = kernel.space
-    pn = float(space.p) ** space.n
+    pn = float(kernel.space.p) ** kernel.space.n
     # mass sitting above the cancellation sphere (never enters the sum)
-    upper_mass = 0.0
-    m = 2 - k
-    zeros = 0
-    values = _values_from(kernel, m)
-    while zeros < 2:
-        t = next(values) * sphere_volume(space, m)
-        upper_mass += t
-        zeros = zeros + 1 if t == 0.0 else 0
-        m += 1
-        if m - (2 - k) > _MAX_SERIES_TERMS:
-            raise SeriesDiverged("quadrature upper tail failed to settle")
+    upper_mass = math.fsum(np.exp(log_sphere_masses_from(kernel, 2 - k)))
     m = 1 - k
-    values = _values_from(kernel, m, -1)
-    j_m = next(values)
-    total = -j_m * pn ** (m - 1)  # the lone negative sphere
-    mass_seen = j_m * sphere_volume(space, m)
-    scale = max(abs(total), 1.0)
+    mass_seen = float(_sphere_terms(kernel, np.array([m]))[0])
+    total = -mass_seen / (pn - 1.0)  # the lone negative sphere
+    scale, size = max(abs(total), 1.0), 128
     while True:
-        m -= 1
-        # near gamma = -n, J overflows where J vol(S_m) is still in range
-        j_m, vol = next(values), sphere_volume(space, m)
-        normal = _TINY <= j_m < math.inf and vol >= _TINY
-        term = j_m * vol if normal else math.exp(log_sphere_mass(kernel, m))
-        total += term
-        mass_seen += term
-        scale = max(scale, abs(total))
-        remaining = 1.0 - upper_mass - mass_seen  # the entire lower tail
-        if remaining < rel_tol * scale:
-            break
-        if 1 - k - m > _MAX_SERIES_TERMS:
+        t = _sphere_terms(kernel, np.arange(m - 1, m - 1 - size, -1))
+        # the total and the mass seen are two sequential sums from sphere 1-k
+        run = np.cumsum(np.concatenate(([total], t)))[1:]
+        seen = np.cumsum(np.concatenate(([mass_seen], t)))[1:]
+        scales = np.maximum.accumulate(np.maximum(np.abs(run), scale))
+        remaining = 1.0 - upper_mass - seen  # the entire lower tail
+        done = np.flatnonzero(remaining < rel_tol * scales)
+        if done.size:
+            return float(run[done[0]])
+        total, mass_seen, scale = run[-1], seen[-1], scales[-1]
+        m, size = m - size, 2 * size
+        if 1 - k - m > 100_000:
             raise SeriesDiverged("quadrature series failed to settle")
-    return total
 
 
 class SpectralCache:
@@ -293,23 +255,14 @@ class SpectralCache:
         "right_tail_decayed", "_top",
     )
 
-    def __init__(
-        self,
-        kernel: RadialKernel,
-        k_min: int,
-        k_max: int,
-        values: np.ndarray | None = None,
-        left_tail_reaches_one: bool = False,
-        right_tail_decayed: bool = False,
-    ):
+    def __init__(self, kernel: RadialKernel, k_min: int, k_max: int):
         self.kernel, self.k_min, self.k_max = kernel, k_min, k_max
-        self.left_tail_reaches_one = left_tail_reaches_one
-        self.right_tail_decayed = right_tail_decayed
+        self.left_tail_reaches_one = self.right_tail_decayed = False  # set by build
         # every sum starts at the first m past the mode whose mass underflows
         self._top = log_sphere_masses_from(kernel, 0).size - 1
         while math.exp(log_sphere_mass(kernel, self._top)) > 0.0:
             self._top += 1
-        self.values = self._compute(k_min, k_max) if values is None else values
+        self.values = self._compute(k_min, k_max)
 
     @classmethod
     def build(
@@ -323,7 +276,7 @@ class SpectralCache:
         return cache
 
     def _compute(self, lo: int, hi: int) -> np.ndarray:
-        """The series of :func:`spectral_one_minus` for k = lo..hi as one reverse
+        """The sphere-sum series of 1 - Jhat(p^k) for k = lo..hi as one reverse
         cumulative sum of sphere masses, smallest first (0 from S_top up)."""
         space = self.kernel.space
         m = np.arange(min(1 - hi, self._top), max(1 - lo, self._top) + 1)
@@ -486,16 +439,6 @@ def spectral_bound_check(
 # ---------------------------------------------------------------------------
 
 
-def log_one_minus_jhat(params: LandscapeParams, k: int) -> float:
-    """log(1 - Jhat(p^k)): the terms of :func:`spectral_one_minus`, summed
-    by logaddexp.
-
-    Needed for k << 0, where 1 - Jhat underflows double precision (it
-    decays like e^{-C1 p^{1-k}}).
-    """
-    return float(np.logaddexp.reduce(_spectral_log_terms(params, k)))
-
-
 class DivergenceReport(NamedTuple):
     """Log-scale evidence that a positive series has no finite sum."""
 
@@ -517,22 +460,21 @@ def divergence_diagnostic(params: LandscapeParams, m_terms: int) -> DivergenceRe
         raise GammaOutOfRange(
             f"divergence diagnostic requires -n < gamma < 0, got {params.gamma}"
         )
-    space = params.space
-    term_logs = []
-    partials = []
-    running = -math.inf
-    for j in range(m_terms + 1):
-        lt = log_sphere_volume(space, -j) - log_one_minus_jhat(params, -j)
-        term_logs.append(lt)
-        running = float(np.logaddexp(running, lt))
-        partials.append(running)
+    space, j = params.space, np.arange(m_terms + 1)
+    # log J-masses of S_m for m = 1, 2, ..., as far as the last head m_terms + 1 needs
+    logs = np.concatenate((
+        log_sphere_mass(params, j[1:]), log_sphere_masses_from(params, m_terms + 1)
+    ))
+    suffix = np.logaddexp.accumulate(logs[::-1])[::-1]  # log sum_{m >= 1+j}
+    first = logs[j] - math.log(float(space.p) ** space.n - 1.0)
+    # log(1 - Jhat(p^{-j})) by the sphere-sum series, the lone S_{1+j} term last
+    term_logs = log_sphere_volume(space, -j) - np.logaddexp(first, suffix[j])
     floor = math.ceil(abs(params.gamma)) * space.log_p
-    increments = [b - a for a, b in zip(term_logs, term_logs[1:])]
-    tail = increments[-5:]
-    verdict = "diverges" if len(tail) == 5 and all(d >= floor for d in tail) else "inconclusive"
+    tail = np.diff(term_logs)[-5:]
+    verdict = "diverges" if tail.size == 5 and (tail >= floor).all() else "inconclusive"
     return DivergenceReport(
-        term_logs=tuple(term_logs),
-        partial_log_sums=tuple(partials),
+        term_logs=tuple(term_logs.tolist()),
+        partial_log_sums=tuple(np.logaddexp.accumulate(term_logs).tolist()),
         verdict=verdict,
         growth_floor=floor,
     )

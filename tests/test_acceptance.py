@@ -27,10 +27,10 @@ from ultradiff.heat import (
     ztilde_table,
 )
 from ultradiff.landscape import (
+    SpectralCache,
     UnitBallKernel,
     divergence_diagnostic,
     exterior_mass,
-    spectral,
     spectral_by_quadrature,
 )
 from ultradiff.padic import ZERO_NORM, split_stream
@@ -65,11 +65,11 @@ def mc_batch(desk_params):
 
 
 def test_criterion_01_spectral_correctness(desk_params, desk_state):
+    cache = desk_state.cache
     worst = max(
-        abs(spectral(desk_params, k) - spectral_by_quadrature(desk_params, k))
+        abs(cache.jhat(k) - spectral_by_quadrature(desk_params, k))
         for k in range(-3, 4)
     )
-    cache = desk_state.cache
     range_ok = all(
         0.0 <= cache.one_minus(k) and abs(cache.jhat(k)) <= 1.0
         for k in range(-40, 41)
@@ -82,9 +82,9 @@ def test_criterion_01_spectral_correctness(desk_params, desk_state):
 
 
 def test_criterion_02_indicator_oracle(desk_space):
-    ub = UnitBallKernel(desk_space)
+    ub = SpectralCache(UnitBallKernel(desk_space), -20, 20)
     worst = max(
-        abs(spectral(ub, k) - (1.0 if k <= 0 else 0.0)) for k in range(-20, 21)
+        abs(ub.jhat(k) - (1.0 if k <= 0 else 0.0)) for k in range(-20, 21)
     )
     report(2, worst <= 1e-12, f"unit-ball indicator reproduced to {worst:.2e} <= 1e-12")
 

@@ -388,6 +388,21 @@ def test_verify_exits_zero_near_gamma_minus_n(tmp_path):
     assert [c["name"] for c in report["checks"] if not c["passed"]] == []
 
 
+def test_verify_exits_zero_where_the_quadrature_tail_is_longest(tmp_path):
+    # gamma/n = -0.9989: the quadrature's lower tail settles only after
+    # about 15 600 spheres, past a 10 000-sphere walk
+    path = tmp_path / "point.json"
+    path.write_text(
+        json.dumps(verify_sweep.point_config(5, 1, -0.9989, 0.49, paths=100, seed=20240810))
+    )
+    out = tmp_path / "ver"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+    checks = json.loads((out / "verify_report.json").read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == []
+    quad = next(c for c in checks if c["name"] == "spectral_vs_quadrature")
+    assert quad["observed"] <= quad["threshold"] == 1e-10
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_rejected(config_path, tmp_path, workers, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,13 +1,15 @@
 """Jump-kernel normalization and spectral series, against independent oracles.
 
-The two cross-checks that matter most: the sphere-sum spectral series must
-agree with direct character-sum quadrature (the definition of the radial
-transform), and it must reproduce the closed-form transform of the
-unit-ball indicator exactly.
+The two cross-checks that matter most: the spectral cache's sphere-sum
+series must agree with direct character-sum quadrature (the definition of
+the radial transform), and it must reproduce the closed-form transform of
+the unit-ball indicator exactly. The log-space divergence terms are held
+to a 50-digit sum over the same double sphere masses.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,15 +25,12 @@ from ultradiff.landscape import (
     divergence_diagnostic,
     exterior_mass,
     jmass_ball,
-    log_one_minus_jhat,
     log_sphere_mass,
     normalize,
-    spectral,
     spectral_bound_check,
     spectral_bound_constants,
     spectral_by_quadrature,
     spectral_gap_at_one,
-    spectral_one_minus,
     unnormalized_mass,
 )
 from ultradiff.padic import SpaceParams, log_sphere_volume, sphere_volume
@@ -118,11 +117,11 @@ def test_j_value_nonnegative(desk_params):
 
 def test_indicator_transform_is_exact():
     for p, n in ((2, 1), (3, 1), (2, 2), (5, 1)):
-        ub = UnitBallKernel(SpaceParams(p, n))
+        ub = SpectralCache(UnitBallKernel(SpaceParams(p, n)), -6, 6)
         for k in range(-6, 0 + 1):
-            assert spectral(ub, k) == pytest.approx(1.0, abs=1e-12)
+            assert ub.jhat(k) == pytest.approx(1.0, abs=1e-12)
         for k in range(1, 7):
-            assert spectral(ub, k) == pytest.approx(0.0, abs=1e-12)
+            assert ub.jhat(k) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_indicator_via_quadrature():
@@ -134,22 +133,25 @@ def test_indicator_via_quadrature():
 
 
 def test_series_matches_quadrature(desk_params):
+    cache = SpectralCache.build(desk_params)
     for k in range(-3, 4):
         quad = spectral_by_quadrature(desk_params, k)
-        assert spectral(desk_params, k) == pytest.approx(quad, abs=1e-10), k
+        assert cache.jhat(k) == pytest.approx(quad, abs=1e-10), k
 
 
 def test_series_matches_quadrature_other_spaces():
     for p, n in ((3, 1), (2, 2)):
         params = normalize(SpaceParams(p, n), gamma=-0.5, c1=1.0)
+        cache = SpectralCache(params, -2, 2)
         for k in range(-2, 3):
-            assert spectral(params, k) == pytest.approx(
+            assert cache.jhat(k) == pytest.approx(
                 spectral_by_quadrature(params, k), abs=1e-10
             )
 
 
 #: admissible points near gamma = -n, where J(p^m) overflows in the lower
-#: tail of the quadrature while J(p^m) vol(S_m) is still in range
+#: tail of the quadrature while J(p^m) vol(S_m) is still in range; at
+#: gamma/n = -0.9989 the tail needs about 15 600 spheres to settle
 NEAR_GAMMA_MINUS_N = [
     (2, 1, -0.97, 1.0),
     (3, 1, -0.97, 1.0),
@@ -159,6 +161,7 @@ NEAR_GAMMA_MINUS_N = [
     (7, 1, -0.975, 20.0),
     (2, 1, -0.99, 1.0),
     (2, 1, -0.995, 1.0),
+    (5, 1, -0.9989, 0.49),
 ]
 
 
@@ -183,17 +186,18 @@ def test_spectral_range_over_window(desk_params):
 
 
 def test_spectral_tends_to_one_at_small_frequencies(desk_params):
-    assert spectral(desk_params, -40) > 1.0 - 1e-6
-    oms = [spectral_one_minus(desk_params, k) for k in range(-12, -2)]
+    cache = SpectralCache(desk_params, -40, -3)
+    assert cache.jhat(-40) > 1.0 - 1e-6
+    oms = cache.window(-12, -3)
     assert all(a <= b for a, b in zip(oms, oms[1:]))  # 1 - Jhat shrinking leftwards
 
 
 def test_spectral_far_right_does_not_overflow(desk_params):
     # the series reaches ~k spheres below the unit ball; p^{nk} itself is
     # beyond double range for p = 2 at these k
+    cache = SpectralCache(desk_params, 1100, 2000)
     for k in (1100, 2000):
-        assert spectral_one_minus(desk_params, k) == pytest.approx(1.0, abs=1e-12)
-        assert log_one_minus_jhat(desk_params, k) == pytest.approx(0.0, abs=1e-12)
+        assert cache.one_minus(k) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cache_independent_of_growth_order(desk_params):
@@ -214,14 +218,14 @@ def test_cache_independent_of_growth_order(desk_params):
 def test_gap_positive_and_consistent(desk_params):
     gap = spectral_gap_at_one(desk_params)
     assert gap > 0.0
-    assert gap == pytest.approx(spectral_one_minus(desk_params, 0), abs=1e-10)
+    assert gap == pytest.approx(SpectralCache(desk_params, 0, 0).one_minus(0), abs=1e-10)
 
 
 def test_gap_consistency_other_spaces():
     for p, n, gamma, c1 in ((3, 1, -0.5, 1.0), (2, 2, -1.5, 0.5), (2, 1, 1.0, 2.0)):
         params = normalize(SpaceParams(p, n), gamma, c1)
         assert spectral_gap_at_one(params) == pytest.approx(
-            spectral_one_minus(params, 0), abs=1e-10
+            SpectralCache(params, 0, 0).one_minus(0), abs=1e-10
         )
 
 
@@ -312,10 +316,46 @@ def test_divergence_requires_gamma_window(desk_space):
 
 
 def test_log_one_minus_matches_float_range(desk_params):
-    for k in (0, -2, -5):
-        assert log_one_minus_jhat(desk_params, k) == pytest.approx(
-            math.log(spectral_one_minus(desk_params, k)), abs=1e-10
-        )
+    # where 1 - Jhat(p^{-j}) is a normal double, the log-space divergence
+    # terms read the cache's linear series
+    report = divergence_diagnostic(desk_params, m_terms=5)
+    cache = SpectralCache(desk_params, -5, 0)
+    for j in (0, 2, 5):
+        log_one_minus = log_sphere_volume(desk_params.space, -j) - report.term_logs[j]
+        assert log_one_minus == pytest.approx(math.log(cache.one_minus(-j)), abs=1e-10)
+
+
+#: (p, n, gamma, C1) for the divergence oracle: desk, large p^n, gamma/n
+#: near -1, and a C1 so small that the sphere masses peak beyond m = 21,
+#: past every head of the 20-term series
+DIVERGENCE_ORACLE_POINTS = [
+    (2, 1, -0.5, 1.0),
+    (3, 2, -1.0, 1.0),
+    (13, 2, -1.0, 1.0),
+    (2, 2, -1.9, 0.2),
+    (5, 1, -0.9989, 0.49),
+    (2, 1, -0.5, 1e-8),
+]
+
+
+@pytest.mark.parametrize("p, n, gamma, c1", DIVERGENCE_ORACLE_POINTS)
+def test_divergence_terms_match_high_precision_series(p, n, gamma, c1):
+    # log vol(S_{-j}) - log(1 - Jhat(p^{-j})) in 50 digits, from the same
+    # double log-masses over 200 spheres past the last head (whatever the
+    # diagnostic's own 80-e-fold extent), within 4 eps max(1, |ref|)
+    params = normalize(SpaceParams(p, n), gamma, c1)
+    m_terms = 20
+    report = divergence_diagnostic(params, m_terms)
+    logs = log_sphere_mass(params, np.arange(1, m_terms + 201)).tolist()
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        pn = mpmath.mpf(p) ** n
+        masses = [mpmath.exp(mpmath.mpf(x)) for x in logs]
+        for j, got in enumerate(report.term_logs):
+            one_minus = masses[j] / (pn - 1) + mpmath.fsum(masses[j:])
+            ref = -j * n * mpmath.log(p) + mpmath.log(1 - 1 / pn) - mpmath.log(one_minus)
+            err = abs(mpmath.mpf(got) - ref)
+            assert err <= 4 * eps * max(1, abs(ref)), (j, float(err / eps))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +408,7 @@ def test_family_invariants(p, n, gamma_scale, positive_gamma, c1):
         if params.log_value_at(j) + log_sphere_volume(space, j) > -745.0
     )
     assert total == pytest.approx(1.0, abs=1e-9)
+    cache = SpectralCache(params, -3, 2)  # raises outside [-1e-10, 2 + 1e-10]
     for k in (-3, 0, 2):
-        om = spectral_one_minus(params, k)
-        assert -1e-10 <= om <= 2.0 + 1e-10
+        assert 0.0 <= cache.one_minus(k) <= 2.0
     assert spectral_gap_at_one(params) > 0.0
