@@ -629,7 +629,7 @@ def mc_agreement(
     )
     p_mc, _ = fpt_cdf_estimate(batch, t_fpt)
     returned = round(p_mc * n)
-    q = min(max(p_mc, integral - slack, 0.0), integral + slack, 1.0)
+    q = min(max(min(max(p_mc, integral - slack), integral + slack), 0.0), 1.0)
     return z_survival, binomial_tail_z(returned, n, q), returned
 
 

@@ -3,18 +3,17 @@
 Three linked objects:
 
 * the re-entry flux ``g(t) = sum_{i>=1} J(p^i) vol(S_i) u(p^i, t)`` — the
-  probability per unit time that a path outside Z_p^n jumps back in —
-  tabulated over a time grid by :func:`g_grid` as one weighted sum of
-  e^{-lambda_k t} (:func:`ultradiff.heat.inflow`);
+  probability per unit time that a path outside Z_p^n jumps back in — over
+  a time grid (:func:`g_grid`), by S' = g - kappa S one finite sum over
+  the spectral measure of S (:func:`ultradiff.heat.spectral_measure`);
 * the first-passage density f, tied to g by the renewal identity
   ``g(t) = int_0^t g(t - tau) f(tau) dtau + f(t)`` (a second-kind Volterra
   equation; g vanishes for negative arguments), discretised by the
   trapezoid rule and solved as one power-series division, O(m log m); its
   integral (:meth:`VolterraGrid.integral_f`) is the censored return
   probability;
-* the Laplace transform ``G(s)`` of g, the same weighted sum with
-  1/(s + lambda_k) in place of e^{-lambda_k t}, for any s in (0, +inf]
-  (G(+inf) = 0).
+* the Laplace transform ``G(s)`` of g over the same measure, a sum of
+  nonnegative terms for any s in (0, +inf] (G(+inf) = 0).
   Since ``F(s) = G(s) / (1 + G(s))`` for the transform F of f, recurrence
   (return probability one) is equivalent to G blowing up as s -> 0+; the
   diagnostic walks a descending s-ladder and reports a verdict, never a
@@ -24,21 +23,17 @@ The Volterra solve is a Newton inversion to half the grid and one fused
 division, all cyclic FFT products at 5-smooth lengths (:func:`_fft_len`) no
 longer than the coefficients they must keep: at m = 40 001 grid points, 83
 transforms of 527 075 points in all, and the residual three more of 81 000.
-Laplace evaluations at distinct s are independent, but a small s grows the
-spectral cache in place, so threads sharing a cache need its window grown
-first.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NonPositiveS, StepTooCoarse
-from .heat import HeatState, inflow, inflow_weights
+from .heat import HeatState, decay_sum, spectral_measure
 
 
 def _trapezoid(y: np.ndarray, dx: float) -> float:
@@ -48,10 +43,10 @@ def _trapezoid(y: np.ndarray, dx: float) -> float:
 
 
 def g_grid(state: HeatState, ts: np.ndarray) -> np.ndarray:
-    """The re-entry flux g over the times ts: :func:`ultradiff.heat.inflow`
-    into Z_p^n, so each time's value is the same bits in any grid that
-    holds it. g(0) = 0 since u starts supported on Z_p^n."""
-    return inflow(state, 0, ts)
+    """The re-entry flux sum_j v_j d_j expm1(-lambda_j t) over the times ts
+    (:func:`ultradiff.heat.spectral_measure`), exact as sum_j v_j d_j = g(0) = 0."""
+    v, d, lam, _ = spectral_measure(state)
+    return decay_sum(v * d, lam, ts, np.expm1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,38 +193,25 @@ class LaplaceEval(NamedTuple):
 
     s: float
     value: float
-    outer_terms: int
     inner_terms_max: int
     tail_bound: float
 
 
 def laplace_G(state: HeatState, s: float) -> LaplaceEval:
-    """G(s) = sum_k c_k / (s + lambda_k), the Laplace transform of the
-    re-entry flux over its weights (:func:`ultradiff.heat.inflow_weights`),
-    each row's series cut at an s-dependent n_terms.
-
-    Row i, u(p^i, .) with weight s_i = J(p^i) vol(S_i) p^{-ni} = J(p^i)
-    vol(S_0), leaves out sum_{j >= n_terms} vol(S_{-j}) / (s + lambda) <=
-    p^{-n n_terms} / s (every lambda >= 0), so the tail bound is sum_i s_i
-    p^{-n n_terms} / s.
-    At s = +inf, G and the bound are 0 (the limit G(s) -> 0).
-    """
+    """G(s) = sum_j v_j d_j / (s + lambda_j) over the spectral measure
+    (:func:`ultradiff.heat.spectral_measure`) less the zero sum sum_j v_j d_j
+    / (s + kappa): (sum_{j<J} v_j d_j^2 / (s + lambda_j) + p^{-nJ} kappa^2 / s)
+    / (s + kappa), nonnegative terms, 0 at s = +inf. inner_terms_max is J. The
+    atom takes each lambda_j, j >= J, as 0.0; each is at most l = lambda_{J-1}
+    p^n / (p^n - 1), so the atom overstates G by at most tail_bound =
+    2 p^{-nJ} kappa l / s^2 (l = 0 at J = 0, where kappa is 0 too)."""
     if not s > 0:  # NaN fails this too
         raise NonPositiveS(f"Laplace evaluation needs s > 0, got {s}")
-    space = state.space
-    pn = float(space.p) ** space.n
-    # Past n_terms spheres the inner series has at most p^{-n(i+n_terms)}/s
-    # left, below 1e-15 of its first term vol(S_{-i}) / (s + 2).
-    n_terms = math.ceil(
-        (math.log1p(2.0 / s) - math.log(1e-15 * space.unit_sphere_volume)) / math.log(pn)
-    )
-    c, lam = inflow_weights(state, 0, n_terms)
-    rows = c.size - n_terms
-    j_sum = float(np.exp(state.landscape.log_value_at(np.arange(1, rows + 1))).sum())
-    return LaplaceEval(
-        s=s, value=float(np.sum(c / (s + lam))), outer_terms=rows, inner_terms_max=n_terms,
-        tail_bound=space.unit_sphere_volume * j_sum * pn**-n_terms / s,
-    )
+    v, d, lam, kappa = spectral_measure(state)
+    pn = float(state.space.p) ** state.space.n
+    atom, past = pn**-lam.size, float(lam[-1:].sum()) * pn / (pn - 1.0)
+    value = (float(np.sum(v * d * d / (s + lam))) + atom * kappa * kappa / s) / (s + kappa)
+    return LaplaceEval(s, value, lam.size, 2.0 * atom * kappa * past / s / s)
 
 
 def laplace_g_quadrature(state: HeatState, s, horizon: float = 50.0, h: float = 1e-2):

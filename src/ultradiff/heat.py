@@ -19,9 +19,8 @@ Every quantity here is one sphere series sum_j vol(S_{-j}) phi(lambda_j),
 with lambda_j = 1 - Jhat(p^{-j}) read from the spectral cache, evaluated by
 :func:`sphere_series`; the quantities differ only in phi and in how the
 series is scaled and corrected; the heat series at norm exponent r is
-P(X_t in B_r) itself. The flux :func:`inflow` and its Laplace transform
-fold their rows' series into one weight per spectral entry
-(:func:`inflow_weights`).
+P(X_t in B_r) itself. S itself is a finite measure over the lambda_j
+(:func:`spectral_measure`), which the re-entry flux and its transform read.
 The coset chain lumps onto coset norms (:func:`norm_chain`), where
 Chapman-Kolmogorov is checked at the depth that also caps the conservation
 window (:func:`escape_depths`). The results are pure functions of the
@@ -52,7 +51,9 @@ from .landscape import (
     LandscapeParams,
     SpectralCache,
     ball_jmass_bound,
+    exterior_mass,
     jmass_ball,
+    log_sphere_mass,
     spectral_bound_constants,
     sphere_masses_above,
 )
@@ -121,8 +122,8 @@ def _series(state: HeatState, i_exps, phi):
     return sphere_series(state.cache, i_exps, phi, _machine_tail_len(state.space) + 1)
 
 
-def _decay(ts):
-    """phi = e^{-lambda t} over the times ts, as a (K, T) table."""
+def _decay(ts, f=np.exp):
+    """phi = f(-lambda t) over the times ts, as a (K, T) table; f a ufunc."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if np.any(ts < 0):
         raise ValueError("time must be nonnegative")
@@ -130,9 +131,24 @@ def _decay(ts):
     def phi(lam):
         # in place: a second (K, T) array would double the table's memory
         x = np.multiply.outer(-lam, ts)
-        return np.exp(x, out=x)
+        return f(x, out=x)
 
     return phi
+
+
+def decay_sum(c: np.ndarray, lam: np.ndarray, ts, f=np.exp) -> np.ndarray:
+    """sum_k c_k f(-lambda_k t) over the times ts, in blocks of _TIME_BLOCK:
+    each column adds its terms one k at a time (no matrix product), so it
+    is the same bits in any grid that contains its time."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    out = np.zeros(ts.size)
+    for k in range(0, ts.size, _TIME_BLOCK):
+        block = slice(k, k + _TIME_BLOCK)
+        terms = _decay(ts[block], f)(lam)
+        terms *= c[:, None]
+        for row in terms:
+            out[block] += row
+    return out
 
 
 def _clamp(v: np.ndarray) -> np.ndarray:
@@ -242,22 +258,29 @@ def inflow_weights(state: HeatState, r: int, n_terms: int) -> tuple[np.ndarray, 
 
 def inflow(state: HeatState, r: int, ts) -> np.ndarray:
     """sum_{m > r} J(p^m) vol(S_m) u(p^m, t) over the times ts, for r >= 0:
-    the rate at which mass outside B_r jumps into it, sum_k c_k
-    e^{-lambda_k t} (:func:`inflow_weights`). Each column adds its terms
-    one k at a time (no matrix product), so its value is the same bits in
-    any grid that contains its time. u starts on Z_p^n: t = 0 gives 0.
+    the rate at which mass outside B_r jumps into it, the :func:`decay_sum`
+    of :func:`inflow_weights`. u starts on Z_p^n: t = 0 gives 0.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    c, lam = inflow_weights(state, r, _machine_tail_len(state.space) + 1)
-    g = np.zeros(ts.size)
-    for k in range(0, ts.size, _TIME_BLOCK):
-        block = slice(k, k + _TIME_BLOCK)
-        terms = _decay(ts[block])(lam)
-        terms *= c[:, None]
-        for row in terms:
-            g[block] += row
+    g = decay_sum(*inflow_weights(state, r, _machine_tail_len(state.space) + 1), ts)
     g[ts == 0.0] = 0.0
     return _clamp(g)
+
+
+def spectral_measure(state: HeatState) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(v, d, lam, kappa): S(t) = sum_{j<J} v_j e^{-lambda_j t} + p^{-nJ}.
+    v_j = vol(S_{-j}); lambda_j = 1 - Jhat(p^{-j}) from the cache, J the
+    number that are not 0.0 (no deeper one is: SpectralCache.top); kappa
+    the exterior mass; d_j = kappa - lambda_j (S' = g - kappa S) as the
+    band sum sum_{1<=m<=j} mass(S_m) - mass(S_{j+1}) / (p^n - 1)."""
+    space, cache = state.space, state.cache
+    lam = cache.window(2 - cache.top, 0)[::-1]  # lambda_j for j = 0 .. top - 2
+    lam = lam[: np.count_nonzero(lam)]
+    mass = np.exp(log_sphere_mass(state.landscape, np.arange(1, lam.size + 1)))
+    pn = float(space.p) ** space.n
+    d = np.cumsum(np.append(0.0, mass))[: lam.size] - mass / (pn - 1.0)
+    v = space.unit_sphere_volume * pn ** -np.arange(lam.size, dtype=float)
+    return v, d, lam, exterior_mass(state.landscape)
 
 
 # ---------------------------------------------------------------------------

@@ -247,21 +247,21 @@ class SpectralCache:
     Each value is computed from k alone, so the array does not depend on
     the order in which windows grew. Growing rebinds ``values``, ``k_min``
     and ``k_max``, which is not safe from several threads at once: grow
-    the window a computation needs before sharing the cache.
+    the window a computation needs before sharing the cache. ``top`` is the
+    first sphere past the mode whose mass underflows: 1 - Jhat(p^k) = 0.0 at k <= 1 - top.
     """
 
     __slots__ = (
         "kernel", "k_min", "k_max", "values", "left_tail_reaches_one",
-        "right_tail_decayed", "_top",
+        "right_tail_decayed", "top",
     )
 
     def __init__(self, kernel: RadialKernel, k_min: int, k_max: int):
         self.kernel, self.k_min, self.k_max = kernel, k_min, k_max
         self.left_tail_reaches_one = self.right_tail_decayed = False  # set by build
-        # every sum starts at the first m past the mode whose mass underflows
-        self._top = log_sphere_masses_from(kernel, 0).size - 1
-        while math.exp(log_sphere_mass(kernel, self._top)) > 0.0:
-            self._top += 1
+        self.top = log_sphere_masses_from(kernel, 0).size - 1
+        while math.exp(log_sphere_mass(kernel, self.top)) > 0.0:
+            self.top += 1
         self.values = self._compute(k_min, k_max)
 
     @classmethod
@@ -279,7 +279,7 @@ class SpectralCache:
         """The sphere-sum series of 1 - Jhat(p^k) for k = lo..hi as one reverse
         cumulative sum of sphere masses, smallest first (0 from S_top up)."""
         space = self.kernel.space
-        m = np.arange(min(1 - hi, self._top), max(1 - lo, self._top) + 1)
+        m = np.arange(min(1 - hi, self.top), max(1 - lo, self.top) + 1)
         mass = np.exp(log_sphere_mass(self.kernel, m))
         series = np.cumsum(mass[::-1])[::-1] + mass / (float(space.p) ** space.n - 1.0)
         v = series[1 - np.arange(lo, hi + 1) - m[0]]

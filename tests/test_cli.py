@@ -459,6 +459,36 @@ def test_verify_detects_corrupted_cache(config_path):
     )
 
 
+def test_verify_reports_a_negated_flux_red(monkeypatch):
+    """With g negated the Volterra integral I lies below -slack: the
+    triangle's q is clamped into [I - slack, I + slack] first and into
+    [0, 1] last, so the check reads red instead of failing on q < 0."""
+    g_grid = cli.g_grid
+    monkeypatch.setattr(cli, "g_grid", lambda state, ts: -g_grid(state, ts))
+    checks = run_verify_checks(load_run_config(ROOT / "configs" / "desk.json"))
+    failed = {c["name"] for c in checks if not c["passed"]}
+    assert {"survival_flux_balance", "fpt_triangle_mc_vs_volterra"} <= failed
+
+
+def test_flux_checks_catch_a_flux_weight_without_its_sphere_fraction(monkeypatch):
+    """d_j without its lone -mass(S_{j+1}) / (p^n - 1) term, next to the
+    cache's lambda and kappa: survival_flux_balance, where that d meets S
+    from the heat series, and the Laplace check both read red."""
+    import ultradiff.fpt as fpt_module
+    from ultradiff.heat import spectral_measure
+    from ultradiff.landscape import log_sphere_mass
+
+    def mutant(state):
+        v, d, lam, kappa = spectral_measure(state)
+        mass = np.exp(log_sphere_mass(state.landscape, np.arange(1, lam.size + 1)))
+        return v, d + mass / (float(state.space.p) ** state.space.n - 1.0), lam, kappa
+
+    monkeypatch.setattr(fpt_module, "spectral_measure", mutant)
+    checks = {c["name"]: c for c in run_verify_checks(load_run_config(ROOT / "configs" / "desk.json"))}
+    for name in ("survival_flux_balance", "laplace_series_vs_quadrature"):
+        assert not checks[name]["passed"], checks[name]
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -828,8 +858,8 @@ def test_int_columns_within_2_53_are_written_with_d(tmp_path):
 #: as the per-cell writer wrote them (numpy 2.4, x86-64)
 DESK_DIGESTS = {
     "landscape/spectral.csv": "fe63836188791eb16ebbda41eb2b63a4d4549dd1ceab3bab968dfb4c703424bf",
-    "fpt/g_f.csv": "8b57d03718d96138baa7234d647253cf4cd0f8ee212d8289b8be2c32561623b0",
-    "fpt/laplace_ladder.csv": "14a89bf1f6adb903e0518e85ff8d2dfcef8f7bd07b8421dacaede9e4a55a791b",
+    "fpt/g_f.csv": "f43a0db99f37f8c50a75d57bbdf27338bf98e29e793c0650a10ae4048b8bd3ac",
+    "fpt/laplace_ladder.csv": "05b4f6a4915548f607898ea906273005795c1564b18c9e970bd9c66ea5e851e0",
     "simulate/fpt_samples.csv": "db1e9a62c79e88656f2db47ff089b06063b4cca2633d9b97834a941620e056a4",
     "simulate/survival_mc.csv": "5417e4cb21f4440397b6c36f4c01d4012c8f63326245330f8c3134c6b1781158",
     "verify/verify_report.json": "a191aeb5d3aa6fd62413e40a5776a93ece0ce4526cd108b380f3140153a3cca4",

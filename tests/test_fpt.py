@@ -8,6 +8,7 @@ P(tau <= T) from a numerical inverse Laplace transform of F(s)/s.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -23,8 +24,14 @@ from ultradiff.fpt import (
     solve_volterra,
     VolterraGrid,
 )
-from ultradiff.heat import HeatState, inflow_weights, u_table
-from ultradiff.landscape import SpectralCache, exterior_mass, normalize, sphere_masses_above
+from ultradiff.heat import HeatState, inflow_weights, spectral_measure, u_table
+from ultradiff.landscape import (
+    SpectralCache,
+    exterior_mass,
+    log_sphere_mass,
+    normalize,
+    sphere_masses_above,
+)
 from ultradiff.padic import SpaceParams
 
 
@@ -64,6 +71,26 @@ def test_flux_other_space(state_p3n2):
     assert 0.0 < g1 <= exterior_mass(state_p3n2.landscape)
 
 
+def test_flux_rejects_negative_time(desk_state):
+    with pytest.raises(ValueError):
+        g_grid(desk_state, np.array([1.0, -0.5]))
+
+
+def test_flux_and_laplace_vanish_when_the_exterior_mass_underflows():
+    """At C1 = 1e3 every sphere mass outside Z_p^n underflows: kappa is 0,
+    so is every lambda_j, the measure has no row (J = 0), and g and G are 0
+    with no RuntimeWarning (no 0/0, no inf - inf)."""
+    state = HeatState(normalize(SpaceParams(p=2, n=1), -0.5, 1e3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, d, lam, kappa = spectral_measure(state)
+        assert (v.size, d.size, lam.size, kappa) == (0, 0, 0, 0.0)
+        assert g_grid(state, np.array([0.0, 1.0, 400.0])).tolist() == [0.0, 0.0, 0.0]
+        for s in (math.inf, 2.0, 1e-10):
+            ev = laplace_G(state, s)
+            assert (ev.value, ev.inner_terms_max, ev.tail_bound) == (0.0, 0, 0.0)
+
+
 #: desk, the point where small-t cancellation is worst, and two more of the
 #: verify grid, one with gamma > 0
 ORACLE_POINTS = [(2, 1, -0.5, 1.0), (5, 1, -0.5, 5.0), (3, 2, -1.0, 1.0), (2, 2, 0.5, 0.2)]
@@ -100,15 +127,19 @@ def test_flux_matches_high_precision_row_series(p, n, gamma, c1):
 @pytest.mark.parametrize("p, n, gamma, c1", ORACLE_POINTS)
 def test_laplace_matches_high_precision_double_series(p, n, gamma, c1):
     """G against the double sphere series sum_i J(p^i) vol(S_i) p^{-ni}
-    [sum_{j<N} vol(S_{-j}) / (s + lambda_{-j-i}) - 1 / (s + lambda_{1-i})]
-    at laplace_G's own length N, summed at 40 digits on the same double
+    [sum_{j<N} vol(S_{-j}) / (s + lambda_{-j-i}) - 1 / (s + lambda_{1-i})],
+    each row cut where at most 1e-15 of its first term vol(S_{-i}) / (s + 2)
+    is left (N grows as s falls), summed at 40 digits on the same double
     lambda and sphere masses: within 4 eps sum_k |c_k| / (s + lambda_k), a
     roundoff bound that does not cancel as sum_k c_k ~ 0 does at large s."""
     state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
     w = sphere_masses_above(state.landscape, 0)
+    log_pn = n * math.log(p)
     for s in ORACLE_S:
         ev = laplace_G(state, s)
-        terms = ev.inner_terms_max
+        terms = math.ceil(
+            (math.log1p(2.0 / s) - math.log(1e-15 * state.space.unit_sphere_volume)) / log_pn
+        )
         c, lam = inflow_weights(state, 0, terms)
         lo = -w.size - terms + 1  # lam[k - lo] is lambda_k
         bound = 4.0 * np.finfo(float).eps * float(np.sum(np.abs(c) / (s + lam)))
@@ -126,26 +157,68 @@ def test_laplace_matches_high_precision_double_series(p, n, gamma, c1):
 
 @pytest.mark.parametrize("p, n, gamma, c1", ORACLE_POINTS)
 def test_laplace_tail_bound_covers_the_omitted_terms(p, n, gamma, c1):
-    """The terms laplace_G leaves out, sum_i J(p^i) vol(S_i) p^{-ni}
-    sum_{j >= N} vol(S_{-j}) / (s + lambda_{-j-i}), summed directly over
-    the next 200 spheres of every row, are at most its tail_bound. Every
-    omitted lambda is 0 at these points (the deep spectral values
-    underflow), so the bound is the tail itself and the two sums agree
-    only to their roundoff: 2 eps apart at most here, and 8 eps is allowed."""
+    """laplace_G lumps every lambda_j with j >= J into an atom at 0.0. With
+    the sphere masses past S_J taken at 50 digits from the landscape's
+    closed form (in double they underflow), those lambda_j are positive,
+    and the atom overstates G by sum_{j>=J} v_j (kappa^2 / s - (kappa -
+    lambda_j)^2 / (s + lambda_j)) / (s + kappa), which is more than 0 and
+    at most tail_bound."""
     state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
-    w = sphere_masses_above(state.landscape, 0)
-    space = state.space
-    pn = float(p) ** n
-    i = np.arange(1, w.size + 1)
-    for s in ORACLE_S:
-        ev = laplace_G(state, s)
-        j = np.arange(ev.inner_terms_max, ev.inner_terms_max + 200)
-        lo = -w.size - j[-1]
-        lam = state.cache.window(lo, -j[0] - 1)[np.subtract.outer(-i, j) - lo]
-        rows = (space.unit_sphere_volume * pn**-j.astype(float) / (s + lam)).sum(axis=1)
-        omitted = float(w * pn**-i.astype(float) @ rows)
-        eps = np.finfo(float).eps
-        assert 0.0 < omitted <= ev.tail_bound * (1.0 + 8.0 * eps), (s, omitted, ev.tail_bound)
+    params = state.landscape
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        pn = mpmath.mpf(p) ** n
+        kappa = mpmath.mpf(exterior_mass(params))
+        for s in ORACLE_S:
+            ev = laplace_G(state, s)
+            big_j = ev.inner_terms_max
+            mass = [
+                params.norm_const * mpmath.mpf(p) ** (m * gamma) * mpmath.exp(-c1 * mpmath.mpf(p) ** m)
+                * (1 - 1 / pn) * pn**m
+                for m in range(big_j + 1, big_j + 41)
+            ]
+            assert float(mass[0]) == 0.0
+            lam = [mpmath.fsum(mass[i:]) + mass[i] / (pn - 1) for i in range(20)]  # lambda_{J+i}
+            omitted = mpmath.fsum(
+                (1 - 1 / pn) / pn ** (big_j + i) * x * (kappa**2 + 2 * s * kappa - s * x)
+                / (s * (s + x) * (s + kappa))
+                for i, x in enumerate(lam)
+            )
+            assert 0.0 < omitted <= ev.tail_bound * (1.0 + 8.0 * eps), (s, omitted, ev.tail_bound)
+
+
+#: the ORACLE_POINTS and three points with few spheres before the masses
+#: underflow, where the former flux weights cancelled worst
+RELATIVE_POINTS = ORACLE_POINTS + [(13, 2, -1.0, 1.0), (7, 3, 2.0, 3.0), (5, 1, 2.0, 5.0)]
+
+
+@pytest.mark.parametrize("p, n, gamma, c1", RELATIVE_POINTS)
+def test_flux_and_laplace_relative_error_against_50_digit_measure(p, n, gamma, c1):
+    """g and G within 8 eps relative of the spectral-measure sums at 50
+    digits, with lambda_j = sum_{m>j} mass(S_m) + mass(S_{j+1}) / (p^n - 1),
+    kappa = sum_m mass(S_m) and d_j = kappa - lambda_j formed from the same
+    double sphere masses m = 1 .. top (SpectralCache.top: every later mass
+    underflows): g = sum_j v_j d_j expm1(-lambda_j t), and G = sum_j v_j d_j
+    / (s + lambda_j) plus the mass p^{-n top} at lambda = 0, summed as
+    written (at 50 digits its cancellation at large s costs nothing)."""
+    state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
+    mass = np.exp(log_sphere_mass(state.landscape, np.arange(1, state.cache.top + 1)))
+    times, s_values = (1e-3, 0.01, 1.0, 10.0, 100.0, 400.0), (1e3, 100.0, 2.0, 1e-3, 1e-6, 1e-10)
+    g = g_grid(state, np.array(times))
+    bound = 8.0 * np.finfo(float).eps
+    with mpmath.workdps(50):
+        pn = mpmath.mpf(p) ** n
+        m = [mpmath.mpf(float(x)) for x in mass]
+        kappa = mpmath.fsum(m)
+        lam = [mpmath.fsum(m[j:]) + m[j] / (pn - 1) for j in range(len(m))]
+        vd = [(1 - 1 / pn) / pn**j * (kappa - x) for j, x in enumerate(lam)]
+        for t, value in zip(times, g):
+            ref = mpmath.fsum(c * mpmath.expm1(-x * t) for c, x in zip(vd, lam))
+            assert abs(value - ref) <= bound * ref, (t, float(ref), value)
+        for s in s_values:
+            value = laplace_G(state, s).value
+            ref = mpmath.fsum(c / (s + x) for c, x in zip(vd, lam)) + kappa / pn ** len(m) / s
+            assert abs(value - ref) <= bound * ref, (s, float(ref), value)
 
 
 # ---------------------------------------------------------------------------
@@ -497,18 +570,12 @@ def test_solved_density_transform_matches_renewal_algebra(desk_state):
 
 
 def laplace_G_complex(state, s):
-    """G(s) at complex s: sum_k c_k / (s + lambda_k) over the flux's weights.
-    Every lambda is >= 0, so |s + lambda| is at least the distance d from s
-    to the negative real axis, and each row's series past n_terms spheres
-    is below 1e-17 of its first term."""
-    space = state.space
-    d = abs(s) if s.real >= 0 else abs(s.imag)
-    n_terms = math.ceil(
-        math.log((abs(s) + 2.0) / (1e-17 * d * space.unit_sphere_volume))
-        / math.log(float(space.p) ** space.n)
-    )
-    c, lam = inflow_weights(state, 0, n_terms)
-    return complex(np.sum(c / (s + lam)))
+    """G(s) at complex s over the spectral measure, in laplace_G's form:
+    (sum_j v_j d_j^2 / (s + lambda_j) + p^{-nJ} kappa^2 / s) / (s + kappa).
+    The measure is finite, so no s needs a longer series."""
+    v, d, lam, kappa = spectral_measure(state)
+    atom = (float(state.space.p) ** state.space.n) ** -lam.size
+    return complex((np.sum(v * d * d / (s + lam)) + atom * kappa * kappa / s) / (s + kappa))
 
 
 def test_complex_laplace_matches_real_series(desk_state):
