@@ -11,11 +11,15 @@ exponent a (0 is Z_p^n), a jump of exponent j != a lands at max(a, j); one
 with j = a cancels the leading digits with probability 1/(p^n - 1), landing
 uniformly on the ball of norm p^(a-1), and otherwise leaves the path at a.
 
-Randomness protocol ``norm-chain-v2`` (stable; reproducibility contract):
-round m is every path's m-th moving jump. Path i reads the i-th 4-word
-block of the Philox4x64 stream :func:`~ultradiff.padic.split_stream`
-(seed, m) (``bit_generator.advance(i)``, then ``random_raw(4)``), and each
-word w gives u = (w >> 11) 2^-53:
+Randomness protocol ``norm-chain-v3`` (stable; reproducibility contract):
+path indices are cut into chunks of ``CHUNK_PATHS`` consecutive indices from
+0, and round m is the m-th moving jump of each path of a chunk that is still
+live (its clock has not passed the horizon). In round m, the k-th live path
+of the chunk starting at index s, counted k = 0, 1, ... in index order,
+reads block s + k of the Philox4x64 stream :func:`~ultradiff.padic.split_stream`
+(seed, m): a round draws ``advance(s)``, then ``random_raw(4 * live)``, one
+4-word block per live path and none for the others. Each word w gives
+u = (w >> 11) 2^-53:
 
 0. the wait -log1p(-u) / C; the path stops once its clock passes the horizon;
 1. the norm exponent j by :func:`moving_norms`;
@@ -25,10 +29,15 @@ word w gives u = (w >> 11) 2^-53:
    lands on b <= a - 1 with P(b <= k) = p^(n(k - a + 1));
 3. unused.
 
-Nothing drawn depends on the horizon or on the other paths, so runs with
-nested horizons and the same seed agree up to the shorter horizon, and a
-path's result does not depend on how paths are split across workers or
-chunks. Estimators reduce over paths associatively.
+Round 0 reads block i for path i, as ``norm-chain-v2`` did. A path's live
+rank depends only on the live paths below it in its chunk, so its result
+depends on the chunk it belongs to but not on the paths after it, and worker
+blocks start on chunk boundaries: results are independent of the worker
+count. What v3 gives up against v2: a round's draws depend on which
+chunk-mates are still live, so runs with nested horizons and the same seed
+share only their first jumps (v2 shared every path's prefix up to the
+shorter horizon), and ``CHUNK_PATHS`` is part of the protocol. Estimators
+reduce over paths associatively.
 """
 
 from __future__ import annotations
@@ -47,9 +56,11 @@ from .padic import DEFAULT_DEPTH_CAP, split_stream
 TRUNCATION_TOLERANCE = 1e-12
 
 #: The randomness protocol of this module, as recorded in run manifests.
-RNG_PROTOCOL = "norm-chain-v2"
+RNG_PROTOCOL = "norm-chain-v3"
 
-#: Paths advanced together in one round; bounds a block's working memory.
+#: Paths advanced together in one round, at absolute path indices; part of
+#: the randomness protocol (live ranks are counted within a chunk), and a
+#: bound on a block's working memory.
 CHUNK_PATHS = 8192
 
 
@@ -202,9 +213,12 @@ def _run_block(
     config: SimConfig, start: int, stop: int, query_times: tuple[float, ...]
 ) -> PathBatch:
     """Paths start .. stop-1 of the norm chain, CHUNK_PATHS at a time, one
-    vectorised round per moving jump.
+    vectorised round per moving jump. ``start`` must be a chunk boundary (a
+    multiple of CHUNK_PATHS), since live ranks are counted from there; any
+    ``stop`` gives the paths of a full run, which no later path affects.
 
-    ``live`` holds the paths whose clock has not passed the horizon. A path
+    ``live`` holds the paths whose clock has not passed the horizon, in index
+    order, so row k of a round's words is the block of ``live[k]``. A path
     is constant between jumps, so tau, when observed, is the first jump time
     that lands on norm exponent 0; every jump from there leaves Z_p^n.
 
@@ -215,6 +229,8 @@ def _run_block(
     each query row is filled forward from the one before where it holds no
     mark: row 1 + k is then the norm at the k-th smallest query time.
     """
+    if start % CHUNK_PATHS:
+        raise ValueError(f"block start {start} is not a multiple of CHUNK_PATHS, {CHUNK_PATHS}")
     space, table, horizon = config.landscape.space, config.table, config.horizon
     rate = 1.0 - table.prob_nonmoving
     drop = _drop_thresholds(space.p, space.n, config.j_max)
@@ -230,16 +246,15 @@ def _run_block(
     for chunk in range(0, size if rate > 0 else 0, CHUNK_PATHS):
         live, round_ = np.arange(chunk, min(chunk + CHUNK_PATHS, size)), 0
         while live.size:
-            lo, hi = int(live[0]), int(live[-1]) + 1
             bits = split_stream(config.seed, round_).bit_generator
-            # words[k] is word k of paths lo .. hi-1; only live rows are read
-            words = bits.advance(start + lo).random_raw(4 * (hi - lo)).reshape(-1, 4).T
-            t = clock[live] - np.log1p(-_uniforms(words[0][live - lo])) / rate
+            # words[k] is word k of the live paths' blocks, in live order
+            words = bits.advance(start + chunk).random_raw(4 * live.size).reshape(-1, 4).T
+            t = clock[live] - np.log1p(-_uniforms(words[0])) / rate
             keep = t <= horizon
             live, t = live[keep], t[keep]
             a = norm[live]
-            j = moving_norms(table, _uniforms(words[1][live - lo]))
-            c = drop.size - np.searchsorted(drop, words[2][live - lo] >> 11, side="right")
+            j = moving_norms(table, _uniforms(words[1][keep]))
+            c = drop.size - np.searchsorted(drop, words[2][keep] >> 11, side="right")
             new = np.where(j == a, np.maximum(a - c, 0), np.maximum(a, j))
             first = (new == 0) & np.isnan(tau[live])
             tau[live[first]] = t[first]
@@ -262,23 +277,24 @@ def run_paths(
 ) -> PathBatch:
     """Simulate config.max_paths paths and reduce to per-path summaries.
 
-    Fan-out is by path index, so the result is independent of the worker
-    count; blocks are concatenated in index order. At most os.cpu_count()
-    worker processes are started.
+    Fan-out is by whole chunks of CHUNK_PATHS path indices, so the result is
+    independent of the worker count; blocks are concatenated in index order.
+    At most os.cpu_count() worker processes are started, and no more than
+    there are chunks.
     """
     qts = tuple(float(t) for t in query_times)
     total = config.max_paths
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or total < 4 * workers:
+    chunks = -(-total // CHUNK_PATHS)
+    workers = min(workers, os.cpu_count() or 1, chunks)
+    if workers <= 1:
         return _run_block(config, 0, total, qts)
     from concurrent.futures import ProcessPoolExecutor
 
-    bounds = np.linspace(0, total, workers + 1, dtype=int)
+    bounds = np.minimum(np.linspace(0, chunks, workers + 1, dtype=int) * CHUNK_PATHS, total)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_run_block, config, int(a), int(b), qts)
             for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
         ]
         blocks = [f.result() for f in futures]
     columns = zip(*((b.inside_at, b.norm_at, b.tau, b.exited, b.n_jumps) for b in blocks))

@@ -276,6 +276,42 @@ def test_kernel_writes_nan_minimum_for_any_nan_margin(config_path, tmp_path, mon
     assert bounds["all_nonnegative"] is False
 
 
+def test_kernel_uniform_margin_outside_the_decay_range(tmp_path, monkeypatch):
+    # gamma >= 0, at 64 times: only the uniform bound 2 t |x|^{-n} applies,
+    # and its margin is the minimum over the Ztilde cells with i >= 1, bit
+    # for bit; a nan in a middle cell makes it nan, as in the other branch
+    times, x_exps = [0.05 * 400 ** (k / 63) for k in range(64)], list(range(-10, 31))
+
+    def mutate(cfg):
+        cfg["landscape"] = {"p": 2, "n": 2, "gamma": 0.5, "c1": 0.2}
+        cfg["sim"]["j_max"] = 7
+        cfg["kernel"] = {"times": times, "x_exps": x_exps}
+
+    path = write_config(tmp_path, mutate)
+    z = ztilde_table(HeatState(load_run_config(path).landscape), x_exps, times)
+    margins = [
+        2.0 * t * 2.0 ** (-2 * i) - z[r, c]
+        for r, i in enumerate(x_exps) if i >= 1
+        for c, t in enumerate(times)
+    ]
+    out = run_cmd("kernel", path, tmp_path / "krn")
+    bounds = json.loads((out / "bounds_report.json").read_text())["decay_bounds"]
+    assert bounds["min_uniform_margin"] == min(margins)
+    assert bounds["all_nonnegative"] is all(m >= 0 for m in margins)
+
+    table = cli.ztilde_table
+
+    def with_nan(*args):
+        cells = table(*args)
+        cells[x_exps.index(10), 30] = math.nan
+        return cells
+
+    monkeypatch.setattr(cli, "ztilde_table", with_nan)
+    out = run_cmd("kernel", path, tmp_path / "nan")
+    bounds = json.loads((out / "bounds_report.json").read_text())["decay_bounds"]
+    assert math.isnan(bounds["min_uniform_margin"]) and bounds["all_nonnegative"] is False
+
+
 def test_kernel_tables_match_a_per_cell_rendering(tmp_path):
     # unsorted keys and a repeated time: the key cells, formatted once per
     # distinct i and t, must land in the stable (i, t) order of the rows
@@ -860,9 +896,9 @@ DESK_DIGESTS = {
     "landscape/spectral.csv": "fe63836188791eb16ebbda41eb2b63a4d4549dd1ceab3bab968dfb4c703424bf",
     "fpt/g_f.csv": "f43a0db99f37f8c50a75d57bbdf27338bf98e29e793c0650a10ae4048b8bd3ac",
     "fpt/laplace_ladder.csv": "05b4f6a4915548f607898ea906273005795c1564b18c9e970bd9c66ea5e851e0",
-    "simulate/fpt_samples.csv": "db1e9a62c79e88656f2db47ff089b06063b4cca2633d9b97834a941620e056a4",
-    "simulate/survival_mc.csv": "5417e4cb21f4440397b6c36f4c01d4012c8f63326245330f8c3134c6b1781158",
-    "verify/verify_report.json": "a191aeb5d3aa6fd62413e40a5776a93ece0ce4526cd108b380f3140153a3cca4",
+    "simulate/fpt_samples.csv": "ef0af890f031496ebc7a5f91158c753bd91798f97fe524c6edd5349963b196e1",
+    "simulate/survival_mc.csv": "2e945972d5aa078d83aef89edfa63928315e31822aa0d82ea0511de20b896c59",
+    "verify/verify_report.json": "2c1ec2b68b5bcf6fd192c7c06a944ae20c9382ae9fc0e8401eb7a3cf9c9491f1",
 }
 
 

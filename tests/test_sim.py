@@ -44,21 +44,25 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: sha256 over the bytes of run_paths' tau (float64), exited (bool),
 #: norm_at (int16) and n_jumps (int64) for 2000 paths, seed 20240810,
-#: horizon 4, query times (0.5, 1, 2), under the protocol norm-chain-v2.
-#: The scalar walk below reads the same split_stream, so it cannot see a
+#: horizon 4, query times (0.5, 1, 2), under the protocol norm-chain-v3.
+#: The chunk walk below reads the same split_stream, so it cannot see a
 #: change to the stream itself; these digests can.
 PROTOCOL_DIGESTS = {
-    (2, 1, -0.5, 1.0, 8): "ac7344ed3f8de9d3e67127f37332edd7b3b45e45024134e0d8ffa850da012823",
-    (3, 1, -0.5, 1.0, 40): "f639d718468f782cee43c05deb67bc235c7db8ab24abcac2c0957a1b38dcc437",
-    (3, 2, -1.0, 0.2, 4): "d4db3550a53368af48e7d23aefd9813772a5ac6268e9e869b89faa2948e5d777",
-    (2, 2, 0.5, 0.2, 7): "4ec6f49a16b6d32595c5d48d9ff604a12512db5b10a6a18e5bc484b017401638",
+    (2, 1, -0.5, 1.0, 8): "2accf1e82eec7e657df1067988c95881b7ef1645d77e0c33d1fe3d0a8a9ffe76",
+    (3, 1, -0.5, 1.0, 40): "25fb6c00c276ec89e2bd541bd127cde1c5d5b181623fac6df50e2eda0163d94c",
+    (3, 2, -1.0, 0.2, 4): "65457934897f55baa1ae6a0b04c6eaab9dc3097acbc3e480c96086e9214da564",
+    (2, 2, 0.5, 0.2, 7): "4016be50e6196b70a05a4c05cf2b5db939f1ab4ca85a40109a291cbb027466aa",
 }
 
 
-def _uniforms(stream_seed: int, size: int) -> np.ndarray:
-    """u = (w >> 11) 2^-53 over the first words of one split stream."""
-    words = split_stream(stream_seed, 0).bit_generator.random_raw(size)
+def _uniforms_of(words: np.ndarray) -> np.ndarray:
+    """u = (w >> 11) 2^-53 of each word."""
     return (words >> 11).astype(np.float64) * 2.0**-53
+
+
+def _uniforms(stream_seed: int, size: int) -> np.ndarray:
+    """u over the first words of one split stream."""
+    return _uniforms_of(split_stream(stream_seed, 0).bit_generator.random_raw(size))
 
 
 def _chi2_pooled(probs, counts, total):
@@ -195,41 +199,54 @@ def test_config_replace_keeps_the_jump_table(desk_params, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the simulator against a scalar reading of the randomness protocol
+# the simulator against a path-by-path reading of the randomness protocol
 # ---------------------------------------------------------------------------
 
 
-def _scalar_walk(sim: SimConfig, index: int, query_times):
-    """(tau, exited, norm at each query time, moving jumps) of one path, read
-    word by word as the sim docstring's protocol says: round m takes the
-    index-th 4-word block of split_stream(seed, m)."""
+def _chunk_walk(sim: SimConfig, stop: int, query_times, chunk: int):
+    """(tau, exited, norm at each query time, moving jumps) of paths
+    0 .. stop-1, read path by path and word by word as the sim docstring's
+    protocol says: in round m, the k-th still-live path of the chunk that
+    starts at path s takes the (s + k)-th 4-word block of
+    split_stream(seed, m)."""
     p, n = sim.landscape.space.p, sim.landscape.space.n
     rate, cdf = 1.0 - sim.table.prob_nonmoving, sim.table.moving_cdf.tolist()
-    t, a, tau, jumps, movers = 0.0, 0, math.nan, 0, []
-    while True:
-        rng = split_stream(sim.seed, jumps).bit_generator.advance(index)
-        k = [int(w) >> 11 for w in rng.random_raw(4)]  # u = k / 2^53
-        # numpy's log1p, as in run_paths: math.log1p differs in the last bit
-        t += -np.log1p(-k[0] * 2.0**-53) / rate
-        if t > sim.horizon:
-            break
-        jumps += 1
-        j = sim.j_max - len(cdf) + 1 + min(
-            bisect.bisect_right(cdf, k[1] * 2.0**-53), len(cdf) - 1
-        )
-        if j != a:
-            a = max(a, j)
-        else:
-            u = Fraction(k[2], 2**53)
-            a -= sum(u < Fraction(1, (p**n - 1) * p ** (n * d)) for d in range(a))
-        movers.append((t, a))
-        if a == 0 and math.isnan(tau):
-            tau = t
-    norms = [([0] + [b for s, b in movers if s <= q])[-1] for q in query_times]
-    return tau, jumps > 0, norms, jumps
+    walks = []
+    for s in range(0, stop, chunk):
+        # per path: clock, norm exponent, tau and its (time, landing) moves
+        paths = [[0.0, 0, math.nan, []] for _ in range(s, min(s + chunk, stop))]
+        live, m = paths, 0
+        while live:
+            still = []
+            for k, path in enumerate(live):
+                rng = split_stream(sim.seed, m).bit_generator.advance(s + k)
+                w = [int(x) >> 11 for x in rng.random_raw(4)]  # u = w / 2^53
+                # numpy's log1p, as in run_paths: math.log1p differs in the last bit
+                t = path[0] + -np.log1p(-w[0] * 2.0**-53) / rate
+                if t > sim.horizon:
+                    continue
+                j = sim.j_max - len(cdf) + 1 + min(
+                    bisect.bisect_right(cdf, w[1] * 2.0**-53), len(cdf) - 1
+                )
+                a = path[1]
+                if j != a:
+                    a = max(a, j)
+                else:
+                    u = Fraction(w[2], 2**53)
+                    a -= sum(u < Fraction(1, (p**n - 1) * p ** (n * d)) for d in range(a))
+                path[:2] = t, a
+                path[3].append((t, a))
+                if a == 0 and math.isnan(path[2]):
+                    path[2] = t
+                still.append(path)
+            live, m = still, m + 1
+        for _, _, tau, moves in paths:
+            norms = [([0] + [b for t, b in moves if t <= q])[-1] for q in query_times]
+            walks.append((tau, bool(moves), norms, len(moves)))
+    return walks
 
 
-#: Query-time sets for the scalar-walk oracle; None stands for times equal
+#: Query-time sets for the chunk-walk oracle; None stands for times equal
 #: to jump times, read from a first batch's finite tau.
 QUERY_SETS = {
     "sorted": (0.5, 1.0, 2.0, 4.0),
@@ -261,6 +278,10 @@ def test_run_paths_matches_scalar_walk(p, n, gamma, c1, j_max, qset, monkeypatch
         seed=20240810,
         j_max=j_max,
     )
+    # five chunks of 64 paths, a block that starts past index 0 (one
+    # worker's share, on a chunk boundary), and one chunk of all 300
+    whole_chunk = sim_module.CHUNK_PATHS
+    monkeypatch.setattr(sim_module, "CHUNK_PATHS", 64)
     qts = QUERY_SETS[qset]
     if qts is None:
         # in path order, so unsorted; the inclusive edge t <= q is exercised
@@ -272,14 +293,12 @@ def test_run_paths_matches_scalar_walk(p, n, gamma, c1, j_max, qset, monkeypatch
     if qset == "jump_times":
         # a path is inside Z_p^n at the instant of its first return
         assert len(qts) > 1 and batch.inside_at[hit, np.arange(hit.size)].all()
-    # a block that starts past index 0 (one worker's share), cut by chunk
-    # boundaries at 101, 165, ...
-    monkeypatch.setattr(sim_module, "CHUNK_PATHS", 64)
-    block = sim_module._run_block(sim, 37, 300, qts)
-    taus, exits, norms, jumps = (
-        np.array(col) for col in zip(*(_scalar_walk(sim, k, qts) for k in range(300)))
-    )
-    for got, lo in ((batch, 0), (block, 37)):
+    runs = [(batch, 0, 64), (sim_module._run_block(sim, 64, 300, qts), 64, 64)]
+    monkeypatch.setattr(sim_module, "CHUNK_PATHS", whole_chunk)
+    runs.append((run_paths(sim, query_times=qts), 0, whole_chunk))
+    walks = {chunk: _chunk_walk(sim, 300, qts, chunk) for chunk in (64, whole_chunk)}
+    for got, lo, chunk in runs:
+        taus, exits, norms, jumps = (np.array(col) for col in zip(*walks[chunk]))
         assert np.array_equal(got.tau, taus[lo:], equal_nan=True)
         assert np.array_equal(got.exited, exits[lo:])
         assert np.array_equal(got.norm_at, norms[lo:])
@@ -288,6 +307,37 @@ def test_run_paths_matches_scalar_walk(p, n, gamma, c1, j_max, qset, monkeypatch
     returned = ~np.isnan(batch.tau)
     assert returned.any() and np.all(batch.exited[returned])
     assert np.all(batch.tau[returned] <= sim.horizon)
+
+
+def test_run_paths_draws_philox_words_for_live_paths_only(desk_params, monkeypatch):
+    # the desk simulate run: 20 000 paths to horizon 10 in three chunks. A
+    # path is live in rounds 0 .. n_jumps (the last wait passes the
+    # horizon), so the blocks read are paths + jumps, and each chunk-round
+    # makes one random_raw call of 4 words per live path
+    calls = []
+
+    class CountingPhilox(np.random.Philox):
+        def random_raw(self, size=None, output=True):
+            calls.append(size)
+            return super().random_raw(size, output)
+
+    monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+    sim = SimConfig(
+        landscape=desk_params, horizon=10.0, max_paths=20_000, seed=20240810, j_max=8
+    )
+    batch = run_paths(sim, query_times=(0.1, 0.5, 1.0, 2.0, 5.0))
+    assert sum(calls) == 4 * (sim.max_paths + int(batch.n_jumps.sum()))
+    step = sim_module.CHUNK_PATHS
+    chunks = np.split(batch.n_jumps, np.arange(step, sim.max_paths, step))
+    assert len(calls) == sum(int(c.max()) + 1 for c in chunks)
+
+
+def test_block_start_must_be_a_chunk_boundary(desk_sim, monkeypatch):
+    # live ranks are counted from a chunk's first path
+    monkeypatch.setattr(sim_module, "CHUNK_PATHS", 64)
+    with pytest.raises(ValueError, match="not a multiple of CHUNK_PATHS"):
+        sim_module._run_block(desk_sim, 37, 300, ())
+    assert sim_module._run_block(desk_sim, 128, 300, ()).tau.size == 172
 
 
 @pytest.mark.parametrize("p, n, a", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 2, 2)])
@@ -496,16 +546,42 @@ def test_verify_mc_false_alarm_rate(desk_params, desk_state):
 # ---------------------------------------------------------------------------
 
 
-def test_nested_horizons_share_prefixes(desk_params):
+def test_nested_horizons_share_prefixes(desk_params, monkeypatch):
+    # under norm-chain-v3 a round's blocks go to the live paths of a chunk
+    # by rank, so nested horizons share every path's first jump (round 0
+    # reads block i at any horizon) and, whole, each chunk's first path
+    # (rank 0 in every round it lives); the later jumps of other paths
+    # depend on which chunk-mates are still live
+    monkeypatch.setattr(sim_module, "CHUNK_PATHS", 8)
     k = dict(landscape=desk_params, max_paths=3_000, seed=99, j_max=8)
-    b2 = run_paths(SimConfig(horizon=2.0, **k), query_times=(0.5, 2.0))
-    b4 = run_paths(SimConfig(horizon=4.0, **k), query_times=(0.5, 2.0))
-    assert np.array_equal(b2.inside_at, b4.inside_at)
-    taus2 = b2.tau[~np.isnan(b2.tau)]
-    taus4 = b4.tau[~np.isnan(b4.tau) & (b4.tau <= 2.0)]
-    assert np.array_equal(np.sort(taus2), np.sort(taus4))
-    # and censoring probability is monotone in the horizon
-    assert fpt_cdf_estimate(b2, 2.0)[0] <= fpt_cdf_estimate(b4, 4.0)[0]
+    table = JumpNormTable.build(desk_params, j_max=8)
+    words = split_stream(99, 0).bit_generator.random_raw(4 * 3_000).reshape(-1, 4)
+    first_t = -np.log1p(-_uniforms_of(words[:, 0])) / (1.0 - table.prob_nonmoving)
+    # from Z_p^n a moving jump of norm exponent j lands on j >= 1
+    first_norm = moving_norms(table, _uniforms_of(words[:, 1]))
+    heads, qts = np.arange(0, 3_000, 8), (0.5, 2.0, 4.0, 8.0)
+    batches = {}
+    for horizon in (2.0, 4.0, 8.0):
+        cfg = SimConfig(horizon=horizon, **k)
+        batch = batches[horizon] = run_paths(cfg, query_times=qts)
+        assert np.array_equal(batch.exited, first_t <= horizon)
+        # the last query time is at or past the horizon
+        one = batch.n_jumps == 1
+        assert one.any() and np.array_equal(batch.norm_at[one, -1], first_norm[one])
+        # a rerun at the same horizon is bit-identical
+        again = run_paths(cfg, query_times=qts)
+        assert np.array_equal(again.tau, batch.tau, equal_nan=True)
+        assert np.array_equal(again.norm_at, batch.norm_at)
+        assert np.array_equal(again.n_jumps, batch.n_jumps)
+    for short, long in itertools.combinations(batches, 2):
+        head_short, head_long = batches[short].tau[heads], batches[long].tau[heads]
+        seen = head_long <= short
+        assert np.array_equal(seen, ~np.isnan(head_short))
+        assert np.array_equal(head_long[seen], head_short[seen])
+        cells = np.ix_(heads, np.array(qts) <= short)
+        assert np.array_equal(batches[long].norm_at[cells], batches[short].norm_at[cells])
+    # chunks of 8 give 375 heads, and 10 of them return by t = 4
+    assert seen.sum() >= 3
 
 
 def test_cli_import_leaves_process_pool_unloaded():
@@ -526,8 +602,9 @@ def test_cli_import_leaves_process_pool_unloaded():
 
 
 def test_worker_fan_out_capped_at_cpu_count(desk_params, monkeypatch):
-    # a pool that records its size and runs the blocks inline: no process
-    sizes = []
+    # a pool that records its size and blocks and runs them inline: no
+    # process. 50 paths in chunks of 16 make four chunks to fan out
+    sizes, blocks = [], []
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -540,23 +617,36 @@ def test_worker_fan_out_capped_at_cpu_count(desk_params, monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            blocks.append(args[1:3])
             done = concurrent.futures.Future()
             done.set_result(fn(*args))
             return done
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sim_module, "CHUNK_PATHS", 16)
     cfg = SimConfig(landscape=desk_params, horizon=2.0, max_paths=50, seed=5, j_max=8)
     serial = run_paths(cfg, query_times=(1.0,))
-    for cpus, expected in ((2, [2]), (1, [])):
+    for cpus, expected, cuts in (
+        (2, [2], [(0, 32), (32, 50)]),
+        # no more workers than chunks
+        (8, [4], [(0, 16), (16, 32), (32, 48), (48, 50)]),
+        (1, [], []),
+    ):
         sizes.clear()
+        blocks.clear()
         monkeypatch.setattr(sim_module.os, "cpu_count", lambda: cpus)
         batch = run_paths(cfg, query_times=(1.0,), workers=5000)
-        assert sizes == expected
+        assert sizes == expected and blocks == cuts
         assert np.array_equal(batch.norm_at, serial.norm_at)
         assert np.array_equal(batch.tau, serial.tau, equal_nan=True)
 
 
-def test_worker_count_invariance(desk_params):
+def test_worker_count_invariance(desk_params, monkeypatch):
+    # 32 chunks of 64 paths over three worker processes, cut at chunk
+    # boundaries 640 and 1344; the workers are forked, so they see the
+    # patched chunk size (a worker that did not would reject its start)
+    monkeypatch.setattr(sim_module, "CHUNK_PATHS", 64)
+    monkeypatch.setattr(sim_module.os, "cpu_count", lambda: 3)
     cfg = SimConfig(
         landscape=desk_params, horizon=2.0, max_paths=2_000, seed=5, j_max=8
     )
