@@ -18,7 +18,7 @@ with 17-significant-digit numeric fields and listed with sha256 checksums
 in a per-run ``manifest.json``, whose timing fields (wall clock, verify's
 ``stages``) alone differ between reruns. The commands hand numpy columns
 to ``_write_csv`` (``_csv.write_csv``), which writes each cell with the
-bytes of ``'%.17g' % x`` from certified digits, in row blocks, and JSON
+bytes of ``'%.17g' % x``, in row blocks (see ``_csv``), and JSON
 documents to ``_write_json``. Both write through ``_csv.write_bytes``,
 which overwrites a file in place, cuts it to length and returns the sha256
 of the bytes as written; each command hands those digests to

@@ -1,11 +1,14 @@
 """The CSV writer: every cell has the bytes of '%.17g' % x, whole tables
-match a per-cell oracle at every block boundary, and the certified digit
-path carries nearly every cell of a real artifact. Files are written in
-place over what the path held, cut to length, and hashed as written."""
+match a per-cell oracle at every block boundary and on each side of
+SMALL_CELLS (at or below it a block is written by % itself), and the
+certified digit path carries nearly every cell of a real artifact. Files
+are written in place over what the path held, cut to length, and hashed
+as written."""
 
 import hashlib
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,13 +16,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultradiff import _csv
-from ultradiff._csv import _FALLBACK, BLOCK_ROWS, _keys, format_cells, write_bytes, write_csv
+from ultradiff._csv import (
+    _FALLBACK,
+    BLOCK_ROWS,
+    SMALL_CELLS,
+    _keys,
+    format_cells,
+    write_bytes,
+    write_csv,
+)
 from ultradiff.fpt import g_grid, solve_volterra
 
 
 def formatted(values) -> list[str]:
-    """One column of numbers through the writer, cell by cell."""
-    return [cell.decode() for cell in format_cells(values)]
+    """One column of numbers through the vectorised path, whatever its size
+    (SMALL_CELLS patched to 0), cell by cell; format_cells, which writes a
+    column of at most SMALL_CELLS numbers with % itself, gives the same."""
+    with mock.patch.object(_csv, "SMALL_CELLS", 0):
+        cells = [cell.decode() for cell in format_cells(values)]
+    assert [cell.decode() for cell in format_cells(values)] == cells
+    return cells
 
 
 def oracle(values) -> list[str]:
@@ -130,8 +146,17 @@ def per_cell(header, columns, blank_nan=()):
     return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
-def test_tables_match_the_per_cell_writer_at_block_boundaries(tmp_path, rows):
+# a 5-column table of SMALL_CELLS // 5 rows is written by %, one more row
+# by the vectorised path; so is a 4-column one like fpt_samples.csv
+@pytest.mark.parametrize(
+    "rows, fpt_samples",
+    [pytest.param(rows, False, id=str(rows))
+     for rows in (0, 1, SMALL_CELLS // 5, SMALL_CELLS // 5 + 1, BLOCK_ROWS - 1, BLOCK_ROWS,
+                  BLOCK_ROWS + 1)]
+    + [pytest.param(rows, True, id=f"fpt-samples-{rows}")
+       for rows in (SMALL_CELLS // 4, SMALL_CELLS // 4 + 1, BLOCK_ROWS + 3)],
+)
+def test_tables_match_the_per_cell_writer_at_block_boundaries(tmp_path, rows, fpt_samples):
     rng = np.random.default_rng(rows)
     tau = rng.exponential(3.0, rows)
     tau[rng.random(rows) < 0.5] = math.nan
@@ -143,6 +168,12 @@ def test_tables_match_the_per_cell_writer_at_block_boundaries(tmp_path, rows):
         [("a", "", "x y", "nan")[i % 4] for i in range(rows)],
         np.isnan(tau),
     ]
+    if fpt_samples:  # path index, tau with blank NaN, two 1-byte text flags;
+        # tau spread over exponents where 10^(16 - X) is not a double
+        flags = np.array([b"0", b"1"])
+        header = ["path_index", "tau", "censored", "exited"]
+        columns = [np.arange(rows), tau * 10.0 ** rng.integers(-30, 30, rows),
+                   flags[np.isnan(tau).view(np.uint8)], flags[rng.integers(0, 2, rows)]]
     write_csv(tmp_path / "t.csv", header, columns, blank_nan=("tau",))
     assert (tmp_path / "t.csv").read_bytes() == per_cell(header, columns, blank_nan=("tau",))
 
@@ -191,7 +222,10 @@ def test_blank_cells_skip_the_layout_lookup(tmp_path, monkeypatch, blank_share):
     monkeypatch.setattr(_csv, "_keys", lambda v: reached.append(len(v)) or keys(v))
     write_csv(tmp_path / "t.csv", header, columns, blank_nan=("tau",))
     assert (tmp_path / "t.csv").read_bytes() == per_cell(header, columns, blank_nan=("tau",))
-    assert sum(reached) == 2 * rows + np.count_nonzero(~np.isnan(tau))
+    # the first block is vectorised: one int and one float lookup, without
+    # its blank cells; the 7-row tail is written by % and never reaches _keys
+    assert len(reached) == 2
+    assert sum(reached) == 2 * BLOCK_ROWS + np.count_nonzero(~np.isnan(tau[:BLOCK_ROWS]))
 
 
 # ---------------------------------------------------------------------------
