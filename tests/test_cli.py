@@ -892,13 +892,10 @@ def test_int_columns_within_2_53_are_written_with_d(tmp_path):
 
 #: sha256 of the landscape, kernel, fpt, simulate and verify artifacts at
 #: configs/desk.json as the per-cell writer wrote them (numpy 2.4, x86-64);
-#: the kernel four are KERNEL_DIGESTS["desk"], here from a run in sequence
+#: the kernel ones are KERNEL_DIGESTS["desk"], here from a run in sequence
 DESK_DIGESTS = {
     "landscape/spectral.csv": "fe63836188791eb16ebbda41eb2b63a4d4549dd1ceab3bab968dfb4c703424bf",
-    "kernel/u_profile.csv": "0089d189102792d5d45abac5d87004e942f6fb4dec7abeac65246f76cce7570e",
-    "kernel/ztilde.csv": "f1a8053673fd591b532a532681c39b17edcab630a4d9d7be12022bddb7246f98",
-    "kernel/survival.csv": "0d88f776b7cd4b5625cc3947225416e7457d7705515002551fb265500c27edc7",
-    "kernel/bounds_report.json": "fa4f987682749b0c4c7d5a1d12be8f1d9e73cab03826d041af7e304f38d00962",
+    **{f"kernel/{name}": digest for name, digest in KERNEL_DIGESTS["desk"].items()},
     "fpt/g_f.csv": "f43a0db99f37f8c50a75d57bbdf27338bf98e29e793c0650a10ae4048b8bd3ac",
     "fpt/laplace_ladder.csv": "05b4f6a4915548f607898ea906273005795c1564b18c9e970bd9c66ea5e851e0",
     "simulate/fpt_samples.csv": "ef0af890f031496ebc7a5f91158c753bd91798f97fe524c6edd5349963b196e1",
