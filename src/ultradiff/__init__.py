@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConfigError,
-    DepthOverflow,
     GammaOutOfRange,
     NonPositiveRate,
     NonPositiveS,

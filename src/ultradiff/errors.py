@@ -22,10 +22,6 @@ class SeriesDiverged(UltradiffError):
     """A truncated series failed to meet its tail bound; parameters are suspect."""
 
 
-class DepthOverflow(UltradiffError):
-    """A coset digit would fall below the configured depth cap."""
-
-
 class ZeroPoint(UltradiffError):
     """The radial heat-kernel density is only defined away from the origin."""
 

@@ -4,8 +4,9 @@ Three linked objects:
 
 * the re-entry flux ``g(t) = sum_{i>=1} J(p^i) vol(S_i) u(p^i, t)`` — the
   probability per unit time that a path outside Z_p^n jumps back in — over
-  a time grid (:func:`g_grid`), by S' = g - kappa S one finite sum over
-  the spectral measure of S (:func:`ultradiff.heat.spectral_measure`);
+  a time grid (:func:`g_grid`, the :func:`ultradiff.heat.inflow` into
+  B_0), by S' = g - kappa S one finite sum over the spectral measure of S
+  (:func:`ultradiff.heat.spectral_measure`);
 * the first-passage density f, tied to g by the renewal identity
   ``g(t) = int_0^t g(t - tau) f(tau) dtau + f(t)`` (a second-kind Volterra
   equation; g vanishes for negative arguments), discretised by the
@@ -33,7 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NonPositiveS, StepTooCoarse
-from .heat import HeatState, decay_sum, spectral_measure
+from .heat import HeatState, inflow, spectral_measure
 
 
 def _trapezoid(y: np.ndarray, dx: float) -> float:
@@ -43,10 +44,10 @@ def _trapezoid(y: np.ndarray, dx: float) -> float:
 
 
 def g_grid(state: HeatState, ts: np.ndarray) -> np.ndarray:
-    """The re-entry flux sum_j v_j d_j expm1(-lambda_j t) over the times ts
-    (:func:`ultradiff.heat.spectral_measure`), exact as sum_j v_j d_j = g(0) = 0."""
-    v, d, lam, _ = spectral_measure(state)
-    return decay_sum(v * d, lam, ts, np.expm1)
+    """The re-entry flux into Z_p^n over the times ts: the
+    :func:`ultradiff.heat.inflow` into B_0, sum_j v_j d_j expm1(-lambda_j t)
+    over the spectral measure of S, exactly 0 at t = 0."""
+    return inflow(state, 0, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +89,12 @@ class VolterraGrid:
 
     def integral_f(self, upto: float | None = None) -> float:
         """Trapezoidal integral of f: the return probability censored at
-        the horizon, a lower proxy for the s -> 0 limit of G/(1+G)."""
+        the horizon (or at upto, which must lie on the grid [0, horizon]
+        up to half a step), a lower proxy for the s -> 0 limit of G/(1+G)."""
         if upto is None:
             return _trapezoid(self.f, self.h)
+        if not -0.5 * self.h <= upto <= self.horizon + 0.5 * self.h:  # NaN too
+            raise ValueError(f"upto = {upto} is outside the grid [0, {self.horizon}]")
         k = int(round(upto / self.h))
         return _trapezoid(self.f[: k + 1], self.h)
 

@@ -19,8 +19,10 @@ Every quantity here is one sphere series sum_j vol(S_{-j}) phi(lambda_j),
 with lambda_j = 1 - Jhat(p^{-j}) read from the spectral cache, evaluated by
 :func:`sphere_series`; the quantities differ only in phi and in how the
 series is scaled and corrected; the heat series at norm exponent r is
-P(X_t in B_r) itself. S itself is a finite measure over the lambda_j
-(:func:`spectral_measure`), which the re-entry flux and its transform read.
+P(X_t in B_r) itself. That u-mass S_r of the ball B_r is a finite measure
+over the lambda_{r+j} (:func:`spectral_measure`), from which the flux into
+B_r (:func:`inflow`, the J * u route of every ball) and, at r = 0, the
+re-entry flux g and its transform G are read.
 The coset chain lumps onto coset norms (:func:`norm_chain`), where
 Chapman-Kolmogorov is checked at the depth that also caps the conservation
 window (:func:`escape_depths`). The results are pure functions of the
@@ -51,8 +53,8 @@ from .landscape import (
     LandscapeParams,
     SpectralCache,
     ball_jmass_bound,
-    exterior_mass,
     jmass_ball,
+    jmass_tail,
     log_sphere_mass,
     spectral_bound_constants,
     sphere_masses_above,
@@ -234,53 +236,39 @@ def du_dt(state: HeatState, i, t):
     return _view(np.where((idx == 0)[:, None], -a, scale[:, None] * (corr - a)), i, t)
 
 
-def inflow_weights(state: HeatState, r: int, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """The weights c and rates lambda of :func:`inflow` into B_r (r >= 0),
-    each row's sphere series cut at n_terms.
-
-    With s_m = J(p^m) vol(S_m) p^{-nm} over the R listed spheres m = r+1 ..
-    r+R, the u rows' sphere series fold into one weight per spectral entry:
-
-        inflow(t) = sum_k c_k e^{-lambda_k t},
-        c_k = sum_m s_m (vol(S_{k+m}) [0 <= -(k+m) < N] - [m = 1 - k]),
-
-    for k = -(r+R)-N+1 .. -r, N = n_terms. Row a = r+R-m of the band holds
-    s_m times (vol(S_{1-N}), ..., vol(S_0), -1) from column a on, so c is
-    one convolution.
-    """
-    space = state.space
-    w = sphere_masses_above(state.landscape, r)
+def spectral_measure(
+    state: HeatState, r: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(v, d, lam, kappa) of the u-mass of the ball B_r, r >= 0:
+    S_r(t) = sum_{j<J} v_j e^{-lambda_j t} + p^{-nJ}, with v_j = vol(S_{-j});
+    lambda_j = 1 - Jhat(p^{-r-j}) from the cache, J the number that are not
+    0.0 (none past SpectralCache.top is); kappa = jmass_tail(r), the rate at
+    which mass leaves B_r; d_j = kappa - lambda_j (p^{nr} inflow = S_r' +
+    kappa S_r) as the band sum sum_{r<m<=r+j} mass(S_m) - mass(S_{r+j+1})
+    / (p^n - 1). S_0 = S is the survival."""
+    if r < 0:
+        raise ValueError(f"ball exponent r must be >= 0, got {r}")
+    space, cache = state.space, state.cache
+    # lambda_j for j = 0 .. top - 2 - r; the window is empty past top
+    lam = cache.window(min(2 - cache.top, 1 - r), -r)[::-1]
+    lam = lam[: np.count_nonzero(lam)]
+    mass = np.exp(log_sphere_mass(state.landscape, np.arange(r + 1, r + lam.size + 1)))
     pn = float(space.p) ** space.n
-    s = (w * pn ** -np.arange(r + 1.0, r + 1 + w.size))[::-1]
-    band = np.append(space.unit_sphere_volume * pn ** -np.arange(n_terms - 1.0, -1, -1), -1.0)
-    return np.convolve(s, band), state.cache.window(-r - w.size - n_terms + 1, -r)
+    d = np.cumsum(np.append(0.0, mass))[: lam.size] - mass / (pn - 1.0)
+    v = space.unit_sphere_volume * pn ** -np.arange(lam.size, dtype=float)
+    return v, d, lam, jmass_tail(state.landscape, r)
 
 
 def inflow(state: HeatState, r: int, ts) -> np.ndarray:
     """sum_{m > r} J(p^m) vol(S_m) u(p^m, t) over the times ts, for r >= 0:
-    the rate at which mass outside B_r jumps into it, the :func:`decay_sum`
-    of :func:`inflow_weights`. u starts on Z_p^n: t = 0 gives 0.
+    the rate at which mass outside B_r jumps to each point of it, p^{-nr}
+    (S_r' + kappa S_r) over the :func:`spectral_measure` of B_r. u starts
+    on Z_p^n, so sum_j v_j d_j + p^{-nJ} kappa = 0 and the atom folds into
+    p^{-nr} sum_j v_j d_j expm1(-lambda_j t), exactly 0 at t = 0.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    g = decay_sum(*inflow_weights(state, r, _machine_tail_len(state.space) + 1), ts)
-    g[ts == 0.0] = 0.0
-    return _clamp(g)
-
-
-def spectral_measure(state: HeatState) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(v, d, lam, kappa): S(t) = sum_{j<J} v_j e^{-lambda_j t} + p^{-nJ}.
-    v_j = vol(S_{-j}); lambda_j = 1 - Jhat(p^{-j}) from the cache, J the
-    number that are not 0.0 (no deeper one is: SpectralCache.top); kappa
-    the exterior mass; d_j = kappa - lambda_j (S' = g - kappa S) as the
-    band sum sum_{1<=m<=j} mass(S_m) - mass(S_{j+1}) / (p^n - 1)."""
-    space, cache = state.space, state.cache
-    lam = cache.window(2 - cache.top, 0)[::-1]  # lambda_j for j = 0 .. top - 2
-    lam = lam[: np.count_nonzero(lam)]
-    mass = np.exp(log_sphere_mass(state.landscape, np.arange(1, lam.size + 1)))
-    pn = float(space.p) ** space.n
-    d = np.cumsum(np.append(0.0, mass))[: lam.size] - mass / (pn - 1.0)
-    v = space.unit_sphere_volume * pn ** -np.arange(lam.size, dtype=float)
-    return v, d, lam, exterior_mass(state.landscape)
+    v, d, lam, _ = spectral_measure(state, r)
+    pn = float(state.space.p) ** state.space.n
+    return pn**-r * decay_sum(v * d, lam, ts, np.expm1)
 
 
 # ---------------------------------------------------------------------------

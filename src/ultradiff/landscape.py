@@ -290,7 +290,10 @@ class SpectralCache:
         return np.clip(v, 0.0, 2.0)
 
     def window(self, lo: int, hi: int) -> np.ndarray:
-        """1 - Jhat(p^k) for k = lo..hi, growing the cached window to cover it."""
+        """1 - Jhat(p^k) for k = lo..hi, growing the cached window to cover it;
+        lo = hi + 1 is the empty window."""
+        if lo > hi + 1:
+            raise ValueError(f"window ({lo}, {hi}): lo must be at most hi + 1")
         if lo < self.k_min:
             self.values = np.concatenate((self._compute(lo, self.k_min - 1), self.values))
             self.k_min = lo

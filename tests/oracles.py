@@ -10,6 +10,9 @@ import does not compile them.
   ``ultradiff.sim`` walk;
 * ball transition probabilities P(X_t in B) for balls around coset points
   (:func:`transition_prob`), one row of the package's heat series;
+* the re-entry flux folded from the u rows' sphere series into one weight
+  per spectral entry (:func:`inflow_weights`), the form the package's
+  spectral measure replaced;
 * partial sums showing that e^{-c|x|}/|x| is not integrable over Z_p;
 * verify's Binomial tail z score summed over the whole support
   (:func:`binomial_tail_z`), which the package's windowed sum equals.
@@ -26,8 +29,9 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from ultradiff.cli import _log_factorials
-from ultradiff.errors import DepthOverflow
+from ultradiff.errors import UltradiffError
 from ultradiff.heat import HeatState, _decay, _series, ztilde_table
+from ultradiff.landscape import sphere_masses_above
 from ultradiff.padic import (
     DEFAULT_DEPTH_CAP,
     EXACT_EXPONENT_LIMIT,
@@ -122,6 +126,10 @@ def padic_fractional_part(x: Fraction, p: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # The quotient group Q_p^n / Z_p^n
 # ---------------------------------------------------------------------------
+
+
+class DepthOverflow(UltradiffError):
+    """A coset digit would fall below the configured depth cap."""
 
 
 def _trim(digits: Iterable[int]) -> tuple[int, ...]:
@@ -332,6 +340,33 @@ def transition_prob(
         z = float(ztilde_table(state, [d], t)[0, 0])
         return z * float(space.p) ** (radius_exp * space.n)
     return float(_series(state, [radius_exp], _decay(t))[0][0, 0])
+
+
+# ---------------------------------------------------------------------------
+# The re-entry flux as one convolution
+# ---------------------------------------------------------------------------
+
+
+def inflow_weights(state: HeatState, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights c and rates lambda with sum_k c_k e^{-lambda_k t} the
+    re-entry flux g(t) = sum_{m >= 1} J(p^m) vol(S_m) u(p^m, t), each row's
+    sphere series cut at n_terms.
+
+    With s_m = J(p^m) vol(S_m) p^{-nm} over the R listed spheres m = 1 .. R,
+    the u rows' sphere series fold into one weight per spectral entry:
+
+        c_k = sum_m s_m (vol(S_{k+m}) [0 <= -(k+m) < N] - [m = 1 - k]),
+
+    for k = -R-N+1 .. 0, N = n_terms. Row a = R-m of the band holds s_m
+    times (vol(S_{1-N}), ..., vol(S_0), -1) from column a on, so c is one
+    convolution.
+    """
+    space = state.space
+    w = sphere_masses_above(state.landscape, 0)
+    pn = float(space.p) ** space.n
+    s = (w * pn ** -np.arange(1.0, 1 + w.size))[::-1]
+    band = np.append(space.unit_sphere_volume * pn ** -np.arange(n_terms - 1.0, -1, -1), -1.0)
+    return np.convolve(s, band), state.cache.window(-w.size - n_terms + 1, 0)
 
 
 # ---------------------------------------------------------------------------

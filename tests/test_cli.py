@@ -215,6 +215,21 @@ def test_zero_horizon_still_runs(tmp_path):
     assert rows == ["t,g,f", "0,0,0"]
 
 
+@pytest.mark.parametrize("command", ["landscape", "fpt"])
+def test_every_command_validates_the_whole_config(tmp_path, command, capsys):
+    """load_run_config validates every block, the Monte Carlo's jump table
+    included, whatever the command: at sim.j_max = 2 the truncated jump
+    mass fails, and landscape and fpt, which never jump, exit 2 naming it."""
+    cfg = json.loads((ROOT / "configs" / "desk.json").read_text())
+    cfg["sim"]["j_max"] = 2
+    path = tmp_path / "desk.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match="sim.j_max"):
+        load_run_config(path)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: sim.j_max" in capsys.readouterr().err
+
+
 def test_seed_override(config_path):
     assert load_run_config(config_path, seed_override=7).sim.seed == 7
 
@@ -507,21 +522,23 @@ def test_verify_reports_a_negated_flux_red(monkeypatch):
 
 
 def test_flux_checks_catch_a_flux_weight_without_its_sphere_fraction(monkeypatch):
-    """d_j without its lone -mass(S_{j+1}) / (p^n - 1) term, next to the
-    cache's lambda and kappa: survival_flux_balance, where that d meets S
-    from the heat series, and the Laplace check both read red."""
-    import ultradiff.fpt as fpt_module
+    """d_j without its lone -mass(S_{r+j+1}) / (p^n - 1) term, next to the
+    cache's lambda and kappa_r, in the measure of every ball B_r:
+    survival_flux_balance, where that d meets S from the heat series, the
+    Laplace check (G still reads the true measure) and evolution_residual,
+    where the inflow into each B_r meets du/dt, all read red."""
+    import ultradiff.heat as heat_module
     from ultradiff.heat import spectral_measure
     from ultradiff.landscape import log_sphere_mass
 
-    def mutant(state):
-        v, d, lam, kappa = spectral_measure(state)
-        mass = np.exp(log_sphere_mass(state.landscape, np.arange(1, lam.size + 1)))
+    def mutant(state, r=0):
+        v, d, lam, kappa = spectral_measure(state, r)
+        mass = np.exp(log_sphere_mass(state.landscape, np.arange(r + 1, r + lam.size + 1)))
         return v, d + mass / (float(state.space.p) ** state.space.n - 1.0), lam, kappa
 
-    monkeypatch.setattr(fpt_module, "spectral_measure", mutant)
+    monkeypatch.setattr(heat_module, "spectral_measure", mutant)
     checks = {c["name"]: c for c in run_verify_checks(load_run_config(ROOT / "configs" / "desk.json"))}
-    for name in ("survival_flux_balance", "laplace_series_vs_quadrature"):
+    for name in ("survival_flux_balance", "laplace_series_vs_quadrature", "evolution_residual"):
         assert not checks[name]["passed"], checks[name]
 
 

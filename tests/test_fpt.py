@@ -14,6 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import inflow_weights
 from ultradiff import fpt
 from ultradiff.errors import NonPositiveS, StepTooCoarse
 from ultradiff.fpt import (
@@ -24,10 +25,11 @@ from ultradiff.fpt import (
     solve_volterra,
     VolterraGrid,
 )
-from ultradiff.heat import HeatState, inflow_weights, spectral_measure, u_table
+from ultradiff.heat import HeatState, inflow, spectral_measure, u_table
 from ultradiff.landscape import (
     SpectralCache,
     exterior_mass,
+    jmass_tail,
     log_sphere_mass,
     normalize,
     sphere_masses_above,
@@ -98,18 +100,29 @@ ORACLE_TIMES = (1e-3, 0.1, 1.0, 10.0, 400.0)
 ORACLE_S = (2.0, 0.1, 1e-3, 1e-6, 1e-10)
 
 
-@pytest.mark.parametrize("p, n, gamma, c1", ORACLE_POINTS)
-def test_flux_matches_high_precision_row_series(p, n, gamma, c1):
-    """g against sum_m J(p^m) vol(S_m) u(p^m, t), each u its own sphere
-    series run until p^{-nj} < 1e-30, summed at 40 digits on the same
-    double lambda and sphere masses: within 2 eps C."""
+#: the ORACLE_POINTS at the balls B_0 .. B_3; B_0's ids are the points' own
+FLUX_BALL_CASES = [
+    pytest.param(*point, r, id="-".join(map(str, point)) + (f"-r{r}" if r else ""))
+    for r in range(4)
+    for point in ORACLE_POINTS
+]
+
+
+@pytest.mark.parametrize("p, n, gamma, c1, r", FLUX_BALL_CASES)
+def test_flux_matches_high_precision_row_series(p, n, gamma, c1, r):
+    """inflow into B_r against sum_{m>r} J(p^m) vol(S_m) u(p^m, t), each u
+    its own sphere series run until p^{-nj} < 1e-30, summed at 40 digits on
+    the same double lambda and sphere masses: within 2 eps kappa_r p^{-nr}.
+    At r = 0 that is g."""
     state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
-    w = sphere_masses_above(state.landscape, 0)
+    w = sphere_masses_above(state.landscape, r)
     terms = math.ceil(30.0 * math.log(10.0) / (n * math.log(p)))
-    lo = -w.size - terms + 1
+    lo = -r - w.size - terms + 1
     lam = state.cache.window(lo, 0)
-    g = g_grid(state, np.array(ORACLE_TIMES))
-    bound = 2.0 * np.finfo(float).eps * exterior_mass(state.landscape)
+    flux = inflow(state, r, np.array(ORACLE_TIMES))
+    if r == 0:
+        assert np.array_equal(flux, g_grid(state, np.array(ORACLE_TIMES)))
+    bound = 2.0 * np.finfo(float).eps * jmass_tail(state.landscape, r) * float(p) ** (-n * r)
     with mpmath.workdps(40):
         pn = mpmath.mpf(p) ** n
         vol = [(1 - 1 / pn) / pn**j for j in range(terms)]
@@ -118,10 +131,26 @@ def test_flux_matches_high_precision_row_series(p, n, gamma, c1):
             u = [
                 (mpmath.fsum(v * decay[-j - m - lo] for j, v in enumerate(vol))
                  - decay[1 - m - lo]) / pn**m
-                for m in range(1, w.size + 1)
+                for m in range(r + 1, r + w.size + 1)
             ]
             ref = mpmath.fsum(mpmath.mpf(float(wm)) * um for wm, um in zip(w, u))
-            assert abs(g[col] - ref) <= bound, (t, float(ref), g[col])
+            assert abs(flux[col] - ref) <= bound, (t, float(ref), flux[col])
+
+
+def test_ball_measure_rejects_a_negative_radius(desk_state):
+    with pytest.raises(ValueError):
+        spectral_measure(desk_state, -1)
+    with pytest.raises(ValueError):
+        inflow(desk_state, -1, np.array([1.0]))
+
+
+def test_ball_measure_past_the_underflow_is_empty(desk_state):
+    """Past SpectralCache.top every lambda of B_r is 0.0: the measure has
+    no row, and the inflow is 0."""
+    r = desk_state.cache.top
+    v, d, lam, kappa = spectral_measure(desk_state, r)
+    assert (v.size, d.size, lam.size, kappa) == (0, 0, 0, 0.0)
+    assert inflow(desk_state, r, np.array([0.0, 1.0])).tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("p, n, gamma, c1", ORACLE_POINTS)
@@ -140,7 +169,7 @@ def test_laplace_matches_high_precision_double_series(p, n, gamma, c1):
         terms = math.ceil(
             (math.log1p(2.0 / s) - math.log(1e-15 * state.space.unit_sphere_volume)) / log_pn
         )
-        c, lam = inflow_weights(state, 0, terms)
+        c, lam = inflow_weights(state, terms)
         lo = -w.size - terms + 1  # lam[k - lo] is lambda_k
         bound = 4.0 * np.finfo(float).eps * float(np.sum(np.abs(c) / (s + lam)))
         with mpmath.workdps(40):
@@ -333,6 +362,20 @@ def test_zero_flux_gives_zero_density():
     grid = solve_volterra(np.zeros(101), 0.05)
     assert np.all(grid.f == 0.0)
     assert grid.integral_f() == 0.0
+
+
+def test_integral_up_to_a_time_stays_on_the_grid():
+    """integral_f(upto) for upto in [0, horizon], half a step of rounding
+    allowed either side; any other upto (NaN too) is an error, not a
+    slice of the wrong length."""
+    a, b, h = 0.5, 1.0, 0.2
+    grid = solve_volterra(synthetic_grid(a, b, h, 10.0)[1], h)
+    assert grid.integral_f(0.0) == grid.integral_f(-0.09) == 0.0
+    assert grid.integral_f(10.0) == grid.integral_f(10.09) == grid.integral_f()
+    assert grid.integral_f(4.0) == fpt._trapezoid(grid.f[:21], h)
+    for upto in (-0.5, -0.11, 10.11, 50.0, math.nan):
+        with pytest.raises(ValueError):
+            grid.integral_f(upto)
 
 
 def test_synthetic_renewal_pair_closed_form():

@@ -210,6 +210,18 @@ def test_cache_independent_of_growth_order(desk_params):
     assert np.array_equal(grown.values, direct.values)
 
 
+def test_cache_window_rejects_reversed_bounds(desk_params):
+    """lo = hi + 1 is the empty window; a window reversed past it is an
+    error, and neither reads nor grows the cache."""
+    cache = SpectralCache.build(desk_params)
+    k_min, k_max = cache.k_min, cache.k_max
+    assert cache.window(5, 4).size == 0
+    for lo, hi in ((5, -50), (-60, -70), (2, 0)):
+        with pytest.raises(ValueError):
+            cache.window(lo, hi)
+    assert (cache.k_min, cache.k_max) == (k_min, k_max)
+
+
 # ---------------------------------------------------------------------------
 # the gap at |xi| = 1
 # ---------------------------------------------------------------------------

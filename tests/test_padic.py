@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     CosetPoint,
+    DepthOverflow,
     character_sphere_integral,
     character_sphere_integral_frac,
     coset_add,
@@ -25,7 +26,6 @@ from oracles import (
     padic_fractional_part,
     sphere_volume_frac,
 )
-from ultradiff.errors import DepthOverflow
 from ultradiff.padic import SpaceParams, ZERO_NORM, is_prime, sphere_volume, split_stream
 
 # ---------------------------------------------------------------------------
