@@ -3,19 +3,18 @@
 
 For a grid of (gamma, c1) this writes one CSV row per parameter point:
 the exterior jump mass C, the spectral gap at |xi| = 1, survival at a few
-times, and the censored return probability from the Volterra-solved
-first-passage density. Useful for eyeballing how the barrier structure
-steers relaxation and return.
+times, and the return probability censored at the horizon, P(tau <= T) =
+int_0^T f, from the closed-form first-passage mixture (no time grid).
+Useful for eyeballing how the barrier structure steers relaxation and
+return.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ultradiff.cli import _write_csv
-from ultradiff.fpt import g_grid, solve_volterra
+from ultradiff.fpt import first_passage_mixture
 from ultradiff.heat import HeatState, survival
 from ultradiff.landscape import exterior_mass, normalize, spectral_gap_at_one
 from ultradiff.padic import SpaceParams
@@ -29,12 +28,10 @@ def run(argv=None):
     ap.add_argument("--c1s", type=float, nargs="+", default=[0.5, 1.0, 2.0])
     ap.add_argument("--times", type=float, nargs="+", default=[0.5, 1.0, 5.0])
     ap.add_argument("--horizon", type=float, default=20.0)
-    ap.add_argument("--h", type=float, default=0.02)
     ap.add_argument("--out", default="runs/landscape_sweep.csv")
     args = ap.parse_args(argv)
 
     space = SpaceParams(p=args.p, n=args.n)
-    ts = np.arange(0.0, args.horizon + args.h / 2, args.h)
     header = (
         ["gamma", "c1", "exterior_mass", "gap_at_one"]
         + [f"S({t:g})" for t in args.times]
@@ -45,11 +42,10 @@ def run(argv=None):
         for c1 in args.c1s:
             params = normalize(space, gamma, c1)
             state = HeatState(params)
-            grid = solve_volterra(g_grid(state, ts), args.h)
             rows.append(
                 [gamma, c1, exterior_mass(params), spectral_gap_at_one(params)]
                 + survival(state, args.times).tolist()
-                + [grid.integral_f()]
+                + [first_passage_mixture(state, args.horizon).cdf()]
             )
             print(
                 f"gamma={gamma:+.2f} c1={c1:4.2f}: C={rows[-1][2]:.4f} "

@@ -54,8 +54,8 @@ def run(argv=None):
         print(f"{float(t):<8g} {float(value):<15.6f} {extra}")
     print(f"recurrence verdict     : {verdict['verdict']}")
     print(f"G/(1+G) at s=1e-6      : {verdict['f0_proxy']:.6f}")
-    print(f"int f over the grid    : {verdict['return_probability_censored']:.4f}"
-          "  (censored at the horizon)")
+    print(f"P(tau<=T), closed form : {verdict['return_probability_censored']:.4f}"
+          "  (censored at the horizon T)")
     return 0
 
 

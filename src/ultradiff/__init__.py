@@ -11,8 +11,9 @@ The package computes, for the nonlocal evolution equation
 * heat-kernel densities, survival probabilities, and the coset chain
   lumped onto coset norms (`heat`);
 * exact compound-Poisson path simulation on Q_p^n / Z_p^n (`sim`);
-* the first-passage pipeline: re-entry flux, Volterra-solved density,
-  Laplace ladder, and a recurrence verdict (`fpt`);
+* the first-passage pipeline: re-entry flux, the first-passage density
+  and P(tau <= T) in closed form (with the Volterra solve as a second
+  route), Laplace ladder, and a recurrence verdict (`fpt`);
 * a reproducible CLI with manifests (`cli`).
 
 Every analytic series ships with an independent oracle in the test suite;

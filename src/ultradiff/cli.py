@@ -8,8 +8,8 @@ the command):
 * ``kernel``    — heat-kernel profiles, survival, decay-bound report;
 * ``simulate``  — Monte Carlo paths: first-passage samples and survival
   estimates with standard errors;
-* ``fpt``       — flux g, Volterra-solved first-passage density f, Laplace
-  ladder, recurrence verdict;
+* ``fpt``       — flux g, the first-passage density f and P(tau <= T) in
+  closed form, Laplace ladder, recurrence verdict;
 * ``verify``    — the cross-module invariant battery; nonzero exit on any
   failed check.
 
@@ -36,7 +36,6 @@ import os
 import sys
 import time
 from pathlib import Path
-from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +51,7 @@ from .heat import (
     du_dt,
     escape_depths,
     pde_residual,
+    spectral_measure,
     survival,
     u_table,
     ztilde_table,
@@ -68,6 +68,8 @@ from .landscape import (
     spectral_gap_at_one,
 )
 from .fpt import (
+    FPT_PROTOCOL,
+    first_passage_mixture,
     g_grid,
     laplace_G,
     laplace_g_quadrature,
@@ -336,6 +338,7 @@ def _write_manifest(
             "config": cfg.resolved_echo(),
             "artifacts": digests,
             **({"rng_protocol": RNG_PROTOCOL} if command in MC_COMMANDS else {}),
+            **({"fpt_protocol": FPT_PROTOCOL} if command == "fpt" else {}),
             **({"stages": stages} if stages else {}),
         },
     )
@@ -486,9 +489,8 @@ def cmd_fpt(cfg: RunConfig, out: Path) -> int:
     state = HeatState(cfg.landscape)
     h, T = cfg.fpt.h, cfg.fpt.horizon
     ts = np.arange(0.0, T + h / 2.0, h)
-    g = g_grid(state, ts)
-    grid = solve_volterra(g, h)
-    columns = [ts, g, grid.f_for_export()]
+    mixture = first_passage_mixture(state, T)
+    columns = [ts, g_grid(state, ts), mixture.density(ts)]
     digests = {"g_f.csv": _write_csv(out / "g_f.csv", ["t", "g", "f"], columns)}
 
     rec = recurrence_diagnostic(state, cfg.fpt.s_ladder, cfg.fpt.recurrence_threshold)
@@ -507,8 +509,9 @@ def cmd_fpt(cfg: RunConfig, out: Path) -> int:
             "f0_proxy": rec.f0_proxy,
             "s_values": list(rec.s_values),
             "g_values": list(rec.g_values),
-            "return_probability_censored": grid.integral_f(),
-            "volterra_max_residual": float(np.abs(grid.residual()).max()),
+            "return_probability_censored": mixture.cdf(),
+            "mixture_poles": int(mixture.mu.size),
+            "mixture_bound": mixture.bound,
         },
     )
     _write_manifest(out, "fpt", cfg, digests, t0)
@@ -603,6 +606,8 @@ def binomial_tail_z(k: int, n: int, q: float) -> float:
     The other tail is taken as >= 1/2 when a rounded-down ``np.sum`` of its
     own window shows it, and summed the same way only when that fails.
     """
+    from statistics import NormalDist  # here, so that only verify loads it
+
     mode = min(int((n + 1) * q), n)
     near, far = ((0, k), (k, n)) if k < mode else ((k, n), (0, k))
     tail = min(_tail_sum(*near, n, q, *_window(*near, n, q, mode)), 0.5)
@@ -764,6 +769,27 @@ def run_verify_checks(
         z_triangle,
         3.0,
         f"T={t_tri} returned={returned}/{sim.max_paths} volterra={integral:.6g}",
+    )
+
+    # the closed-form mixture against the Volterra solve on the same grid.
+    # The trapezoid's local error at t is at most t h^2/12 max|d^2/dtau^2
+    # g(t - tau) f(tau)| <= T h^2 (g2 f0 + 2 g1 f1 + g0 f2) / 12, with
+    # g_m = sum_j |v_j d_j| lambda_j^m >= sup|g^(m)| over the measure and
+    # f_m >= sup|f^(m)| from the mixture's terms; the resolvent carries it
+    # with gain at most 1 + int f <= 2. Add the mixture's own bound and the
+    # FFT solve's roundoff, m eps max|g| for m grid points
+    mixture = first_passage_mixture(state, t_tri)
+    v, d, lam, _ = spectral_measure(state)
+    g0, g1, g2 = (float(np.sum(np.abs(v * d) * lam**k)) for k in range(3))
+    f0, f1, f2 = mixture.derivative_bounds()
+    trapezoid = t_tri * h * h * (g2 * f0 + 2.0 * g1 * f1 + g0 * f2) / 6.0
+    fft = len(grid.g) * np.finfo(float).eps * float(np.max(np.abs(grid.g)))
+    add(
+        "fpt_mixture_vs_volterra",
+        float(np.max(np.abs(mixture.density(grid.times) - grid.f))),
+        trapezoid + mixture.bound + fft,
+        f"T={t_tri} poles={mixture.mu.size} trapezoid bound={trapezoid:.3g} "
+        f"mixture bound={mixture.bound:.3g} fft roundoff={fft:.3g}",
     )
     return checks
 

@@ -913,11 +913,11 @@ def test_int_columns_within_2_53_are_written_with_d(tmp_path):
 DESK_DIGESTS = {
     "landscape/spectral.csv": "fe63836188791eb16ebbda41eb2b63a4d4549dd1ceab3bab968dfb4c703424bf",
     **{f"kernel/{name}": digest for name, digest in KERNEL_DIGESTS["desk"].items()},
-    "fpt/g_f.csv": "f43a0db99f37f8c50a75d57bbdf27338bf98e29e793c0650a10ae4048b8bd3ac",
+    "fpt/g_f.csv": "1fda7a17439d275b132070707a0c44e87abed2820f001b444857eac5871758ab",
     "fpt/laplace_ladder.csv": "05b4f6a4915548f607898ea906273005795c1564b18c9e970bd9c66ea5e851e0",
     "simulate/fpt_samples.csv": "ef0af890f031496ebc7a5f91158c753bd91798f97fe524c6edd5349963b196e1",
     "simulate/survival_mc.csv": "2e945972d5aa078d83aef89edfa63928315e31822aa0d82ea0511de20b896c59",
-    "verify/verify_report.json": "2c1ec2b68b5bcf6fd192c7c06a944ae20c9382ae9fc0e8401eb7a3cf9c9491f1",
+    "verify/verify_report.json": "042822f0b50e4fe4b10eb420020e1036dbe57ffe480547421198c6eee0609057",
 }
 
 

@@ -25,7 +25,7 @@ from ultradiff._csv import (
     write_bytes,
     write_csv,
 )
-from ultradiff.fpt import g_grid, solve_volterra
+from ultradiff.fpt import first_passage_mixture, g_grid
 
 
 def formatted(values) -> list[str]:
@@ -123,8 +123,8 @@ def test_nearly_every_g_f_cell_takes_the_certified_path(desk_state):
     # the fpt_long artifact: T = 400 at the desk h = 0.01
     h = 0.01
     ts = np.arange(0.0, 400.0 + h / 2.0, h)
-    g = g_grid(desk_state, ts)
-    cells = np.concatenate([ts, g, solve_volterra(g, h).f_for_export()])
+    f = first_passage_mixture(desk_state, 400.0).density(ts)
+    cells = np.concatenate([ts, g_grid(desk_state, ts), f])
     key, _ = _keys(cells)
     assert np.mean(key >= 0) >= 0.99
     assert formatted(cells) == oracle(cells)

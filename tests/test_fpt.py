@@ -1,10 +1,12 @@
-"""First-passage pipeline: flux, Volterra solve, Laplace series, recurrence.
+"""First-passage pipeline: flux, closed-form mixture, Volterra solve,
+Laplace series, recurrence.
 
 The Volterra solve is validated against the closed-form renewal pair
 g = a e^{-bt}  <->  f = a e^{-(a+b)t} (Laplace algebra: G = a/(s+b) gives
 F = G/(1+G) = a/(s+a+b)), including the h^2 convergence order; against the
 O(m^2) trapezoidal time-stepper; and, on the real flux, against
-P(tau <= T) from a numerical inverse Laplace transform of F(s)/s.
+P(tau <= T) from a numerical inverse Laplace transform of F(s)/s, which
+also holds the closed-form mixture's P(tau <= T) to 1e-10.
 """
 
 import math
@@ -18,6 +20,7 @@ from oracles import inflow_weights
 from ultradiff import fpt
 from ultradiff.errors import NonPositiveS, StepTooCoarse
 from ultradiff.fpt import (
+    first_passage_mixture,
     g_grid,
     laplace_G,
     laplace_g_quadrature,
@@ -446,7 +449,6 @@ def test_solver_on_real_flux(desk_state):
     grid = solve_volterra(g_grid(desk_state, ts), h)
     assert float(np.max(np.abs(grid.residual()))) <= roundoff_bound(grid.g)
     assert float(grid.f.min()) >= -1e-8
-    assert np.all(grid.f_for_export() >= 0.0)
     assert 0.0 <= grid.integral_f() <= 1.0
 
 
@@ -630,21 +632,93 @@ def test_complex_laplace_matches_real_series(desk_state):
         )
 
 
-@pytest.mark.parametrize("T", [10.0, 400.0])
-def test_fpt_cdf_matches_inverse_laplace(desk_state, T):
+#: (point, T) for the inverse-Laplace oracle: desk keeps the ids of its T
+#: alone; then two poles at (13, 2, -1, 1), nine at (2, 2, 0.5, 0.2), two
+#: of them 2e10 apart, gamma > 0 at (7, 3, 2, 3), and gamma near -n
+CDF_CASES = [pytest.param((2, 1, -0.5, 1.0), T, id=str(T)) for T in (10.0, 400.0, 1000.0)] + [
+    pytest.param(point, T, id="-".join(map(str, point)) + f"-{T}")
+    for point in [(13, 2, -1.0, 1.0), (2, 2, 0.5, 0.2), (7, 3, 2.0, 3.0), (2, 1, -0.96, 1.0)]
+    for T in (10.0, 400.0, 1000.0)
+]
+
+
+@pytest.mark.parametrize("point, T", CDF_CASES)
+def test_fpt_cdf_matches_inverse_laplace(point, T):
     """F(s)/s = G / (s (1 + G)) is the transform of P(tau <= t); Talbot's
     contour and de Hoog's Bromwich line (Abate & Whitt, INFORMS J. Comput.
-    18 (2006) 408) invert it independently of the time-domain solve."""
+    18 (2006) 408) invert it at 30 digits from G over the spectral measure,
+    independently of the mixture's poles and of the time-domain solve. The
+    mixture's P(tau <= T) matches both to 1e-10, and the Volterra integral
+    of f to its h^2 error."""
+    state = HeatState(normalize(SpaceParams(p=point[0], n=point[1]), point[2], point[3]))
+    v, d, lam, kappa = spectral_measure(state)
+    atom = (float(state.space.p) ** state.space.n) ** -lam.size
+    with mpmath.workdps(30):
+        terms = [(mpmath.mpf(float(x * y * y)), mpmath.mpf(float(z))) for x, y, z in zip(v, d, lam)]
+        terms.append((mpmath.mpf(atom * kappa * kappa), mpmath.mpf(0)))
 
-    def cdf_transform(s):
-        s = complex(s)
-        G = laplace_G_complex(desk_state, s)
-        return mpmath.mpc(G / (s * (1.0 + G)))
+        def cdf_transform(s):
+            G = mpmath.fsum(c / (s + x) for c, x in terms) / (s + kappa)
+            return G / (s * (1 + G))
 
-    talbot = float(mpmath.invertlaplace(cdf_transform, T, method="talbot"))
-    dehoog = float(mpmath.invertlaplace(cdf_transform, T, method="dehoog"))
+        talbot = float(mpmath.invertlaplace(cdf_transform, T, method="talbot"))
+        dehoog = float(mpmath.invertlaplace(cdf_transform, T, method="dehoog"))
     assert abs(talbot - dehoog) <= 1e-10
+    mixture = first_passage_mixture(state, T)
+    assert abs(mixture.cdf() - talbot) <= 1e-10
+    assert abs(mixture.cdf() - dehoog) <= 1e-10
     h = 0.01
     ts = np.arange(0.0, T + h / 2, h)
-    grid = solve_volterra(g_grid(desk_state, ts), h)
+    grid = solve_volterra(g_grid(state, ts), h)
     assert abs(grid.integral_f() - talbot) <= 1e-6
+
+
+@pytest.mark.parametrize("p, n, gamma, c1", ORACLE_POINTS)
+@pytest.mark.parametrize("T", [10.0, 400.0])
+def test_mixture_structure(p, n, gamma, c1, T):
+    """Each zero of S-hat lies strictly between its two poles; f is exactly
+    0 at t = 0 and positive after it; and the residues r_k of F sum to
+    f(0) = 0 within the roundoff bound (rho folds r_0 + r_pair into rho_0
+    and keeps r_pair delta at the pair, so that sum is the one over the
+    other rho)."""
+    state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
+    mixture = first_passage_mixture(state, T)
+    zeros = mixture.mu[1:]
+    assert zeros.size == mixture.poles.size - 1 >= 1
+    assert np.all((mixture.poles[:-1] < zeros) & (zeros < mixture.poles[1:]))
+    assert mixture.poles[0] < mixture.mu[0] < mixture.poles[-1]
+    f = mixture.density(np.arange(0.0, T + 0.005, 0.01))
+    assert f[0] == 0.0
+    assert np.all(f[1:] > 0.0)
+    others = np.delete(mixture.rho, mixture.pair)
+    assert abs(float(np.sum(others))) <= mixture.roundoff_bound
+
+
+def test_mixture_is_empty_where_nothing_returns():
+    """At T = 0 every entry lumps, S-hat = 1/s has no zero, and f and P are
+    0; at C1 = 1e3 the exterior mass underflows (kappa = 0) at any T, with
+    no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c1, T in ((1.0, 0.0), (1e3, 0.0), (1e3, 400.0)):
+            state = HeatState(normalize(SpaceParams(p=2, n=1), -0.5, c1))
+            mixture = first_passage_mixture(state, T)
+            assert (mixture.mu.size, mixture.pair) == (0, 0)
+            assert mixture.density(np.array([0.0, T])).tolist() == [0.0, 0.0]
+            assert mixture.cdf() == 0.0
+
+
+@pytest.mark.parametrize("x", [0.0, -1e-12, -0.3, -0.5, -2.0, -36.0, -1e4])
+@pytest.mark.parametrize("y_over_x", [1.0, 1.0 + 1e-9, 0.999, 0.5, 1e-6, 3.0])
+def test_exp_divided_difference_matches_50_digits(x, y_over_x):
+    """exp[0, x, y], the pair's share of P, within 4 eps of 50 digits across
+    the series (|x|, |y| < 0.5), the direct form and y -> x."""
+    y = x * y_over_x
+
+    def phi(u):
+        return mpmath.expm1(u) / u if u else mpmath.mpf(1)
+
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(x), mpmath.mpf(y)
+        ref = mpmath.diff(phi, a) if a == b else (phi(b) - phi(a)) / (b - a)
+    assert abs(fpt._exp_dd2(x, y) - ref) <= 4 * np.finfo(float).eps * ref

@@ -54,7 +54,7 @@ def test_landscape_sweep_smoke(tmp_path):
     proc = run_script(
         "landscape_sweep.py",
         "--gammas", -0.5, 0.5, "--c1s", 1.0, "--times", 0.5, 2.0,
-        "--horizon", 1.0, "--h", 0.05, "--out", out,
+        "--horizon", 1.0, "--out", out,
         cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,8 @@
 """What a fresh process pays to start: importing ``ultradiff.cli`` loads no
-generated record code and no test-only oracle. The records are plain
-``NamedTuple`` or ``__slots__`` classes, so they must still pickle, since
-``run_paths`` ships its config to worker processes and gets batches back."""
+generated record code, no test-only oracle and no ``statistics``. The
+records are plain ``NamedTuple`` or ``__slots__`` classes, so they must
+still pickle, since ``run_paths`` ships its config to worker processes and
+gets batches back."""
 
 import json
 import os
@@ -25,6 +26,7 @@ ours = [m for name, m in sorted(sys.modules.items())
 print(json.dumps({
     "modules": [m.__name__ for m in ours],
     "dataclasses": "dataclasses" in sys.modules,
+    "statistics": "statistics" in sys.modules,
     "dataclass_records": sorted(
         f"{m.__name__}.{k}" for m in ours for k, v in vars(m).items()
         if isinstance(v, type) and hasattr(v, "__dataclass_fields__")
@@ -47,6 +49,7 @@ def test_cli_import_generates_no_record_code():
     seen = json.loads(proc.stdout)
     assert "ultradiff.sim" in seen["modules"]  # the probe saw the package
     assert not seen["dataclasses"]
+    assert not seen["statistics"]  # only verify's binomial tails need it
     assert seen["dataclass_records"] == []
     assert not seen["padic_fraction"]
 
