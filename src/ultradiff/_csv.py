@@ -1,8 +1,10 @@
 """CSV tables from numpy columns, with the bytes of ``'%.17g' % x`` per cell.
 
-A block of at most SMALL_CELLS cells is one ``%`` (0.45-0.65 us a cell); a
-larger one is built by numpy (about 170 us a block plus 0.21 us a cell; the
-measured crossover is near 500 cells), with the same bytes: the 17 significant
+A block of at most SMALL_CELLS cells is one ``%`` (0.4-0.9 us a float cell); a
+larger one is built by numpy (about 0.1 us a cell on a 12 288-cell g_f.csv
+block; 170-500 us a block plus 0.05-0.3 us a cell where the cells spread over
+many exponents; the measured crossover is 400-900 float cells), with the same
+bytes, in a few whole-array passes per step: the 17 significant
 digits D = round(|x| 10^(16 - X)) of a double with 1e-280 <= |x| <= 1e280 come
 from a double-double p + q: p = fl(|x| P_hi), q the exact error of that product
 (Dekker, Numer. Math. 18 (1971) 224-242) plus |x| P_lo, where P_hi + P_lo =
@@ -34,18 +36,24 @@ SMALL_CELLS = 512  # a block of at most this many cells is written by % itself
 _SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
 _FALLBACK, _BLANK = -1, -2  # keys of the cells written by % and of those left empty
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
+# 10^(digits after the point) at X + 400: a fraction is written where a
+# significant digit follows the integer part (fixed notation, -4 <= X < 17)
+# or the first digit (exponential notation)
+_DOT_POW = np.array([10 ** min(16 - e, 17) if -4 <= e < 17 else 10**16 for e in range(-400, 401)])
 
 
 @functools.lru_cache(maxsize=256)
-def _powers(k0: int, k1: int) -> np.ndarray:
-    """Rows (hi, lo, hi's two halves), hi + lo = 10^k to 2**-106, k = k0..k1."""
+def _powers(k0: int, k1: int) -> tuple[np.ndarray, ...]:
+    """hi, lo and hi's two halves, an array each: hi + lo = 10^k to 2**-106,
+    k = k0..k1."""
     exact = [Fraction(10) ** k for k in range(k0, k1 + 1)]
     hi = np.array([float(v) for v in exact])
     lo = np.array([float(v - Fraction(h)) for v, h in zip(exact, hi.tolist())])
     hh = hi * _SPLIT - (hi * _SPLIT - hi)
-    table = np.stack([hi, lo, hh, hi - hh], axis=1)
-    table.flags.writeable = False  # shared by every caller
-    return table
+    tables = hi, lo, hh, hi - hh
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller
+    return tables
 
 
 @functools.cache
@@ -85,40 +93,76 @@ def _keys(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if x.dtype.kind == "i":
         e = np.maximum(np.searchsorted(_POW10, a, side="right") - 1, 0)
         return (e + 400) * 4 + (x < 0), a * np.take(_POW10, 16 - e)
-    ok, zero = (a >= 1e-280) & (a <= 1e280), a == 0
-    a = np.where(ok, a, 1.0)
+    out = np.flatnonzero(~((a >= 1e-280) & (a <= 1e280)))  # few cells, if any
+    zero, out = out[a[out] == 0], out[a[out] != 0]
+    a[zero] = a[out] = 1.0
+    # in place where a temporary can be reused: each pass costs about as
+    # much as its allocation
     c = a * _SPLIT
-    ah = c - (c - a)
+    ah = c - a
+    np.subtract(c, ah, out=ah)  # c - (c - a)
     al = a - ah
-    e = np.floor(np.log10(a)).astype(np.int64)
+    e = np.floor(np.log10(a, out=c), out=c).astype(np.int64)
+    p, q, t = np.empty_like(a), np.empty_like(a), c
     for first in (True, False):  # log10 can put X one off next to a power of ten
-        k = 16 - e
-        hi, lo, hh, hl = np.take(_powers(int(k.min()), int(k.max())), k - k.min(), axis=0).T
-        p = a * hi
-        q = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
-        # is p + q outside [1e16, 1e17)? p - 1e16 and p - 1e17 are exact
-        # wherever the answer is in doubt
-        step = ((p - 1e17) + q >= 0).astype(np.int64) - ((p - 1e16) + q < 0)
+        k0, k1 = 16 - int(e.max()), 16 - int(e.min())
+        k = np.subtract(16 - k0, e)  # 16 - e - k0
+        hi, lo, hh, hl = (np.take(v, k) for v in _powers(k0, k1))
+        np.multiply(a, hi, out=p)
+        np.multiply(ah, hh, out=q)  # ((ah hh - p) + ah hl + al hh) + al hl + a lo
+        q -= p
+        q += np.multiply(ah, hl, out=t)
+        q += np.multiply(al, hh, out=t)
+        q += np.multiply(al, hl, out=t)
+        q += np.multiply(a, lo, out=t)
+        # p + q can be outside [1e16, 1e17) only where its rounded sum is on
+        # or past a bound; there p - 1e16 and p - 1e17 are exact wherever
+        # the answer is in doubt
+        s = np.add(p, q, out=t)
+        near = np.flatnonzero((s <= 1e16) | (s >= 1e17))
+        pn, qn = p[near], q[near]
+        step = ((pn - 1e17) + qn >= 0).astype(np.int64) - ((pn - 1e16) + qn < 0)
         if not (first and step.any()):
             break
-        e += step
-    floor_q = np.floor(q)
-    frac = q - floor_q
-    d = p.astype(np.int64) + floor_q.astype(np.int64) + (frac > 0.5)
-    top = d == 10**17
-    e += top
-    ok &= (np.abs(frac - 0.5) > 1e-6) & (d >= 10**16) & (d <= 10**17)
-    d = np.where(ok & ~top, d, 10**16) * ~zero  # +-0 is the int 0, signed
-    # a fraction is written where a significant digit follows the integer
-    # part (fixed notation) or the first digit (exponential notation)
-    point = np.where((-4 <= e) & (e < 17), e + 1, 1)
-    dot = d % np.take(_POW10, np.minimum(17 - point, 17)) != 0  # point <= 17
-    return np.where(ok | zero, ((e + 400) * 2 + dot) * 2 + np.signbit(x), _FALLBACK), d
+        e[near] += step
+    floor_q = np.floor(q, out=t)
+    frac = np.subtract(q, floor_q, out=q)
+    d = p.astype(np.int64)
+    d += floor_q.astype(np.int64)
+    d += frac > 0.5
+    frac -= 0.5
+    uncertified = np.abs(frac, out=frac) <= 1e-6  # too near a tie
+    dn = d[near]  # only these can round to 10^17 or stay out of range
+    top = dn == 10**17
+    uncertified[near] |= (dn < 10**16) | (dn > 10**17)
+    e[near] += top
+    d[near[top]] = 10**16
+    d[zero] = 0  # +-0 is the int 0, signed
+    e += 400
+    dot = d % np.take(_DOT_POW, e) != 0
+    key = e  # ((X + 400) * 2 + dot) * 2 + sign, in place
+    key *= 2
+    key += dot
+    key *= 2
+    key += np.signbit(x)
+    np.copyto(key, _FALLBACK, where=uncertified)
+    key[out] = _FALLBACK
+    return key, d
 
 
 def _joined(arrays: list[np.ndarray]) -> np.ndarray:
     """np.concatenate, without the copy of a single array."""
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _copy(dst: np.ndarray, src: np.ndarray) -> None:
+    """dst[...] = src for byte rows: each row as one void item where there
+    are enough rows to repay making the views."""
+    if len(dst) < 64:
+        dst[...] = src
+    else:
+        item = np.dtype((np.void, dst.shape[-1]))
+        np.copyto(dst.view(item), src.view(item))
 
 
 def _block(columns: list[tuple[str, np.ndarray]], blank_nan: list[bool]) -> bytes:
@@ -151,7 +195,7 @@ def _block(columns: list[tuple[str, np.ndarray]], blank_nan: list[bool]) -> byte
                     key[~blank], d[~blank] = _keys(x[~blank])
             else:
                 key, d = _keys(x)
-            keys.append(key.astype(np.int16))
+            keys.append(key.astype(np.int16, copy=False))
             ds.append(d)
             dests.append((np.arange(rows) * width + np.array(js)[:, None]).ravel())
     if keys:
@@ -159,13 +203,21 @@ def _block(columns: list[tuple[str, np.ndarray]], blank_nan: list[bool]) -> byte
         key = np.take(_joined(keys), order)
         s0 = int(np.searchsorted(key, 0))  # the cells with a layout follow these
         # D in 4-digit chunks, written as ASCII words; where a fraction is
-        # written, the trailing zeros become NUL
-        hi, lo = (v.astype(np.int32) for v in np.divmod(np.take(_joined(ds), order[s0:]), 10**8))
-        chunks = (*np.divmod(hi // 10**4, 10**4), hi % 10**4, *np.divmod(lo, 10**4))
-        words, strip = np.empty((len(key) - s0, 5), np.uint32), (key[s0:] >> 1 & 1) * np.int32(10**4)
+        # written, the trailing zeros become NUL (integer // by a scalar is
+        # numpy's fast division, % and divmod are not)
+        d = np.take(_joined(ds), order[s0:])
+        hi = d // 10**8
+        lo = (d - hi * 10**8).astype(np.int32)
+        hi = hi.astype(np.int32)
+        c0 = hi // 10**8
+        mid = hi - c0 * 10**8
+        c1, c3 = mid // 10**4, lo // 10**4
+        chunks = c0, c1, mid - c1 * 10**4, c3, lo - c3 * 10**4
+        words, strip = np.empty((len(d), 5), np.uint32), (key[s0:] >> 1 & 1) * np.int32(10**4)
         for j in range(4, -1, -1):
             words[:, j] = np.take(_chunk_ascii(), chunks[j] + strip)
-            strip[chunks[j] != 0] = 0
+            if j:  # a chunk to its left follows
+                strip *= chunks[j] == 0
         digits = words.view(np.uint8)  # digit i of D at column 3 + i
         starts = [0] + (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
         groups = []
@@ -178,13 +230,14 @@ def _block(columns: list[tuple[str, np.ndarray]], blank_nan: list[bool]) -> byte
         w = max([w] + [text.shape[-1] for _, _, text, _ in groups])
         cells = np.zeros((len(key), w + 1), np.uint8)
         for g0, g1, text, runs in groups:
-            cells[g0:g1, : text.shape[-1]] = text
+            _copy(cells[g0:g1, : text.shape[-1]], text)
             for dst, src, n in runs:
-                cells[g0:g1, dst : dst + n] = digits[g0 - s0 : g1 - s0, src : src + n]
-    table = np.zeros((rows, width, w + 1), np.uint8)  # each cell and its separator
+                _copy(cells[g0:g1, dst : dst + n], digits[g0 - s0 : g1 - s0, src : src + n])
+    # each cell and its separator; every number cell is written below
+    table = (np.zeros if texts else np.empty)((rows, width, w + 1), np.uint8)
     if keys:
         row, dest = np.dtype((np.void, w + 1)), np.take(_joined(dests), order)
-        table.reshape(-1, w + 1).view(row).ravel()[dest] = cells.view(row).ravel()
+        np.put(table.reshape(-1, w + 1).view(row).ravel(), dest, cells.view(row).ravel())
     for j, text in texts.items():
         table[:, j, : text.itemsize] = text.view(np.uint8).reshape(rows, -1)
     table[:, :, w] = 44

@@ -747,9 +747,8 @@ def run_verify_checks(
     lap_T, lap_s = 50.0, (0.5, 1.0, 2.0)
     quadrature = laplace_g_quadrature(state, lap_s, horizon=lap_T, h=1e-2)
     err = max(
-        abs(laplace_G(state, s).value - q)
-        - c_ext * math.exp(-s * lap_T) / s  # quadrature's own tail allowance
-        for s, q in zip(lap_s, quadrature)
+        abs(g - q) - c_ext * math.exp(-s * lap_T) / s  # quadrature's own tail allowance
+        for s, g, q in zip(lap_s, laplace_G(state, lap_s).value, quadrature)
     )
     add("laplace_series_vs_quadrature", err, 1e-4)
 

@@ -443,29 +443,39 @@ def solve_volterra(g: np.ndarray, h: float) -> VolterraGrid:
 
 
 class LaplaceEval(NamedTuple):
-    """G(s) with truncation diagnostics."""
+    """G(s) with truncation diagnostics; for a sequence of s, ``s``,
+    ``value`` and ``tail_bound`` are arrays over it."""
 
-    s: float
-    value: float
+    s: float | np.ndarray
+    value: float | np.ndarray
     inner_terms_max: int
-    tail_bound: float
+    tail_bound: float | np.ndarray
 
 
-def laplace_G(state: HeatState, s: float) -> LaplaceEval:
+def laplace_G(state: HeatState, s: float | Sequence[float]) -> LaplaceEval:
     """G(s) = sum_j v_j d_j / (s + lambda_j) over the spectral measure
     (:func:`ultradiff.heat.spectral_measure`) less the zero sum sum_j v_j d_j
     / (s + kappa): (sum_{j<J} v_j d_j^2 / (s + lambda_j) + p^{-nJ} kappa^2 / s)
     / (s + kappa), nonnegative terms, 0 at s = +inf. inner_terms_max is J. The
     atom takes each lambda_j, j >= J, as 0.0; each is at most l = lambda_{J-1}
     p^n / (p^n - 1), so the atom overstates G by at most tail_bound =
-    2 p^{-nJ} kappa l / s^2 (l = 0 at J = 0, where kappa is 0 too)."""
-    if not s > 0:  # NaN fails this too
-        raise NonPositiveS(f"Laplace evaluation needs s > 0, got {s}")
+    2 p^{-nJ} kappa l / s^2 (l = 0 at J = 0, where kappa is 0 too).
+
+    A sequence of s reads the measure once and sums one (S, J) table along
+    J; each row sum is the one a single s gives."""
+    s_values = np.atleast_1d(np.asarray(s, dtype=float))
+    bad = ~(s_values > 0)  # NaN is bad too
+    if bad.any():
+        raise NonPositiveS(f"Laplace evaluation needs s > 0, got {s_values[bad][0]}")
     v, d, lam, kappa = spectral_measure(state)
     pn = float(state.space.p) ** state.space.n
     atom, past = pn**-lam.size, float(lam[-1:].sum()) * pn / (pn - 1.0)
-    value = (float(np.sum(v * d * d / (s + lam))) + atom * kappa * kappa / s) / (s + kappa)
-    return LaplaceEval(s, value, lam.size, 2.0 * atom * kappa * past / s / s)
+    series = np.sum(v * d * d / (s_values[:, None] + lam), axis=1)
+    value = (series + atom * kappa * kappa / s_values) / (s_values + kappa)
+    tail = 2.0 * atom * kappa * past / s_values / s_values
+    if np.ndim(s) == 0:
+        return LaplaceEval(s, float(value[0]), lam.size, float(tail[0]))
+    return LaplaceEval(s_values, value, lam.size, tail)
 
 
 def laplace_g_quadrature(state: HeatState, s, horizon: float = 50.0, h: float = 1e-2):
@@ -515,7 +525,7 @@ def recurrence_diagnostic(
         raise NonPositiveS("the s-ladder must be strictly positive")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("the s-ladder must be strictly decreasing")
-    values = [laplace_G(state, s).value for s in ladder]
+    values = laplace_G(state, ladder).value.tolist()
     increasing = all(b > a for a, b in zip(values, values[1:]))
     exceeded = any(v > threshold for v in values)
     params = state.landscape

@@ -671,7 +671,7 @@ def test_fpt_evaluates_the_ladder_once(config_path, tmp_path, monkeypatch):
     monkeypatch.setattr(fpt_module, "laplace_G", counted)
     out = run_cmd("fpt", config_path, tmp_path / "fpt")
     ladder = BASE_CONFIG["fpt"]["s_ladder"]
-    assert calls == ladder
+    assert calls == [ladder]  # one call for the whole ladder
     verdict = json.loads((out / "recurrence_verdict.json").read_text())
     rows = (out / "laplace_ladder.csv").read_text().splitlines()[1:]
     assert [float(r.split(",")[1]) for r in rows] == verdict["g_values"]

@@ -8,6 +8,7 @@ as written."""
 import hashlib
 import math
 import os
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -102,6 +103,30 @@ def test_cells_are_the_bytes_of_percent_17g_for_any_floats(values):
 def test_cells_are_the_bytes_of_percent_17g_for_any_int64(values):
     values = np.array(values, dtype=np.int64)
     assert formatted(values) == oracle(values)
+
+
+def decimal_cells():
+    """m 10^e for m of k = 1 to 17 digits, the last one not 0, so that the
+    17-digit D of each cell ends in 17 - k zeros (0 to 16, across every
+    4-digit chunk boundary), for e in -30..30 (fixed and exponential
+    notation, integers among them) and both signs."""
+    ms = []
+    for k in range(1, 18):
+        ms += [10 ** (k - 1) + 1 if k > 1 else 1, 10**k - 1, int("3141592653589793"[: k - 1] + "7")]
+    cells = np.array([float(f"{m}e{e}") for m in ms for e in range(-30, 31)])
+    return np.concatenate([cells, -cells])
+
+
+def test_decimal_cells_with_trailing_zeros_match_percent_17g():
+    values = decimal_cells()
+    assert formatted(values) == oracle(values)
+    # every cell takes the certified path but the exact ties of the 17-digit
+    # rounding (999999999999999.875 among them), which % writes
+    with localcontext(prec=1000):
+        scaled = [abs(Decimal(v)).scaleb(16 - Decimal(v).adjusted()) for v in values.tolist()]
+        ties = [x - x.to_integral_value(ROUND_FLOOR) == Decimal("0.5") for x in scaled]
+    assert ((_keys(values)[0] == _FALLBACK) == ties).all()
+    assert 0 < sum(ties) < 10
 
 
 def test_format_cells_of_no_numbers_is_empty():

@@ -526,6 +526,32 @@ def test_recurrence_diagnostic_with_infinite_s(desk_state):
     assert rep.g_values[0] == 0.0 and rep.strictly_increasing
 
 
+@pytest.mark.parametrize("p, n, gamma, c1", ORACLE_POINTS)
+def test_laplace_G_over_an_s_ladder_reads_the_measure_once(monkeypatch, p, n, gamma, c1):
+    # a sequence of s is one read of the spectral measure and one (S, J)
+    # table; each row is, bit for bit, the sum one s at a time formed
+    state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
+    ladder = [math.inf, 37.0, 2.0, 0.5, 1e-1, 1e-3, 1e-6, 1e-9]
+    v, d, lam, kappa = spectral_measure(state)
+    pn = float(p) ** n
+    atom, past = pn**-lam.size, float(lam[-1:].sum()) * pn / (pn - 1.0)
+    reads = []
+    monkeypatch.setattr(fpt, "spectral_measure", lambda st: reads.append(1) or spectral_measure(st))
+    ev = laplace_G(state, ladder)
+    assert len(reads) == 1 and ev.inner_terms_max == lam.size
+    assert ev.s.tolist() == ladder
+    for k, s in enumerate(ladder):
+        value = (float(np.sum(v * d * d / (s + lam))) + atom * kappa * kappa / s) / (s + kappa)
+        assert ev.value[k] == value
+        assert ev.tail_bound[k] == 2.0 * atom * kappa * past / s / s
+        one = laplace_G(state, s)
+        assert (one.s, one.value, one.tail_bound) == (s, ev.value[k], ev.tail_bound[k])
+    assert isinstance(one.value, float) and laplace_G(state, []).value.shape == (0,)
+    for bad in ([1.0, 0.0], [0.5, math.nan], (-1.0,)):
+        with pytest.raises(NonPositiveS):
+            laplace_G(state, bad)
+
+
 def test_laplace_quadrature_over_an_s_vector(desk_state):
     s_values = [2.0, 0.5, 1.0, 0.5, 7.25]
     horizon, h = 5.0, 1e-2

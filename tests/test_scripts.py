@@ -2,6 +2,7 @@
 own process (verify_sweep in this one, on a two-point grid), so that a
 change to the API they call shows up here."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -101,3 +102,28 @@ def test_verify_sweep_json_smoke(tmp_path, monkeypatch, capsys):
         for check in pt["checks"]:
             assert set(check) == {"name", "observed", "threshold", "passed", "detail"}
             assert check["passed"]
+
+
+def test_bench_pairs_summary_on_fixed_numbers():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    parent = [26.0, 26.5, 25.8, 26.2, 27.0, 26.1, 25.9, 26.4, 26.3, 26.6]
+    change = [24.4, 24.9, 24.2, 24.5, 26.9, 24.3, 24.1, 24.8, 24.6, 26.7]
+    s = bench_pairs.summarize(parent, change, "lower")
+    # inclusive quartiles of the parent: 26.025, 26.25, 26.475
+    assert s["parent"] == pytest.approx((26.025, 26.25, 26.475))
+    assert s["change"][1] == pytest.approx(24.55)
+    assert (s["wins"], s["pairs"]) == (9, 10)  # pair 9 is lost: 26.7 > 26.6
+    assert s["gap"] == pytest.approx(1.7) and s["parent_iqr"] == pytest.approx(0.45)
+    assert s["holds"]
+    # 8 of 10 pairs is not enough, however large the gap
+    assert not bench_pairs.summarize(parent, change[:8] + [30.0, 30.0], "lower")["holds"]
+    # a gap inside the parent's spread is not a gain, though every pair is won
+    assert not bench_pairs.summarize(parent, [p - 0.01 for p in parent], "lower")["holds"]
+    # for a higher-is-better metric the roles turn round
+    up = bench_pairs.summarize(change, parent, "higher")
+    assert up["wins"] == 9 and up["gap"] == pytest.approx(1.7)
+    assert "change better in 9 of 10" in bench_pairs.report("fpt_long wall_s", s)
+    with pytest.raises(ValueError):
+        bench_pairs.summarize(parent, change[:3], "lower")
