@@ -1,15 +1,16 @@
 """Alternating benchmark pairs of two checkouts, and the rule they are read by.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --workload fpt_long --pairs 10 \\
-        [--seed 1] [--seconds 35] [--raw pairs.jsonl]
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload fpt_long --pairs 10 [--seed 1]
 
 Pair i runs ``perfbench/run.py --workload W --seed SEED+i --seconds S
 --trace 0`` in each checkout (from its root, so each imports its own
-``src/``), the parent first in even pairs and the change first in odd ones.
-For each end-to-end metric that the parent's ``BENCHMARK.json`` declares,
-it prints each side's median and quartiles, the pairs the change wins, and
-whether a gain holds by the rule: the change is better in at least 9 of 10
-pairs, and the median gap is larger than the parent's interquartile range.
+``src/``), the parent first in even pairs and the change first in odd ones;
+S is the ``run_seconds`` of the parent's ``BENCHMARK.json``. Each pair's
+metrics are printed as one JSON line. For each end-to-end metric that
+``BENCHMARK.json`` declares, it prints each side's median and quartiles,
+the pairs the change wins, and whether a gain holds by the rule: the
+change is better in at least 9 of 10 pairs, and the median gap is larger
+than the parent's interquartile range.
 A run that fails, or reports ``failed`` > 0, stops the script.
 
 The benchmark's ``peak_rss_mb`` moves with the length of the checkout's
@@ -91,26 +92,21 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1, help="pair i runs at seed SEED + i")
-    ap.add_argument("--seconds", type=int, default=35)
-    ap.add_argument("--raw", type=Path, help="append each pair's metrics here, one JSON line")
     args = ap.parse_args(argv)
     roots = [args.parent.resolve(), args.change.resolve()]
     if len(str(roots[0])) != len(str(roots[1])):
         print(f"warning: the checkout paths differ in length ({len(str(roots[0]))} and "
               f"{len(str(roots[1]))} characters); peak_rss_mb moves with it", file=sys.stderr)
-    declared = json.loads((roots[0] / "BENCHMARK.json").read_text())["end_to_end"]
+    declared = json.loads((roots[0] / "BENCHMARK.json").read_text())
     runs: list[list[dict]] = [[], []]
     for i in range(args.pairs):
         seed = args.seed + i
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-            runs[side].append(run_once(roots[side], args.workload, seed, args.seconds))
+            runs[side].append(run_once(roots[side], args.workload, seed, declared["run_seconds"]))
         pair = {"workload": args.workload, "seed": seed,
                 "parent": runs[0][-1], "change": runs[1][-1]}
         print(json.dumps(pair), flush=True)
-        if args.raw:
-            with args.raw.open("a") as fh:
-                fh.write(json.dumps(pair) + "\n")
-    for metric in declared:
+    for metric in declared["end_to_end"]:
         name = metric["name"]
         s = summarize([r[name] for r in runs[0]], [r[name] for r in runs[1]], metric["better"])
         print(report(f"{args.workload} {name}", s))

@@ -156,13 +156,9 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 def _copy(dst: np.ndarray, src: np.ndarray) -> None:
-    """dst[...] = src for byte rows: each row as one void item where there
-    are enough rows to repay making the views."""
-    if len(dst) < 64:
-        dst[...] = src
-    else:
-        item = np.dtype((np.void, dst.shape[-1]))
-        np.copyto(dst.view(item), src.view(item))
+    """dst[...] = src for byte rows, each row copied as one void item."""
+    item = np.dtype((np.void, dst.shape[-1]))
+    np.copyto(dst.view(item), src.view(item))
 
 
 def _block(columns: list[tuple[str, np.ndarray]], blank_nan: list[bool]) -> bytes:
