@@ -10,9 +10,11 @@ mass beyond p^j_max is below the simulator's truncation tolerance. Prints
 one line per point: its failing checks (observed vs threshold), then the
 truncation evidence of the two windowed checks (the Chapman-Kolmogorov
 chain depth and escape bound, the conservation window and its tail bound).
-Exits 1 if any point fails or does not load. Every point is expected to
-pass, so the last line should read "0 of 54 points fail". Takes 1-2 s
-at 2000 or 20000 paths on a 2-vCPU machine. The test suite runs the same
+Then, for each check, its largest observed/threshold ratio over the grid
+and the point where it occurs, so that the margin of every threshold
+shows. Exits 1 if any point fails or does not load. Every point is
+expected to pass, so the last line should read "0 of 54 points fail".
+Takes 1-2 s at 2000 or 20000 paths on a 2-vCPU machine. The test suite runs the same
 grid, the same configs and checks at 100 paths
 (tests/test_cli.py::test_verify_across_grid).
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -69,6 +72,25 @@ def point_config(
     return cfg
 
 
+def point_label(p: int, n: int, gamma: float, c1: float) -> str:
+    return f"p={p} n={n} gamma={gamma:+.2f} C1={c1:g}"
+
+
+def worst_ratios(points: list[dict]) -> dict[str, tuple[float, str]]:
+    """Each check's largest observed/threshold over the points that ran,
+    with the point's label: the margin of every threshold on this grid (a
+    positive observed against a threshold of 0 reads inf)."""
+    worst: dict[str, tuple[float, str]] = {}
+    for pt in points:
+        label = point_label(pt["p"], pt["n"], pt["gamma"], pt["c1"])
+        for c in pt.get("checks", ()):
+            observed, threshold = c["observed"], c["threshold"]
+            ratio = observed / threshold if threshold else math.inf if observed > 0 else 0.0
+            if c["name"] not in worst or ratio > worst[c["name"]][0]:
+                worst[c["name"]] = (ratio, label)
+    return worst
+
+
 def run(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--paths", type=int, default=2000)
@@ -81,7 +103,7 @@ def run(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "point.json"
         for p, n, gamma, c1 in GRID:
-            label = f"p={p} n={n} gamma={gamma:+.2f} C1={c1:g}"
+            label = point_label(p, n, gamma, c1)
             cfg = point_config(p, n, gamma, c1, args.paths, args.seed)
             j_max = cfg["sim"]["j_max"]
             path.write_text(json.dumps(cfg))
@@ -110,6 +132,9 @@ def run(argv=None) -> int:
                   flush=True)
     if args.json:
         args.json.write_text(json.dumps(points, indent=1) + "\n")
+    print("worst observed/threshold per check:")
+    for name, (ratio, label) in worst_ratios(points).items():
+        print(f"  {name:<30} {ratio:.3g} at {label}")
     print(f"{bad} of {len(GRID)} points fail")
     return 1 if bad else 0
 

@@ -12,8 +12,8 @@ The package computes, for the nonlocal evolution equation
   lumped onto coset norms (`heat`);
 * exact compound-Poisson path simulation on Q_p^n / Z_p^n (`sim`);
 * the first-passage pipeline: re-entry flux, the first-passage density
-  and P(tau <= T) in closed form (with the Volterra solve as a second
-  route), Laplace ladder, and a recurrence verdict (`fpt`);
+  and P(tau <= T) in closed form, Laplace ladder, and a recurrence verdict
+  (`fpt`);
 * a reproducible CLI with manifests (`cli`).
 
 Every analytic series ships with an independent oracle in the test suite;
@@ -31,7 +31,6 @@ from .errors import (
     NonPositiveRate,
     NonPositiveS,
     SeriesDiverged,
-    StepTooCoarse,
     UltradiffError,
     ZeroPoint,
 )
@@ -71,8 +70,6 @@ from .sim import (
 from .fpt import (
     LaplaceEval,
     RecurrenceReport,
-    VolterraGrid,
     laplace_G,
     recurrence_diagnostic,
-    solve_volterra,
 )

@@ -10,8 +10,9 @@ the command):
   estimates with standard errors;
 * ``fpt``       — flux g, the first-passage density f and P(tau <= T) in
   closed form, Laplace ladder, recurrence verdict;
-* ``verify``    — the cross-module invariant battery; nonzero exit on any
-  failed check.
+* ``verify``    — the cross-module invariant battery, the closed-form first
+  passage held to its Laplace identity F = G/(1 + G) and to Monte Carlo;
+  nonzero exit on any failed check.
 
 Every command is deterministic given (config, seed): artifacts are written
 with 17-significant-digit numeric fields and listed with sha256 checksums
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from ._csv import format_cells, write_bytes, write_csv as _write_csv
-from .errors import ConfigError, UltradiffError
+from .errors import ConfigError, SeriesDiverged, UltradiffError
 from .heat import (
     HeatState,
     chapman_kolmogorov_defect,
@@ -74,7 +75,6 @@ from .fpt import (
     laplace_G,
     laplace_g_quadrature,
     recurrence_diagnostic,
-    solve_volterra,
 )
 from .padic import DEFAULT_DEPTH_CAP, SpaceParams, ZERO_NORM, is_prime
 from .sim import (
@@ -91,6 +91,7 @@ OUT_ENV_VAR = "ULTRADIFF_OUT"
 #: The Monte Carlo commands: they take --workers and name the rng protocol.
 MC_COMMANDS = ("simulate", "verify")
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_EPS = sys.float_info.epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +640,13 @@ def mc_agreement(
     return z_survival, binomial_tail_z(returned, n, q), returned
 
 
+def _worst(observed: np.ndarray, threshold: np.ndarray) -> int:
+    """The index where observed is largest against its threshold; past a
+    threshold of 0, a positive observed counts as infinitely large."""
+    ratio = np.where(observed > 0, np.inf, 0.0)
+    return int(np.argmax(np.divide(observed, threshold, out=ratio, where=threshold > 0)))
+
+
 def run_verify_checks(
     cfg: RunConfig, cache: SpectralCache | None = None, workers: int = 1,
     stages: dict | None = None,
@@ -715,81 +723,65 @@ def run_verify_checks(
     ode = max(abs(ddt(f) - (g - c_ext * f[4])) for g, f in zip(flux, surv))
     add("survival_flux_balance", ode, 1e-6)
 
-    # Volterra solver against the closed-form exponential-flux oracle
-    # g = a e^{-bt}, f = a e^{-(a+b)t}. The trapezoid's local error at t is
-    # at most t h^2/12 max|d^2/dtau^2 g(t - tau) f(tau)| = t h^2 a^4 e^{-bt}/12
-    # (the integrand is a^2 e^{-bt} e^{-a tau}), and the resolvent carries
-    # it into f with gain at most 1 + int f = 1 + a/(a+b): so the error is
-    # at most T h^2 a^4 (1 + a/(a+b)) / 12, which a first-order scheme
-    # (error O(h)) exceeds
-    h, T = cfg.fpt.h, 10.0
-    ts = np.arange(0.0, T + h / 2, h)
-    a, b = 0.5, 1.0
-    synthetic = solve_volterra(a * np.exp(-b * ts), h)
-    err = float(np.max(np.abs(synthetic.f - a * np.exp(-(a + b) * ts))))
-    add(
-        "volterra_synthetic_oracle",
-        err,
-        T * h * h * a**4 * (1.0 + a / (a + b)) / 12.0,
-        "trapezoid error bound T h^2 max|(g(t-.) f)''| / 12 = T h^2 a^4 / 12 "
-        "times the resolvent gain 1 + int f = 1 + a/(a+b)",
-    )
-    # the solve satisfies its trapezoid equations, so the residual is
-    # roundoff; a scheme that drops a quadrature weight leaves O(h) here
-    add(
-        "volterra_residual",
-        float(np.max(np.abs(synthetic.residual()))),
-        1e-12 * max(1.0, float(np.max(np.abs(synthetic.g)))),
-        "roundoff bound 1e-12 max(1, max|g|)",
-    )
+    # Laplace series vs direct quadrature of g. The trapezoid errs by at
+    # most (h^2/8) int |(e^{-st} g)''| (its Peano kernel), and with g =
+    # sum_j v_j d_j (e^{-lambda_j t} - 1) that integral is at most sum_j
+    # |v_j d_j| (2s + lambda_j); its m terms of at most h kappa round by m
+    # eps h kappa. The tail past T, at most kappa e^{-sT} / s, is allowed
+    # for in the observed gap
+    lap_T, lap_h, lap_s = 50.0, 1e-2, np.array([0.5, 1.0, 2.0])
+    quadrature = laplace_g_quadrature(state, lap_s, horizon=lap_T, h=lap_h)
+    gap = abs(laplace_G(state, lap_s).value - quadrature) - c_ext * np.exp(-lap_s * lap_T) / lap_s
+    v, d, lam, kappa = spectral_measure(state)
+    trapezoid = lap_h**2 / 8.0 * np.sum(np.abs(v * d) * (2.0 * lap_s[:, None] + lam), axis=1)
+    roundoff = (round(lap_T / lap_h) + 1) * _EPS * lap_h * c_ext
+    k = _worst(gap, trapezoid + roundoff)
+    add("laplace_series_vs_quadrature", gap[k], trapezoid[k] + roundoff,
+        f"s={lap_s[k]:g} trapezoid bound={trapezoid[k]:.3g} roundoff={roundoff:.3g}")
 
-    # Laplace series vs direct quadrature of g
-    lap_T, lap_s = 50.0, (0.5, 1.0, 2.0)
-    quadrature = laplace_g_quadrature(state, lap_s, horizon=lap_T, h=1e-2)
-    err = max(
-        abs(g - q) - c_ext * math.exp(-s * lap_T) / s  # quadrature's own tail allowance
-        for s, g, q in zip(lap_s, laplace_G(state, lap_s).value, quadrature)
-    )
-    add("laplace_series_vs_quadrature", err, 1e-4)
-
-    # Monte Carlo vs analytic survival, and the first-passage triangle
+    # Monte Carlo vs analytic survival, and the first-passage triangle: the
+    # count returned by T against the mixture's P(tau <= T), within its bound
     sim = cfg.sim._replace(max_paths=cfg.verify_paths)  # and the same jump table
     mc_times = [t for t in (0.5, 1.0, 2.0) if t <= sim.horizon]
     batch = run_paths(sim, query_times=mc_times, workers=workers)
     t_tri = min(cfg.fpt.horizon, sim.horizon)
-    grid = solve_volterra(g_grid(state, np.arange(0.0, t_tri + h / 2, h)), h)
-    integral = grid.integral_f(t_tri)
+    mixture = first_passage_mixture(state, t_tri)
+    try:
+        p_tri = mixture.cdf()
+    except SeriesDiverged:  # below -bound, no probability: every return counts against it
+        p_tri = -math.inf
     z_survival, z_triangle, returned = mc_agreement(
-        batch, survival(state, mc_times).tolist(), t_tri, integral, 10.0 * h * h
+        batch, survival(state, mc_times).tolist(), t_tri, p_tri, mixture.bound
     )
     add("mc_survival_within_3_sigma", z_survival, 3.0, f"paths={sim.max_paths}")
-    add(
-        "fpt_triangle_mc_vs_volterra",
-        z_triangle,
-        3.0,
-        f"T={t_tri} returned={returned}/{sim.max_paths} volterra={integral:.6g}",
-    )
+    add("fpt_triangle_mc_vs_mixture", z_triangle, 3.0,
+        f"T={t_tri} returned={returned}/{sim.max_paths} mixture={p_tri:.6g}")
 
-    # the closed-form mixture against the Volterra solve on the same grid.
-    # The trapezoid's local error at t is at most t h^2/12 max|d^2/dtau^2
-    # g(t - tau) f(tau)| <= T h^2 (g2 f0 + 2 g1 f1 + g0 f2) / 12, with
-    # g_m = sum_j |v_j d_j| lambda_j^m >= sup|g^(m)| over the measure and
-    # f_m >= sup|f^(m)| from the mixture's terms; the resolvent carries it
-    # with gain at most 1 + int f <= 2. Add the mixture's own bound and the
-    # FFT solve's roundoff, m eps max|g| for m grid points
-    mixture = first_passage_mixture(state, t_tri)
-    v, d, lam, _ = spectral_measure(state)
-    g0, g1, g2 = (float(np.sum(np.abs(v * d) * lam**k)) for k in range(3))
-    f0, f1, f2 = mixture.derivative_bounds()
-    trapezoid = t_tri * h * h * (g2 * f0 + 2.0 * g1 * f1 + g0 * f2) / 6.0
-    fft = len(grid.g) * np.finfo(float).eps * float(np.max(np.abs(grid.g)))
-    add(
-        "fpt_mixture_vs_volterra",
-        float(np.max(np.abs(mixture.density(grid.times) - grid.f))),
-        trapezoid + mixture.bound + fft,
-        f"T={t_tri} poles={mixture.mu.size} trapezoid bound={trapezoid:.3g} "
-        f"mixture bound={mixture.bound:.3g} fft roundoff={fft:.3g}",
-    )
+    # the mixture's transform against the renewal identity F = G / (1 + G)
+    # over the same measure. Rounding: the K terms of the transform, each
+    # of relative error O(eps) in mu_k and rho_k, 8 (K + 2) eps sum_k
+    # |term_k|, and G's J + 1 nonnegative terms, (J + 10) eps F. rho_0's
+    # cancellation moves f by at most the mixture's roundoff bound at every
+    # t, so its transform by that over s. The mixture lumps the entries j
+    # >= N (lambda_j T below LUMP_RATE_TIME) into the atom, which raises G
+    # by at most 2 kappa sum_{j>=N} v_j lambda_j / s^2 and F by that over
+    # (1 + G)^2 (past the measure both sides lump alike); with every entry
+    # lumped the empty mixture also drops f = kappa e^{-kappa t}
+    s_all = np.array(sorted({*cfg.fpt.s_ladder, 1e3, 10.0, 1.0}, reverse=True))
+    ev = laplace_G(state, s_all)
+    identity = ev.value / (1.0 + ev.value)
+    value, size = mixture.transform(s_all)
+    gap = abs(value - identity)
+    rounding = _EPS * (8.0 * (mixture.mu.size + 2) * size + (ev.inner_terms_max + 10) * identity)
+    cancel = mixture.roundoff_bound / s_all
+    n = mixture.poles.size - 1
+    lumped = 2.0 * kappa * float(np.sum(v[n:] * lam[n:])) / (s_all * (1.0 + ev.value)) ** 2
+    lumped += 0.0 if n else kappa / (s_all + kappa)
+    bound = rounding + cancel + lumped
+    k = _worst(gap, bound)
+    add("fpt_mixture_vs_laplace", gap[k], bound[k],
+        f"s={s_all[k]:g} T={t_tri} poles={mixture.mu.size} rounding={rounding[k]:.3g} "
+        f"roundoff/s={cancel[k]:.3g} lumped={lumped[k]:.3g}")
     return checks
 
 

@@ -26,10 +26,6 @@ class ZeroPoint(UltradiffError):
     """The radial heat-kernel density is only defined away from the origin."""
 
 
-class StepTooCoarse(UltradiffError):
-    """The Volterra time step makes the implicit diagonal weight unstable."""
-
-
 class NonPositiveS(UltradiffError):
     """Laplace-transform evaluations require s > 0."""
 

@@ -1,6 +1,6 @@
 """First-passage analysis for the return to Z_p^n.
 
-Four linked objects:
+Three linked objects:
 
 * the re-entry flux ``g(t) = sum_{i>=1} J(p^i) vol(S_i) u(p^i, t)`` — the
   probability per unit time that a path outside Z_p^n jumps back in — over
@@ -15,33 +15,24 @@ Four linked objects:
   (the positive-weight secular equation: Golub, SIAM Rev. 15 (1973) 318;
   solved as in R.-C. Li, LAPACK Working Note 89, the method of LAPACK's
   dlaed4); P(tau <= T) is a sum over the same poles, with no grid;
-* the renewal identity ``g(t) = int_0^t g(t - tau) f(tau) dtau + f(t)`` (a
-  second-kind Volterra equation; g vanishes for negative arguments),
-  discretised by the trapezoid rule and solved as one power-series
-  division, O(m log m) (:func:`solve_volterra`): the second, independent
-  route to f that ``verify`` holds the mixture to;
 * the Laplace transform ``G(s)`` of g over the same measure, a sum of
   nonnegative terms for any s in (0, +inf] (G(+inf) = 0).
-  Since ``F(s) = G(s) / (1 + G(s))`` for the transform F of f, recurrence
-  (return probability one) is equivalent to G blowing up as s -> 0+; the
-  diagnostic walks a descending s-ladder and reports a verdict, never a
-  proof — finite evaluation cannot certify divergence.
-
-The Volterra solve is a Newton inversion to half the grid and one fused
-division, all cyclic FFT products at 5-smooth lengths (:func:`_fft_len`) no
-longer than the coefficients they must keep: at m = 40 001 grid points, 83
-transforms of 527 075 points in all, and the residual three more of 81 000.
+  Since ``F(s) = G(s) / (1 + G(s))`` for the transform F of f (the renewal
+  identity ``g = g (*) f + f``), recurrence (return probability one) is
+  equivalent to G blowing up as s -> 0+; the diagnostic walks a descending
+  s-ladder and reports a verdict, never a proof — finite evaluation cannot
+  certify divergence. ``verify`` holds the mixture to the same identity
+  (:meth:`FirstPassageMixture.transform`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NonPositiveS, SeriesDiverged, StepTooCoarse
+from .errors import NonPositiveS, SeriesDiverged
 from .heat import HeatState, decay_sum, inflow, spectral_measure
 
 
@@ -130,22 +121,6 @@ class FirstPassageMixture(NamedTuple):
             f += slope * np.exp(max(a, b) * ts) * (-np.expm1(-gap * ts) / gap if gap else ts)
         return self._floor(f, "density")
 
-    def derivative_bounds(self) -> tuple[float, float, float]:
-        """Bounds on sup |f|, |f'| and |f''| over [0, horizon], term by
-        term: |rho_k| |mu_k|^m for an expm1 term (|rho_k| at m = 0), and for
-        the pair's rho (e^{bt} - e^{at}) / delta, the mean value theorem on
-        s^m e^{st} over s in [a, b]: rho r, 2 rho and 3 rho M at m = 0, 1,
-        2, with M = max(|a|, |b|) and r = min(T, 1 / min(|a|, |b|))."""
-        rho, slope = self._split()
-        rate = np.abs(self.mu)
-        bounds = [float(np.sum(np.abs(rho) * rate**m)) for m in range(3)]
-        if slope:
-            a, b = rate[0], rate[self.pair]
-            reach = min(self.horizon, 1.0 / min(a, b))
-            bounds = [bounds[0] + slope * reach, bounds[1] + 2.0 * slope,
-                      bounds[2] + 3.0 * slope * max(a, b)]
-        return bounds[0], bounds[1], bounds[2]
-
     def cdf(self) -> float:
         """P(tau <= horizon) = int_0^T f (:meth:`_floor`ed): sum_k rho_k
         expm1(mu_k T) / mu_k over the expm1 terms, and the pair's rho T^2
@@ -156,6 +131,20 @@ class FirstPassageMixture(NamedTuple):
         if slope:
             value += slope * T * T * _exp_dd2(self.mu[0] * T, self.mu[self.pair] * T)
         return float(self._floor(value, "probability"))
+
+    def transform(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """The Laplace transform of f at each s > 0, sum_{k != pair} rho_k
+        mu_k / (s (s - mu_k)) + rho_pair / ((s - mu_pair) (s - mu_0)) (the
+        transform of expm1(mu t) is 1/(s - mu) - 1/s), not :meth:`_floor`ed,
+        and the sum of its terms' absolute values, the scale of its
+        rounding error."""
+        s = np.asarray(s, dtype=float)[..., None]
+        rho, slope = self._split()
+        terms = rho * self.mu / (s * (s - self.mu))
+        if slope:
+            a, b = self.mu[0], self.mu[self.pair]
+            terms[..., self.pair] = slope / ((s[..., 0] - a) * (s[..., 0] - b))
+        return terms.sum(-1), np.abs(terms).sum(-1)
 
 
 def _phi(x: float) -> float:
@@ -305,136 +294,6 @@ def first_passage_mixture(state: HeatState, T: float) -> FirstPassageMixture:
     size = float(np.sum(size * np.maximum(1.0, reach))) + rho[1 + k] * r * max(1.0, r)
     roundoff = 4.0 * (mu.size + 2) * _EPS * size
     return FirstPassageMixture(mu, rho, -lam, 1 + k, T, lumping(area), roundoff)
-
-
-# ---------------------------------------------------------------------------
-# The renewal (Volterra) equation
-# ---------------------------------------------------------------------------
-
-
-class VolterraGrid:
-    """Uniform time grid carrying the flux g and the solved density f."""
-
-    __slots__ = ("h", "g", "f")
-
-    def __init__(self, h: float, g: np.ndarray, f: np.ndarray):
-        self.h, self.g, self.f = h, g, f
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.g)) * self.h
-
-    @property
-    def horizon(self) -> float:
-        return (len(self.g) - 1) * self.h
-
-    def residual(self) -> np.ndarray:
-        """g - (g (*) f + f) under the trapezoid rule, applied directly and
-        not through solve_volterra's series division: the trapezoid sum at
-        t_k is sum_{i<=k} g_{k-i} f_i (one linear FFT product, at the
-        smooth length _fft_len(2m - 1)) less its end halves."""
-        g, f = self.g, self.f
-        trap = _product(g, f, len(g)) - 0.5 * (g * f[0] + g[0] * f)
-        return g - self.h * trap - f
-
-    def integral_f(self, upto: float | None = None) -> float:
-        """Trapezoidal integral of f: the return probability censored at
-        the horizon (or at upto, which must lie on the grid [0, horizon]
-        up to half a step), a lower proxy for the s -> 0 limit of G/(1+G)."""
-        if upto is None:
-            return _trapezoid(self.f, self.h)
-        if not -0.5 * self.h <= upto <= self.horizon + 0.5 * self.h:  # NaN too
-            raise ValueError(f"upto = {upto} is outside the grid [0, {self.horizon}]")
-        k = int(round(upto / self.h))
-        return _trapezoid(self.f[: k + 1], self.h)
-
-
-@functools.lru_cache(maxsize=1024)
-def _fft_len(n: int) -> int:
-    """The smallest 5-smooth integer >= n: numpy's FFT is fast at lengths
-    2^i 3^j 5^k, and there is one within 5% of every n >= 10^4 (11% of
-    every n >= 100), where the next power of two may be twice n."""
-    best = 1 << max(n - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _product(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    """The first m coefficients of the series product x y: a cyclic FFT
-    product at the smooth length _fft_len(len(x) + len(y) - 1), long
-    enough that nothing wraps."""
-    size = _fft_len(len(x) + len(y) - 1)
-    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)[:m]
-
-
-def _series_inverse(a: np.ndarray) -> np.ndarray:
-    """1/a mod z^len(a) by Newton iteration x <- x - x (a x - 1) (Brent &
-    Kung, J. ACM 25 (1978) 581) on the precision schedule m, ceil(m/2),
-    ..., 1, so no step computes terms past m.
-
-    A step from k to n <= 2k terms needs e = (a x)[k:n] and the first n - k
-    terms of x e, both as cyclic products of length L = _fft_len(n) >= n:
-    a[:n] x has degree n + k - 2, so what wraps lands below k, where a x is
-    known to be 1; x e has degree n - 2 < L and is exact. rfft(x) serves
-    both, so a step is five transforms of about n points."""
-    m = len(a)
-    schedule = [m]
-    while schedule[-1] > 1:
-        schedule.append((schedule[-1] + 1) // 2)
-    x = np.empty(m)
-    x[0] = 1.0 / a[0]
-    for k, n in zip(schedule[:0:-1], schedule[-2::-1]):
-        size = _fft_len(n)
-        xf = np.fft.rfft(x[:k], size)
-        e = np.fft.irfft(np.fft.rfft(a[:n], size) * xf, size)[k:n]
-        x[k:n] = -np.fft.irfft(np.fft.rfft(e, size) * xf, size)[: n - k]
-    return x
-
-
-def solve_volterra(g: np.ndarray, h: float) -> VolterraGrid:
-    """Trapezoidal solve of g = g (*) f + f on a uniform grid, in O(m log m).
-
-    The trapezoid rule (second order) gives a lower-triangular Toeplitz
-    system: with a_0 = 1 + h g_0 / 2 and a_k = h g_k (k >= 1) it reads
-    A(z) F(z) = a_0 G(z) mod z^m, so f = a_0 g / a mod z^m, one series
-    division. It is fused with the last Newton step (Karp & Markstein,
-    ACM TOMS 23 (1997) 561): with y = 1/a mod z^k for k = ceil(m/2) and
-    q = g y mod z^k, the rest of the quotient is y (g - a q)[k:m], so
-    f = a_0 (q + z^k y (g - a q)[k:m]). All three products are cyclic at
-    L = _fft_len(m): g[:k] y has degree 2k - 2 < L; a q has degree
-    m + k - 2, and what wraps lands below k, where g - a q is known to
-    be 0 (a middle product: Hanrot, Quercia & Zimmermann, AAECC 14 (2004)
-    415); y (g - a q)[k:m] has degree m - 2 < L. rfft(y) serves twice.
-    """
-    g = np.asarray(g, dtype=float)
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    bad = np.flatnonzero(~np.isfinite(g))
-    if bad.size:
-        raise ValueError(f"g is not finite at index {bad[0]}: {g[bad[0]]}")
-    diag = 0.5 * h * g[0]
-    if diag >= 1.0:
-        raise StepTooCoarse(
-            f"(h/2) g(0) = {diag} >= 1; the implicit diagonal is unstable"
-        )
-    a = h * g
-    a[0] = 1.0 + diag
-    m = len(g)
-    k = (m + 1) // 2
-    size = _fft_len(m)
-    yf = np.fft.rfft(_series_inverse(a[:k]), size)
-    f = np.empty(m)
-    f[:k] = np.fft.irfft(np.fft.rfft(g[:k], size) * yf, size)[:k]
-    r = g[k:] - np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(f[:k], size), size)[k:m]
-    f[k:] = np.fft.irfft(np.fft.rfft(r, size) * yf, size)[: m - k]
-    f *= a[0]
-    return VolterraGrid(h=h, g=g, f=f)
 
 
 # ---------------------------------------------------------------------------

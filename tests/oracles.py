@@ -13,6 +13,10 @@ import does not compile them.
 * the re-entry flux folded from the u rows' sphere series into one weight
   per spectral entry (:func:`inflow_weights`), the form the package's
   spectral measure replaced;
+* the renewal equation g = g (*) f + f stepped by the trapezoid rule
+  (:func:`stepper_solve`) and its residual (:func:`quadrature_residual`),
+  the time-domain route to f that the package's closed-form mixture
+  replaced;
 * partial sums showing that e^{-c|x|}/|x| is not integrable over Z_p;
 * verify's Binomial tail z score summed over the whole support
   (:func:`binomial_tail_z`), which the package's windowed sum equals.
@@ -367,6 +371,42 @@ def inflow_weights(state: HeatState, n_terms: int) -> tuple[np.ndarray, np.ndarr
     s = (w * pn ** -np.arange(1.0, 1 + w.size))[::-1]
     band = np.append(space.unit_sphere_volume * pn ** -np.arange(n_terms - 1.0, -1, -1), -1.0)
     return np.convolve(s, band), state.cache.window(-w.size - n_terms + 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# The renewal equation stepped in time
+# ---------------------------------------------------------------------------
+
+
+def stepper_solve(g: np.ndarray, h: float) -> np.ndarray:
+    """f from the renewal equation g = g (*) f + f (g(t) = int_0^t g(t -
+    tau) f(tau) dtau + f(t)) on a uniform grid of step h, the trapezoid
+    rule stepped forward in time, O(m^2). f_k appears in its own
+    quadrature only through the diagonal weight (h/2) g_0, so each step is
+    explicit."""
+    diag = 0.5 * h * g[0]
+    f = np.zeros(len(g))
+    f[0] = g[0]
+    for k in range(1, len(g)):
+        conv = 0.5 * g[k] * f[0]
+        if k > 1:
+            conv += float(np.dot(g[k - 1 : 0 : -1], f[1:k]))
+        f[k] = (g[k] - h * conv) / (1.0 + diag)
+    return f
+
+
+def quadrature_residual(g: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
+    """The renewal equation's trapezoid residual step by step, as
+    :func:`stepper_solve` applies its quadrature: g_k - h (g_k f_0 / 2 +
+    sum_{0<i<k} g_{k-i} f_i + g_0 f_k / 2) - f_k. For the exact f it is
+    the trapezoid's error, O(h^2)."""
+    res = np.empty(len(g))
+    res[0] = g[0] - f[0]
+    for k in range(1, len(g)):
+        conv = 0.5 * g[k] * f[0] + 0.5 * g[0] * f[k]
+        conv += float(np.dot(g[k - 1 : 0 : -1], f[1:k]))
+        res[k] = g[k] - h * conv - f[k]
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -511,14 +511,21 @@ def test_verify_detects_corrupted_cache(config_path):
 
 
 def test_verify_reports_a_negated_flux_red(monkeypatch):
-    """With g negated the Volterra integral I lies below -slack: the
-    triangle's q is clamped into [I - slack, I + slack] first and into
-    [0, 1] last, so the check reads red instead of failing on q < 0."""
+    """With g negated the flux balance S' = g - kappa S and the quadrature
+    of g's transform both read red (the triangle reads the mixture, not
+    g)."""
+    import ultradiff.fpt as fpt_module
+
     g_grid = cli.g_grid
-    monkeypatch.setattr(cli, "g_grid", lambda state, ts: -g_grid(state, ts))
+
+    def negated(state, ts):
+        return -g_grid(state, ts)
+
+    monkeypatch.setattr(cli, "g_grid", negated)
+    monkeypatch.setattr(fpt_module, "g_grid", negated)
     checks = run_verify_checks(load_run_config(ROOT / "configs" / "desk.json"))
     failed = {c["name"] for c in checks if not c["passed"]}
-    assert {"survival_flux_balance", "fpt_triangle_mc_vs_volterra"} <= failed
+    assert {"survival_flux_balance", "laplace_series_vs_quadrature"} <= failed
 
 
 def test_flux_checks_catch_a_flux_weight_without_its_sphere_fraction(monkeypatch):
@@ -700,28 +707,6 @@ def test_verify_evaluates_heat_checks_as_tables(monkeypatch):
     assert len(series_calls) <= 40
     # the Laplace check's [0, 50] grid is built once for its three s
     assert grids.count((5001, 0.0, 50.0)) == 1
-
-
-def test_volterra_oracle_catches_a_first_order_solve(monkeypatch):
-    import ultradiff.cli as cli_module
-    import ultradiff.fpt as fpt_module
-
-    def first_order(g, h):
-        """The rectangle rule: the trapezoid solve without its diagonal
-        weight (a_0 = 1 in place of 1 + h g_0 / 2), error O(h)."""
-        a = h * np.asarray(g, dtype=float)
-        a[0] = 1.0
-        f = fpt_module._product(g, fpt_module._series_inverse(a), len(g))
-        return fpt_module.VolterraGrid(h=h, g=g, f=f)
-
-    monkeypatch.setattr(cli_module, "solve_volterra", first_order)
-    cfg = load_run_config(ROOT / "configs" / "desk.json")
-    [check] = [c for c in run_verify_checks(cfg) if c["name"] == "volterra_synthetic_oracle"]
-    h = cfg.fpt.h
-    # about 1.5e-4 at h = 0.01: below the former 50 h^2, 22 times the bound
-    assert check["observed"] <= 50.0 * h * h
-    assert check["observed"] >= 10.0 * check["threshold"]
-    assert not check["passed"]
 
 
 def test_log_factorial_table_is_built_once_per_n():
@@ -917,7 +902,7 @@ DESK_DIGESTS = {
     "fpt/laplace_ladder.csv": "05b4f6a4915548f607898ea906273005795c1564b18c9e970bd9c66ea5e851e0",
     "simulate/fpt_samples.csv": "ef0af890f031496ebc7a5f91158c753bd91798f97fe524c6edd5349963b196e1",
     "simulate/survival_mc.csv": "2e945972d5aa078d83aef89edfa63928315e31822aa0d82ea0511de20b896c59",
-    "verify/verify_report.json": "042822f0b50e4fe4b10eb420020e1036dbe57ffe480547421198c6eee0609057",
+    "verify/verify_report.json": "0e4578d145b97a0e33e5e2a271e67a6616d8b1daac09a1fd9a312b6014e547a5",
 }
 
 

@@ -1,12 +1,13 @@
-"""First-passage pipeline: flux, closed-form mixture, Volterra solve,
-Laplace series, recurrence.
+"""First-passage pipeline: flux, closed-form mixture, Laplace series,
+recurrence.
 
-The Volterra solve is validated against the closed-form renewal pair
-g = a e^{-bt}  <->  f = a e^{-(a+b)t} (Laplace algebra: G = a/(s+b) gives
-F = G/(1+G) = a/(s+a+b)), including the h^2 convergence order; against the
-O(m^2) trapezoidal time-stepper; and, on the real flux, against
-P(tau <= T) from a numerical inverse Laplace transform of F(s)/s, which
-also holds the closed-form mixture's P(tau <= T) to 1e-10.
+The closed-form mixture is held to three independent routes: its
+transform to G/(1+G) from laplace_G at every s; its density to the
+renewal equation stepped by the trapezoid rule on the real flux
+(``oracles.stepper_solve``, itself validated against the closed-form pair
+g = a e^{-bt}  <->  f = a e^{-(a+b)t}, since G = a/(s+b) gives F = G/(1+G)
+= a/(s+a+b), at its h^2 order); and its P(tau <= T) to a numerical inverse
+Laplace transform of F(s)/s, to 1e-10.
 """
 
 import math
@@ -16,17 +17,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import inflow_weights
+from oracles import inflow_weights, quadrature_residual, stepper_solve
 from ultradiff import fpt
-from ultradiff.errors import NonPositiveS, StepTooCoarse
+from ultradiff.errors import NonPositiveS
 from ultradiff.fpt import (
     first_passage_mixture,
     g_grid,
     laplace_G,
     laplace_g_quadrature,
     recurrence_diagnostic,
-    solve_volterra,
-    VolterraGrid,
 )
 from ultradiff.heat import HeatState, inflow, spectral_measure, u_table
 from ultradiff.landscape import (
@@ -254,176 +253,28 @@ def test_flux_and_laplace_relative_error_against_50_digit_measure(p, n, gamma, c
 
 
 # ---------------------------------------------------------------------------
-# Volterra solver
+# the renewal equation, stepped in time (tests/oracles.py)
 # ---------------------------------------------------------------------------
-
-
-def stepper_solve(g, h):
-    """The trapezoidal scheme stepped forward in time, O(m^2): the oracle for
-    solve_volterra's series division. f_k appears in its own quadrature only
-    through the diagonal weight (h/2) g_0, so each step is explicit."""
-    diag = 0.5 * h * g[0]
-    f = np.zeros(len(g))
-    f[0] = g[0]
-    for k in range(1, len(g)):
-        conv = 0.5 * g[k] * f[0]
-        if k > 1:
-            conv += float(np.dot(g[k - 1 : 0 : -1], f[1:k]))
-        f[k] = (g[k] - h * conv) / (1.0 + diag)
-    return f
-
-
-def test_fft_solve_matches_stepper(desk_state):
-    h = 0.01
-    ts = np.arange(0.0, 100.0 + h / 2, h)  # m = 10 001
-    rng = np.random.default_rng(20151126)
-    heavy = rng.random(1001) * np.exp(-ts[:1001])
-    heavy[0] = 1.8 / h  # (h/2) g_0 = 0.9, near the StepTooCoarse limit
-    for g in (g_grid(desk_state, ts), synthetic_grid(0.5, 1.0, h, 10.0)[1], heavy):
-        diff = np.max(np.abs(solve_volterra(g, h).f - stepper_solve(g, h)))
-        assert diff <= 1e-14 * max(1.0, float(np.max(np.abs(g))))
-
-
-def brute_fft_len(n):
-    """The smallest integer >= n with no prime factor above 5, by search."""
-    c = n
-    while True:
-        rest = c
-        for q in (2, 3, 5):
-            while rest % q == 0:
-                rest //= q
-        if rest == 1:
-            return c
-        c += 1
-
-
-def test_fft_len_is_the_smallest_smooth_length():
-    assert [fpt._fft_len(n) for n in range(1, 10_001)] == [
-        brute_fft_len(n) for n in range(1, 10_001)
-    ]
-
-
-PRODUCT_LENGTHS = (1, 2, 3, 7, 31, 127, 1021, 15, 17, 63, 65, 1023, 1025, 4095, 4097)
-
-
-@pytest.mark.parametrize("nx", PRODUCT_LENGTHS)
-def test_product_matches_truncated_convolve(nx):
-    rng = np.random.default_rng(nx)
-    for ny in (1, 2, nx, nx + 1):
-        x, y = rng.standard_normal(nx), rng.standard_normal(ny)
-        full = np.convolve(x, y)
-        for m in {1, min(nx, ny), nx, len(full)}:
-            got = fpt._product(x, y, m)
-            assert got.shape == (m,)
-            scale = np.sqrt(np.sum(x * x) * np.sum(y * y))
-            assert np.max(np.abs(got - full[:m])) <= 1e-14 * scale, (nx, ny, m)
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 17, 1000, 1001, 4097])
-def test_fft_solve_matches_stepper_at_every_length(m):
-    # odd and even m, below and above a smooth length: each step of the
-    # Newton schedule and the fused division meets a different wrap
-    h = 0.01
-    ts = np.arange(m) * h
-    rng = np.random.default_rng(m)
-    heavy = rng.random(m) * np.exp(-ts)
-    heavy[0] = 1.8 / h
-    for g in (0.5 * np.exp(-ts), rng.random(m) * np.exp(-ts), heavy):
-        diff = np.max(np.abs(solve_volterra(g, h).f - stepper_solve(g, h)))
-        assert diff <= 1e-14 * max(1.0, float(np.max(np.abs(g)))), (m, diff)
-
-
-def test_solve_and_residual_transform_only_needed_lengths(monkeypatch):
-    """A count, not a timing: every transform the solve and the residual
-    make at m = 40 001 is at most _fft_len(2m - 1) points long, and all of
-    them together cover at most half the 1 966 053 points that products
-    padded to powers of two took."""
-    lengths = []
-    for name in ("rfft", "irfft"):
-        transform = getattr(np.fft, name)
-
-        def counted(x, n=None, *args, transform=transform, **kwargs):
-            lengths.append(len(x) if n is None else n)
-            return transform(x, n, *args, **kwargs)
-
-        monkeypatch.setattr(fpt.np.fft, name, counted)
-    m, h = 40_001, 0.01
-    grid = solve_volterra(0.5 * np.exp(-np.arange(m) * h), h)
-    grid.residual()
-    assert max(lengths) <= fpt._fft_len(2 * m - 1)
-    assert sum(lengths) <= 1_966_053 // 2
-
-
-def test_non_finite_flux_rejected():
-    g = np.ones(101)
-    g[5] = np.nan
-    with pytest.raises(ValueError, match="index 5"):
-        solve_volterra(g, 0.01)
-
-
-def test_zero_flux_gives_zero_density():
-    grid = solve_volterra(np.zeros(101), 0.05)
-    assert np.all(grid.f == 0.0)
-    assert grid.integral_f() == 0.0
-
-
-def test_integral_up_to_a_time_stays_on_the_grid():
-    """integral_f(upto) for upto in [0, horizon], half a step of rounding
-    allowed either side; any other upto (NaN too) is an error, not a
-    slice of the wrong length."""
-    a, b, h = 0.5, 1.0, 0.2
-    grid = solve_volterra(synthetic_grid(a, b, h, 10.0)[1], h)
-    assert grid.integral_f(0.0) == grid.integral_f(-0.09) == 0.0
-    assert grid.integral_f(10.0) == grid.integral_f(10.09) == grid.integral_f()
-    assert grid.integral_f(4.0) == fpt._trapezoid(grid.f[:21], h)
-    for upto in (-0.5, -0.11, 10.11, 50.0, math.nan):
-        with pytest.raises(ValueError):
-            grid.integral_f(upto)
 
 
 def test_synthetic_renewal_pair_closed_form():
     a, b, h = 0.5, 1.0, 0.01
     ts, g = synthetic_grid(a, b, h, 10.0)
-    grid = solve_volterra(g, h)
     exact = a * np.exp(-(a + b) * ts)
-    err = float(np.max(np.abs(grid.f - exact)))
+    err = float(np.max(np.abs(stepper_solve(g, h) - exact)))
     assert err <= 5.0 * h * h  # second-order scheme, mild constant
-
-
-def quadrature_residual(grid):
-    """The residual step by step, as the stepper applies its quadrature:
-    g_k - h (g_k f_0 / 2 + sum_{0<i<k} g_{k-i} f_i + g_0 f_k / 2) - f_k."""
-    g, f = grid.g, grid.f
-    res = np.empty(len(g))
-    res[0] = g[0] - f[0]
-    for k in range(1, len(g)):
-        conv = 0.5 * g[k] * f[0] + 0.5 * g[0] * f[k]
-        conv += float(np.dot(g[k - 1 : 0 : -1], f[1:k]))
-        res[k] = g[k] - grid.h * conv - f[k]
-    return res
-
-
-def test_residual_matches_quadrature_loop():
-    # a grid whose f is not the solution, so the residual is far from 0
-    h = 0.01
-    ts, g = synthetic_grid(0.5, 1.0, h, 10.0)
-    grid = VolterraGrid(h=h, g=g, f=np.cos(ts) * g)
-    oracle = quadrature_residual(grid)
-    assert np.max(np.abs(oracle)) > 0.01
-    assert np.max(np.abs(grid.residual() - oracle)) <= 1e-14
 
 
 def roundoff_bound(g):
     """What the residual of an exact solve of the trapezoid equations can
-    read: roundoff in the FFT products, far below any discretisation error."""
+    read: roundoff, far below any discretisation error."""
     return 1e-12 * max(1.0, float(np.max(np.abs(g))))
 
 
 @pytest.mark.parametrize("h", [0.04, 0.02, 0.01])
 def test_synthetic_residual_bound(h):
     ts, g = synthetic_grid(0.5, 1.0, h, 10.0)
-    grid = solve_volterra(g, h)
-    assert float(np.max(np.abs(grid.residual()))) <= roundoff_bound(g)
+    assert float(np.max(np.abs(quadrature_residual(g, stepper_solve(g, h), h)))) <= roundoff_bound(g)
 
 
 def test_h_refinement_order():
@@ -431,43 +282,51 @@ def test_h_refinement_order():
     errs = []
     for h in (0.04, 0.02, 0.01):
         ts, g = synthetic_grid(a, b, h, 10.0)
-        grid = solve_volterra(g, h)
-        errs.append(float(np.max(np.abs(grid.f - a * np.exp(-(a + b) * ts)))))
+        errs.append(float(np.max(np.abs(stepper_solve(g, h) - a * np.exp(-(a + b) * ts)))))
     orders = [math.log2(e1 / e2) for e1, e2 in zip(errs, errs[1:])]
     assert all(o >= 1.8 for o in orders), orders
-
-
-def test_step_too_coarse_guard():
-    g = np.full(10, 300.0)  # g(0) huge relative to h
-    with pytest.raises(StepTooCoarse):
-        solve_volterra(g, h=0.01)
 
 
 def test_solver_on_real_flux(desk_state):
     h = 0.01
     ts = np.arange(0.0, 10.0 + h / 2, h)
-    grid = solve_volterra(g_grid(desk_state, ts), h)
-    assert float(np.max(np.abs(grid.residual()))) <= roundoff_bound(grid.g)
-    assert float(grid.f.min()) >= -1e-8
-    assert 0.0 <= grid.integral_f() <= 1.0
+    g = g_grid(desk_state, ts)
+    f = stepper_solve(g, h)
+    assert float(np.max(np.abs(quadrature_residual(g, f, h)))) <= roundoff_bound(g)
+    assert float(f.min()) >= -1e-8
+    assert 0.0 <= float(np.trapezoid(f, dx=h)) <= 1.0
+
+
+#: the ORACLE_POINTS but (5, 1, -0.5, 5), where f is of order 1e-36 and
+#: the stepper meets the mixture at roundoff on every grid
+RENEWAL_POINTS = [(2, 1, -0.5, 1.0), (3, 2, -1.0, 1.0), (2, 2, 0.5, 0.2)]
+
+
+@pytest.mark.parametrize("p, n, gamma, c1", RENEWAL_POINTS)
+def test_stepper_converges_to_the_mixture(p, n, gamma, c1):
+    """The renewal equation's trapezoid solve on the real flux approaches
+    the closed-form mixture at second order: the time-domain route to f,
+    independent of the zeros of S-hat."""
+    state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
+    mixture = first_passage_mixture(state, 10.0)
+    errs = []
+    for h in (0.04, 0.02, 0.01):
+        ts = np.arange(0.0, 10.0 + h / 2, h)
+        errs.append(float(np.max(np.abs(stepper_solve(g_grid(state, ts), h) - mixture.density(ts)))))
+    orders = [math.log2(e1 / e2) for e1, e2 in zip(errs, errs[1:])]
+    assert all(o >= 1.8 for o in orders), (orders, errs)
 
 
 def test_return_probability_synthetic_limit():
     a, b, h, T = 0.5, 1.0, 0.01, 10.0
     ts, g = synthetic_grid(a, b, h, T)
-    grid = solve_volterra(g, h)
     target = a / (a + b)
-    assert abs(grid.integral_f() - target) <= h * h + math.exp(-(a + b) * T)
+    assert abs(float(np.trapezoid(stepper_solve(g, h), dx=h)) - target) <= h * h + math.exp(-(a + b) * T)
 
 
 def test_return_probability_grows_with_horizon(desk_state):
-    h = 0.05
-    vals = []
-    for T in (10.0, 50.0, 200.0):
-        ts = np.arange(0.0, T + h / 2, h)
-        grid = solve_volterra(g_grid(desk_state, ts), h)
-        vals.append(grid.integral_f())
-    assert vals[0] < vals[1] < vals[2] <= 1.0 + 1e-6
+    vals = [first_passage_mixture(desk_state, T).cdf() for T in (10.0, 50.0, 200.0)]
+    assert vals[0] < vals[1] < vals[2] <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -576,12 +435,17 @@ def test_laplace_bounded_by_exterior_mass_over_s(desk_params, desk_state):
 
 
 def test_laplace_series_vs_quadrature(desk_params, desk_state):
+    """Within the trapezoid's Peano-kernel bound (h^2/8) sum_j |v_j d_j| (2s
+    + lambda_j), its roundoff m eps h kappa and the tail kappa e^{-sT} / s."""
     c_ext = exterior_mass(desk_params)
-    T = 50.0
+    v, d, lam, _ = spectral_measure(desk_state)
+    T, h = 50.0, 1e-2
     for s in (0.5, 1.0, 2.0):
         series = laplace_G(desk_state, s).value
-        quad = laplace_g_quadrature(desk_state, s, horizon=T, h=1e-2)
-        assert abs(series - quad) <= 1e-4 + c_ext * math.exp(-s * T) / s
+        quad = laplace_g_quadrature(desk_state, s, horizon=T, h=h)
+        trapezoid = h * h / 8.0 * float(np.sum(np.abs(v * d) * (2.0 * s + lam)))
+        roundoff = (T / h + 1.0) * np.finfo(float).eps * h * c_ext
+        assert abs(series - quad) <= trapezoid + roundoff + c_ext * math.exp(-s * T) / s
 
 
 def test_laplace_strictly_decreasing_in_s(desk_state):
@@ -620,19 +484,39 @@ def test_recurrence_ladder_validation(desk_state):
 
 
 # ---------------------------------------------------------------------------
-# cross-check: Laplace of the solved f approximates G/(1+G)
+# cross-check: the transform of f is G/(1+G)
 # ---------------------------------------------------------------------------
 
 
 def test_solved_density_transform_matches_renewal_algebra(desk_state):
     h, T, s = 0.01, 40.0, 1.0
     ts = np.arange(0.0, T + h / 2, h)
-    grid = solve_volterra(g_grid(desk_state, ts), h)
-    f_hat = float(np.trapezoid(np.exp(-s * ts) * grid.f, dx=h)) if hasattr(
-        np, "trapezoid"
-    ) else float(np.trapz(np.exp(-s * ts) * grid.f, dx=h))
+    f = stepper_solve(g_grid(desk_state, ts), h)
+    f_hat = float(np.trapezoid(np.exp(-s * ts) * f, dx=h))
     g_hat = laplace_G(desk_state, s).value
     assert f_hat == pytest.approx(g_hat / (1.0 + g_hat), abs=1e-4)
+
+
+@pytest.mark.parametrize("p, n, gamma, c1", ORACLE_POINTS)
+@pytest.mark.parametrize("T", [10.0, 400.0])
+def test_mixture_transform_matches_renewal_identity(p, n, gamma, c1, T):
+    """FirstPassageMixture.transform against G/(1+G) from laplace_G, within
+    8 (K + 2) eps sum_k |term_k| + roundoff_bound / s (f's error, uniform
+    in t, integrated against e^{-st}) + (J + 10) eps G/(1+G), the bound
+    verify's fpt_mixture_vs_laplace derives; the entries the mixture lumps
+    move G by far less at these s."""
+    state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
+    mixture = first_passage_mixture(state, T)
+    s_values = np.array((1e3, 10.0, 1.0) + ORACLE_S)
+    value, size = mixture.transform(s_values)
+    ev = laplace_G(state, s_values)
+    identity = ev.value / (1.0 + ev.value)
+    eps = np.finfo(float).eps
+    bound = (eps * (8.0 * (mixture.mu.size + 2) * size + (ev.inner_terms_max + 10) * identity)
+             + mixture.roundoff_bound / s_values)
+    assert np.all(np.abs(value - identity) <= bound), (value, identity, bound)
+    assert value.shape == size.shape == s_values.shape
+    assert np.shape(mixture.transform(2.0)[0]) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +558,7 @@ def test_fpt_cdf_matches_inverse_laplace(point, T):
     contour and de Hoog's Bromwich line (Abate & Whitt, INFORMS J. Comput.
     18 (2006) 408) invert it at 30 digits from G over the spectral measure,
     independently of the mixture's poles and of the time-domain solve. The
-    mixture's P(tau <= T) matches both to 1e-10, and the Volterra integral
-    of f to its h^2 error."""
+    mixture's P(tau <= T) matches both to 1e-10."""
     state = HeatState(normalize(SpaceParams(p=point[0], n=point[1]), point[2], point[3]))
     v, d, lam, kappa = spectral_measure(state)
     atom = (float(state.space.p) ** state.space.n) ** -lam.size
@@ -693,10 +576,6 @@ def test_fpt_cdf_matches_inverse_laplace(point, T):
     mixture = first_passage_mixture(state, T)
     assert abs(mixture.cdf() - talbot) <= 1e-10
     assert abs(mixture.cdf() - dehoog) <= 1e-10
-    h = 0.01
-    ts = np.arange(0.0, T + h / 2, h)
-    grid = solve_volterra(g_grid(state, ts), h)
-    assert abs(grid.integral_f() - talbot) <= 1e-6
 
 
 @pytest.mark.parametrize("p, n, gamma, c1", ORACLE_POINTS)
@@ -721,9 +600,9 @@ def test_mixture_structure(p, n, gamma, c1, T):
 
 
 def test_mixture_is_empty_where_nothing_returns():
-    """At T = 0 every entry lumps, S-hat = 1/s has no zero, and f and P are
-    0; at C1 = 1e3 the exterior mass underflows (kappa = 0) at any T, with
-    no RuntimeWarning."""
+    """At T = 0 every entry lumps, S-hat = 1/s has no zero, and f, P and
+    the transform of f are 0; at C1 = 1e3 the exterior mass underflows
+    (kappa = 0) at any T, with no RuntimeWarning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for c1, T in ((1.0, 0.0), (1e3, 0.0), (1e3, 400.0)):
@@ -732,6 +611,8 @@ def test_mixture_is_empty_where_nothing_returns():
             assert (mixture.mu.size, mixture.pair) == (0, 0)
             assert mixture.density(np.array([0.0, T])).tolist() == [0.0, 0.0]
             assert mixture.cdf() == 0.0
+            value, size = mixture.transform([1.0, 1e-6])
+            assert value.tolist() == size.tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("x", [0.0, -1e-12, -0.3, -0.5, -2.0, -36.0, -1e4])

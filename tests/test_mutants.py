@@ -1,20 +1,28 @@
 """Named mutants: plausible defects that ``verify`` must read red.
 
 Each mutant is a monkeypatch of one computation, and each must turn a named
-check red at the desk point with observed >= 10 times its threshold
-(DeMillo, Lipton & Sayward, IEEE Computer 11(4) (1978) 34). The first
-entries cover the closed-form first-passage mixture, which
-``fpt_mixture_vs_volterra`` holds to the Volterra solve on verify's grid.
+check red with observed far above its threshold (DeMillo, Lipton & Sayward,
+IEEE Computer 11(4) (1978) 34). The first entries cover the closed-form
+first-passage mixture, which ``fpt_mixture_vs_laplace`` holds to the
+renewal identity F = G/(1+G): each reads at least 10^6 times that check's
+derived threshold at the desk point and at two points of the verify grid.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 import ultradiff.cli as cli
+from conftest import verify_sweep
 from ultradiff.cli import load_run_config, run_verify_checks
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: desk (configs/desk.json itself), (3, 2, -1, 1), where rho_0's
+#: cancellation sets the threshold, and (2, 2, 0.5, 0.2), gamma > 0 with
+#: nine poles
+MUTANT_POINTS = [None, (3, 2, -1.0, 1.0), (2, 2, 0.5, 0.2)]
 
 
 def drop_residue_at_minus_kappa(mixture):
@@ -34,10 +42,14 @@ def first_zero_at_bracket_midpoint(mixture):
 
 
 @pytest.mark.parametrize("mutant", [drop_residue_at_minus_kappa, first_zero_at_bracket_midpoint])
-def test_mixture_mutant_reads_red(monkeypatch, mutant):
+def test_mixture_mutant_reads_red(monkeypatch, tmp_path, mutant):
     build = cli.first_passage_mixture
     monkeypatch.setattr(cli, "first_passage_mixture", lambda state, T: mutant(build(state, T)))
-    checks = run_verify_checks(load_run_config(ROOT / "configs" / "desk.json"))
-    [check] = [c for c in checks if c["name"] == "fpt_mixture_vs_volterra"]
-    assert not check["passed"]
-    assert check["observed"] >= 10.0 * check["threshold"], check
+    for point in MUTANT_POINTS:
+        path = ROOT / "configs" / "desk.json"
+        if point:
+            path = tmp_path / "point.json"
+            path.write_text(json.dumps(verify_sweep.point_config(*point, paths=100, seed=20240810)))
+        checks = run_verify_checks(load_run_config(path))
+        [check] = [c for c in checks if c["name"] == "fpt_mixture_vs_laplace"]
+        assert check["observed"] >= 1e6 * check["threshold"], (point, check)

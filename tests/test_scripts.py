@@ -92,16 +92,27 @@ def test_verify_sweep_json_smoke(tmp_path, monkeypatch, capsys):
     outs = [tmp_path / "a.json", tmp_path / "b.json"]
     for out in outs:
         assert verify_sweep.run(["--paths", "100", "--json", str(out)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "0 of 2 points fail"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "0 of 2 points fail"
     assert outs[0].read_bytes() == outs[1].read_bytes()
     points = json.loads(outs[0].read_text())
     assert [tuple(pt[k] for k in ("p", "n", "gamma", "c1")) for pt in points] == verify_sweep.GRID
     for pt in points:
         names = [c["name"] for c in pt["checks"]]
-        assert "fpt_triangle_mc_vs_volterra" in names and len(set(names)) == len(names)
+        assert "fpt_triangle_mc_vs_mixture" in names and len(set(names)) == len(names)
         for check in pt["checks"]:
             assert set(check) == {"name", "observed", "threshold", "passed", "detail"}
             assert check["passed"]
+    # before the last line, each check's worst observed/threshold over the
+    # grid and its point, as the JSON gives them (the second run's lines)
+    summary = lines[-2 - len(names) : -1]
+    assert summary[0] == "worst observed/threshold per check:"
+    for name, line in zip(names, summary[1:]):
+        ratios = [c["observed"] / c["threshold"] for pt in points for c in pt["checks"]
+                  if c["name"] == name]
+        worst = max(range(len(ratios)), key=ratios.__getitem__)  # the first of equals
+        label = verify_sweep.point_label(*verify_sweep.GRID[worst])
+        assert line.split() == [name, f"{ratios[worst]:.3g}", "at", *label.split()]
 
 
 def test_bench_pairs_summary_on_fixed_numbers():

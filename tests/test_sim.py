@@ -503,25 +503,22 @@ def test_marginal_norm_law_total_variation(desk_batch, desk_state):
 def test_fpt_estimate_vs_volterra(desk_batch, desk_state):
     import ultradiff.fpt as fpt
 
-    h = 0.01
-    ts = np.arange(0.0, 4.0 + h / 2, h)
-    grid = fpt.solve_volterra(fpt.g_grid(desk_state, ts), h)
+    mixture = fpt.first_passage_mixture(desk_state, 4.0)
     p_mc, se = fpt_cdf_estimate(desk_batch, 4.0)
-    assert abs(p_mc - grid.integral_f(4.0)) <= 3.0 * se + 10.0 * h * h
+    assert abs(p_mc - mixture.cdf()) <= 3.0 * se + mixture.bound
 
 
 def test_verify_mc_false_alarm_rate(desk_params, desk_state):
-    # verify's Monte Carlo checks at the desk config (horizon 10, T = 10,
-    # h = 0.01) with 2000 paths, over 200 seeds: each of the four two-sided
-    # tails (survival at 0.5, 1, 2 and the first-passage triangle) alarms
-    # past z = 3 with probability at most 2 Phi(-3) on a correct sampler,
-    # so by the union bound a seed alarms with probability at most 8 Phi(-3)
-    h, horizon, times = 0.01, 10.0, (0.5, 1.0, 2.0)
+    # verify's Monte Carlo checks at the desk config (horizon 10, T = 10)
+    # with 2000 paths, over 200 seeds: each of the four two-sided tails
+    # (survival at 0.5, 1, 2 and the triangle against the mixture's
+    # P(tau <= T) within its bound) alarms past z = 3 with probability at
+    # most 2 Phi(-3) on a correct sampler, so by the union bound a seed
+    # alarms with probability at most 8 Phi(-3)
+    horizon, times = 10.0, (0.5, 1.0, 2.0)
     table = JumpNormTable.build(desk_params, j_max=8)
-    grid = fpt.solve_volterra(
-        fpt.g_grid(desk_state, np.arange(0.0, horizon + h / 2, h)), h
-    )
-    integral = grid.integral_f(horizon)
+    mixture = fpt.first_passage_mixture(desk_state, horizon)
+    target = mixture.cdf()
     s_exact = [survival(desk_state, t) for t in times]
     alarms = 0
     for seed in range(200):
@@ -535,7 +532,7 @@ def test_verify_mc_false_alarm_rate(desk_params, desk_state):
         )
         batch = run_paths(cfg, query_times=times)
         z_survival, z_triangle, _ = mc_agreement(
-            batch, s_exact, horizon, integral, 10.0 * h * h
+            batch, s_exact, horizon, target, mixture.bound
         )
         alarms += max(z_survival, z_triangle) > 3.0
     assert alarms <= stats.binom.ppf(0.999, 200, 8 * stats.norm.sf(3.0))
