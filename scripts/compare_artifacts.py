@@ -11,9 +11,11 @@ at the same relative path under NEW. Numbers must satisfy
 where scale is p^{-n i} for a value on the sphere of norm p^i (the
 ``value`` column of every ``ztilde.csv`` row and of ``u_profile.csv`` rows
 with i >= 1) and 1 for everything else; p and n come from the
-``manifest.json`` next to the file. A plain relative test cannot work:
-cancellation residues, such as Ztilde at norm p^{-10}, sit at the roundoff
-of their scale. Text fields must match exactly.
+``manifest.json`` next to the file. The sphere scale is kept only to
+compare against trees written before Ztilde came from the telescoped
+sphere series: the older subtracting form left cancellation residues,
+such as Ztilde at norm p^{-10}, at the roundoff of p^{-ni}, where a plain
+relative test cannot work. Text fields must match exactly.
 
 Each ``manifest.json`` under NEW must list, for every artifact, the sha256
 of the file next to it, and must equal the OLD manifest at the same path

@@ -766,8 +766,10 @@ def run_verify_checks(
     # >= N (lambda_j T below LUMP_RATE_TIME) into the atom, which raises G
     # by at most 2 kappa sum_{j>=N} v_j lambda_j / s^2 and F by that over
     # (1 + G)^2 (past the measure both sides lump alike); with every entry
-    # lumped the empty mixture also drops f = kappa e^{-kappa t}
-    s_all = np.array(sorted({*cfg.fpt.s_ladder, 1e3, 10.0, 1.0}, reverse=True))
+    # lumped the empty mixture also drops f = kappa e^{-kappa t}. Each pole
+    # moves F most near its own rate, so the s read include every |mu_k|
+    rates = np.abs(mixture.mu[mixture.mu != 0.0]).tolist()
+    s_all = np.array(sorted({*cfg.fpt.s_ladder, 1e3, 10.0, 1.0, *rates}, reverse=True))
     ev = laplace_G(state, s_all)
     identity = ev.value / (1.0 + ev.value)
     value, size = mixture.transform(s_all)

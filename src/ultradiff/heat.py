@@ -1,42 +1,35 @@
 """Heat-kernel series for the nonlocal generator A u = J*u - u.
 
 The semigroup measure factors as ``Z_t = e^{-t} delta_0 + Ztilde(.,t) d^n x``:
-the atom is the probability of zero jumps up to time t, and the radial
-density away from the origin is given by the sphere series
+the atom is the probability of no jump by time t, so the density carries
+1 - e^{-t}, and :func:`conservation_audits` counts both. With lambda_k =
+1 - Jhat(p^k) from the spectral cache and E_k = e^{-lambda_k t}, every
+quantity is one :func:`sphere_series`, sum_{k>=0} vol(S_{-k}) phi_{i+k},
+and they differ only in phi:
 
-    Ztilde(x,t) = |x|^{-n} [ (1-p^{-n}) sum_{j>=0} p^{-nj} E(p^{-j}/|x|, t)
-                             - E(p/|x|, t) ],
-    E(p^k, t) = exp( (Jhat(p^k) - 1) t ).
+* phi_a = E_{-a} gives P(X_t in B_i): at i = 0 the survival S(t), which is
+  u on Z_p^n for the Cauchy problem started from its indicator;
+* phi_a = chi_a = E_{-a} - E_{1-a} = -E_{-a} expm1(-delta_a t), with
+  delta_a = lambda_{1-a} - lambda_{-a} = p^{na} (J(p^a) - J(p^{a+1})) read
+  from the landscape, gives the sphere mass vol(S_i) Ztilde(p^i, t)
+  (:func:`sphere_masses`). Ztilde is p^{-ni} / vol(S_0) times it, and u is
+  Ztilde on every sphere of norm >= p (both are one unit coset's
+  probability).
 
-Consequently the density integrates to 1 - e^{-t} and total probability is
-conserved only once the atom is counted; `conservation_audits` reports both
-pieces. The solution of the Cauchy problem started from the indicator of
-Z_p^n is radial, constant on Z_p^n, and coincides with Ztilde on every
-sphere of norm >= p (both are the transition probability into the
-corresponding unit coset), which this module exploits and the tests check.
+The chi series is the heat series minus its correction, A - E_{1-i},
+telescoped: no two sums that agree to many digits are subtracted, so
+nothing needs clamping. Its terms fall like J(p^{i+k}), not like p^{-nk},
+so it runs to SpectralCache.top. The u-mass of a ball B_r, r >= 0, is a
+finite measure over the lambda_{r+j} (:func:`spectral_measure`), which
+gives the flux into B_r (:func:`inflow`) and, at r = 0, the re-entry flux
+g and its transform G. The coset chain lumps onto coset norms
+(:func:`norm_chain`). A series that reaches past the cache window grows
+the cache in place, so concurrent use of one state needs it grown first.
 
-Every quantity here is one sphere series sum_j vol(S_{-j}) phi(lambda_j),
-with lambda_j = 1 - Jhat(p^{-j}) read from the spectral cache, evaluated by
-:func:`sphere_series`; the quantities differ only in phi and in how the
-series is scaled and corrected; the heat series at norm exponent r is
-P(X_t in B_r) itself. That u-mass S_r of the ball B_r is a finite measure
-over the lambda_{r+j} (:func:`spectral_measure`), from which the flux into
-B_r (:func:`inflow`, the J * u route of every ball) and, at r = 0, the
-re-entry flux g and its transform G are read.
-The coset chain lumps onto coset norms (:func:`norm_chain`), where
-Chapman-Kolmogorov is checked at the depth that also caps the conservation
-window (:func:`escape_depths`). The results are pure functions of the
-landscape, but a series that reaches past the cache window grows the cache
-in place, so concurrent evaluation on one state needs the window grown
-first.
-
-Each quantity has one table API: :func:`u_table`, :func:`ztilde_table`,
-:func:`du_dt`, :func:`j_convolve_u` and :func:`pde_residual` return tables
-with rows i and columns t, `survival` of a time vector is row 0 of the u
-table, :func:`conservation_audits` sums one sphere-mass table over the union
-of its certified windows, and :func:`decay_bound_check` takes its deficits
-from one call. A value at one point is an entry of a one-point table, which
-has the same roundings as that entry in any larger table.
+Each quantity has one table API, rows i and columns t (:func:`u_table`,
+:func:`ztilde_table`, :func:`du_dt`, :func:`j_convolve_u`,
+:func:`pde_residual`); a value at one point is an entry of a one-point
+table, with the same roundings as that entry in any larger table.
 """
 
 from __future__ import annotations
@@ -68,11 +61,6 @@ AUDIT_TAIL = 1e-16
 _TIME_BLOCK = 4096
 
 
-def _machine_tail_len(space: SpaceParams) -> int:
-    """Terms needed for a p^{-nj}-weighted series to reach machine tail."""
-    return int(math.ceil(17.0 * math.log(10.0) / (space.n * space.log_p))) + 3
-
-
 class HeatState:
     """A landscape and its spectral cache (which grows on demand)."""
 
@@ -87,41 +75,29 @@ class HeatState:
         return self.landscape.space
 
 
-def sphere_series(
-    cache: SpectralCache, i_exps, phi, n_terms: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sphere series behind every heat quantity.
-
-    For each norm exponent i returns
-
-        A[i] = sum_{0 <= j < n_terms} vol(S_{-j}) phi(lambda_{-j-i})
-
-    and the correction phi(lambda_{1-i}), where lambda_k = 1 - Jhat(p^k).
-    phi maps the contiguous slice of lambda the series needs to values of
-    shape (K,) or (K, T) (one time, or a grid of them). The banded sum runs
-    one diagonal j at a time, smallest terms first, so each entry is the
-    same sequence of roundings whatever other rows share the call (a BLAS
-    matrix product is not: its blocking depends on the batch shape).
-    """
+def sphere_series(cache: SpectralCache, i_exps, phi, n_terms: int) -> np.ndarray:
+    """row[i] = sum_{0 <= k < n_terms} vol(S_{-k}) phi_{i+k} for each norm
+    exponent i; phi(lam, a) gives the values, of shape (K,) or (K, T), at the
+    ascending sphere exponents a, with lam = lambda_{-a}, or at a prefix of
+    them when every later value is 0.0. The banded sum runs one diagonal at
+    a time, smallest terms first, so an entry has the same roundings
+    whatever rows share the call (a BLAS product's blocking depends on the
+    batch shape), and exact 0.0 terms, added or not, change no bit."""
     i = np.asarray(i_exps, dtype=np.int64)
     space = cache.kernel.space
     top, bottom = int(i.max()), int(i.min())
-    vals = phi(cache.window(-top - n_terms + 1, 1 - bottom))
-    # acc[r] accumulates A at norm exponent top - r, one diagonal j at a time
+    a = np.arange(bottom, top + n_terms)
+    vals = phi(cache.window(-a[-1], -bottom)[::-1], a)
+    # acc[r] accumulates the row at norm exponent bottom + r
     width = top - bottom + 1
     acc = np.zeros((width,) + vals.shape[1:], dtype=vals.dtype)
     vol = space.unit_sphere_volume * (float(space.p) ** space.n) ** -np.arange(
         n_terms, dtype=float
     )
-    for j in range(n_terms - 1, -1, -1):
-        start = n_terms - 1 - j
-        acc += vol[j] * vals[start : start + width]
-    return acc[top - i], vals[n_terms + top - i]
-
-
-def _series(state: HeatState, i_exps, phi):
-    """sphere_series at the machine-tail length every heat quantity uses."""
-    return sphere_series(state.cache, i_exps, phi, _machine_tail_len(state.space) + 1)
+    for k in range(min(n_terms, len(vals)) - 1, -1, -1):
+        rows = min(width, len(vals) - k)
+        acc[:rows] += vol[k] * vals[k : k + rows]
+    return acc[i - bottom]
 
 
 def _decay(ts, f=np.exp):
@@ -130,12 +106,26 @@ def _decay(ts, f=np.exp):
     if np.any(ts < 0):
         raise ValueError("time must be nonnegative")
 
-    def phi(lam):
+    def phi(lam, a=None):
         # in place: a second (K, T) array would double the table's memory
         x = np.multiply.outer(-lam, ts)
         return f(x, out=x)
 
     return phi
+
+
+def _table(state: HeatState, i_exps, ts, phi, n_terms: int | None = None) -> np.ndarray:
+    """sphere_series of phi(ts) over blocks of _TIME_BLOCK times, which
+    change no bit; rows i, columns t. By default it runs until the weights
+    p^{-nk} alone reach machine tail, as terms of one sign and size <= 2 do."""
+    space = state.space
+    n_terms = n_terms or math.ceil(17.0 * math.log(10.0) / (space.n * space.log_p)) + 4
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    out = np.empty((len(i_exps), ts.size))
+    for k in range(0, ts.size, _TIME_BLOCK):
+        block = slice(k, k + _TIME_BLOCK)
+        out[:, block] = sphere_series(state.cache, i_exps, phi(ts[block]), n_terms)
+    return out
 
 
 def decay_sum(c: np.ndarray, lam: np.ndarray, ts, f=np.exp) -> np.ndarray:
@@ -153,11 +143,6 @@ def decay_sum(c: np.ndarray, lam: np.ndarray, ts, f=np.exp) -> np.ndarray:
     return out
 
 
-def _clamp(v: np.ndarray) -> np.ndarray:
-    """Series roundoff within 1e-12 below zero is clamped to zero."""
-    return np.where((v < 0.0) & (v >= -1e-12), 0.0, v)
-
-
 def _exps(i) -> np.ndarray:
     """One norm exponent or a sequence of them, as int64; ZERO_NORM is 0."""
     seq = [i] if np.ndim(i) == 0 else i
@@ -171,69 +156,92 @@ def _view(table: np.ndarray, i, t):
     return float(v) if v.ndim == 0 else v
 
 
-def _bracket(state: HeatState, i_exps, ts) -> tuple[np.ndarray, np.ndarray]:
-    """(A, A - correction) of the heat series; rows i, columns t. The series
-    runs over blocks of _TIME_BLOCK times; no column's roundings depend on
-    another's, so the blocks change no bit."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    a, bracket = np.empty((2, len(i_exps), ts.size))
-    for k in range(0, ts.size, _TIME_BLOCK):
-        block = slice(k, k + _TIME_BLOCK)
-        a[:, block], corr = _series(state, i_exps, _decay(ts[block]))
-        bracket[:, block] = a[:, block] - corr
-    return a, bracket
+def _gaps(state: HeatState, a: np.ndarray) -> np.ndarray:
+    """delta_a = p^{na} (J(p^a) - J(p^{a+1})) for a below cache.top: c
+    p^{a(n+gamma)} e^{-C1 p^a} (n + gamma is exact near -n) times -expm1 of
+    J's log-drop, not a difference of lambdas. Negative where J rises."""
+    params, space = state.landscape, state.space
+    decay = params.c1 * np.power(float(space.p), a)
+    log_head = a * (space.n + params.gamma) * space.log_p + math.log(params.norm_const)
+    gap = -np.expm1(params.gamma * space.log_p - (space.p - 1.0) * decay)
+    return gap * np.exp(log_head - decay)
 
 
-def _on_spheres(state: HeatState, i: np.ndarray, bracket: np.ndarray) -> np.ndarray:
-    """p^{-ni} times the bracket, clamped: Ztilde(p^i, t), and u(p^i, t) for i >= 1."""
+def _chi(state: HeatState, slope: bool, ts):
+    """phi = chi_a(t) = E_{-a} - E_{1-a} = -E_{-a} expm1(-delta_a t) over the
+    times ts, E_k = e^{-lambda_k t}; with slope, its t-derivative
+    -lambda_{-a} chi_a + delta_a E_{1-a}. Both lambdas are 0.0 from
+    SpectralCache.top on, so the values stop there."""
+
+    def phi(lam, a):
+        a = a[a < state.cache.top]
+        lam, gap = lam[: a.size], _gaps(state, a)[:, None]
+        e, x = _decay(ts)(lam), gap * -ts
+        chi = -e * np.expm1(x)
+        return gap * e * np.exp(x) - lam[:, None] * chi if slope else chi
+
+    return phi
+
+
+def sphere_masses(state: HeatState, i_exps, ts, slope: bool = False) -> np.ndarray:
+    """vol(S_i) Ztilde(p^i, t), or with slope its t-derivative; rows i,
+    columns t. Each row is the series of the chi (:func:`_chi`), run to
+    SpectralCache.top, past which every term is 0.0."""
+    i = np.asarray(i_exps, dtype=np.int64)
+    n_terms = max(state.cache.top - int(i.min()), 1)
+    return _table(state, i, ts, functools.partial(_chi, state, slope), n_terms)
+
+
+def _density(state: HeatState, i: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Sphere masses over the sphere volumes, p^{-ni} / vol(S_0) per row i."""
     pn = float(state.space.p) ** state.space.n
-    return _clamp((pn ** -i.astype(float))[:, None] * bracket)
+    return (pn ** -i.astype(float) / state.space.unit_sphere_volume)[:, None] * masses
 
 
 def ztilde_table(state: HeatState, x_exps: Sequence[int], ts) -> np.ndarray:
-    """Ztilde(p^i, t) for x_exps i (x != 0) and times ts; rows i, columns t.
-
-    Nonnegative up to series roundoff; values within 1e-12 of zero are
-    clamped to zero (at t = 0 the series telescopes to exactly that).
-    """
+    """Ztilde(p^i, t) for x_exps i (x != 0) and times ts; rows i, columns t:
+    the :func:`sphere_masses` over the sphere volumes, exactly 0 at t = 0."""
     if any(isinstance(k, _ZeroNorm) for k in x_exps):
         raise ZeroPoint("Ztilde is defined for x != 0 only")
     i = np.asarray(x_exps, dtype=np.int64)
-    return _on_spheres(state, i, _bracket(state, i, ts)[1])
+    return _density(state, i, sphere_masses(state, i, ts))
 
 
-def _sphere_masses(state: HeatState, i_exps, ts) -> np.ndarray:
-    """Ztilde(p^i, t) vol(S_i), computed without the cancelling p^{+-ni};
-    rows i, columns t."""
-    return _clamp(state.space.unit_sphere_volume * _bracket(state, i_exps, ts)[1])
+def _profile(state: HeatState, i, ts, inside, slope: bool) -> np.ndarray:
+    """A table over u's norm exponents i: the series of phi = inside(ts) on
+    Z_p^n (every i <= 0, where u = S) and Ztilde, or its slope, elsewhere."""
+    idx = np.maximum(_exps(i), 0)
+    out, outer = np.empty((idx.size, np.size(ts))), idx >= 1
+    if not outer.all():
+        out[~outer] = _table(state, [0], ts, inside)
+    if outer.any():
+        out[outer] = _density(state, idx[outer], sphere_masses(state, idx[outer], ts, slope))
+    return out
 
 
 def u_table(state: HeatState, x_exps: Sequence[int], ts) -> np.ndarray:
     """u(p^i, t), the solution from the unit-ball indicator, for x_exps i
     and times ts; rows i, columns t. Every i <= 0 (or ZERO_NORM) means
     Z_p^n, where u = S; for i >= 1 u = Ztilde (one unit coset's probability)."""
-    i = np.maximum(_exps(x_exps), 0)
-    a, bracket = _bracket(state, i, ts)
-    return np.where((i == 0)[:, None], a, _on_spheres(state, i, bracket))
+    return _profile(state, x_exps, ts, _decay, False)
 
 
 def survival(state: HeatState, t):
-    """S(t): probability of sitting in Z_p^n at time t, started there.
-
-    Equals the constant value of u on Z_p^n since vol(Z_p^n) = 1, so it is
-    row 0 of :func:`u_table`: a float for a scalar t, an array over the
-    times for a sequence. Not monotone in general: paths return.
-    """
+    """S(t), the probability of sitting in Z_p^n at t, started there: row 0
+    of :func:`u_table` (vol(Z_p^n) = 1), a float for a scalar t and an array
+    over a sequence of times. Not monotone in general: paths return."""
     return _view(u_table(state, [0], t), 0, t)
 
 
 def du_dt(state: HeatState, i, t):
-    """du/dt, each sphere term times (Jhat - 1): a table over norm exponents
-    i (rows) and times t (columns), viewed at a scalar i or t (:func:`_view`)."""
-    idx = np.maximum(_exps(i), 0)
-    a, corr = _series(state, idx, lambda lam: lam[:, None] * _decay(t)(lam))
-    scale = (float(state.space.p) ** state.space.n) ** -idx.astype(float)
-    return _view(np.where((idx == 0)[:, None], -a, scale[:, None] * (corr - a)), i, t)
+    """du/dt: sum_j vol(S_{-j}) (-lambda_{-j}) E_{-j} on Z_p^n and the slope
+    of :func:`sphere_masses` elsewhere; a table over norm exponents i (rows)
+    and times t (columns), viewed at a scalar i or t (:func:`_view`)."""
+
+    def inside(ts):
+        return lambda lam, a: -lam[:, None] * _decay(ts)(lam)
+
+    return _view(_profile(state, i, t, inside, True), i, t)
 
 
 def spectral_measure(
@@ -363,15 +371,10 @@ def conservation_audits(
         return []
     bottom = min(lo for lo, _, _ in windows)
     top = max(hi for _, hi, _ in windows)
-    masses = _sphere_masses(state, np.arange(bottom, top + 1), ts)
+    masses = sphere_masses(state, np.arange(bottom, top + 1), ts)
     return [
-        ConservationAudit(
-            t=t,
-            density_mass=math.fsum(masses[lo - bottom : hi - bottom + 1, col]),
-            atom=math.exp(-t),
-            window=(lo, hi),
-            tail_bound=tail,
-        )
+        ConservationAudit(t, math.fsum(masses[lo - bottom : hi - bottom + 1, col]),
+                          math.exp(-t), (lo, hi), tail)
         for col, (t, (lo, hi, tail)) in enumerate(zip(ts, windows))
     ]
 
@@ -500,17 +503,11 @@ def decay_bound_check(
     p, n = float(params.space.p), params.space.n
     c0 = b1 * p ** (-n - params.gamma) + b2 * p ** (-params.gamma - (l + 1) * n)
     t_grid = np.asarray(ts, dtype=float)
-    deficits = _series(
-        state, x_exps, lambda lam: -np.expm1(np.multiply.outer(-lam, t_grid))
-    )[0]
-    # The first bound is tight to within roundoff when 1 - Jhat is tiny, so
-    # the margins are assembled from manifestly nonnegative pieces instead
-    # of subtracting two nearly equal numbers:
-    #   t d - (1 - e^{-dt})            with d = 1 - Jhat(p^{1-i}),
-    #   sum_j vol(S_{-j}) (1 - E_j)    the deficit of the sphere sum.
-    # Each row's constants are scalar arithmetic; the (i, t) tables are
-    # elementwise in the order of the scalar formulas, with math.expm1,
-    # since np.expm1 may differ from it in the last bit.
+    deficits = -_table(state, x_exps, t_grid, functools.partial(_decay, f=np.expm1))
+    # The first bound is tight to roundoff when 1 - Jhat is tiny, so the
+    # margins add nonnegative pieces, t d - (1 - e^{-dt}) with d = 1 -
+    # Jhat(p^{1-i}) and the deficits sum_j vol(S_{-j}) (1 - E_j), in the
+    # order of the scalar formulas, with math.expm1 (np.expm1 may differ).
     rows = []
     for i in x_exps:
         d = state.cache.one_minus(1 - i)

@@ -10,6 +10,9 @@ import does not compile them.
   ``ultradiff.sim`` walk;
 * ball transition probabilities P(X_t in B) for balls around coset points
   (:func:`transition_prob`), one row of the package's heat series;
+* the heat series at hundreds of digits (:class:`HeatOracle`): the sphere
+  masses of Ztilde as the difference of the two sums that agree to many
+  digits, the form the package's telescoped series replaced;
 * the re-entry flux folded from the u rows' sphere series into one weight
   per spectral entry (:func:`inflow_weights`), the form the package's
   spectral measure replaced;
@@ -24,18 +27,20 @@ import does not compile them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
 from typing import Iterable, Sequence, Union
 
+import mpmath
 import numpy as np
 
 from ultradiff.cli import _log_factorials
 from ultradiff.errors import UltradiffError
-from ultradiff.heat import HeatState, _decay, _series, ztilde_table
-from ultradiff.landscape import sphere_masses_above
+from ultradiff.heat import HeatState, _decay, _table, ztilde_table
+from ultradiff.landscape import LandscapeParams, sphere_masses_above
 from ultradiff.padic import (
     DEFAULT_DEPTH_CAP,
     EXACT_EXPONENT_LIMIT,
@@ -343,7 +348,117 @@ def transition_prob(
         # every point of the displaced ball sits on the sphere of norm p^d
         z = float(ztilde_table(state, [d], t)[0, 0])
         return z * float(space.p) ** (radius_exp * space.n)
-    return float(_series(state, [radius_exp], _decay(t))[0][0, 0])
+    return float(_table(state, [radius_exp], [t], _decay)[0, 0])
+
+
+# ---------------------------------------------------------------------------
+# The heat series at high precision
+# ---------------------------------------------------------------------------
+
+
+class HeatOracle:
+    """The heat series of one landscape in mpmath.
+
+    lambda_k = c (sum_{m >= 1-k} mass_m + mass_{1-k} / (p^n - 1)), with the
+    landscape's own normalizing constant c and mass_m = p^{m gamma}
+    e^{-C1 p^m} vol(S_m), summed directly from p^-100 up to the first
+    sphere 400 digits below the largest (far below a double's range). :meth:`sphere_mass` forms
+    the bracket of the heat series, A - correction, as the difference of
+    its two sums. That spends about as many digits as the two agree in, so
+    it works at 20 digits plus those it spends, raising the precision until
+    it has them (120 digits lose the desk point's i = 8 at t = 0.1).
+    """
+
+    def __init__(self, params: LandscapeParams):
+        self.params = params
+        self._tables: dict[int, tuple] = {}
+
+    def _spheres(self, dps: int) -> tuple:
+        """(p^n, mass_m from m = -100, their suffix sums), at dps digits."""
+        if dps not in self._tables:
+            params = self.params
+            p, n = mpmath.mpf(params.space.p), params.space.n
+            pn, gamma, c1 = p**n, mpmath.mpf(params.gamma), mpmath.mpf(params.c1)
+            masses, m = [], -100
+            while m <= 0 or masses[-1] >= mpmath.mpf(10) ** -400 * max(masses):
+                masses.append(
+                    p ** (m * gamma) * mpmath.exp(-c1 * p**m) * pn**m * (1 - 1 / pn)
+                    * mpmath.mpf(params.norm_const)
+                )
+                m += 1
+            suffix = list(itertools.accumulate(reversed(masses)))[::-1]
+            self._tables[dps] = pn, masses, suffix
+        return self._tables[dps]
+
+    def lam(self, k: int, dps: int):
+        """lambda_k = 1 - Jhat(p^k) at dps digits (call inside workdps)."""
+        _, masses, suffix = self._spheres(dps)
+        m = 1 - k + 100
+        if m < 0:
+            raise ValueError(f"lambda_{k} needs spheres below p^-100")
+        return suffix[m] + masses[m] / (self._spheres(dps)[0] - 1) if m < len(masses) else 0
+
+    def sphere_mass(self, i: int, t: float, slope: bool = False, dps: int = 50):
+        """(vol(S_i) Ztilde(p^i, t), [vol(S_{-k}) chi_{i+k}(t) for k >= 0]) as
+        mpf, or with slope the t-derivative and the parts of the slopes. The value
+        is (1 - p^{-n}) (A - E_{1-i}) with A = sum_j vol(S_{-j}) E_{-j-i} and
+        E_k = e^{-lambda_k t}; the terms past j = J, where lambda_{-j-i} is
+        0 at this precision, sum to p^{-nJ} (1 - E_{1-i}). The list holds
+        the terms the package sums, the telescoped differences chi_a =
+        E_{-a} - E_{1-a}, the scale of its rounding; they are formed as
+        -E_{-a} expm1(-delta_a t) with delta_a = (p^n mass_a - mass_{a+1}) /
+        (p^n - 1), which no precision cancels to 0. Each slope chi'_a =
+        -lambda_{-a} chi_a + delta_a E_{1-a} cancels in its own value (near
+        lambda t = 1), so it enters the list as its two parts."""
+        while True:
+            with mpmath.workdps(dps):
+                pn, masses, _ = self._spheres(dps)
+                vol0, lam = 1 - 1 / pn, lambda k: self.lam(k, dps)  # noqa: E731
+                e = lambda k: mpmath.exp(-lam(k) * t)  # noqa: E731
+                term = (lambda k: -lam(k) * e(k)) if slope else e
+                n_j = max(len(masses) - 100 - i, 1)
+                corr = term(1 - i)
+                parts = [vol0 * pn**-j * term(-j - i) for j in range(n_j)]
+                parts += [pn**-n_j * (0 if slope else 1) - corr]
+                value = vol0 * mpmath.fsum(parts)
+                terms = []
+                for a in range(i, i + n_j):
+                    mass = [masses[m + 100] if m + 100 < len(masses) else 0 for m in (a, a + 1)]
+                    gap = (pn * mass[0] - mass[1]) / (pn - 1)
+                    chi = [-e(-a) * mpmath.expm1(-gap * t)]
+                    if slope:
+                        chi = [-lam(-a) * chi[0], gap * e(1 - a)]
+                    terms += [vol0 * pn ** (i - a) * x for x in chi]
+                if mpmath.fsum(map(abs, terms)) < mpmath.mpf(10) ** -330:
+                    # below every double, where no digit of the bracket is wanted
+                    return mpmath.fsum(terms), terms
+                # every digit is spent when the parts cancel to 0 at this precision
+                spent = mpmath.log10(max(map(abs, parts)) / abs(value)) if value else dps
+                if dps - spent >= 20:
+                    return value, terms
+            dps = 100 * (int(spent) // 100 + 1) + 50
+
+    def rounding_bound(self, terms) -> float:
+        """16 eps sum_k |x_k| (1 + |ln |x_k|| + |ln c|) + 2^-1022: what a
+        double sum of the terms x_k may be off by. Each term is an
+        exponential of a sum of logs (c, p^{a(n+gamma)}, e^{-C1 p^a},
+        e^{-lambda t}), which rounds by eps times that sum's size, about
+        |ln x| plus what ln c cancels in it; below the smallest normal
+        double, rounding is absolute."""
+        log_c = abs(math.log(self.params.norm_const))
+        with mpmath.workdps(30):
+            scale = mpmath.fsum(abs(x) * (1 + abs(mpmath.log(abs(x))) + log_c) for x in terms if x)
+        return 16 * float(np.finfo(float).eps * scale) + 2.0**-1022
+
+    def survival_slope(self, t: float, dps: int = 50):
+        """(dS/dt, its terms): -sum_j vol(S_{-j}) lambda_{-j} E_{-j}."""
+        with mpmath.workdps(dps):
+            pn, masses, _ = self._spheres(dps)
+            terms = [
+                -(1 - 1 / pn) * pn**-j * self.lam(-j, dps) * mpmath.exp(-self.lam(-j, dps) * t)
+                for j in range(len(masses) - 100)
+            ]
+            return mpmath.fsum(terms), terms
 
 
 # ---------------------------------------------------------------------------

@@ -619,20 +619,20 @@ def test_out_env_var(config_path, tmp_path, monkeypatch):
 
 KERNEL_ARTIFACTS = ("u_profile.csv", "ztilde.csv", "survival.csv", "bounds_report.json")
 
-#: sha256 of the kernel artifacts as the per-time, per-point code wrote them
-#: (numpy 2.4, x86-64); a change of platform may move a last bit of exp,
-#: which scripts/compare_artifacts.py then measures against its tolerance
+#: sha256 of the kernel artifacts as the telescoped sphere series writes
+#: them (numpy 2.4, x86-64); a change of platform may move a last bit of
+#: exp, which scripts/compare_artifacts.py then measures against its tolerance
 KERNEL_DIGESTS = {
     "desk": {
-        "u_profile.csv": "0089d189102792d5d45abac5d87004e942f6fb4dec7abeac65246f76cce7570e",
-        "ztilde.csv": "f1a8053673fd591b532a532681c39b17edcab630a4d9d7be12022bddb7246f98",
-        "survival.csv": "0d88f776b7cd4b5625cc3947225416e7457d7705515002551fb265500c27edc7",
+        "u_profile.csv": "1cc0cba38e8ee95c6baa358482b485575fac267a8d304ff2a3d18d5f44af2b03",
+        "ztilde.csv": "a8841e8a4b89361e91a4b162074e788fc7012a8bf8b0ca3dc6225d8f85037d23",
+        "survival.csv": "6fd9a2b26e48cdb190a2241023adb2b16f1f121dc5a371e493609f59f653fe38",
         "bounds_report.json": "fa4f987682749b0c4c7d5a1d12be8f1d9e73cab03826d041af7e304f38d00962",
     },
     "p2n2g0.5c0.2": {
-        "u_profile.csv": "9d8b3ae3cb46a31ad17eb32e8c722f6536f13f36f72942c554aa9cee54061c03",
-        "ztilde.csv": "26f63d739a300a60fbf45ff8aa8258f18ded561999c39499962ece5dc9cb14de",
-        "survival.csv": "d1dc914db48f44ceef0c4ba675da4037381dcb83560bdaf1cc0569f6f002cbc8",
+        "u_profile.csv": "85d3ba58541b8271e65e1b17c886455b1ca62f8c30d26c8d6b55eacc978ec22c",
+        "ztilde.csv": "2773dd74eedeaa0720d86e1d2fab6f54dc7b7293f0b06f029e440242d9869720",
+        "survival.csv": "1838e3f2e59daa62d3884934c8341fa1851d97bd0857925c3dc15727c1e1391b",
         "bounds_report.json": "5ce591f8e055465674f22dd7af9912fca853ac6ce8fe2c5930557fe4668c6d0a",
     },
 }
@@ -902,7 +902,7 @@ DESK_DIGESTS = {
     "fpt/laplace_ladder.csv": "05b4f6a4915548f607898ea906273005795c1564b18c9e970bd9c66ea5e851e0",
     "simulate/fpt_samples.csv": "ef0af890f031496ebc7a5f91158c753bd91798f97fe524c6edd5349963b196e1",
     "simulate/survival_mc.csv": "2e945972d5aa078d83aef89edfa63928315e31822aa0d82ea0511de20b896c59",
-    "verify/verify_report.json": "0e4578d145b97a0e33e5e2a271e67a6616d8b1daac09a1fd9a312b6014e547a5",
+    "verify/verify_report.json": "0a644d296e0a970d1fd226820fbaf61806188209a39c2ac15af7e5b21a85c085",
 }
 
 

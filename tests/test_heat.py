@@ -5,12 +5,13 @@ chain onto coset norms, and the Chapman-Kolmogorov property.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import GRID, at
-from oracles import CosetPoint, transition_prob
+from oracles import CosetPoint, HeatOracle, transition_prob
 from ultradiff.errors import GammaOutOfRange, ZeroPoint
 from ultradiff import heat
 from ultradiff.fpt import g_grid
@@ -19,7 +20,6 @@ from ultradiff.heat import (
     AUDIT_TAIL,
     ConservationAudit,
     HeatState,
-    _sphere_masses,
     chapman_kolmogorov_defect,
     conservation_audits,
     decay_bound_check,
@@ -28,6 +28,7 @@ from ultradiff.heat import (
     j_convolve_u,
     norm_chain,
     pde_residual,
+    sphere_masses,
     survival,
     u_table,
     ztilde_table,
@@ -130,6 +131,63 @@ def test_ztilde_nonnegative_on_grid(desk_state):
     assert np.all(z >= 0.0)
 
 
+#: cells where the heat series' bracket A - E_{1-i} cancels to its last
+#: digits: four deep cells at gamma of both signs, a cell of the benchmark's
+#: sweep (t its third time), and the desk point's i = 6 and 8 at t = 0.1,
+#: true values 1.57e-30 and 3.23e-114 that the subtracting form wrote as 0.0
+ORACLE_CELLS = [
+    ((2, 1, 0.5, 1.0), -60, 1.0),
+    ((7, 3, 2.0, 3.0), -8, 1.0),
+    ((13, 2, 1.0, 1.0), -12, 0.1),
+    ((13, 2, -1.0, 1.0), -12, 1.0),
+    ((2, 2, -1.0, 0.3), 7, 0.05 * (20.0 / 0.05) ** (2 / 63)),
+    ((2, 1, -0.5, 1.0), 6, 0.1),
+    ((2, 1, -0.5, 1.0), 8, 0.1),
+]
+
+
+@pytest.mark.parametrize("point, i, t", ORACLE_CELLS)
+def test_ztilde_matches_high_precision_bracket(point, i, t):
+    p, n, gamma, c1 = point
+    state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
+    oracle = HeatOracle(state.landscape)
+    value, terms = oracle.sphere_mass(i, t)
+    bound = oracle.rounding_bound(terms)
+    assert abs(sphere_masses(state, [i], [t])[0, 0] - value) <= bound
+    # Ztilde is the mass over vol(S_i), two more roundings
+    scale = mpmath.mpf(state.space.p) ** (-i * state.space.n) / state.space.unit_sphere_volume
+    z = ztilde_table(state, [i], [t])[0, 0]
+    assert z > 0.0
+    assert abs(z - value * scale) <= (bound + 4 * np.finfo(float).eps * abs(value)) * scale
+
+
+#: the slope of a sphere mass cancels in its own value (near lambda t = 1),
+#: so it is held to its parts' rounding, not to a relative bound; du_dt at
+#: i <= 0 is the survival's slope S'(t)
+SLOPE_CELLS = [
+    ((2, 1, 0.5, 1.0), -30, 1.0),
+    ((7, 3, 2.0, 3.0), -8, 1.0),
+    ((13, 2, -1.0, 1.0), -12, 1.0),
+    ((2, 1, -0.5, 1.0), 3, 0.5),
+]
+
+
+@pytest.mark.parametrize("point, i, t", SLOPE_CELLS)
+def test_slopes_match_high_precision_bracket(point, i, t):
+    p, n, gamma, c1 = point
+    state = HeatState(normalize(SpaceParams(p=p, n=n), gamma, c1))
+    oracle = HeatOracle(state.landscape)
+    value, terms = oracle.sphere_mass(i, t, slope=True)
+    bound = oracle.rounding_bound(terms)
+    assert abs(sphere_masses(state, [i], [t], slope=True)[0, 0] - value) <= bound
+    if i <= 0:
+        value, terms = oracle.survival_slope(t)
+        assert abs(du_dt(state, i, t) - value) <= oracle.rounding_bound(terms)
+    else:
+        slack = bound + 4 * np.finfo(float).eps * abs(value)
+        assert abs(du_dt(state, i, t) * sphere_volume(state.space, i) - value) <= slack
+
+
 def test_uniform_decay_bound(desk_state):
     # Ztilde(x, t) <= 2 t |x|^{-n} pointwise
     i, t = np.arange(1, 11), np.array([0.1, 1.0, 10.0])
@@ -216,7 +274,7 @@ def audit_at_one_time(state, t):
             break
         top, size = top - size, 2 * size
     lo = int(q[ok[0]]) + 1
-    masses = _sphere_masses(state, np.arange(lo, hi + 1), t)[:, 0]
+    masses = sphere_masses(state, np.arange(lo, hi + 1), t)[:, 0]
     return ConservationAudit(
         t=t,
         density_mass=math.fsum(masses),
@@ -451,13 +509,15 @@ RESIDUAL_TIMES = (2.0, 0.0, 0.5, 5.0, 0.1, 0.5)
 
 
 def du_dt_one_point(state, i, t):
-    """du/dt from a one-row, one-time series: the scalar form the table
-    replaced, kept as its oracle."""
+    """du/dt from a one-row, one-time series, kept as the table's oracle:
+    the slope of the survival's series on Z_p^n, and outside it the slope
+    of one sphere mass over its volume."""
     i = i if isinstance(i, int) else 0
-    a, corr = heat._series(state, [max(i, 0)], lambda lam: lam * np.exp(-lam * t))
     if i <= 0:
-        return -float(a[0])
-    return float((float(state.space.p) ** state.space.n) ** -i * (corr[0] - a[0]))
+        phi = lambda lam, a: lam * np.exp(-lam * t)  # noqa: E731
+        return -float(heat._table(state, [0], [t], lambda ts: phi)[0, 0])
+    slope = sphere_masses(state, [i], [t], slope=True)
+    return float(heat._density(state, np.array([i]), slope)[0, 0])
 
 
 def j_convolve_u_one_point(state, i, t):

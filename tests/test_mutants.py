@@ -20,9 +20,10 @@ from ultradiff.cli import load_run_config, run_verify_checks
 ROOT = Path(__file__).resolve().parent.parent
 
 #: desk (configs/desk.json itself), (3, 2, -1, 1), where rho_0's
-#: cancellation sets the threshold, and (2, 2, 0.5, 0.2), gamma > 0 with
-#: nine poles
-MUTANT_POINTS = [None, (3, 2, -1.0, 1.0), (2, 2, 0.5, 0.2)]
+#: cancellation sets the threshold, (2, 2, 0.5, 0.2), gamma > 0 with nine
+#: poles, and (5, 1, -0.95, 5), whose rates (1e-12 and below) sit far under
+#: the s-ladder, so only s at the poles' own rates sees a moved zero
+MUTANT_POINTS = [None, (3, 2, -1.0, 1.0), (2, 2, 0.5, 0.2), (5, 1, -0.95, 5.0)]
 
 
 def drop_residue_at_minus_kappa(mixture):
