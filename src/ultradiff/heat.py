@@ -80,9 +80,9 @@ def sphere_series(cache: SpectralCache, i_exps, phi, n_terms: int) -> np.ndarray
     exponent i; phi(lam, a) gives the values, of shape (K,) or (K, T), at the
     ascending sphere exponents a, with lam = lambda_{-a}, or at a prefix of
     them when every later value is 0.0. The banded sum runs one diagonal at
-    a time, smallest terms first, so an entry has the same roundings
-    whatever rows share the call (a BLAS product's blocking depends on the
-    batch shape), and exact 0.0 terms, added or not, change no bit."""
+    a time, the last first, so an entry has the same roundings whatever rows
+    share the call (a BLAS product's blocking depends on the batch shape),
+    and exact 0.0 terms, added or not, change no bit."""
     i = np.asarray(i_exps, dtype=np.int64)
     space = cache.kernel.space
     top, bottom = int(i.max()), int(i.min())

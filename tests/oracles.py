@@ -359,14 +359,14 @@ def transition_prob(
 class HeatOracle:
     """The heat series of one landscape in mpmath.
 
-    lambda_k = c (sum_{m >= 1-k} mass_m + mass_{1-k} / (p^n - 1)), with the
-    landscape's own normalizing constant c and mass_m = p^{m gamma}
-    e^{-C1 p^m} vol(S_m), summed directly from p^-100 up to the first
-    sphere 400 digits below the largest (far below a double's range). :meth:`sphere_mass` forms
-    the bracket of the heat series, A - correction, as the difference of
-    its two sums. That spends about as many digits as the two agree in, so
-    it works at 20 digits plus those it spends, raising the precision until
-    it has them (120 digits lose the desk point's i = 8 at t = 0.1).
+    lambda_k = sum_{m >= 1-k} mass_m + mass_{1-k} / (p^n - 1), with mass_m =
+    c p^{m gamma} e^{-C1 p^m} vol(S_m) (c the landscape's own normalizing
+    constant), summed directly from p^-100 up to the first sphere 400
+    digits below the largest, far below a double's range. :meth:`sphere_mass`
+    forms the bracket of the heat series, A - correction, as the difference
+    of its two sums. That spends about as many digits as the two agree in,
+    so it works at 20 digits plus those it spends, raising the precision
+    until it has them (120 digits lose the desk point's i = 8 at t = 0.1).
     """
 
     def __init__(self, params: LandscapeParams):
@@ -392,16 +392,16 @@ class HeatOracle:
 
     def lam(self, k: int, dps: int):
         """lambda_k = 1 - Jhat(p^k) at dps digits (call inside workdps)."""
-        _, masses, suffix = self._spheres(dps)
+        pn, masses, suffix = self._spheres(dps)
         m = 1 - k + 100
         if m < 0:
             raise ValueError(f"lambda_{k} needs spheres below p^-100")
-        return suffix[m] + masses[m] / (self._spheres(dps)[0] - 1) if m < len(masses) else 0
+        return suffix[m] + masses[m] / (pn - 1) if m < len(masses) else 0
 
     def sphere_mass(self, i: int, t: float, slope: bool = False, dps: int = 50):
         """(vol(S_i) Ztilde(p^i, t), [vol(S_{-k}) chi_{i+k}(t) for k >= 0]) as
-        mpf, or with slope the t-derivative and the parts of the slopes. The value
-        is (1 - p^{-n}) (A - E_{1-i}) with A = sum_j vol(S_{-j}) E_{-j-i} and
+        mpf, or with slope the t-derivative and the parts of the slopes. The
+        value is (1 - p^{-n}) (A - E_{1-i}) with A = sum_j vol(S_{-j}) E_{-j-i} and
         E_k = e^{-lambda_k t}; the terms past j = J, where lambda_{-j-i} is
         0 at this precision, sum to p^{-nJ} (1 - E_{1-i}). The list holds
         the terms the package sums, the telescoped differences chi_a =
@@ -436,6 +436,8 @@ class HeatOracle:
                 spent = mpmath.log10(max(map(abs, parts)) / abs(value)) if value else dps
                 if dps - spent >= 20:
                     return value, terms
+            if dps > 2000:
+                raise ValueError(f"the bracket at i={i}, t={t} needs over 2000 digits")
             dps = 100 * (int(spent) // 100 + 1) + 50
 
     def rounding_bound(self, terms) -> float:

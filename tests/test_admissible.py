@@ -38,10 +38,14 @@ TIMES = [0.1, 1.0, 10.0]
     t=st.sampled_from(TIMES),
     slope=st.booleans(),
 )
-# the deep cells where the subtracting form of the series went wrong
+# the deep cells where the subtracting form of the series went wrong, and
+# three configs where it wrote negative Ztilde at p^n >= 25
 @example(p=7, n=3, gamma_per_n=2 / 3, log_c1=math.log(3.0), i=-8, t=1.0, slope=False)
 @example(p=13, n=2, gamma_per_n=0.5, log_c1=0.0, i=-12, t=0.1, slope=False)
 @example(p=13, n=2, gamma_per_n=-0.5, log_c1=0.0, i=-12, t=1.0, slope=True)
+@example(p=13, n=2, gamma_per_n=0.86, log_c1=math.log(0.26), i=-12, t=0.1, slope=False)
+@example(p=7, n=2, gamma_per_n=2.32, log_c1=math.log(0.21), i=-12, t=0.1, slope=False)
+@example(p=5, n=2, gamma_per_n=1.28, log_c1=math.log(4.46), i=-12, t=0.1, slope=True)
 def test_heat_tables_are_nonnegative_and_match_the_oracle(
     p, n, gamma_per_n, log_c1, i, t, slope
 ):
