@@ -401,9 +401,11 @@ def cmd_kernel(cfg: RunConfig, out: Path) -> int:
 
     # one engine call per quantity; tables have rows i, columns t, written
     # in the stable (i, t) order of their flattened grid, with the key
-    # cells formatted once per distinct i and t
-    u = u_table(state, x_exps, times)
+    # cells formatted once per distinct i and t. u is S on Z_p^n and Ztilde
+    # on every sphere of norm >= p, the same rows bit for bit
+    s = survival(state, times)
     z = ztilde_table(state, x_exps, times)
+    u = np.where((np.asarray(x_exps) >= 1)[:, None], z, s)
     order = np.lexsort((np.tile(times, len(x_exps)), np.repeat(x_exps, len(times))))
     rows, cols = np.divmod(order, len(times))
     i_cells, t_cells = format_cells(x_exps), format_cells(times)
@@ -413,7 +415,7 @@ def cmd_kernel(cfg: RunConfig, out: Path) -> int:
         digests[name] = _write_csv(out / name, ["norm_exp", "t", "value"], columns)
 
     defects = [audit.defect for audit in conservation_audits(state, times)]
-    columns = [t_cells, survival(state, times), defects]
+    columns = [t_cells, s, defects]
     header = ["t", "value", "conservation_defect"]
     digests["survival.csv"] = _write_csv(out / "survival.csv", header, columns)
 

@@ -1,35 +1,48 @@
 """Heat-kernel series for the nonlocal generator A u = J*u - u.
 
 The semigroup measure factors as ``Z_t = e^{-t} delta_0 + Ztilde(.,t) d^n x``:
-the atom is the probability of no jump by time t, so the density carries
-1 - e^{-t}, and :func:`conservation_audits` counts both. With lambda_k =
-1 - Jhat(p^k) from the spectral cache and E_k = e^{-lambda_k t}, every
-quantity is one :func:`sphere_series`, sum_{k>=0} vol(S_{-k}) phi_{i+k},
-and they differ only in phi:
+the atom is the probability of zero jumps up to time t, so the density
+integrates to 1 - e^{-t} and total probability is conserved only once the
+atom is counted; :func:`conservation_audits` reports both pieces. The
+solution of the Cauchy problem started from the indicator of Z_p^n is
+radial, constant on Z_p^n, and coincides with Ztilde on every sphere of
+norm >= p (both are the transition probability into the corresponding
+unit coset), which this module exploits and the tests check.
 
-* phi_a = E_{-a} gives P(X_t in B_i): at i = 0 the survival S(t), which is
-  u on Z_p^n for the Cauchy problem started from its indicator;
-* phi_a = chi_a = E_{-a} - E_{1-a} = -E_{-a} expm1(-delta_a t), with
-  delta_a = lambda_{1-a} - lambda_{-a} = p^{na} (J(p^a) - J(p^{a+1})) read
-  from the landscape, gives the sphere mass vol(S_i) Ztilde(p^i, t)
-  (:func:`sphere_masses`). Ztilde is p^{-ni} / vol(S_0) times it, and u is
-  Ztilde on every sphere of norm >= p (both are one unit coset's
-  probability).
+With lambda_k = 1 - Jhat(p^k) from the spectral cache and E_k =
+e^{-lambda_k t}, every quantity on a sphere or ball of norm p^i is a
+series sum_{k>=0} vol(S_{-k}) phi_{i+k}, and they differ in phi:
 
-The chi series is the heat series minus its correction, A - E_{1-i},
-telescoped: no two sums that agree to many digits are subtracted, so
-nothing needs clamping. Its terms fall like J(p^{i+k}), not like p^{-nk},
-so it runs to SpectralCache.top. The u-mass of a ball B_r, r >= 0, is a
-finite measure over the lambda_{r+j} (:func:`spectral_measure`), which
-gives the flux into B_r (:func:`inflow`) and, at r = 0, the re-entry flux
-g and its transform G. The coset chain lumps onto coset norms
-(:func:`norm_chain`). A series that reaches past the cache window grows
-the cache in place, so concurrent use of one state needs it grown first.
+* phi_a = E_{-a} gives P(X_t in B_i), at i = 0 the survival S(t), which is
+  u on Z_p^n. These terms (and their slopes and deficits) share one sign,
+  so :func:`sphere_series` stops them where the weights p^{-nk} alone
+  reach machine tail.
+* phi_a = chi_a = E_{-a} - E_{1-a} gives the sphere mass vol(S_i)
+  Ztilde(p^i, t) (:func:`sphere_masses`); Ztilde is p^{-ni} / vol(S_0)
+  times it. This is the heat series minus its correction E_{1-i},
+  telescoped, so two sums that agree to many digits are never subtracted
+  and nothing needs clamping. Each chi_a is formed from delta_a =
+  lambda_{1-a} - lambda_{-a} = p^{na} (J(p^a) - J(p^{a+1})), read from the
+  landscape, never as a difference of two E or two cached lambda (:func:`_chi`).
+  The chi terms fall like J(p^a), not like p^{-nk}, so the rows are summed
+  from SpectralCache.top, where every term is 0.0, down to the lowest i.
 
-Each quantity has one table API, rows i and columns t (:func:`u_table`,
-:func:`ztilde_table`, :func:`du_dt`, :func:`j_convolve_u`,
-:func:`pde_residual`); a value at one point is an entry of a one-point
-table, with the same roundings as that entry in any larger table.
+The u-mass of a ball B_r, r >= 0, is a finite measure over the lambda_{r+j}
+(:func:`spectral_measure`), from which the flux into B_r (:func:`inflow`)
+and, at r = 0, the re-entry flux g and its transform G are read. The coset
+chain lumps onto coset norms (:func:`norm_chain`), where Chapman-Kolmogorov
+is checked at the depth that also caps the conservation window
+(:func:`escape_depths`). The results are pure functions of the landscape,
+but a series that reaches past the cache window grows the cache in place,
+so concurrent evaluation on one state needs the window grown first.
+
+Each quantity has one table API: :func:`u_table`, :func:`ztilde_table`,
+:func:`du_dt`, :func:`j_convolve_u` and :func:`pde_residual` return tables
+with rows i and columns t, `survival` of a time vector is row 0 of the u
+table, :func:`conservation_audits` sums one sphere-mass table over the union
+of its certified windows, and :func:`decay_bound_check` takes its deficits
+from one call. A value at one point is an entry of a one-point table, which
+has the same roundings as that entry in any larger table.
 """
 
 from __future__ import annotations
@@ -76,28 +89,33 @@ class HeatState:
 
 
 def sphere_series(cache: SpectralCache, i_exps, phi, n_terms: int) -> np.ndarray:
-    """row[i] = sum_{0 <= k < n_terms} vol(S_{-k}) phi_{i+k} for each norm
-    exponent i; phi(lam, a) gives the values, of shape (K,) or (K, T), at the
-    ascending sphere exponents a, with lam = lambda_{-a}, or at a prefix of
-    them when every later value is 0.0. The banded sum runs one diagonal at
-    a time, the last first, so an entry has the same roundings whatever rows
-    share the call (a BLAS product's blocking depends on the batch shape),
-    and exact 0.0 terms, added or not, change no bit."""
+    """The sphere series behind the one-sign heat quantities.
+
+    For each norm exponent i returns
+
+        row[i] = sum_{0 <= j < n_terms} vol(S_{-j}) phi(lambda_{-j-i}),
+
+    where lambda_k = 1 - Jhat(p^k). phi maps the contiguous slice of lambda
+    the series needs to values of shape (K,) or (K, T) (one time, or a grid
+    of them). The banded sum runs one diagonal j at a time, smallest terms
+    first, so each entry is the same sequence of roundings whatever other
+    rows share the call (a BLAS matrix product is not: its blocking depends
+    on the batch shape).
+    """
     i = np.asarray(i_exps, dtype=np.int64)
     space = cache.kernel.space
     top, bottom = int(i.max()), int(i.min())
-    a = np.arange(bottom, top + n_terms)
-    vals = phi(cache.window(-a[-1], -bottom)[::-1], a)
-    # acc[r] accumulates the row at norm exponent bottom + r
+    vals = phi(cache.window(-top - n_terms + 1, -bottom))
+    # acc[r] accumulates the row at norm exponent top - r, one diagonal j at a time
     width = top - bottom + 1
     acc = np.zeros((width,) + vals.shape[1:], dtype=vals.dtype)
     vol = space.unit_sphere_volume * (float(space.p) ** space.n) ** -np.arange(
         n_terms, dtype=float
     )
-    for k in range(min(n_terms, len(vals)) - 1, -1, -1):
-        rows = min(width, len(vals) - k)
-        acc[:rows] += vol[k] * vals[k : k + rows]
-    return acc[i - bottom]
+    for j in range(n_terms - 1, -1, -1):
+        start = n_terms - 1 - j
+        acc += vol[j] * vals[start : start + width]
+    return acc[top - i]
 
 
 def _decay(ts, f=np.exp):
@@ -106,7 +124,7 @@ def _decay(ts, f=np.exp):
     if np.any(ts < 0):
         raise ValueError("time must be nonnegative")
 
-    def phi(lam, a=None):
+    def phi(lam):
         # in place: a second (K, T) array would double the table's memory
         x = np.multiply.outer(-lam, ts)
         return f(x, out=x)
@@ -114,12 +132,12 @@ def _decay(ts, f=np.exp):
     return phi
 
 
-def _table(state: HeatState, i_exps, ts, phi, n_terms: int | None = None) -> np.ndarray:
+def _table(state: HeatState, i_exps, ts, phi) -> np.ndarray:
     """sphere_series of phi(ts) over blocks of _TIME_BLOCK times, which
-    change no bit; rows i, columns t. By default it runs until the weights
-    p^{-nk} alone reach machine tail, as terms of one sign and size <= 2 do."""
+    change no bit; rows i, columns t. It runs until the weights p^{-nj}
+    alone reach machine tail, as terms of one sign and size <= 2 do."""
     space = state.space
-    n_terms = n_terms or math.ceil(17.0 * math.log(10.0) / (space.n * space.log_p)) + 4
+    n_terms = math.ceil(17.0 * math.log(10.0) / (space.n * space.log_p)) + 4
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     out = np.empty((len(i_exps), ts.size))
     for k in range(0, ts.size, _TIME_BLOCK):
@@ -167,29 +185,46 @@ def _gaps(state: HeatState, a: np.ndarray) -> np.ndarray:
     return gap * np.exp(log_head - decay)
 
 
-def _chi(state: HeatState, slope: bool, ts):
-    """phi = chi_a(t) = E_{-a} - E_{1-a} = -E_{-a} expm1(-delta_a t) over the
-    times ts, E_k = e^{-lambda_k t}; with slope, its t-derivative
-    -lambda_{-a} chi_a + delta_a E_{1-a}. Both lambdas are 0.0 from
-    SpectralCache.top on, so the values stop there."""
-
-    def phi(lam, a):
-        a = a[a < state.cache.top]
-        lam, gap = lam[: a.size], _gaps(state, a)[:, None]
-        e, x = _decay(ts)(lam), gap * -ts
-        chi = -e * np.expm1(x)
-        return gap * e * np.exp(x) - lam[:, None] * chi if slope else chi
-
-    return phi
+def _chi(lam: np.ndarray, gap: np.ndarray, ts: np.ndarray, slope: bool) -> np.ndarray:
+    """chi_a(t) = E_{-a} - E_{1-a}, E_k = e^{-lambda_k t}, rows a, columns
+    ts, from lam = lambda_{-a} over a = a_0 - 1 .. a_K and gap = delta_a over
+    a_0 .. a_K; with slope, its t-derivative -lambda_{-a} chi_a + delta_a
+    E_{1-a}. chi_a is the E of the smaller lambda times -expm1(-|delta_a| t),
+    signed as delta_a: neither factor can overflow, as e^{|delta_a| t} would
+    where J rises (delta_a < 0) and |delta_a| t passes 709, and no two E
+    are subtracted."""
+    lam_out, lam_in = lam[1:], lam[:-1]  # lambda_{-a}, lambda_{1-a}
+    chi = _decay(ts)(np.where(gap >= 0.0, lam_out, lam_in))
+    chi *= np.copysign(_decay(ts, np.expm1)(np.abs(gap)), gap[:, None])
+    return gap[:, None] * _decay(ts)(lam_in) - lam_out[:, None] * chi if slope else chi
 
 
 def sphere_masses(state: HeatState, i_exps, ts, slope: bool = False) -> np.ndarray:
     """vol(S_i) Ztilde(p^i, t), or with slope its t-derivative; rows i,
-    columns t. Each row is the series of the chi (:func:`_chi`), run to
-    SpectralCache.top, past which every term is 0.0."""
+    columns t. Row i is the heat series minus its correction, telescoped:
+    sum_{k>=0} vol(S_{-k}) chi_{i+k} (:func:`_chi`). Both lambdas, and so
+    every chi_a, are 0.0 from a = SpectralCache.top on, and the terms fall
+    like J(p^a), not like p^{-nk}, so the rows are summed from there down
+    by row_a = vol(S_0) chi_a + row_{a+1} / p^n: one step per sphere, and
+    each row the same roundings whatever rows share the call."""
     i = np.asarray(i_exps, dtype=np.int64)
-    n_terms = max(state.cache.top - int(i.min()), 1)
-    return _table(state, i, ts, functools.partial(_chi, state, slope), n_terms)
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    space, top = state.space, state.cache.top
+    bottom = min(int(i.min()), top)
+    # lambda_{-a} for a = bottom - 1 .. top - 1
+    lam = state.cache.window(1 - top, 1 - bottom)[::-1]
+    gap = _gaps(state, np.arange(bottom, top))
+    pn = float(space.p) ** space.n
+    out = np.zeros((i.size, ts.size))
+    live = i < top
+    for k in range(0, ts.size, _TIME_BLOCK):
+        block = slice(k, k + _TIME_BLOCK)
+        rows = _chi(lam, gap, ts[block], slope)
+        rows *= space.unit_sphere_volume
+        for a in range(len(rows) - 2, -1, -1):
+            rows[a] += rows[a + 1] / pn
+        out[live, block] = rows[i[live] - bottom]
+    return out
 
 
 def _density(state: HeatState, i: np.ndarray, masses: np.ndarray) -> np.ndarray:
@@ -227,9 +262,12 @@ def u_table(state: HeatState, x_exps: Sequence[int], ts) -> np.ndarray:
 
 
 def survival(state: HeatState, t):
-    """S(t), the probability of sitting in Z_p^n at t, started there: row 0
-    of :func:`u_table` (vol(Z_p^n) = 1), a float for a scalar t and an array
-    over a sequence of times. Not monotone in general: paths return."""
+    """S(t): probability of sitting in Z_p^n at time t, started there.
+
+    Equals the constant value of u on Z_p^n since vol(Z_p^n) = 1, so it is
+    row 0 of :func:`u_table`: a float for a scalar t, an array over the
+    times for a sequence. Not monotone in general: paths return.
+    """
     return _view(u_table(state, [0], t), 0, t)
 
 
@@ -239,7 +277,7 @@ def du_dt(state: HeatState, i, t):
     and times t (columns), viewed at a scalar i or t (:func:`_view`)."""
 
     def inside(ts):
-        return lambda lam, a: -lam[:, None] * _decay(ts)(lam)
+        return lambda lam: -lam[:, None] * _decay(ts)(lam)
 
     return _view(_profile(state, i, t, inside, True), i, t)
 
@@ -373,8 +411,13 @@ def conservation_audits(
     top = max(hi for _, hi, _ in windows)
     masses = sphere_masses(state, np.arange(bottom, top + 1), ts)
     return [
-        ConservationAudit(t, math.fsum(masses[lo - bottom : hi - bottom + 1, col]),
-                          math.exp(-t), (lo, hi), tail)
+        ConservationAudit(
+            t=t,
+            density_mass=math.fsum(masses[lo - bottom : hi - bottom + 1, col]),
+            atom=math.exp(-t),
+            window=(lo, hi),
+            tail_bound=tail,
+        )
         for col, (t, (lo, hi, tail)) in enumerate(zip(ts, windows))
     ]
 
@@ -426,7 +469,7 @@ def pde_residual(state: HeatState, i, t):
 # ---------------------------------------------------------------------------
 
 
-def norm_chain(state: HeatState, t: float, depth: int) -> np.ndarray:
+def norm_chain(state: HeatState, t: float | Sequence[float], depth: int) -> np.ndarray:
     """The coset chain on B_depth / Z_p^n lumped onto coset norm exponents:
     P[a, b] = P(from a coset x of norm p^a, in a coset of norm p^b at t),
     the same for every such x since the jump law is radial. With q[b] =
@@ -435,16 +478,18 @@ def norm_chain(state: HeatState, t: float, depth: int) -> np.ndarray:
     P[a, 0] = q[a]; P[a, b] = vol(S_b) q[max(a, b)] for b != a; and P[a, a]
     sums q over x itself, the spheres of B_{a-1}(x) and S_a minus
     B_{a-1}(x), which has p^{n(a-1)} (p^n - 2) cosets. Rows fall short of 1
-    by the mass that has left B_depth.
+    by the mass that has left B_depth. For a sequence of times, one chain
+    per time along a leading axis, each the same bits as its own call.
     """
-    q = u_table(state, np.arange(depth + 1), t)[:, 0]
+    q = u_table(state, np.arange(depth + 1), np.atleast_1d(t)).T  # rows t
     pn = float(state.space.p) ** state.space.n
     b = np.arange(depth + 1)
     count = np.where(b == 0, 1.0, pn**b - pn ** (b - 1.0))
-    chain = count * q[np.maximum.outer(b, b)]
+    chain = count * q[:, np.maximum.outer(b, b)]
     a = b[1:]
-    chain[a, a] = np.cumsum(count * q)[:-1] + pn ** (a - 1.0) * (pn - 2.0) * q[a]
-    return chain
+    inside = np.cumsum(count * q, axis=1)[:, :-1]
+    chain[:, a, a] = inside + pn ** (a - 1.0) * (pn - 2.0) * q[:, a]
+    return chain[0] if np.ndim(t) == 0 else chain
 
 
 def chapman_kolmogorov_defect(state: HeatState, t: float, s: float) -> float:
@@ -452,7 +497,7 @@ def chapman_kolmogorov_defect(state: HeatState, t: float, s: float) -> float:
     depth of t + s (:func:`escape_depths`): P(t) P(s) misses only paths that
     left B_depth by time t, at most AUDIT_TAIL of the mass."""
     [(depth, _)] = escape_depths(state.landscape, [t + s])
-    pt, ps, pts = (norm_chain(state, u, depth) for u in (t, s, t + s))
+    pt, ps, pts = norm_chain(state, [t, s, t + s], depth)
     return float(np.max(np.abs(pts - pt @ ps)))
 
 
@@ -504,10 +549,14 @@ def decay_bound_check(
     c0 = b1 * p ** (-n - params.gamma) + b2 * p ** (-params.gamma - (l + 1) * n)
     t_grid = np.asarray(ts, dtype=float)
     deficits = -_table(state, x_exps, t_grid, functools.partial(_decay, f=np.expm1))
-    # The first bound is tight to roundoff when 1 - Jhat is tiny, so the
-    # margins add nonnegative pieces, t d - (1 - e^{-dt}) with d = 1 -
-    # Jhat(p^{1-i}) and the deficits sum_j vol(S_{-j}) (1 - E_j), in the
-    # order of the scalar formulas, with math.expm1 (np.expm1 may differ).
+    # The first bound is tight to within roundoff when 1 - Jhat is tiny, so
+    # the margins are assembled from manifestly nonnegative pieces instead
+    # of subtracting two nearly equal numbers:
+    #   t d - (1 - e^{-dt})            with d = 1 - Jhat(p^{1-i}),
+    #   sum_j vol(S_{-j}) (1 - E_j)    the deficit of the sphere sum.
+    # Each row's constants are scalar arithmetic; the (i, t) tables are
+    # elementwise in the order of the scalar formulas, with math.expm1,
+    # since np.expm1 may differ from it in the last bit.
     rows = []
     for i in x_exps:
         d = state.cache.one_minus(1 - i)

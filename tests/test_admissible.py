@@ -3,6 +3,7 @@
 A seeded hypothesis search over every (p, n, gamma, C1) that config
 validation accepts, in the ranges of the verify grid and beyond it: every
 entry of the Ztilde and u tables over x_exps -12..5 and t in {0.1, 1, 10}
+(and at the drawn cell's time, which an example sets far past the grid)
 is finite and nonnegative, and one drawn cell of the sphere masses (or of
 their slope) matches the high-precision bracket of the heat series within
 its rounding bound. A sign test alone cannot see a wrong positive value or
@@ -46,6 +47,10 @@ TIMES = [0.1, 1.0, 10.0]
 @example(p=13, n=2, gamma_per_n=0.86, log_c1=math.log(0.26), i=-12, t=0.1, slope=False)
 @example(p=7, n=2, gamma_per_n=2.32, log_c1=math.log(0.21), i=-12, t=0.1, slope=False)
 @example(p=5, n=2, gamma_per_n=1.28, log_c1=math.log(4.46), i=-12, t=0.1, slope=True)
+# a peaked landscape at a long time, where |delta_a| t passes 709 on the
+# spheres where J rises and e^{|delta_a| t} would overflow
+@example(p=2, n=1, gamma_per_n=3.0, log_c1=math.log(0.05), i=0, t=1e4, slope=False)
+@example(p=2, n=1, gamma_per_n=3.0, log_c1=math.log(0.05), i=-12, t=1e4, slope=True)
 def test_heat_tables_are_nonnegative_and_match_the_oracle(
     p, n, gamma_per_n, log_c1, i, t, slope
 ):
@@ -53,7 +58,8 @@ def test_heat_tables_are_nonnegative_and_match_the_oracle(
         state = HeatState(normalize(SpaceParams(p=p, n=n), gamma_per_n * n, math.exp(log_c1)))
     except UltradiffError:
         return  # a named refusal of the config is an allowed outcome
-    for table in (ztilde_table(state, X_EXPS, TIMES), u_table(state, X_EXPS, TIMES)):
+    times = sorted({*TIMES, t})
+    for table in (ztilde_table(state, X_EXPS, times), u_table(state, X_EXPS, times)):
         assert np.all(np.isfinite(table)) and np.all(table >= 0.0)
     oracle = HeatOracle(state.landscape)
     value, terms = oracle.sphere_mass(i, t, slope)

@@ -631,7 +631,7 @@ KERNEL_DIGESTS = {
     },
     "p2n2g0.5c0.2": {
         "u_profile.csv": "85d3ba58541b8271e65e1b17c886455b1ca62f8c30d26c8d6b55eacc978ec22c",
-        "ztilde.csv": "2773dd74eedeaa0720d86e1d2fab6f54dc7b7293f0b06f029e440242d9869720",
+        "ztilde.csv": "ef5cf571ca9389a6f099c423d32ab206358f17b6d7fd04e6aa798a0cb101bc6c",
         "survival.csv": "1838e3f2e59daa62d3884934c8341fa1851d97bd0857925c3dc15727c1e1391b",
         "bounds_report.json": "5ce591f8e055465674f22dd7af9912fca853ac6ce8fe2c5930557fe4668c6d0a",
     },

@@ -514,7 +514,7 @@ def du_dt_one_point(state, i, t):
     of one sphere mass over its volume."""
     i = i if isinstance(i, int) else 0
     if i <= 0:
-        phi = lambda lam, a: lam * np.exp(-lam * t)  # noqa: E731
+        phi = lambda lam: lam * np.exp(-lam * t)  # noqa: E731
         return -float(heat._table(state, [0], [t], lambda ts: phi)[0, 0])
     slope = sphere_masses(state, [i], [t], slope=True)
     return float(heat._density(state, np.array([i]), slope)[0, 0])
@@ -718,6 +718,10 @@ def test_norm_chain_lumps_the_coset_chain(p, n, gamma, c1, depth):
         )
         chain = norm_chain(state, t, depth)
         assert np.max(np.abs(lumped - chain[norms])) <= 1e-15
+    # a sequence of times stacks the chains, each the bits of its own call
+    stacked = norm_chain(state, [2.0, 0.0, 0.5], depth)
+    for chain, t in zip(stacked, (2.0, 0.0, 0.5)):
+        assert np.array_equal(chain, norm_chain(state, t, depth))
 
 
 def test_transition_matrix_rows_sum_to_total_mass(desk_state):
